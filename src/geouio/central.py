@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ExistenceFailed, NotSolvable
+from .errors import (DimensionMismatch, ExistenceFailed, InvarianceViolated,
+                     NotConditionedInvariant, NotSolvable, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, TolerancePolicy, as_matrix,
                         intersect, kernel, monitored_rank)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
@@ -131,6 +132,11 @@ def check_uio_condition(decomp: GeometricDecomposition, C,
     return intersect(decomp.W_g_star, kernel(C, tol), tol).is_zero
 
 
+def _rank_condition(C, Bbar, tol: TolerancePolicy) -> bool:
+    """Local rank test rank(C Bbar) = rank(Bbar): C loses no direction of Im Bbar."""
+    return monitored_rank(C @ Bbar, tol) == monitored_rank(Bbar, tol)
+
+
 def classical_rank_condition(sys: LinSystem, part: InputPartition,
                              alpha: float = 0.0,
                              tol: TolerancePolicy = DEFAULT_POLICY):
@@ -142,7 +148,7 @@ def classical_rank_condition(sys: LinSystem, part: InputPartition,
     """
     Bbar = part.B_unknown
     C, A, n = sys.C, sys.A, sys.n
-    cond_i = monitored_rank(C @ Bbar, tol) == monitored_rank(Bbar, tol)
+    cond_i = _rank_condition(C, Bbar, tol)
     CB_pinv = np.linalg.pinv(C @ Bbar) if Bbar.shape[1] else np.zeros((0, sys.p))
     A1 = (np.eye(n) - Bbar @ CB_pinv @ C) @ A
     spart = SpectralPartition(alpha)
@@ -197,7 +203,8 @@ def synthesize_centralized_uio(sys: LinSystem, part: InputPartition,
             sys.A, sys.C, decomp.W_g_star, spectral, tol,
             pole_targets=pole_targets, margin=margin,
             keep_invariant=(decomp.W_star,))
-    except Exception as exc:  # SpectrumUnassignable and friends
+    except (SpectrumUnassignable, InvarianceViolated,
+            NotConditionedInvariant) as exc:
         raise ExistenceFailed(f"quotient spectrum not assignable: {exc}",
                               diagnostics={"cause": exc}) from exc
     E, F = solve_output_reconstruction(decomp.P_Wg, sys.C, tol)

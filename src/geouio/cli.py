@@ -22,8 +22,8 @@ from .cases import builtin_config
 from .central import synthesize_centralized_uio
 from .config import ProjectConfig, parse_config, tolerance_from_env
 from .distributed import synthesize_distributed
-from .errors import (AssumptionViolated, ConfigError, ExistenceFailed,
-                     InvarianceViolated, NonFiniteState,
+from .errors import (AssumptionViolated, ConfigError, DimensionMismatch,
+                     ExistenceFailed, InvarianceViolated, NonFiniteState,
                      NotConditionedInvariant, NotSolvable, SingularQ,
                      SpectrumUnassignable)
 from .simulate import error_metrics, simulate_centralized, simulate_distributed
@@ -106,11 +106,14 @@ def cmd_simulate(cfg: ProjectConfig, out_dir, tol) -> int:
     if cfg.sim is None:
         raise ConfigError("config has no 'sim' block")
     artifact, report = _synthesize(cfg, tol)
-    if cfg.mode == "centralized":
-        traj = simulate_centralized(cfg.system, cfg.partition, artifact,
-                                    cfg.signals, cfg.sim)
-    else:
-        traj = simulate_distributed(cfg.system, artifact, cfg.signals, cfg.sim)
+    try:
+        if cfg.mode == "centralized":
+            traj = simulate_centralized(cfg.system, cfg.partition, artifact,
+                                        cfg.signals, cfg.sim)
+        else:
+            traj = simulate_distributed(cfg.system, artifact, cfg.signals, cfg.sim)
+    except DimensionMismatch as exc:  # e.g. observer_init that fits no observer
+        raise ConfigError(str(exc)) from exc
     out = Path(out_dir)
     rpt.write_trajectory_csv(traj, out / "trajectory.csv")
     rpt.write_plot_series(traj, out)

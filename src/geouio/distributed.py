@@ -17,8 +17,8 @@ import scipy.linalg as sla
 
 from .errors import AssumptionViolated, DimensionMismatch, SingularQ
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, as_matrix,
-                        contains, intersect, monitored_rank, subspaces_equal)
-from .central import LinSystem, solve_output_reconstruction
+                        contains, intersect, subspaces_equal)
+from .central import LinSystem, _rank_condition, solve_output_reconstruction
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
 
@@ -135,8 +135,7 @@ class SensorNode:
         n = sys.n
         checks = {
             "local_rank_condition_matches_class": (
-                (monitored_rank(self.C @ self.B_unknown, tol)
-                 == monitored_rank(self.B_unknown, tol))
+                _rank_condition(self.C, self.B_unknown, tol)
                 == (self.node_class == N1)),
             "friend_invariance_residual": float(np.linalg.norm(
                 d.P_Wg @ AL @ d.W_g_star.basis)) if d.W_g_star.dim else 0.0,
@@ -219,8 +218,7 @@ def classify_nodes(sys: LinSystem, node_specs,
     """Split node ids by the local rank condition rank(C_i Bbar_i) = rank(Bbar_i)."""
     n1, n2 = [], []
     for spec in node_specs:
-        Bbar = sys.B[:, list(spec.unknown_cols)]
-        ok = monitored_rank(spec.C @ Bbar, tol) == monitored_rank(Bbar, tol)
+        ok = _rank_condition(spec.C, sys.B[:, list(spec.unknown_cols)], tol)
         (n1 if ok else n2).append(spec.node_id)
     return n1, n2
 
@@ -236,7 +234,7 @@ def per_node_decomposition(sys: LinSystem, spec: NodeSpec,
             f"node {spec.node_id}: known/unknown columns must partition the inputs")
     B_known = sys.B[:, list(spec.known_cols)]
     B_unknown = sys.B[:, list(spec.unknown_cols)]
-    is_n1 = monitored_rank(spec.C @ B_unknown, tol) == monitored_rank(B_unknown, tol)
+    is_n1 = _rank_condition(spec.C, B_unknown, tol)
     decomp = decompose(sys.A, spec.C, B_unknown, spectral, tol)
     L, Abarbar = stabilizing_friend(
         sys.A, spec.C, decomp.W_g_star, spectral, tol,
@@ -265,20 +263,14 @@ def build_consensus_blocks(nodes):
     """Block-diagonal W_V and A_L in class order; returns (W_V, A_L, ordered nodes)."""
     ordered = _class_order(nodes)
     n = ordered[0].decomp.n
-    blocks, ablocks = [], []
-    for nd in ordered:
-        blk = nd.consensus_block()
-        blocks.append(blk if blk.size else np.zeros((n, 0)))
-        ablocks.append(nd.coupling_restriction())
-    W_V = sla.block_diag(*blocks) if blocks else np.zeros((0, 0))
-    A_L = sla.block_diag(*ablocks) if ablocks else np.zeros((0, 0))
-    # block_diag collapses empty blocks; fix the row count explicitly
-    if W_V.shape[0] != n * len(ordered):
-        W_V = np.zeros((n * len(ordered), sum(b.shape[1] for b in blocks)))
-        c = 0
-        for k, blk in enumerate(blocks):
-            W_V[k * n:(k + 1) * n, c:c + blk.shape[1]] = blk
-            c += blk.shape[1]
+    blocks = [nd.consensus_block() for nd in ordered]
+    # placed by hand: block_diag would drop the n rows of a block with no columns
+    W_V = np.zeros((n * len(ordered), sum(b.shape[1] for b in blocks)))
+    c = 0
+    for k, blk in enumerate(blocks):
+        W_V[k * n:(k + 1) * n, c:c + blk.shape[1]] = blk
+        c += blk.shape[1]
+    A_L = sla.block_diag(*(nd.coupling_restriction() for nd in ordered))
     return W_V, A_L, ordered
 
 
@@ -302,19 +294,21 @@ def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) ->
     return inter
 
 
+def _consensus_gram(nodes, graph: SensorGraph):
+    """sigma_min of Q = W_V^T (L (x) I) W_V (inf if W_V is empty), A_L, class order."""
+    W_V, A_L, ordered = build_consensus_blocks(nodes)
+    if W_V.shape[1] == 0:
+        return np.inf, A_L, ordered
+    Lp = _permuted_laplacian(graph, nodes, ordered)
+    Q = W_V.T @ np.kron(Lp, np.eye(ordered[0].decomp.n)) @ W_V
+    return float(np.linalg.svd(Q, compute_uv=False).min()), A_L, ordered
+
+
 def joint_detectability_check(nodes, graph: SensorGraph,
                               tol: TolerancePolicy = DEFAULT_POLICY):
     """(ok, sigma_min_Q): Gram-matrix route, cross-checked by direct intersection."""
-    W_V, _, ordered = build_consensus_blocks(nodes)
-    if W_V.shape[1] == 0:
-        sigma_min = np.inf
-        gram_ok = True
-    else:
-        Lp = _permuted_laplacian(graph, nodes, ordered)
-        n = ordered[0].decomp.n
-        Q = W_V.T @ np.kron(Lp, np.eye(n)) @ W_V
-        sigma_min = float(np.linalg.svd(Q, compute_uv=False).min())
-        gram_ok = sigma_min > 1e-9
+    sigma_min, _, _ = _consensus_gram(nodes, graph)
+    gram_ok = sigma_min > 1e-9
     subspace_ok = recoverability_intersection(nodes, tol).is_zero
     ok = graph.is_connected and gram_ok
     if graph.is_connected and gram_ok != subspace_ok:
@@ -328,18 +322,11 @@ def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float,
     """Lower bounds (chi_min, gamma_min) for the consensus gains."""
     if u_bar_max < 0:
         raise ValueError("u_bar_max must be nonnegative")
-    W_V, A_L, ordered = build_consensus_blocks(nodes)
-    if W_V.shape[1] == 0:
-        chi_min, sigma_min = 0.0, np.inf
-    else:
-        Lp = _permuted_laplacian(graph, nodes, ordered)
-        n = ordered[0].decomp.n
-        Q = W_V.T @ np.kron(Lp, np.eye(n)) @ W_V
-        sigma_min = float(np.linalg.svd(Q, compute_uv=False).min())
-        if sigma_min <= 1e-9:
-            raise SingularQ(
-                f"consensus Gram matrix is singular (sigma_min = {sigma_min:.2e})")
-        chi_min = float(np.linalg.norm(A_L, 2)) / sigma_min if A_L.size else 0.0
+    sigma_min, A_L, ordered = _consensus_gram(nodes, graph)
+    if sigma_min <= 1e-9:
+        raise SingularQ(
+            f"consensus Gram matrix is singular (sigma_min = {sigma_min:.2e})")
+    chi_min = float(np.linalg.norm(A_L, 2)) / sigma_min if A_L.size else 0.0
     n2 = [nd for nd in ordered if nd.node_class == N2]
     if n2 and u_bar_max > 0:
         gamma_min = (u_bar_max
@@ -371,9 +358,9 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
     nodes = tuple(per_node_decomposition(sys, spec, spectral, tol,
                                          pole_targets=pole_targets, margin=margin)
                   for spec in node_specs)
-    inter = recoverability_intersection(nodes, tol)
     ok, sigma_min = joint_detectability_check(nodes, graph, tol)
     if not ok:
+        inter = recoverability_intersection(nodes, tol)
         raise AssumptionViolated(
             3, "jointly unrecoverable directions remain",
             diagnostics={"intersection_basis": inter.basis, "sigma_min_Q": sigma_min})

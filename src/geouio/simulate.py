@@ -1,12 +1,17 @@
 """Deterministic fixed-step simulation of plant plus observers.
 
-The centralized case is integrated in (x, zeta) coordinates, where
+Both modes run through one kernel.  The stacked state s = (x, observer
+states) obeys s' = M s + G u(t) + lift . sign(K s), and each observer's error
+is read off linearly as err_i = D_i s.  A centralized observer is the case
+with no sign coupling (K has no rows); a network stacks every class-2 sign
+coupling into one K, and all node couplings see the same stage snapshot.
+
+The centralized observer is carried in (x, zeta) coordinates, where
 zeta = P_Wg x - z is the autonomous quotient error.  This is the same ODE as
 the (x, z) form under a constant linear change of variables (fixed-step
 Runge-Kutta commutes with such changes), but it keeps the error observable in
 floating point even when the plant itself grows by many orders of magnitude.
-The distributed case assembles all node dynamics into one linear operator
-plus per-node sign couplings, evaluated against the step-begin snapshot.
+For the same reason its error is formed as E zeta, never as x - xhat.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .central import CentralizedObserver, InputPartition, LinSystem
-from .distributed import N1, DistributedObserverNetwork
+from .distributed import N1, N2, DistributedObserverNetwork
 from .errors import DimensionMismatch, NonFiniteState
 
 SIGNAL_KINDS = ("sin", "cos", "const")
@@ -139,161 +145,155 @@ def _n_steps(cfg: SimConfig) -> int:
     return int(math.floor(cfg.t_end / cfg.dt + 1e-9))
 
 
-def simulate_centralized(sys: LinSystem, part: InputPartition,
-                         obs: CentralizedObserver, signals,
-                         cfg: SimConfig) -> Trajectory:
-    """Integrate the plant and the observer's quotient error jointly."""
-    n = sys.n
-    if len(signals) != sys.m:
-        raise DimensionMismatch("need one signal per input channel")
-    if cfg.x0.size != n:
-        raise DimensionMismatch("x0 dimension mismatch")
-    if cfg.observer_init is None:
-        z0 = np.zeros(obs.z_dim)
-    else:
-        z0 = np.asarray(cfg.observer_init[0], dtype=float).ravel()
-        if z0.size != obs.z_dim:
-            raise DimensionMismatch(
-                f"observer initial state must have length {obs.z_dim}")
-    zeta0 = obs.P_Wg @ cfg.x0 - z0
-    A, B = sys.A, sys.B
-    Abar = obs.Abar_L
+@dataclass(frozen=True)
+class _Kernel:
+    """s' = M s + G u(t) + lift . sign(K s), with x = s[:n] the plant state.
 
-    def f(t, s):
-        u = eval_signals(signals, t)
-        return np.concatenate([A @ s[:n] + B @ u, Abar @ s[n:]])
+    Observer i has error err_i = D[i] s and quotient error Q[i] s, whose
+    dynamics are governed by the induced map ``quotient_maps[i]``.
+    """
 
-    recs = _integrate(f, np.concatenate([cfg.x0, zeta0]), cfg, _n_steps(cfg))
-    kept = recs.shape[0]
-    times = np.arange(kept) * (cfg.dt * cfg.record_stride)
-    x = recs[:, :n]
-    zeta = recs[:, n:]
-    err = zeta @ obs.E.T            # e = E zeta, by the reconstruction identity
-    xhat = x - err
-    err_norm = np.linalg.norm(err, axis=1)
-    return Trajectory(times=times, x=x, xhat=(xhat,), err_norm=(err_norm,),
-                      labels=("node1",), quotient_err=(zeta,),
-                      quotient_maps=(Abar,))
+    n: int
+    M: np.ndarray
+    G: np.ndarray
+    K: np.ndarray
+    lift: np.ndarray
+    s0: np.ndarray
+    labels: tuple
+    D: tuple
+    Q: tuple
+    quotient_maps: tuple
 
-
-class _AssembledNetwork:
-    """Precomputed linear operator + sign lifts for one observer network."""
-
-    def __init__(self, sys: LinSystem, net: DistributedObserverNetwork, signals):
-        n, m = sys.n, sys.m
-        if len(signals) != m:
-            raise DimensionMismatch("need one signal per input channel")
-        self.sys, self.net, self.signals = sys, net, signals
-        nodes = net.nodes
-        offs, o = [], n
-        for nd in nodes:
-            offs.append(o)
-            o += nd.z_dim
-        self.dim, self.offsets = o, offs
-        # estimate maps: xhat_i = H_i s
-        H = []
-        for nd, off in zip(nodes, offs):
-            Hi = np.zeros((n, self.dim))
-            if nd.node_class == N1:
-                Hi[:, :n] = nd.F @ nd.C
-                Hi[:, off:off + nd.z_dim] = nd.E
-            else:
-                Hi[:, off:off + n] = np.eye(n)
-            H.append(Hi)
-        self.H = H
-        adj = net.graph.adjacency
-        cons = []
-        for i, nd in enumerate(nodes):
-            Ki = -adj[i].sum() * H[i]
-            for j in range(len(nodes)):
-                if adj[i, j]:
-                    Ki = Ki + H[j]
-            cons.append(Ki)
-        M = np.zeros((self.dim, self.dim))
-        G = np.zeros((self.dim, m))
-        M[:n, :n] = sys.A
-        G[:n, :] = sys.B
-        self.sign_K, self.sign_lift = [], []
-        for i, (nd, off) in enumerate(zip(nodes, offs)):
-            sel = np.zeros((len(nd.known_cols), m))
-            for r, c in enumerate(nd.known_cols):
-                sel[r, c] = 1.0
-            if nd.node_class == N1:
-                P, V = nd.P_Wstar, nd.V
-                M[off:off + nd.z_dim, :n] -= P @ (nd.L @ nd.C)
-                M[off:off + nd.z_dim, off:off + nd.z_dim] += nd.Abar_L
-                M[off:off + nd.z_dim, :] += net.chi * (P @ V) @ (V.T @ cons[i])
-                G[off:off + nd.z_dim, :] = P @ nd.B_known @ sel
-            else:
-                Wg = nd.Wg_basis
-                M[off:off + n, :n] -= nd.L @ nd.C
-                M[off:off + n, off:off + n] += nd.A_cl
-                M[off:off + n, :] += net.chi * Wg @ (Wg.T @ cons[i])
-                G[off:off + n, :] = nd.B_known @ sel
-                if Wg.shape[1]:
-                    self.sign_K.append(Wg.T @ cons[i])
-                    lift = np.zeros((self.dim, Wg.shape[1]))
-                    lift[off:off + n, :] = net.gamma * Wg
-                    self.sign_lift.append(lift)
-        self.M, self.G = M, G
-
-    def initial_state(self, cfg: SimConfig) -> np.ndarray:
-        s0 = np.zeros(self.dim)
-        n = self.sys.n
-        s0[:n] = cfg.x0
-        if cfg.observer_init is not None:
-            if len(cfg.observer_init) != len(self.net.nodes):
-                raise DimensionMismatch("need one initial state per node")
-            for nd, off, v in zip(self.net.nodes, self.offsets, cfg.observer_init):
-                v = np.asarray(v, dtype=float).ravel()
-                if v.size != nd.z_dim:
-                    raise DimensionMismatch(
-                        f"node {nd.node_id} initial state must have length {nd.z_dim}")
-                s0[off:off + nd.z_dim] = v
-        return s0
-
-    def rhs(self, sign_fn):
-        M, G, signals = self.M, self.G, self.signals
-        pairs = list(zip(self.sign_lift, self.sign_K))
+    def rhs(self, signals, sign_fn):
+        M, G, K, lift = self.M, self.G, self.K, self.lift
+        signed = K.shape[0] > 0  # an empty sign term would still cost a clip per call
 
         def f(t, s):
             ds = M @ s + G @ eval_signals(signals, t)
-            for lift, K in pairs:
-                ds = ds + lift @ sign_fn(K @ s)
+            if signed:
+                ds += lift @ sign_fn(K @ s)
             return ds
 
         return f
 
 
+def _run(kernel: _Kernel, signals, cfg: SimConfig) -> Trajectory:
+    """Integrate the kernel and read every observer's estimate off the states."""
+    recs = _integrate(kernel.rhs(signals, cfg.sign_fn()), kernel.s0, cfg,
+                      _n_steps(cfg))
+    times = np.arange(recs.shape[0]) * (cfg.dt * cfg.record_stride)
+    x = recs[:, :kernel.n]
+    xhat, err_norm = [], []
+    for D in kernel.D:
+        err = recs @ D.T
+        xhat.append(x - err)
+        err_norm.append(np.linalg.norm(err, axis=1))
+    return Trajectory(times=times, x=x, xhat=tuple(xhat),
+                      err_norm=tuple(err_norm), labels=kernel.labels,
+                      quotient_err=tuple(recs @ Q.T for Q in kernel.Q),
+                      quotient_maps=kernel.quotient_maps)
+
+
+def _check_plant_inputs(sys: LinSystem, signals, cfg: SimConfig):
+    if len(signals) != sys.m:
+        raise DimensionMismatch("need one signal per input channel")
+    if cfg.x0.size != sys.n:
+        raise DimensionMismatch("x0 dimension mismatch")
+
+
+def _observer_init(cfg: SimConfig, labels, z_dims) -> list:
+    """Initial observer states: zeros when unset, else one per observer."""
+    if cfg.observer_init is None:
+        return [np.zeros(d) for d in z_dims]
+    if len(cfg.observer_init) != len(z_dims):
+        raise DimensionMismatch(
+            f"observer_init needs one initial state per observer "
+            f"({len(z_dims)}), got {len(cfg.observer_init)}")
+    out = []
+    for label, d, v in zip(labels, z_dims, cfg.observer_init):
+        v = np.asarray(v, dtype=float).ravel()
+        if v.size != d:
+            raise DimensionMismatch(f"{label} initial state must have length {d}")
+        out.append(v)
+    return out
+
+
+def _central_kernel(sys: LinSystem, obs: CentralizedObserver,
+                    cfg: SimConfig) -> _Kernel:
+    """Plant plus quotient error zeta: M = blkdiag(A, Abar_L), no sign term."""
+    n, q = sys.n, obs.z_dim
+    (z0,) = _observer_init(cfg, ("node1",), (q,))
+    return _Kernel(
+        n=n, M=sla.block_diag(sys.A, obs.Abar_L),
+        G=np.vstack([sys.B, np.zeros((q, sys.m))]),
+        K=np.zeros((0, n + q)), lift=np.zeros((n + q, 0)),
+        s0=np.concatenate([cfg.x0, obs.P_Wg @ cfg.x0 - z0]), labels=("node1",),
+        D=(np.hstack([np.zeros((n, n)), obs.E]),),  # err = E zeta
+        Q=(np.hstack([np.zeros((q, n)), np.eye(q)]),),
+        quotient_maps=(obs.Abar_L,))
+
+
+def _network_kernel(sys: LinSystem, net: DistributedObserverNetwork,
+                    cfg: SimConfig) -> _Kernel:
+    """Plant plus every node's state, with all class-2 sign couplings stacked."""
+    n, m = sys.n, sys.m
+    nodes = net.nodes
+    labels = tuple(f"node{nd.node_id}" for nd in nodes)
+    z_dims = [nd.z_dim for nd in nodes]
+    z0 = _observer_init(cfg, labels, z_dims)
+    offs = [n + sum(z_dims[:i]) for i in range(len(nodes))]
+    dim = n + sum(z_dims)
+    # estimate maps xhat_i = H_i s: F C x + E z_i (class 1), own state (class 2)
+    H = [nd.F @ nd.C @ np.eye(n, dim) + nd.E @ np.eye(nd.z_dim, dim, off)
+         if nd.node_class == N1 else np.eye(n, dim, off)
+         for nd, off in zip(nodes, offs)]
+    D = [np.eye(n, dim) - Hi for Hi in H]
+    adj = net.graph.adjacency
+    # consensus drive sum_j a_ij (xhat_j - xhat_i) as a map of s
+    cons = [sum((H[j] for j in np.flatnonzero(adj[i])), -adj[i].sum() * H[i])
+            for i in range(len(nodes))]
+    M = sla.block_diag(sys.A, np.zeros((dim - n, dim - n)))
+    G = np.vstack([sys.B, np.zeros((dim - n, m))])
+    n_sign = sum(nd.Wg_basis.shape[1] for nd in nodes if nd.node_class == N2)
+    K, lift = np.zeros((n_sign, dim)), np.zeros((dim, n_sign))
+    Q, r = [], 0
+    for i, (nd, off) in enumerate(zip(nodes, offs)):
+        rows = slice(off, off + nd.z_dim)
+        is_n1 = nd.node_class == N1
+        R = nd.P_Wstar if is_n1 else np.eye(n)  # a node's state tracks R x
+        blk = nd.consensus_block()
+        M[rows, :n] -= R @ (nd.L @ nd.C)
+        M[rows, rows] += nd.Abar_L if is_n1 else nd.A_cl
+        M[rows, :] += net.chi * (R @ blk) @ (blk.T @ cons[i])
+        G[rows, :] = R @ nd.B_known @ np.eye(m)[list(nd.known_cols)]
+        if is_n1:
+            # leading block of (P_Wstar x - z): the chart stacks [P_Wg; V^T]
+            q = nd.P_Wg.shape[0]
+            Q.append(nd.P_Wg @ np.eye(n, dim) - np.eye(q, dim, off))
+        else:
+            k = blk.shape[1]
+            K[r:r + k] = blk.T @ cons[i]
+            lift[rows, r:r + k] = net.gamma * blk
+            r += k
+            Q.append(nd.P_Wg @ D[i])
+    return _Kernel(n=n, M=M, G=G, K=K, lift=lift,
+                   s0=np.concatenate([cfg.x0, *z0]), labels=labels, D=tuple(D),
+                   Q=tuple(Q), quotient_maps=tuple(nd.Abarbar for nd in nodes))
+
+
+def simulate_centralized(sys: LinSystem, part: InputPartition,
+                         obs: CentralizedObserver, signals,
+                         cfg: SimConfig) -> Trajectory:
+    """Integrate the plant and the observer's quotient error jointly."""
+    _check_plant_inputs(sys, signals, cfg)
+    return _run(_central_kernel(sys, obs, cfg), signals, cfg)
+
+
 def simulate_distributed(sys: LinSystem, net: DistributedObserverNetwork,
                          signals, cfg: SimConfig) -> Trajectory:
     """Synchronous-snapshot integration of the plant and every node."""
-    if cfg.x0.size != sys.n:
-        raise DimensionMismatch("x0 dimension mismatch")
-    asm = _AssembledNetwork(sys, net, signals)
-    recs = _integrate(asm.rhs(cfg.sign_fn()), asm.initial_state(cfg), cfg,
-                      _n_steps(cfg))
-    kept = recs.shape[0]
-    times = np.arange(kept) * (cfg.dt * cfg.record_stride)
-    n = sys.n
-    x = recs[:, :n]
-    xhat, err_norm, labels, q_err, q_maps = [], [], [], [], []
-    for nd, off, Hi in zip(net.nodes, asm.offsets, asm.H):
-        est = recs @ Hi.T
-        xhat.append(est)
-        err_norm.append(np.linalg.norm(x - est, axis=1))
-        labels.append(f"node{nd.node_id}")
-        q = nd.P_Wg.shape[0]
-        if nd.node_class == N1:
-            # leading block of (P_Wstar x - z): the chart stacks [P_Wg; V^T]
-            qe = x @ nd.P_Wg.T - recs[:, off:off + q]
-        else:
-            qe = (x - est) @ nd.P_Wg.T
-        q_err.append(qe)
-        q_maps.append(nd.Abarbar)
-    return Trajectory(times=times, x=x, xhat=tuple(xhat),
-                      err_norm=tuple(err_norm), labels=tuple(labels),
-                      quotient_err=tuple(q_err), quotient_maps=tuple(q_maps))
+    _check_plant_inputs(sys, signals, cfg)
+    return _run(_network_kernel(sys, net, cfg), signals, cfg)
 
 
 def error_metrics(traj: Trajectory, tol: float = 1e-2,

@@ -7,7 +7,8 @@ from geouio.central import (InputPartition, LinSystem, check_uio_condition,
                             classical_rank_condition, estimate, observer_rhs,
                             solve_output_reconstruction,
                             synthesize_centralized_uio)
-from geouio.errors import DimensionMismatch, ExistenceFailed, NotSolvable
+from geouio.errors import (DimensionMismatch, ExistenceFailed, NotSolvable,
+                           SpectrumUnassignable)
 from geouio.subspaces import Subspace, canonical_projection, image
 from geouio.synthesis import SpectralPartition, decompose
 from geouio.verify import random_equivalence_battery
@@ -168,6 +169,27 @@ def test_synthesize_fails_with_zero_output():
         synthesize_centralized_uio(sys, part, ALPHA0)
     assert "Ker C" in str(exc.value)
     assert exc.value.diagnostics["intersection_basis"].shape[1] > 0
+
+
+def test_friend_failure_is_reported_but_programming_errors_propagate(monkeypatch):
+    import geouio.central as central
+    sys, part = demo_system()
+    cause = SpectrumUnassignable("no placement reaches the good region")
+
+    def unassignable(*args, **kwargs):
+        raise cause
+
+    monkeypatch.setattr(central, "stabilizing_friend", unassignable)
+    with pytest.raises(ExistenceFailed) as exc:
+        synthesize_centralized_uio(sys, part, ALPHA0)
+    assert exc.value.diagnostics["cause"] is cause
+
+    def buggy(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(central, "stabilizing_friend", buggy)
+    with pytest.raises(TypeError):
+        synthesize_centralized_uio(sys, part, ALPHA0)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,20 @@ def test_exit_code_config_error(tmp_path):
     assert main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize("make, init", [
+    (short_centralized, []),                        # no entry
+    (short_centralized, [[0.0, 0.0], [0.0, 0.0]]),  # one entry too many
+    (short_distributed, [[0.0] * 6] * 3),           # four nodes, three entries
+])
+def test_exit_code_bad_observer_init(tmp_path, capsys, make, init):
+    cfg = make()
+    cfg["sim"]["observer_init"] = init
+    cfgp = write_cfg(tmp_path, cfg)
+    assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "observer_init" in err
+
+
 def test_exit_code_synthesis_failure(tmp_path):
     cfg = short_centralized()
     cfg["system"]["C"] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]

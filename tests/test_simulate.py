@@ -9,9 +9,9 @@ from geouio.central import (InputPartition, LinSystem, observer_rhs,
                             synthesize_centralized_uio)
 from geouio.distributed import (N1, node_estimate_n1, node_rhs_n1, node_rhs_n2)
 from geouio.errors import DimensionMismatch, NonFiniteState
-from geouio.simulate import (SignalSpec, SimConfig, _AssembledNetwork,
-                             error_metrics, eval_signals, simulate_centralized,
-                             simulate_distributed)
+from geouio.simulate import (SignalSpec, SimConfig, _central_kernel,
+                             _network_kernel, error_metrics, eval_signals,
+                             simulate_centralized, simulate_distributed)
 from geouio.synthesis import SpectralPartition
 
 ALPHA0 = SpectralPartition(0.0)
@@ -142,25 +142,26 @@ def test_euler_method_runs_and_is_first_order(central_cfg, central_obs):
 
 def test_assembled_rhs_matches_per_node_reference(dist_cfg, dist_net):
     net, _ = dist_net
-    asm = _AssembledNetwork(dist_cfg.system, net, dist_cfg.signals)
+    kern = _network_kernel(dist_cfg.system, net, dist_cfg.sim)
+    offsets = dist_cfg.system.n + np.cumsum([0] + [nd.z_dim for nd in net.nodes])
     rng = np.random.default_rng(8)
     sys = dist_cfg.system
     for trial in range(5):
-        s = rng.normal(size=asm.dim)
+        s = rng.normal(size=kern.s0.size)
         t = float(rng.uniform(0, 10))
         u = eval_signals(dist_cfg.signals, t)
-        fast = asm.rhs(np.sign)(t, s)
+        fast = kern.rhs(dist_cfg.signals, np.sign)(t, s)
         # reference: plant + literal node equations on the same snapshot
         x = s[:sys.n]
         ests = {}
-        for nd, off in zip(net.nodes, asm.offsets):
+        for nd, off in zip(net.nodes, offsets):
             blk = s[off:off + nd.z_dim]
             ests[nd.node_id] = (node_estimate_n1(nd, blk, nd.C @ x)
                                 if nd.node_class == N1 else blk)
         ref = [sys.A @ x + sys.B @ u]
         adj = net.graph.adjacency
         ids = [nd.node_id for nd in net.nodes]
-        for i, (nd, off) in enumerate(zip(net.nodes, asm.offsets)):
+        for i, (nd, off) in enumerate(zip(net.nodes, offsets)):
             neighbors = [ests[ids[j]] for j in range(len(ids)) if adj[i, j]]
             y = nd.C @ x
             ui = u[list(nd.known_cols)]
@@ -172,6 +173,38 @@ def test_assembled_rhs_matches_per_node_reference(dist_cfg, dist_net):
                                        net.gamma, sign_fn=np.sign))
         ref = np.concatenate(ref)
         assert np.allclose(fast, ref, atol=1e-10), f"trial {trial}"
+
+
+def test_central_kernel_rhs_matches_plant_and_quotient_error(central_cfg,
+                                                            central_obs):
+    obs, _ = central_obs
+    sys = central_cfg.system
+    kern = _central_kernel(sys, obs, central_cfg.sim)
+    f = kern.rhs(central_cfg.signals, np.sign)
+    rng = np.random.default_rng(9)
+    for trial in range(5):
+        s = rng.normal(size=sys.n + obs.z_dim)
+        t = float(rng.uniform(0, 10))
+        u = eval_signals(central_cfg.signals, t)
+        x, zeta = s[:sys.n], s[sys.n:]
+        ref = np.concatenate([sys.A @ x + sys.B @ u, obs.Abar_L @ zeta])
+        assert np.allclose(f(t, s), ref, atol=1e-10), f"trial {trial}"
+
+
+@pytest.mark.parametrize("bad", ["empty", "doubled", "short"])
+def test_kernels_reject_bad_observer_init(central_cfg, central_obs, dist_cfg,
+                                          dist_net, bad):
+    obs, _ = central_obs
+    net, _ = dist_net
+    cases = ((_central_kernel, central_cfg, obs, [obs.z_dim]),
+             (_network_kernel, dist_cfg, net, [nd.z_dim for nd in net.nodes]))
+    for build, pcfg, artifact, z_dims in cases:
+        states = [np.zeros(d) for d in z_dims]
+        init = {"empty": (), "doubled": tuple(states) * 2,
+                "short": tuple(states[:-1]) + (np.zeros(z_dims[-1] - 1),)}[bad]
+        cfg = replace(pcfg.sim, observer_init=init)
+        with pytest.raises(DimensionMismatch):
+            build(pcfg.system, artifact, cfg)
 
 
 def test_distributed_determinism_and_shape(dist_cfg, dist_net):
