@@ -19,16 +19,14 @@ from pathlib import Path
 
 from . import report as rpt
 from .cases import builtin_config
-from .central import synthesize_centralized_uio
 from .config import ProjectConfig, parse_config, tolerance_from_env
-from .distributed import synthesize_distributed
 from .errors import (AssumptionViolated, ConfigError, DimensionMismatch,
                      ExistenceFailed, InvarianceViolated, NonFiniteState,
                      NotConditionedInvariant, NotSolvable, SingularQ,
                      SpectrumUnassignable)
 from .simulate import error_metrics, simulate_centralized, simulate_distributed
-from .verify import (MARGINAL_GAP, random_equivalence_battery,
-                     synthesis_residual_checks)
+from .verify import (MARGINAL_GAP, _design, _residual_checks,
+                     random_equivalence_battery, synthesis_residual_checks)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -74,22 +72,19 @@ def _build_parser() -> _Parser:
 
 
 def _synthesize(cfg: ProjectConfig, tol):
+    """The synthesized observer or network and its report."""
+    artifact = _design(cfg, tol)
     if cfg.mode == "centralized":
-        obs = synthesize_centralized_uio(cfg.system, cfg.partition, cfg.spectral,
-                                         tol, pole_targets=cfg.pole_targets,
-                                         margin=cfg.margin)
-        report = rpt.centralized_report(cfg.to_dict(), obs, cfg.system, cfg.partition)
-        return obs, report
-    net = synthesize_distributed(cfg.system, cfg.node_specs, cfg.graph,
-                                 cfg.spectral, safety=cfg.safety,
-                                 u_bar_max=cfg.u_bar_max, tol=tol,
-                                 pole_targets=cfg.pole_targets, margin=cfg.margin)
-    report = rpt.distributed_report(cfg.to_dict(), net, cfg.system)
-    return net, report
+        report = rpt.centralized_report(cfg.to_dict(), artifact, cfg.system,
+                                        cfg.partition)
+    else:
+        report = rpt.distributed_report(cfg.to_dict(), artifact, cfg.system)
+    return artifact, report
 
 
-def cmd_synth(cfg: ProjectConfig, out_dir, tol) -> int:
-    _, report = _synthesize(cfg, tol)
+def cmd_synth(cfg: ProjectConfig, out_dir, tol, design=None) -> int:
+    """Write report.json; ``design`` is an (artifact, report) pair already built."""
+    _, report = design or _synthesize(cfg, tol)
     rpt.write_json(Path(out_dir) / "report.json", report)
     if cfg.mode == "centralized":
         print(f"synthesized centralized observer: z_dim = "
@@ -102,10 +97,11 @@ def cmd_synth(cfg: ProjectConfig, out_dir, tol) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: ProjectConfig, out_dir, tol) -> int:
+def cmd_simulate(cfg: ProjectConfig, out_dir, tol, design=None) -> int:
+    """Simulate and write the artifacts; ``design`` as for ``cmd_synth``."""
     if cfg.sim is None:
         raise ConfigError("config has no 'sim' block")
-    artifact, report = _synthesize(cfg, tol)
+    artifact, report = design or _synthesize(cfg, tol)
     try:
         if cfg.mode == "centralized":
             traj = simulate_centralized(cfg.system, cfg.partition, artifact,
@@ -179,13 +175,14 @@ def cmd_verify(args, tol) -> int:
 def cmd_reproduce(which, out_dir, tol) -> int:
     cfg = parse_config(builtin_config(which))
     out = Path(out_dir) / which
-    code = cmd_synth(cfg, out, tol)
+    design = _synthesize(cfg, tol)
+    code = cmd_synth(cfg, out, tol, design)
     if code:
         return code
-    code = cmd_simulate(cfg, out, tol)
+    code = cmd_simulate(cfg, out, tol, design)
     if code:
         return code
-    checks = synthesis_residual_checks(cfg, tol)
+    checks = _residual_checks(cfg, design[0], tol)
     bad = [c for c in checks if not c.passed]
     for c in checks:
         print(f"  {c.name}: {'PASS' if c.passed else 'FAIL'}")

@@ -294,40 +294,46 @@ def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) ->
     return inter
 
 
-def _consensus_gram(nodes, graph: SensorGraph):
-    """sigma_min of Q = W_V^T (L (x) I) W_V (inf if W_V is empty), A_L, class order."""
+@dataclass(frozen=True)
+class _Consensus:
+    """The consensus blocks of one set of nodes, and sigma_min of their Gram."""
+
+    W_V: np.ndarray
+    A_L: np.ndarray
+    ordered: list
+    sigma_min: float
+
+
+def _consensus(nodes, graph: SensorGraph) -> _Consensus:
+    """Blocks and sigma_min of Q = W_V^T (L (x) I) W_V (inf if W_V is empty)."""
     W_V, A_L, ordered = build_consensus_blocks(nodes)
     if W_V.shape[1] == 0:
-        return np.inf, A_L, ordered
+        return _Consensus(W_V, A_L, ordered, np.inf)
     Lp = _permuted_laplacian(graph, nodes, ordered)
     Q = W_V.T @ np.kron(Lp, np.eye(ordered[0].decomp.n)) @ W_V
-    return float(np.linalg.svd(Q, compute_uv=False).min()), A_L, ordered
+    return _Consensus(W_V, A_L, ordered,
+                      float(np.linalg.svd(Q, compute_uv=False).min()))
 
 
-def joint_detectability_check(nodes, graph: SensorGraph,
-                              tol: TolerancePolicy = DEFAULT_POLICY):
-    """(ok, sigma_min_Q): Gram-matrix route, cross-checked by direct intersection."""
-    sigma_min, _, _ = _consensus_gram(nodes, graph)
-    gram_ok = sigma_min > 1e-9
+def _detectable(cons: _Consensus, nodes, graph: SensorGraph,
+                tol: TolerancePolicy) -> bool:
+    """Gram-matrix route, cross-checked by direct intersection."""
+    gram_ok = cons.sigma_min > 1e-9
     subspace_ok = recoverability_intersection(nodes, tol).is_zero
-    ok = graph.is_connected and gram_ok
-    if graph.is_connected and gram_ok != subspace_ok:
-        # The two routes disagree only in numerically marginal situations.
-        ok = False
-    return ok, sigma_min
+    # The two routes disagree only in numerically marginal situations.
+    return graph.is_connected and gram_ok and gram_ok == subspace_ok
 
 
-def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float,
-                tol: TolerancePolicy = DEFAULT_POLICY):
-    """Lower bounds (chi_min, gamma_min) for the consensus gains."""
+def _gain_bounds(cons: _Consensus, u_bar_max: float):
+    """(chi_min, gamma_min, sigma_min) from the consensus data."""
     if u_bar_max < 0:
         raise ValueError("u_bar_max must be nonnegative")
-    sigma_min, A_L, ordered = _consensus_gram(nodes, graph)
+    sigma_min, A_L = cons.sigma_min, cons.A_L
     if sigma_min <= 1e-9:
         raise SingularQ(
             f"consensus Gram matrix is singular (sigma_min = {sigma_min:.2e})")
     chi_min = float(np.linalg.norm(A_L, 2)) / sigma_min if A_L.size else 0.0
-    n2 = [nd for nd in ordered if nd.node_class == N2]
+    n2 = [nd for nd in cons.ordered if nd.node_class == N2]
     if n2 and u_bar_max > 0:
         gamma_min = (u_bar_max
                      * max(np.linalg.norm(nd.B_unknown, 1) for nd in n2)
@@ -335,6 +341,19 @@ def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float,
     else:
         gamma_min = 0.0
     return chi_min, gamma_min, sigma_min
+
+
+def joint_detectability_check(nodes, graph: SensorGraph,
+                              tol: TolerancePolicy = DEFAULT_POLICY):
+    """(ok, sigma_min_Q): Gram-matrix route, cross-checked by direct intersection."""
+    cons = _consensus(nodes, graph)
+    return _detectable(cons, nodes, graph, tol), cons.sigma_min
+
+
+def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float,
+                tol: TolerancePolicy = DEFAULT_POLICY):
+    """Lower bounds (chi_min, gamma_min) for the consensus gains."""
+    return _gain_bounds(_consensus(nodes, graph), u_bar_max)
 
 
 def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
@@ -358,19 +377,19 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
     nodes = tuple(per_node_decomposition(sys, spec, spectral, tol,
                                          pole_targets=pole_targets, margin=margin)
                   for spec in node_specs)
-    ok, sigma_min = joint_detectability_check(nodes, graph, tol)
-    if not ok:
+    cons = _consensus(nodes, graph)
+    if not _detectable(cons, nodes, graph, tol):
         inter = recoverability_intersection(nodes, tol)
         raise AssumptionViolated(
             3, "jointly unrecoverable directions remain",
-            diagnostics={"intersection_basis": inter.basis, "sigma_min_Q": sigma_min})
-    chi_min, gamma_min, sigma_min = gain_bounds(nodes, graph, u_bar_max, tol)
+            diagnostics={"intersection_basis": inter.basis,
+                         "sigma_min_Q": cons.sigma_min})
+    chi_min, gamma_min, sigma_min = _gain_bounds(cons, u_bar_max)
     chi = safety * chi_min if chi_min > 0 else 0.1
     gamma = safety * gamma_min
-    W_V, A_L, _ = build_consensus_blocks(nodes)
     return DistributedObserverNetwork(
         nodes=nodes, graph=graph, chi=chi, gamma=gamma, u_bar_max=u_bar_max,
-        safety=safety, W_V_block=W_V, A_L_block=A_L,
+        safety=safety, W_V_block=cons.W_V, A_L_block=cons.A_L,
         chi_min=chi_min, gamma_min=gamma_min, sigma_min_Q=sigma_min)
 
 

@@ -98,6 +98,19 @@ def write_json(path, payload: dict):
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=False))
 
 
+# Rows formatted and written per call of _write_rows: big enough to amortize
+# the call overhead, small enough that the text stays a few hundred kB.
+_BLOCK_ROWS = 1024
+
+
+def _write_rows(fh, columns, sep: str):
+    """Write the side-by-side 2-D column blocks as rows of %.17g values."""
+    line = sep.join(["%.17g"] * sum(c.shape[1] for c in columns)) + "\n"
+    for a in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.hstack([c[a:a + _BLOCK_ROWS] for c in columns])
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_trajectory_csv(traj: Trajectory, path):
     """CSV contract: t, x_1..x_n, per-observer xhat blocks, per-observer err."""
     path = Path(path)
@@ -110,11 +123,9 @@ def write_trajectory_csv(traj: Trajectory, path):
     blocks = [traj.times[:, None], traj.x]
     blocks += [h for h in traj.xhat]
     blocks += [e[:, None] for e in traj.err_norm]
-    data = np.hstack(blocks)
     with path.open("w") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_rows(fh, blocks, ",")
 
 
 def write_plot_series(traj: Trajectory, out_dir):
@@ -125,7 +136,6 @@ def write_plot_series(traj: Trajectory, out_dir):
     for label, err in zip(traj.labels, traj.err_norm):
         p = out_dir / f"plot_{label}_err.dat"
         with p.open("w") as fh:
-            for t, e in zip(traj.times, err):
-                fh.write(f"{t:.17g} {e:.17g}\n")
+            _write_rows(fh, [traj.times[:, None], err[:, None]], " ")
         paths.append(p)
     return paths

@@ -12,6 +12,14 @@ the (x, z) form under a constant linear change of variables (fixed-step
 Runge-Kutta commutes with such changes), but it keeps the error observable in
 floating point even when the plant itself grows by many orders of magnitude.
 For the same reason its error is formed as E zeta, never as x - xhat.
+
+Integration does not call the RHS.  One explicit Runge-Kutta step of the
+kernel is affine in the state and in the stage drives w_j = G u(t + c_j h)
++ lift sigma_j, so it is precomputed once per run from the method's tableau
+as a step operator s+ = T s + sum_j W_j w_j (T = R(hM), the method's
+stability polynomial), together with the stage projections K s_i = P_i s +
+sum_{j<i} Pi_ij w_j that the sign term needs.  Inputs are evaluated for a
+whole chunk of steps at once; each step then costs a few small products.
 """
 
 from __future__ import annotations
@@ -42,7 +50,13 @@ class SignalSpec:
         if self.kind not in SIGNAL_KINDS:
             raise DimensionMismatch(f"unknown signal kind {self.kind!r}")
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """Channel value at time t, or at each time of an array t."""
+        if isinstance(t, np.ndarray):
+            if self.kind == "const":
+                return np.full(t.shape, self.amplitude)
+            wave = np.sin if self.kind == "sin" else np.cos
+            return self.amplitude * wave(self.frequency * t + self.phase)
         if self.kind == "sin":
             return self.amplitude * math.sin(self.frequency * t + self.phase)
         if self.kind == "cos":
@@ -50,9 +64,15 @@ class SignalSpec:
         return self.amplitude
 
 
-def eval_signals(specs, t: float) -> np.ndarray:
-    """Stack the channel values at time t."""
-    return np.array([s(t) for s in specs], dtype=float)
+def eval_signals(specs, t) -> np.ndarray:
+    """Stack the channel values at time t: shape (m,), or t.shape + (m,)."""
+    if np.ndim(t) == 0:
+        return np.array([s(t) for s in specs], dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape + (len(specs),))
+    for j, s in enumerate(specs):
+        out[..., j] = s(t)
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,10 +105,16 @@ class SimConfig:
             raise DimensionMismatch("record_stride must be a positive integer")
 
     def sign_fn(self):
+        """The sign term as f(v, out=None), exact or boundary-layer."""
         if self.sign_mode == "exact":
             return np.sign
         eps = self.eps_bl
-        return lambda v: np.clip(v / eps, -1.0, 1.0)
+
+        def clamp(v, out=None):  # np.clip(v / eps, -1, 1) without its wrapper
+            return np.minimum(np.maximum(np.divide(v, eps, out=out), -1.0,
+                                         out=out), 1.0, out=out)
+
+        return clamp
 
 
 @dataclass(frozen=True)
@@ -112,33 +138,6 @@ class Trajectory:
         T = len(self.times)
         if self.x.shape[0] != T or any(h.shape[0] != T for h in self.xhat):
             raise DimensionMismatch("trajectory arrays must share their length")
-
-
-def _integrate(f, s0, cfg: SimConfig, n_steps: int):
-    """Fixed-step integration collecting every ``record_stride``-th state."""
-    dt = cfg.dt
-    s = np.asarray(s0, dtype=float)
-    recs = [s.copy()]
-    guard = cfg.divergence_guard
-    t = 0.0
-    rk4 = cfg.method == "rk4"
-    for k in range(n_steps):
-        if rk4:
-            k1 = f(t, s)
-            k2 = f(t + 0.5 * dt, s + 0.5 * dt * k1)
-            k3 = f(t + 0.5 * dt, s + 0.5 * dt * k2)
-            k4 = f(t + dt, s + dt * k3)
-            s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            s = s + dt * f(t, s)
-        t = (k + 1) * dt
-        if not np.all(np.isfinite(s)) or np.abs(s).max() > guard:
-            raise NonFiniteState(
-                f"state left the bounded region at t = {t:.6g} "
-                f"(max |state| > {guard:.3g} or non-finite)", t=t)
-        if (k + 1) % cfg.record_stride == 0:
-            recs.append(s.copy())
-    return np.asarray(recs)
 
 
 def _n_steps(cfg: SimConfig) -> int:
@@ -177,10 +176,122 @@ class _Kernel:
         return f
 
 
+# Explicit tableaux (a, b, c): stage i combines the slopes of stages j < i
+# with weights a[i], the step combines all slopes with weights b, and stage i
+# is evaluated at t + c[i] h.
+_TABLEAUX = {
+    "euler": (((),), (1.0,), (0.0,)),
+    "rk4": (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
+            (1 / 6, 1 / 3, 1 / 3, 1 / 6), (0.0, 0.5, 0.5, 1.0)),
+}
+
+# Steps whose inputs are evaluated together and whose states are guarded as
+# one block.
+_CHUNK = 256
+
+
+@dataclass(frozen=True)
+class _StepOperator:
+    """One explicit Runge-Kutta step of a kernel, as fixed maps.
+
+    With S stages, stage inputs u_j = u(t + c_j h), stage signs sigma_j =
+    sign(K s_j) and stage drives w_j = G u_j + lift sigma_j, a step is
+    s+ = T s + sum_j W_j w_j and stage i sees K s_i = P_i s +
+    sum_{j<i} Pi_ij w_j.  Both act on the step buffer
+    (u_1..u_S, s, sigma_1..sigma_S): ``step`` = [W_j G .., T, W_j lift ..]
+    and ``stages[i]`` = [Pi_ij G .., P_i, Pi_ij lift ..] (j < i), which reads
+    only the buffer's head, ahead of sigma_i.
+    """
+
+    offsets: np.ndarray   # stage times c_j h
+    stages: tuple         # (r, S m + dim + i r) for stage i; none if r = 0
+    step: np.ndarray      # (dim, S m + dim + S r)
+    sign: object
+
+    def advance(self, s, t, signals) -> np.ndarray:
+        """States after consecutive steps from s, step j starting at t[j].
+
+        Without sign rows a step is just s+ = T s + (W G u).
+        """
+        n, dim = len(t), s.size
+        u = eval_signals(signals, t[:, None] + self.offsets).reshape(n, -1)
+        buf = np.empty(self.step.shape[1])
+        inputs, cur = buf[:u.shape[1]], buf[u.shape[1]:u.shape[1] + dim]
+        cur[:] = s
+        slots = []  # (stage map, buffer head it reads, slot of its sign)
+        for Ki in self.stages:
+            w = Ki.shape[1]
+            slots.append((Ki, buf[:w], buf[w:w + Ki.shape[0]]))
+        step, sign = self.step, self.sign
+        states = np.empty((n, dim))
+        for uj, out in zip(u, states):
+            inputs[:] = uj
+            for Ki, head, sig in slots:
+                sign(np.dot(Ki, head), sig)
+            cur[:] = out[:] = np.dot(step, buf)
+        return states
+
+
+def _step_operator(kernel: _Kernel, cfg: SimConfig) -> _StepOperator:
+    """Precompute the step maps from the tableau of ``cfg.method``."""
+    a, b, c = _TABLEAUX[cfg.method]
+    h, S = cfg.dt, len(b)
+    M, K, r = kernel.M, kernel.K, kernel.K.shape[0]
+    dim = M.shape[0]
+    # every stage state and slope as a map of (s, w_1, ..., w_S)
+    base = np.eye(dim, (S + 1) * dim)
+    stage_states, slopes = [], []
+    for i in range(S):
+        X = base + h * sum(aij * k for aij, k in zip(a[i], slopes))
+        stage_states.append(X)
+        slopes.append(M @ X + np.eye(dim, (S + 1) * dim, (i + 1) * dim))
+    X_out = base + h * sum(bi * k for bi, k in zip(b, slopes))
+    # the same maps acting on the step buffer (u_1..u_S, s, sigma_1..sigma_S)
+    G, lift = np.kron(np.eye(S), kernel.G), np.kron(np.eye(S), kernel.lift)
+    head = G.shape[1] + dim
+
+    def on_buffer(X):
+        return np.hstack([X[:, dim:] @ G, X[:, :dim], X[:, dim:] @ lift])
+
+    return _StepOperator(
+        offsets=np.asarray(c) * h,
+        stages=tuple((K @ on_buffer(X))[:, :head + i * r]
+                     for i, X in enumerate(stage_states) if r),
+        step=on_buffer(X_out), sign=cfg.sign_fn())
+
+
+def _integrate(kernel: _Kernel, signals, cfg: SimConfig) -> np.ndarray:
+    """Fixed-step integration collecting every ``record_stride``-th state.
+
+    The divergence guard checks every step: each chunk's states are checked
+    after the chunk, and the first offending step is the one reported.
+    """
+    op = _step_operator(kernel, cfg)
+    n_steps, stride, guard = _n_steps(cfg), cfg.record_stride, cfg.divergence_guard
+    recs = np.empty((n_steps // stride + 1, kernel.s0.size))
+    recs[0] = s = kernel.s0
+    row = 1
+    for k0 in range(0, n_steps, _CHUNK):
+        k = np.arange(k0, min(k0 + _CHUNK, n_steps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = op.advance(s, k * cfg.dt, signals)
+            bad = (~np.isfinite(states).all(axis=1)
+                   | (np.abs(states).max(axis=1) > guard))
+        if bad.any():
+            t = float((k[bad.argmax()] + 1) * cfg.dt)
+            raise NonFiniteState(
+                f"state left the bounded region at t = {t:.6g} "
+                f"(max |state| > {guard:.3g} or non-finite)", t=t)
+        kept = states[(stride - 1 - k0) % stride::stride]
+        recs[row:row + len(kept)] = kept
+        row += len(kept)
+        s = states[-1]
+    return recs
+
+
 def _run(kernel: _Kernel, signals, cfg: SimConfig) -> Trajectory:
     """Integrate the kernel and read every observer's estimate off the states."""
-    recs = _integrate(kernel.rhs(signals, cfg.sign_fn()), kernel.s0, cfg,
-                      _n_steps(cfg))
+    recs = _integrate(kernel, signals, cfg)
     times = np.arange(recs.shape[0]) * (cfg.dt * cfg.record_stride)
     x = recs[:, :kernel.n]
     xhat, err_norm = [], []

@@ -127,30 +127,38 @@ _LIMITS = {
 }
 
 
+def _design(cfg: ProjectConfig, tol: TolerancePolicy):
+    """The centralized observer or the network the config describes."""
+    if cfg.mode == "centralized":
+        return synthesize_centralized_uio(cfg.system, cfg.partition, cfg.spectral,
+                                          tol, pole_targets=cfg.pole_targets,
+                                          margin=cfg.margin)
+    return synthesize_distributed(cfg.system, cfg.node_specs, cfg.graph,
+                                  cfg.spectral, safety=cfg.safety,
+                                  u_bar_max=cfg.u_bar_max, tol=tol,
+                                  pole_targets=cfg.pole_targets,
+                                  margin=cfg.margin)
+
+
+def _residual_checks(cfg: ProjectConfig, artifact, tol: TolerancePolicy) -> list:
+    """Every invariant residual of an observer or network synthesized from cfg."""
+    if cfg.mode == "centralized":
+        raw = artifact.validate(cfg.system, cfg.partition)
+        raw["spectrum_below_alpha"] = (raw.pop("max_re_quotient_spectrum")
+                                       < artifact.alpha)
+        return _residual_checks_from(raw, _LIMITS)
+    raw = artifact.validate(cfg.system, tol)
+    for key in list(raw):
+        if key.endswith("max_re_quotient_spectrum"):
+            raw[key.replace("max_re_quotient_spectrum",
+                            "spectrum_below_alpha")] = (
+                raw.pop(key) < cfg.spectral.alpha)
+        elif key == "sigma_min_Q":
+            raw["sigma_min_Q_positive"] = raw.pop(key) > 1e-9
+    return _residual_checks_from(raw, _LIMITS)
+
+
 def synthesis_residual_checks(cfg: ProjectConfig,
                               tol: TolerancePolicy = DEFAULT_POLICY) -> list:
     """Synthesize per the config and evaluate every invariant residual."""
-    checks = []
-    if cfg.mode == "centralized":
-        obs = synthesize_centralized_uio(cfg.system, cfg.partition, cfg.spectral,
-                                         tol, pole_targets=cfg.pole_targets,
-                                         margin=cfg.margin)
-        raw = obs.validate(cfg.system, cfg.partition)
-        raw["spectrum_below_alpha"] = raw.pop("max_re_quotient_spectrum") < obs.alpha
-        checks = _residual_checks_from(raw, _LIMITS)
-    else:
-        net = synthesize_distributed(cfg.system, cfg.node_specs, cfg.graph,
-                                     cfg.spectral, safety=cfg.safety,
-                                     u_bar_max=cfg.u_bar_max, tol=tol,
-                                     pole_targets=cfg.pole_targets,
-                                     margin=cfg.margin)
-        raw = net.validate(cfg.system, tol)
-        for key in list(raw):
-            if key.endswith("max_re_quotient_spectrum"):
-                raw[key.replace("max_re_quotient_spectrum",
-                                "spectrum_below_alpha")] = (
-                    raw.pop(key) < cfg.spectral.alpha)
-            elif key == "sigma_min_Q":
-                raw["sigma_min_Q_positive"] = raw.pop(key) > 1e-9
-        checks = _residual_checks_from(raw, _LIMITS)
-    return checks
+    return _residual_checks(cfg, _design(cfg, tol), tol)

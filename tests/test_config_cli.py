@@ -226,6 +226,27 @@ def test_exit_code_verification_failure(tmp_path, monkeypatch):
     assert main(["verify", "--config", cfgp]) == 4
 
 
+def test_reproduce_synthesizes_once(tmp_path, monkeypatch, central_cfg):
+    # every synthesis runs one decomposition: count those of one synthesis,
+    # then those of a whole reproduce run
+    import geouio.central as central
+    from geouio.verify import synthesis_residual_checks
+
+    calls = []
+    real = central.decompose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(central, "decompose", counted)
+    synthesis_residual_checks(central_cfg)
+    per_synthesis = len(calls)
+    calls.clear()
+    assert main(["reproduce", "centralized", "--out", str(tmp_path)]) == 0
+    assert per_synthesis >= 1 and len(calls) == per_synthesis
+
+
 def test_cli_reproduce_full_demos(tmp_path):
     out = tmp_path / "rp"
     assert main(["reproduce", "centralized", "--out", str(out)]) == 0

@@ -277,6 +277,30 @@ def test_synthesize_demo_network(dist_cfg, dist_net):
             assert val < 0.0, (name, val)
 
 
+def test_synthesis_builds_consensus_blocks_once(dist_cfg, dist_net, monkeypatch):
+    import geouio.distributed as dist
+    net, _ = dist_net
+    calls = []
+
+    def counted(nodes):
+        calls.append(1)
+        return build_consensus_blocks(nodes)
+
+    monkeypatch.setattr(dist, "build_consensus_blocks", counted)
+    again = synthesize_distributed(dist_cfg.system, dist_cfg.node_specs,
+                                   dist_cfg.graph, dist_cfg.spectral,
+                                   safety=dist_cfg.safety,
+                                   u_bar_max=dist_cfg.u_bar_max,
+                                   margin=dist_cfg.margin)
+    assert len(calls) == 1
+    assert (again.chi, again.gamma, again.sigma_min_Q) == (
+        net.chi, net.gamma, net.sigma_min_Q)
+    assert joint_detectability_check(net.nodes, net.graph) == (
+        True, net.sigma_min_Q)
+    assert gain_bounds(net.nodes, net.graph, net.u_bar_max) == (
+        net.chi_min, net.gamma_min, net.sigma_min_Q)
+
+
 def test_synthesize_rejects_disconnected_graph():
     sys = demo_sys()
     two = SensorGraph(np.array([[0, 1, 0, 0], [1, 0, 0, 0],

@@ -9,8 +9,9 @@ from geouio.central import (InputPartition, LinSystem, observer_rhs,
                             synthesize_centralized_uio)
 from geouio.distributed import (N1, node_estimate_n1, node_rhs_n1, node_rhs_n2)
 from geouio.errors import DimensionMismatch, NonFiniteState
-from geouio.simulate import (SignalSpec, SimConfig, _central_kernel,
-                             _network_kernel, error_metrics, eval_signals,
+from geouio.simulate import (_CHUNK, SignalSpec, SimConfig, _central_kernel,
+                             _integrate, _n_steps, _network_kernel,
+                             _step_operator, error_metrics, eval_signals,
                              simulate_centralized, simulate_distributed)
 from geouio.synthesis import SpectralPartition
 
@@ -23,6 +24,17 @@ def test_signal_examples():
     assert eval_signals([SignalSpec("const", 0.2)], 123.4)[0] == 0.2
     spec = SignalSpec("sin", 2.0, 3.0, phase=0.5)
     assert np.isclose(spec(1.2), 2.0 * np.sin(3.0 * 1.2 + 0.5))
+
+
+def test_array_eval_signals_matches_scalar_form():
+    specs = (SignalSpec("sin", 2.0, 3.0, 0.5), SignalSpec("cos", -1.5, 0.7),
+             SignalSpec("const", 0.2))
+    t = np.random.default_rng(3).uniform(0.0, 50.0, size=(7, 4))
+    got = eval_signals(specs, t)
+    assert got.shape == (7, 4, 3)
+    for idx in np.ndindex(t.shape):
+        ref = eval_signals(specs, float(t[idx]))
+        assert np.abs(got[idx] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_sim_config_validation():
@@ -279,3 +291,93 @@ def test_below_bound_gains_still_produce_finite_run(dist_cfg, dist_net):
             assert np.all(np.isfinite(e))
     except NonFiniteState as exc:
         assert exc.t is not None
+
+
+# ---------------------------------------------------------------------------
+# step operator against the classical methods applied to the kernel RHS
+
+
+def _classical_step(f, s, t, h, method):
+    if method == "euler":
+        return s + h * f(t, s)
+    k1 = f(t, s)
+    k2 = f(t + 0.5 * h, s + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, s + 0.5 * h * k2)
+    k4 = f(t + h, s + h * k3)
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _classical_run(kern, signals, cfg, n_steps):
+    """Per-step reference: every state after each of n_steps steps."""
+    f = kern.rhs(signals, cfg.sign_fn())
+    s, out = kern.s0, []
+    for k in range(n_steps):
+        s = _classical_step(f, s, k * cfg.dt, cfg.dt, cfg.method)
+        out.append(s)
+    return np.array(out)
+
+
+@pytest.fixture
+def both_kernels(central_cfg, central_obs, dist_cfg, dist_net):
+    """(builder, project config, artifact) for the two demos."""
+    return ((_central_kernel, central_cfg, central_obs[0]),
+            (_network_kernel, dist_cfg, dist_net[0]))
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("sign_mode", ["exact", "boundary_layer"])
+def test_step_operator_matches_classical_step(both_kernels, method, sign_mode):
+    rng = np.random.default_rng(11)
+    for build, pcfg, artifact in both_kernels:
+        cfg = replace(pcfg.sim, method=method, sign_mode=sign_mode)
+        kern = build(pcfg.system, artifact, cfg)
+        op = _step_operator(kern, cfg)
+        f = kern.rhs(pcfg.signals, cfg.sign_fn())
+        for trial in range(6):
+            # small states put the sign arguments inside the boundary layer
+            s = rng.normal(size=kern.s0.size) * (1e-3 if trial % 2 else 1.0)
+            t = float(rng.uniform(0.0, 10.0))
+            got = op.advance(s, np.array([t]), pcfg.signals)[0]
+            ref = _classical_step(f, s, t, cfg.dt, method)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (
+                build.__name__, trial)
+
+
+@pytest.mark.parametrize("step", [3 * _CHUNK + 37, 4 * _CHUNK])
+def test_guard_trips_at_the_reference_step(central_cfg, central_obs, step):
+    # once the demo plant's e^{2t} mode dominates, the peak state rises at
+    # every step: put the guard between the peak before `step` (mid-chunk,
+    # then a chunk's first step) and the state that step makes
+    obs, _ = central_obs
+    sys = central_cfg.system
+    cfg = replace(central_cfg.sim, record_stride=1)
+    kern = _central_kernel(sys, obs, cfg)
+    peaks = np.abs(_classical_run(kern, central_cfg.signals, cfg,
+                                  step + 1)).max(axis=1)
+    before = peaks[:step].max()
+    assert peaks[step] > before * (1 + 1e-6)
+    guard = 0.5 * (before + peaks[step])
+    t_ref = next((k + 1) * cfg.dt for k, p in enumerate(peaks) if p > guard)
+    with pytest.raises(NonFiniteState) as exc:
+        simulate_centralized(sys, central_cfg.partition, obs,
+                             central_cfg.signals,
+                             replace(cfg, divergence_guard=guard))
+    assert exc.value.t == t_ref
+
+
+def test_odd_record_stride_matches_reference(dist_cfg, dist_net):
+    net, _ = dist_net
+    stride = 7
+    cfg = replace(dist_cfg.sim, t_end=1.0, record_stride=stride)
+    n_steps = _n_steps(cfg)
+    assert _CHUNK % stride and n_steps % stride
+    kern = _network_kernel(dist_cfg.system, net, cfg)
+    ref = np.vstack([kern.s0, _classical_run(kern, dist_cfg.signals, cfg,
+                                             n_steps)[stride - 1::stride]])
+    recs = _integrate(kern, dist_cfg.signals, cfg)
+    assert recs.shape == ref.shape == (n_steps // stride + 1, kern.s0.size)
+    assert np.abs(recs - ref).max() <= 1e-12 * np.abs(ref).max()
+    traj = simulate_distributed(dist_cfg.system, net, dist_cfg.signals, cfg)
+    assert np.allclose(traj.times, np.arange(len(ref)) * cfg.dt * stride,
+                       rtol=1e-15, atol=0.0)
+    assert np.array_equal(traj.x, recs[:, :dist_cfg.system.n])
