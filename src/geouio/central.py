@@ -104,25 +104,33 @@ class CentralizedObserver:
 
     def validate(self, sys: LinSystem, part: InputPartition) -> dict:
         """Residuals for every observer invariant (see acceptance suite)."""
-        n = sys.n
         AL = sys.A + self.L @ sys.C
-        out = {
+        return {
             "reconstruction_residual": float(np.linalg.norm(
-                self.E @ self.P_Wg + self.F @ sys.C - np.eye(n))),
-            "quotient_kills_unknown_input": float(np.linalg.norm(
-                self.P_Wg @ part.B_unknown)) if part.B_unknown.size else 0.0,
+                self.E @ self.P_Wg + self.F @ sys.C - np.eye(sys.n))),
             "commutation_residual": float(np.linalg.norm(
                 self.Abar_L @ self.P_Wg - self.P_Wg @ AL)),
-            "max_re_quotient_spectrum": float(
-                np.linalg.eigvals(self.Abar_L).real.max()) if self.z_dim else -np.inf,
-            "friend_invariance_residual": float(np.linalg.norm(
-                self.P_Wg @ AL @ self.decomp.W_g_star.basis))
-            if self.decomp.W_g_star.dim else 0.0,
-            "split_dimension_identity": (
-                self.decomp.Xbar_g.dim + self.decomp.Xbar_b.dim
-                == self.decomp.S_star.dim - self.decomp.W_star.dim),
+            **_quotient_invariants(self.decomp, self.P_Wg, AL, self.Abar_L,
+                                   part.B_unknown),
         }
-        return out
+
+
+def _quotient_invariants(decomp: GeometricDecomposition, P_Wg, A_cl, Abar,
+                         B_unknown) -> dict:
+    """Invariants shared by every observer on X/W_g* (A_cl = A + L C, Abar its
+    induced map, P_Wg the chart of the quotient)."""
+    Wg = decomp.W_g_star
+    return {
+        "friend_invariance_residual": float(np.linalg.norm(
+            P_Wg @ A_cl @ Wg.basis)) if Wg.dim else 0.0,
+        "max_re_quotient_spectrum": float(
+            np.linalg.eigvals(Abar).real.max()) if Abar.size else -np.inf,
+        "quotient_kills_unknown_input": float(np.linalg.norm(
+            P_Wg @ B_unknown)) if B_unknown.size else 0.0,
+        "split_dimension_identity": (
+            decomp.Xbar_g.dim + decomp.Xbar_b.dim
+            == decomp.S_star.dim - decomp.W_star.dim),
+    }
 
 
 def check_uio_condition(decomp: GeometricDecomposition, C,

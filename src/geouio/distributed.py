@@ -18,12 +18,18 @@ import scipy.linalg as sla
 from .errors import AssumptionViolated, DimensionMismatch, SingularQ
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, as_matrix,
                         contains, intersect, subspaces_equal)
-from .central import LinSystem, _rank_condition, solve_output_reconstruction
+from .central import (LinSystem, _quotient_invariants, _rank_condition,
+                      solve_output_reconstruction)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
 
 N1 = "N1"
 N2 = "N2"
+
+# The consensus Gram matrix counts as singular at or below this sigma_min.
+GRAM_FLOOR = 1e-9
+# chi when its lower bound chi_min is zero.
+CHI_FALLBACK = 0.1
 
 
 @dataclass(frozen=True)
@@ -137,12 +143,7 @@ class SensorNode:
             "local_rank_condition_matches_class": (
                 _rank_condition(self.C, self.B_unknown, tol)
                 == (self.node_class == N1)),
-            "friend_invariance_residual": float(np.linalg.norm(
-                d.P_Wg @ AL @ d.W_g_star.basis)) if d.W_g_star.dim else 0.0,
-            "max_re_quotient_spectrum": float(np.linalg.eigvals(
-                self.Abarbar).real.max()) if self.Abarbar.size else -np.inf,
-            "quotient_kills_unknown_input": float(np.linalg.norm(
-                d.P_Wg @ self.B_unknown)) if self.B_unknown.size else 0.0,
+            **_quotient_invariants(d, d.P_Wg, AL, self.Abarbar, self.B_unknown),
             # block relations between the two quotient charts
             "chart_rowspace_is_Wstar_perp": subspaces_equal(
                 Subspace(n, d.P_Wstar.T if d.P_Wstar.size else np.zeros((n, 0)),
@@ -153,8 +154,6 @@ class SensorNode:
                 d.W_g_star, Subspace(n, d.V, tol.rel_rank_tol), tol),
             "V_orthogonal_to_Wstar": float(np.linalg.norm(
                 d.V.T @ d.W_star.basis)) if d.W_star.dim and d.V.size else 0.0,
-            "split_dimension_identity": (
-                d.Xbar_g.dim + d.Xbar_b.dim == d.S_star.dim - d.W_star.dim),
         }
         if self.node_class == N1:
             checks["reconstruction_residual"] = float(np.linalg.norm(
@@ -197,8 +196,9 @@ class DistributedObserverNetwork:
     def validate(self, sys: LinSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> dict:
         checks = {"graph_connected": self.graph.is_connected,
                   "sigma_min_Q": self.sigma_min_Q,
-                  "chi_exceeds_bound": (self.chi > self.chi_min
-                                        or (self.chi_min == 0 and self.chi >= 0.1)),
+                  "chi_exceeds_bound": (
+                      self.chi > self.chi_min
+                      or (self.chi_min == 0 and self.chi >= CHI_FALLBACK)),
                   "gamma_exceeds_bound": (self.gamma >= self.safety * self.gamma_min)}
         W_V, A_L, _ = build_consensus_blocks(self.nodes)
         checks["block_matrices_match"] = bool(
@@ -318,7 +318,7 @@ def _consensus(nodes, graph: SensorGraph) -> _Consensus:
 def _detectable(cons: _Consensus, nodes, graph: SensorGraph,
                 tol: TolerancePolicy) -> bool:
     """Gram-matrix route, cross-checked by direct intersection."""
-    gram_ok = cons.sigma_min > 1e-9
+    gram_ok = cons.sigma_min > GRAM_FLOOR
     subspace_ok = recoverability_intersection(nodes, tol).is_zero
     # The two routes disagree only in numerically marginal situations.
     return graph.is_connected and gram_ok and gram_ok == subspace_ok
@@ -329,7 +329,7 @@ def _gain_bounds(cons: _Consensus, u_bar_max: float):
     if u_bar_max < 0:
         raise ValueError("u_bar_max must be nonnegative")
     sigma_min, A_L = cons.sigma_min, cons.A_L
-    if sigma_min <= 1e-9:
+    if sigma_min <= GRAM_FLOOR:
         raise SingularQ(
             f"consensus Gram matrix is singular (sigma_min = {sigma_min:.2e})")
     chi_min = float(np.linalg.norm(A_L, 2)) / sigma_min if A_L.size else 0.0
@@ -385,7 +385,7 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
             diagnostics={"intersection_basis": inter.basis,
                          "sigma_min_Q": cons.sigma_min})
     chi_min, gamma_min, sigma_min = _gain_bounds(cons, u_bar_max)
-    chi = safety * chi_min if chi_min > 0 else 0.1
+    chi = safety * chi_min if chi_min > 0 else CHI_FALLBACK
     gamma = safety * gamma_min
     return DistributedObserverNetwork(
         nodes=nodes, graph=graph, chi=chi, gamma=gamma, u_bar_max=u_bar_max,

@@ -33,7 +33,7 @@ def _spectrum(M) -> list:
         if M.size else []
 
 
-def centralized_report(cfg_dict: dict, obs: CentralizedObserver, sys, part) -> dict:
+def centralized_report(cfg_dict: dict, obs: CentralizedObserver, sys, residuals) -> dict:
     d = obs.decomp
     return {
         "mode": "centralized",
@@ -50,12 +50,12 @@ def centralized_report(cfg_dict: dict, obs: CentralizedObserver, sys, part) -> d
                        "good_zero_directions": d.Xbar_g.dim},
         "checks": {"existence_condition": True,
                    "quotient_spectrum": _spectrum(obs.Abar_L)},
-        "residuals": _jsonable(obs.validate(sys, part)),
+        "residuals": residuals,
         "config": cfg_dict,
     }
 
 
-def distributed_report(cfg_dict: dict, net: DistributedObserverNetwork, sys) -> dict:
+def distributed_report(cfg_dict: dict, net: DistributedObserverNetwork, residuals) -> dict:
     nodes = {}
     for nd in net.nodes:
         d = nd.decomp
@@ -87,7 +87,7 @@ def distributed_report(cfg_dict: dict, net: DistributedObserverNetwork, sys) -> 
         },
         "nodes": nodes,
         "block_matrices": _jsonable({"W_V": net.W_V_block, "A_L": net.A_L_block}),
-        "residuals": _jsonable(net.validate(sys)),
+        "residuals": residuals,
         "config": cfg_dict,
     }
 

@@ -126,23 +126,14 @@ def friend_gain(A, C, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> np.
     """
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    n, p = A.shape[0], C.shape[0]
-    if W.is_zero or W.is_full:
-        return np.zeros((n, p))
-    a_scale = max(1.0, float(np.linalg.norm(A, 2)))
-    core = image(A @ intersect(W, kernel(C, tol), tol).basis, tol, scale_floor=a_scale)
-    if not contains(W, core, tol):
-        raise NotConditionedInvariant(
-            "A maps W ∩ Ker C outside W; no output injection can fix W")
-    P = canonical_projection(W, tol)
-    M = C @ W.basis
-    N = -P @ A @ W.basis
-    Lam = N @ np.linalg.pinv(M)
-    resid = float(np.linalg.norm(Lam @ M - N))
-    if resid > tol.abs_residual_tol * a_scale:
-        raise NotConditionedInvariant(
-            f"friend equation inconsistent (residual {resid:.2e})")
-    return P.T @ Lam
+    if not (W.is_zero or W.is_full):
+        a_scale = max(1.0, float(np.linalg.norm(A, 2)))
+        core = image(A @ intersect(W, kernel(C, tol), tol).basis, tol,
+                     scale_floor=a_scale)
+        if not contains(W, core, tol):
+            raise NotConditionedInvariant(
+                "A maps W ∩ Ker C outside W; no output injection can fix W")
+    return common_friend(A, C, [W], tol)
 
 
 def common_friend(A, C, subspace_list,

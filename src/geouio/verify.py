@@ -9,6 +9,8 @@ reported as marginal rather than scored.
 
 from __future__ import annotations
 
+import operator
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +19,7 @@ import numpy as np
 from .central import (InputPartition, LinSystem, check_uio_condition,
                       classical_rank_condition, synthesize_centralized_uio)
 from .config import ProjectConfig
-from .distributed import synthesize_distributed
+from .distributed import GRAM_FLOOR, synthesize_distributed
 from .subspaces import DEFAULT_POLICY, TolerancePolicy, margin_monitor
 from .synthesis import SpectralPartition, decompose
 
@@ -88,6 +90,27 @@ def random_equivalence_battery(n_trials: int, seed: int,
 # Residual checks for a synthesized configuration.
 
 
+# Each numeric invariant by base name (its name without a node<id>_ prefix):
+# the comparison its value must satisfy and the limit, None standing for the
+# config's spectral boundary alpha.  Boolean invariants pass by truth.
+_INVARIANTS = {
+    "reconstruction_residual": ("<=", 1e-9),
+    "quotient_kills_unknown_input": ("<=", 1e-10),
+    "friend_invariance_residual": ("<=", 1e-9),
+    "wstar_friend_invariance": ("<=", 1e-9),
+    "commutation_residual": ("<=", 1e-9),
+    "V_orthogonal_to_Wstar": ("<=", 1e-9),
+    "max_re_quotient_spectrum": ("<", None),
+    "sigma_min_Q": (">", GRAM_FLOOR),
+}
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">": operator.gt}
+
+
+def _row(name: str) -> tuple:
+    """The table row of a numeric invariant; KeyError if it has none."""
+    return _INVARIANTS[re.sub(r"^node\d+_", "", name)]
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -95,36 +118,10 @@ class Check:
     limit: float | None
     passed: bool
 
-
-def _residual_checks_from(checks: dict, limits: dict) -> list:
-    out = []
-    for name, value in checks.items():
-        limit = None
-        passed = True
-        for pattern, lim in limits.items():
-            if pattern in name:
-                limit = lim
-                break
-        if isinstance(value, (bool, np.bool_)):
-            passed = bool(value)
-        elif limit is not None:
-            passed = bool(value <= limit)
-        out.append(Check(name=name,
-                         value=bool(value) if isinstance(value, (bool, np.bool_))
-                         else float(value), limit=limit, passed=passed))
-    return out
-
-
-_LIMITS = {
-    "reconstruction_residual": 1e-9,
-    "quotient_kills_unknown_input": 1e-10,
-    "friend_invariance_residual": 1e-9,
-    "wstar_friend_invariance": 1e-9,
-    "commutation_residual": 1e-9,
-    "V_orthogonal_to_Wstar": 1e-9,
-    "chart_orthonormal": 1e-10,
-    "chart_kernel": 1e-9,
-}
+    @property
+    def comparison(self) -> str | None:
+        """The table's comparison ("<=", "<" or ">"); None for a boolean."""
+        return None if isinstance(self.value, bool) else _row(self.name)[0]
 
 
 def _design(cfg: ProjectConfig, tol: TolerancePolicy):
@@ -140,25 +137,28 @@ def _design(cfg: ProjectConfig, tol: TolerancePolicy):
                                   margin=cfg.margin)
 
 
-def _residual_checks(cfg: ProjectConfig, artifact, tol: TolerancePolicy) -> list:
-    """Every invariant residual of an observer or network synthesized from cfg."""
+def _residuals(cfg: ProjectConfig, artifact, tol: TolerancePolicy) -> dict:
+    """Every invariant of an observer or network synthesized from cfg, by name."""
     if cfg.mode == "centralized":
-        raw = artifact.validate(cfg.system, cfg.partition)
-        raw["spectrum_below_alpha"] = (raw.pop("max_re_quotient_spectrum")
-                                       < artifact.alpha)
-        return _residual_checks_from(raw, _LIMITS)
-    raw = artifact.validate(cfg.system, tol)
-    for key in list(raw):
-        if key.endswith("max_re_quotient_spectrum"):
-            raw[key.replace("max_re_quotient_spectrum",
-                            "spectrum_below_alpha")] = (
-                raw.pop(key) < cfg.spectral.alpha)
-        elif key == "sigma_min_Q":
-            raw["sigma_min_Q_positive"] = raw.pop(key) > 1e-9
-    return _residual_checks_from(raw, _LIMITS)
+        return artifact.validate(cfg.system, cfg.partition)
+    return artifact.validate(cfg.system, tol)
+
+
+def _checks(residuals: dict, alpha: float) -> list:
+    """One Check per invariant, in order, each judged by its table row."""
+    out = []
+    for name, value in residuals.items():
+        if isinstance(value, (bool, np.bool_)):
+            out.append(Check(name, bool(value), None, bool(value)))
+            continue
+        op, limit = _row(name)
+        limit = alpha if limit is None else limit
+        out.append(Check(name, float(value), limit,
+                         bool(_COMPARE[op](value, limit))))
+    return out
 
 
 def synthesis_residual_checks(cfg: ProjectConfig,
                               tol: TolerancePolicy = DEFAULT_POLICY) -> list:
     """Synthesize per the config and evaluate every invariant residual."""
-    return _residual_checks(cfg, _design(cfg, tol), tol)
+    return _checks(_residuals(cfg, _design(cfg, tol), tol), cfg.spectral.alpha)

@@ -247,6 +247,100 @@ def test_reproduce_synthesizes_once(tmp_path, monkeypatch, central_cfg):
     assert per_synthesis >= 1 and len(calls) == per_synthesis
 
 
+# Each numeric invariant with its comparison and limit, written out here so
+# the table in geouio.verify is checked against an independent copy.
+_ALPHA = -0.5
+_ROWS = [("reconstruction_residual", "<=", 1e-9),
+         ("quotient_kills_unknown_input", "<=", 1e-10),
+         ("friend_invariance_residual", "<=", 1e-9),
+         ("node3_wstar_friend_invariance", "<=", 1e-9),
+         ("commutation_residual", "<=", 1e-9),
+         ("node12_V_orthogonal_to_Wstar", "<=", 1e-9),
+         ("node1_max_re_quotient_spectrum", "<", _ALPHA),
+         ("max_re_quotient_spectrum", "<", _ALPHA),
+         ("sigma_min_Q", ">", 1e-9)]
+
+
+@pytest.mark.parametrize("name, op, limit", _ROWS)
+def test_invariant_table_rows(name, op, limit):
+    from geouio.verify import _checks
+
+    below, above = np.nextafter(limit, -np.inf), np.nextafter(limit, np.inf)
+    expect = {"<=": (True, True, False), "<": (True, False, False),
+              ">": (False, False, True)}[op]
+    checks = [_checks({name: v}, _ALPHA)[0] for v in (below, limit, above)]
+    assert [c.passed for c in checks] == list(expect)
+    assert all(c.limit == limit and c.comparison == op for c in checks)
+
+
+@pytest.mark.parametrize("name", ["chart_orthonormal_Wstar", "chart_kernel",
+                                  "node1_sigma_min_Q_positive",
+                                  "xnode1_reconstruction_residual"])
+def test_numeric_invariant_without_row_raises(name):
+    from geouio.verify import _checks
+
+    with pytest.raises(KeyError):
+        _checks({name: 0.0}, 0.0)
+    assert _checks({name: True}, 0.0)[0].passed
+
+
+def test_worst_residual_reads_only_residual_rows(tmp_path, monkeypatch, capsys):
+    import geouio.cli as cli
+    from geouio.verify import Check
+
+    def fake_checks(cfg, tol):
+        return [Check("sigma_min_Q", 0.5, 1e-9, True),
+                Check("max_re_quotient_spectrum", -1.0, -0.5, True),
+                Check("node2_commutation_residual", 2e-12, 1e-9, True)]
+
+    monkeypatch.setattr(cli, "synthesis_residual_checks", fake_checks)
+    assert main(["verify", "--config", write_cfg(tmp_path, short_centralized())]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["sigma_min_Q", "PASS", "5.000e-01", "(>", "1e-09)"]
+    assert out[1].split()[-2:] == ["(<", "-0.5)"]
+    assert out[-1] == "worst residual: 2.000e-12"
+
+
+@pytest.mark.parametrize("which", ["centralized", "distributed"])
+def test_reproduce_validates_once(tmp_path, monkeypatch, which):
+    from geouio.central import CentralizedObserver
+    from geouio.distributed import DistributedObserverNetwork
+
+    cls = CentralizedObserver if which == "centralized" else DistributedObserverNetwork
+    calls = []
+    real = cls.validate
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "validate", counted)
+    assert main(["reproduce", which, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_reproduce_report_residuals_are_the_printed_checks(tmp_path, monkeypatch,
+                                                           capsys):
+    import geouio.cli as cli
+
+    printed = []
+    real = cli._checks
+
+    def recorded(*args):
+        printed.extend(real(*args))
+        return printed
+
+    monkeypatch.setattr(cli, "_checks", recorded)
+    monkeypatch.setenv("GEO_UIO_TOL", "1e-8")
+    assert main(["reproduce", "distributed", "--out", str(tmp_path)]) == 0
+    residuals = json.loads(
+        (tmp_path / "distributed" / "report.json").read_text())["residuals"]
+    assert [(c.name, c.value) for c in printed] == list(residuals.items())
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("  ")]
+    assert [ln.split(":")[0].strip() for ln in lines] == list(residuals)
+
+
 def test_cli_reproduce_full_demos(tmp_path):
     out = tmp_path / "rp"
     assert main(["reproduce", "centralized", "--out", str(out)]) == 0
