@@ -61,6 +61,15 @@ def _matrix(obj, name):
     return M
 
 
+def _finite(obj, name) -> float:
+    try:
+        v = float(obj)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} is not a number: {obj!r}") from exc
+    _require(np.isfinite(v), f"{name} must be finite, got {obj!r}")
+    return v
+
+
 def _int_list(obj, name, upper):
     _require(isinstance(obj, (list, tuple)), f"{name} must be a list of indices")
     out = []
@@ -147,11 +156,15 @@ def parse_config(source) -> ProjectConfig:
     sp.update(data.get("spectral", {}))
     unknown_keys = set(sp) - set(_SPECTRAL_DEFAULTS)
     _require(not unknown_keys, f"unknown spectral keys: {sorted(unknown_keys)}")
-    spectral = SpectralPartition(float(sp["alpha"]))
+    spectral = SpectralPartition(_finite(sp["alpha"], "spectral.alpha"))
     pole_targets = sp["pole_targets"]
     if pole_targets is not None:
-        pole_targets = tuple(float(v) for v in pole_targets)
-    margin, safety = float(sp["margin"]), float(sp["safety"])
+        _require(isinstance(pole_targets, list),
+                 "spectral.pole_targets must be a list of numbers")
+        pole_targets = tuple(_finite(v, "spectral.pole_targets entry")
+                             for v in pole_targets)
+    margin = _finite(sp["margin"], "spectral.margin")
+    safety = _finite(sp["safety"], "spectral.safety")
     _require(safety >= 1.0, "spectral.safety must be >= 1")
 
     signals = []

@@ -13,10 +13,13 @@ from .simulate import Trajectory
 
 
 def _jsonable(obj):
+    """Plain-JSON form of a payload; non-finite floats become their repr."""
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "fc" and not np.isfinite(obj).all():
+            return _jsonable(obj.tolist())
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, dict):
@@ -37,12 +40,12 @@ def centralized_report(cfg_dict: dict, obs: CentralizedObserver, sys, residuals)
     d = obs.decomp
     return {
         "mode": "centralized",
-        "matrices": _jsonable({
+        "matrices": {
             "Abar_L": obs.Abar_L, "P_Wg": obs.P_Wg, "L": obs.L,
             "E": obs.E, "F": obs.F,
             "W_star_basis": d.W_star.basis, "S_star_basis": d.S_star.basis,
             "W_g_star_basis": d.W_g_star.basis, "V": d.V,
-        }),
+        },
         "dimensions": {"n": sys.n, "z_dim": obs.z_dim,
                        "w_star": d.W_star.dim, "s_star": d.S_star.dim,
                        "w_g_star": d.W_g_star.dim,
@@ -65,12 +68,12 @@ def distributed_report(cfg_dict: dict, net: DistributedObserverNetwork, residual
             "dimensions": {"w_star": d.W_star.dim, "s_star": d.S_star.dim,
                            "w_g_star": d.W_g_star.dim, "v_cols": d.V.shape[1],
                            "z_dim": nd.z_dim},
-            "matrices": _jsonable({
+            "matrices": {
                 "L": nd.L, "P_Wg": d.P_Wg, "P_Wstar": d.P_Wstar, "V": d.V,
                 "W_g_star_basis": d.W_g_star.basis, "Abarbar": nd.Abarbar,
                 **({"E": nd.E, "F": nd.F, "Abar_L": nd.Abar_L}
                    if nd.node_class == "N1" else {}),
-            }),
+            },
         }
         nodes[f"node{nd.node_id}"] = entry
     return {
@@ -79,14 +82,14 @@ def distributed_report(cfg_dict: dict, net: DistributedObserverNetwork, residual
         "gains": {"chi": net.chi, "gamma": net.gamma,
                   "chi_min": net.chi_min, "gamma_min": net.gamma_min,
                   "safety": net.safety, "u_bar_max": net.u_bar_max,
-                  "sigma_min_Q": _jsonable(net.sigma_min_Q)},
+                  "sigma_min_Q": net.sigma_min_Q},
         "checks": {
             "graph_connected": net.graph.is_connected,
-            "algebraic_connectivity": _jsonable(net.graph.algebraic_connectivity),
+            "algebraic_connectivity": net.graph.algebraic_connectivity,
             "joint_detectability": True,
         },
         "nodes": nodes,
-        "block_matrices": _jsonable({"W_V": net.W_V_block, "A_L": net.A_L_block}),
+        "block_matrices": {"W_V": net.W_V_block, "A_L": net.A_L_block},
         "residuals": residuals,
         "config": cfg_dict,
     }

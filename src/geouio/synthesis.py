@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.signal as ssig
 
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
@@ -244,6 +243,126 @@ def compute_wg_star(W_star: Subspace, Xbar_b: Subspace, P_Wstar,
 
 
 # ---------------------------------------------------------------------------
+# Real-target pole placement (Kautsky-Nichols-Van Dooren / Tits-Yang).
+
+# Sweeps stop once |det X| changes by less than this fraction, or after
+# _YT_MAXITER sweeps (scipy.signal.place_poles defaults).
+_YT_RTOL = 1e-3
+_YT_MAXITER = 30
+
+
+def _yt_update_order(n: int) -> np.ndarray:
+    """Zero-based column pairs of one Tits-Yang sweep over n real targets.
+
+    The order of Tits and Yang (IEEE TAC 1996, p. 1442) that
+    ``scipy.signal.place_poles`` uses; for n >= 3 it needs no single-column
+    (KNV0) update.
+    """
+    hnb = n // 2
+    order = [(n, 1)]
+    order += [(2 * k, 2 * k + 1) for k in range(1, hnb + n % 2)]
+    order += [(2 * k - 1, 2 * k) for k in range(1, hnb + 1)]
+    order += [(i, i + j) for j in range(2, hnb + n % 2) for i in range(1, hnb + 1)]
+    order += [(i, i + j if i + j <= n else i + j - n)
+              for j in range(2, hnb + n % 2) for i in range(hnb + 1, n + 1)]
+    order += [(i, i + hnb) for i in range(1, hnb + 1)]
+    return np.array(order) - 1
+
+
+def _yt_real_update(ker_pole, Q, X, i, j):
+    """Tits-Yang update of the real column pair (i, j) of X (YT section 6.1)."""
+    # u, v span the complement of the other n - 2 columns of X.
+    u = Q[:, -2, np.newaxis]
+    v = Q[:, -1, np.newaxis]
+    m = np.dot(np.dot(ker_pole[i].T, np.dot(u, v.T) - np.dot(v, u.T)),
+               ker_pole[j])
+    um, sm, vm = np.linalg.svd(m)
+    mu1, mu2 = um.T[:2, :, np.newaxis]
+    nu1, nu2 = vm[:2, :, np.newaxis]
+    x_ij = np.vstack((X[:, i, np.newaxis], X[:, j, np.newaxis]))
+    # scipy's two np.allclose tests, written out (the operands are finite).
+    s0, s1 = float(sm[0]), float(sm[1])
+    if not abs(s0 - s1) <= 1e-8 + 1e-5 * abs(s1):
+        ker_mu_nu = np.vstack((np.dot(ker_pole[i], mu1), np.dot(ker_pole[j], nu1)))
+    else:
+        ker_ij = np.vstack((
+            np.hstack((ker_pole[i], np.zeros(ker_pole[i].shape))),
+            np.hstack((np.zeros(ker_pole[j].shape), ker_pole[j]))))
+        ker_mu_nu = np.dot(ker_ij, np.vstack((np.hstack((mu1, mu2)),
+                                              np.hstack((nu1, nu2)))))
+    x_ij = np.dot(np.dot(ker_mu_nu, ker_mu_nu.T), x_ij)
+    n = X.shape[0]
+    if np.abs(x_ij).max() > 1e-8:
+        x_ij = np.sqrt(2) * x_ij / np.linalg.norm(x_ij)
+        X[:, i] = x_ij[:n, 0]
+        X[:, j] = x_ij[n:, 0]
+    else:
+        # x_ij is orthogonal to span(ker_mu_nu): restart from that span.
+        X[:, i] = ker_mu_nu[:n, 0]
+        X[:, j] = ker_mu_nu[n:, 0]
+
+
+def _place_real_poles(A, B, poles) -> np.ndarray:
+    """Gain K with spectrum(A - B K) = ``poles``, all real.
+
+    Runs the same steps and floating-point operations as
+    ``scipy.signal.place_poles(A, B, poles)`` (method "YT") on real targets,
+    so the gains agree bit for bit: Kautsky-Nichols-Van Dooren kernel bases
+    and initial transfer matrix X, then Tits-Yang column-pair sweeps while
+    |det X| still changes by ``_YT_RTOL`` or more, at most ``_YT_MAXITER``
+    sweeps.  A sweep limit reached is not an error and warns nothing: the
+    callers check the placed spectrum themselves.  Raises ValueError, as
+    scipy does, for targets repeated more than rank(B) times and for a
+    singular X.
+    """
+    poles = np.sort(np.asarray(poles, dtype=float))
+    n = A.shape[0]
+    if not np.all(np.isfinite(poles)):
+        raise ValueError("array must not contain infs or NaNs")
+    rank = np.linalg.matrix_rank(B)
+    if np.max(np.sum(poles[:, None] == poles[None, :], axis=0)) > rank:
+        raise ValueError("at least one of the requested pole is repeated "
+                         "more than rank(B) times")
+    if rank == n:
+        # Square or wide full-rank B: X = I and K solves B K = diag - A.
+        return -np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0]
+    u, z = sla.qr(B, mode="full")
+    u0, u1, z = u[:, :rank], u[:, rank:], z[:rank, :]
+    ker_pole, cols = [], []
+    for p in poles:
+        pole_space = np.dot(u1.T, A - p * np.eye(n)).T
+        Q, _ = sla.qr(pole_space, mode="full", check_finite=False)
+        ker = Q[:, pole_space.shape[1]:]
+        x = np.sum(ker, axis=1)[:, np.newaxis]
+        ker_pole.append(ker)
+        cols.append(x / np.linalg.norm(x))
+    X = np.hstack(cols)
+    if rank > 1:  # with one input X is already unique up to scaling
+        sweep = [(i, j, np.delete(np.arange(n), (i, j)))
+                 for i, j in _yt_update_order(n)]
+        floor = np.sqrt(np.spacing(1))
+        for _ in range(_YT_MAXITER):
+            det_before = np.abs(np.linalg.det(X))
+            for i, j, others in sweep:
+                Q, _ = sla.qr(X[:, others], mode="full", check_finite=False)
+                _yt_real_update(ker_pole, Q, X, i, j)
+            det = max(floor, np.abs(np.linalg.det(X)))
+            if np.abs((det - det_before) / det) < _YT_RTOL and det > floor:
+                break
+    # scipy solves in complex arithmetic (its path for conjugate pairs);
+    # keeping the dtype keeps the rounding.
+    X = X.astype(complex)
+    try:
+        M = np.linalg.solve(X.T, np.dot(np.diag(poles), X.T)).T
+        gain = np.linalg.solve(z, np.dot(u0.T, M - A))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("The poles you've chosen can't be placed. "
+                         "Check the controllability matrix and try "
+                         "another set of poles") from exc
+    return np.real(-gain)
+
+
+# ---------------------------------------------------------------------------
 # Stabilizing friend via staircase observability decomposition.
 
 
@@ -301,7 +420,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
                 poles = np.concatenate([
                     poles, default_pole_targets(part.alpha - len(poles) * 0.5,
                                                 n_obs - poles.size)])
-        # place_poles needs a full-column-rank input matrix: factor C1^T
+        # Placement needs a full-column-rank input matrix: factor C1^T
         # through its column-space isometry.
         Ub, sb, Vbt = np.linalg.svd(C1.T, full_matrices=False)
         r = int(np.sum(sb > sb[0] * max(C1.shape) * tol.rel_rank_tol)) if sb.size else 0
@@ -309,10 +428,10 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
             raise SpectrumUnassignable(
                 "observable quotient modes exist but the factored measurement vanishes")
         try:
-            placed = ssig.place_poles(A11.T, Ub[:, :r], poles)
+            gain = _place_real_poles(A11.T, Ub[:, :r], poles)
         except ValueError as exc:
             raise SpectrumUnassignable(f"pole placement failed: {exc}") from exc
-        K = Vbt[:r].T @ (placed.gain_matrix / sb[:r, None])
+        K = Vbt[:r].T @ (gain / sb[:r, None])
         Theta = np.hstack([U1, U2]) @ np.vstack([-K.T, np.zeros((U2.shape[1], p))])
     L = L0 + P.T @ Theta @ H
     Abar = P @ (A + L @ C) @ P.T

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geouio
 from geouio.cases import builtin_config
 from geouio.cli import main
 from geouio.config import parse_config, tolerance_from_env
@@ -184,6 +190,24 @@ def test_exit_code_synthesis_failure(tmp_path):
     cfg["system"]["C"] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     cfgp = write_cfg(tmp_path, cfg)
     assert main(["synth", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("spectral", [
+    {"pole_targets": [math.nan, -2.0]},
+    {"pole_targets": [math.inf, -1.0]},
+    {"pole_targets": ["fast", -1.0]},
+    {"pole_targets": -1.0},
+    {"alpha": math.nan},
+    {"margin": math.inf},
+])
+def test_exit_code_bad_spectral_setting(tmp_path, capsys, spectral):
+    cfg = short_centralized()
+    cfg["spectral"].update(spectral)
+    cfgp = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: spectral.")
 
 
 def test_exit_code_divergence(tmp_path):
@@ -374,3 +398,15 @@ def test_report_serializes_complex_quotient_spectrum(tmp_path):
     assert len(spectrum) == 3
     assert any(abs(im) > 1.0 for _, im in spectrum)
     assert all(re < 0 for re, _ in spectrum)
+
+
+def test_reproduce_leaves_scipy_signal_unimported(tmp_path):
+    # Pole placement is geouio's own; scipy.signal would add ~1 s of start-up.
+    code = ("import sys, geouio\n"
+            "from geouio import cli\n"
+            f"code = cli.main(['reproduce', 'centralized', '--out', {str(tmp_path)!r}])\n"
+            "print(code, 'scipy.signal' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(geouio.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from geouio.report import _BLOCK_ROWS, write_plot_series, write_trajectory_csv
+from geouio.report import (_BLOCK_ROWS, _jsonable, write_plot_series,
+                           write_trajectory_csv)
 from geouio.simulate import Trajectory
 
 SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
@@ -45,3 +46,12 @@ def test_writers_match_per_value_formatting(tmp_path):
             [traj.times[:, None], err[:, None]], " ")
     assert "-0," in body and "nan" in body and "-inf" in body
     assert "4.9406564584124654e-324" in body
+
+
+def test_jsonable_spells_out_non_finite_values_in_one_pass():
+    payload = {"M": np.array([[1.0, np.inf], [np.nan, -0.5]]),
+               "I": np.array([1, 2]), "s": np.float64(-np.inf),
+               "k": np.int64(3), "ok": np.bool_(True), "x": [np.float64(2.0)]}
+    assert _jsonable(payload) == {"M": [[1.0, "inf"], ["nan", -0.5]],
+                                  "I": [1, 2], "s": "-inf", "k": 3,
+                                  "ok": True, "x": [2.0]}

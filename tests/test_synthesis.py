@@ -1,5 +1,7 @@
 """Geometric synthesis: recursions, splitting, friends, full decomposition."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from geouio.errors import NotConditionedInvariant, SpectrumUnassignable
 from geouio.subspaces import (Subspace, canonical_projection, contains, image,
                               intersect, kernel, orth_complement,
                               subspaces_equal)
-from geouio.synthesis import (SpectralPartition, common_friend, compute_wg_star,
+from geouio import synthesis
+from geouio.synthesis import (SpectralPartition, _place_real_poles,
+                              common_friend, compute_wg_star,
                               decompose, default_pole_targets, friend_gain,
                               infimal_conditioned_invariant,
                               infimal_unobservability_subspace, spectral_split,
@@ -333,3 +337,94 @@ def test_explicit_pole_targets_are_used():
                                  pole_targets=(-4.0, -5.0, -6.0))
     assert np.allclose(np.sort(np.linalg.eigvals(Abar).real),
                        [-6.0, -5.0, -4.0], atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Real-target pole placement, with scipy.signal.place_poles as the oracle
+
+
+def _scipy_gain(A, B, poles):
+    import scipy.signal as ssig
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on non-convergence
+        return ssig.place_poles(A, B, poles)
+
+
+@pytest.mark.parametrize("n, m, poles", [
+    (4, 1, [-1.0, -2.0, -3.0, -4.0]),                 # rank(B) = 1
+    (6, 3, [-1.0, -1.5, -2.0, -2.5, -3.0, -3.5]),     # 1 < rank(B) < n
+    (3, 3, [-1.0, -2.0, -3.0]),                       # rank(B) = n: lstsq
+    (3, 4, [-2.0, -1.0, -3.0]),                       # wide B, rank n
+    (5, 2, [-3.0, -1.0, -4.5, -2.0, -0.5]),           # unsorted targets
+    (6, 3, [-2.0, -2.0, -2.0, -1.0, -1.0, -3.0]),     # repeated rank(B) times
+    (7, 2, [-1.0, -1.0, -2.0, -2.0, -3.0, -4.0, -5.0]),
+])
+def test_place_real_poles_matches_scipy(n, m, poles):
+    rng = np.random.default_rng(100 + 10 * n + m)
+    A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+    ref = _scipy_gain(A, B, poles).gain_matrix
+    K = _place_real_poles(A, B, poles)
+    assert K.shape == ref.shape
+    assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
+    placed = np.sort(np.linalg.eigvals(A - B @ K).real)
+    assert np.allclose(placed, np.sort(poles), atol=1e-6)
+
+
+def test_place_real_poles_matches_scipy_without_convergence():
+    # n = 11 with 2 inputs: scipy runs all 30 Tits-Yang sweeps.
+    rng = np.random.default_rng(7)
+    A, B = rng.normal(size=(11, 11)), rng.normal(size=(11, 2))
+    poles = default_pole_targets(0.0, 11)
+    ref = _scipy_gain(A, B, poles)
+    assert ref.nb_iter == 30
+    K = _place_real_poles(A, B, poles)
+    assert np.abs(K - ref.gain_matrix).max() <= \
+        1e-12 * np.abs(ref.gain_matrix).max()
+
+
+def test_place_real_poles_rejects_what_scipy_rejects():
+    rng = np.random.default_rng(5)
+    A, B = rng.normal(size=(4, 4)), rng.normal(size=(4, 2))
+    with pytest.raises(ValueError, match="repeated more than rank"):
+        _place_real_poles(A, B, [-1.0, -1.0, -1.0, -2.0])
+    # mode 3 of diag(1, 2, 3) is uncontrollable from B: X is singular
+    with pytest.raises(ValueError, match="can't be placed"):
+        _place_real_poles(np.diag([1.0, 2.0, 3.0]), np.array([[1.0], [1.0], [0.0]]),
+                          [-1.0, -2.0, -3.0])
+
+
+def test_stabilizing_friend_reports_unplaceable_targets():
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(3, 3))
+    C = rng.normal(size=(1, 3))  # one output: rank 1
+    with pytest.raises(SpectrumUnassignable,
+                       match="pole placement failed: .*repeated more than rank"):
+        stabilizing_friend(A, C, Subspace.zero(3), ALPHA0,
+                           pole_targets=(-2.0, -2.0, -3.0))
+
+
+def test_stabilizing_friend_uncontrollable_pair_raises():
+    # (A^T, C^T) is uncontrollable: the mode at +2 is invisible to C.
+    A = np.diag([1.0, 2.0, -1.0])
+    C = np.array([[1.0, 0.0, 1.0]])
+    with pytest.raises(SpectrumUnassignable):
+        stabilizing_friend(A, C, Subspace.zero(3), ALPHA0)
+
+
+def test_non_converged_placement_is_silent(monkeypatch):
+    placements = []
+
+    def recording(A, B, poles):
+        placements.append((A, B, poles))
+        return _place_real_poles(A, B, poles)
+
+    monkeypatch.setattr(synthesis, "_place_real_poles", recording)
+    rng = np.random.default_rng(3)
+    A, C = rng.normal(size=(11, 11)), rng.normal(size=(2, 11))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, Abar = stabilizing_friend(A, C, Subspace.zero(11), ALPHA0)
+    assert np.linalg.eigvals(Abar).real.max() < -0.5
+    (A11t, B1, poles), = placements
+    assert _scipy_gain(A11t, B1, poles).nb_iter == 30
