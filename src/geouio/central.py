@@ -127,9 +127,7 @@ def _quotient_invariants(decomp: GeometricDecomposition, P_Wg, A_cl, Abar,
             np.linalg.eigvals(Abar).real.max()) if Abar.size else -np.inf,
         "quotient_kills_unknown_input": float(np.linalg.norm(
             P_Wg @ B_unknown)) if B_unknown.size else 0.0,
-        "split_dimension_identity": (
-            decomp.Xbar_g.dim + decomp.Xbar_b.dim
-            == decomp.S_star.dim - decomp.W_star.dim),
+        "split_dimension_identity": decomp.split_identity_holds(),
     }
 
 

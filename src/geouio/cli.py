@@ -82,10 +82,8 @@ def _synthesize(cfg: ProjectConfig, tol):
     return artifact, report
 
 
-def cmd_synth(cfg: ProjectConfig, out_dir, tol, design=None) -> int:
-    """Write report.json; ``design`` is an (artifact, report) pair already built."""
-    _, report = design or _synthesize(cfg, tol)
-    rpt.write_json(Path(out_dir) / "report.json", report)
+def _print_design(cfg: ProjectConfig, report: dict, path: Path):
+    """Summarize a synthesized design whose report goes to ``path``."""
     if cfg.mode == "centralized":
         print(f"synthesized centralized observer: z_dim = "
               f"{report['dimensions']['z_dim']}, existence condition passed")
@@ -93,12 +91,21 @@ def cmd_synth(cfg: ProjectConfig, out_dir, tol, design=None) -> int:
         print(f"synthesized network: N1 = {report['classes']['N1']}, "
               f"N2 = {report['classes']['N2']}, chi = {report['gains']['chi']:.4g}, "
               f"gamma = {report['gains']['gamma']:.4g}")
-    print(f"report written to {Path(out_dir) / 'report.json'}")
+    print(f"report written to {path}")
+
+
+def cmd_synth(cfg: ProjectConfig, out_dir, tol) -> int:
+    """Synthesize and write report.json."""
+    _, report = _synthesize(cfg, tol)
+    path = Path(out_dir) / "report.json"
+    rpt.write_json(path, report)
+    _print_design(cfg, report, path)
     return EXIT_OK
 
 
 def cmd_simulate(cfg: ProjectConfig, out_dir, tol, design=None) -> int:
-    """Simulate and write the artifacts; ``design`` as for ``cmd_synth``."""
+    """Simulate and write the artifacts; ``design`` is an (artifact, report)
+    pair already synthesized."""
     if cfg.sim is None:
         raise ConfigError("config has no 'sim' block")
     artifact, report = design or _synthesize(cfg, tol)
@@ -176,10 +183,13 @@ def cmd_reproduce(which, out_dir, tol) -> int:
     cfg = parse_config(builtin_config(which))
     out = Path(out_dir) / which
     design = _synthesize(cfg, tol)
-    code = cmd_synth(cfg, out, tol, design)
-    if code:
-        return code
-    code = cmd_simulate(cfg, out, tol, design)
+    _print_design(cfg, design[1], out / "report.json")
+    try:
+        code = cmd_simulate(cfg, out, tol, design)
+    except (ConfigError, NonFiniteState):
+        # a failed simulation leaves the synthesis report, as `synth` writes it
+        rpt.write_json(out / "report.json", design[1])
+        raise
     if code:
         return code
     checks = _checks(design[1]["residuals"], cfg.spectral.alpha)

@@ -70,6 +70,15 @@ def _finite(obj, name) -> float:
     return v
 
 
+def _vector(obj, name) -> np.ndarray:
+    try:
+        v = np.asarray(obj, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} is not a numeric vector: {exc}") from exc
+    _require(np.all(np.isfinite(v)), f"{name} has non-finite entries")
+    return v
+
+
 def _int_list(obj, name, upper):
     _require(isinstance(obj, (list, tuple)), f"{name} must be a list of indices")
     out = []
@@ -173,9 +182,10 @@ def parse_config(source) -> ProjectConfig:
     for k, sg in enumerate(data["signals"]):
         kind = sg.get("kind")
         _require(kind in SIGNAL_KINDS, f"signal {k}: unknown kind {kind!r}")
-        signals.append(SignalSpec(kind, float(sg.get("amplitude", 1.0)),
-                                  float(sg.get("frequency", 1.0)),
-                                  float(sg.get("phase", 0.0))))
+        signals.append(SignalSpec(kind, *(
+            _finite(sg.get(key, default), f"signal {k} {key}")
+            for key, default in (("amplitude", 1.0), ("frequency", 1.0),
+                                 ("phase", 0.0)))))
 
     sim = None
     if "sim" in data:
@@ -183,24 +193,30 @@ def parse_config(source) -> ProjectConfig:
         unknown_keys = set(blk) - _SIM_KEYS
         _require(not unknown_keys, f"unknown sim keys: {sorted(unknown_keys)}")
         _require("t_end" in blk and "x0" in blk, "sim block needs t_end and x0")
-        x0 = np.asarray(blk["x0"], dtype=float)
+        x0 = _vector(blk["x0"], "x0")
         _require(x0.size == n, f"x0 must have length {n}")
         obs_init = blk.get("observer_init")
         if obs_init is not None:
-            obs_init = tuple(np.asarray(v, dtype=float) for v in obs_init)
+            _require(isinstance(obs_init, list),
+                     "observer_init must be a list of initial states")
+            obs_init = tuple(_vector(v, f"observer_init entry {i}")
+                             for i, v in enumerate(obs_init))
+        stride = _finite(blk.get("record_stride", 1), "sim.record_stride")
+        _require(stride == int(stride), "sim.record_stride must be an integer")
         try:
             sim = SimConfig(
-                t_end=float(blk["t_end"]), x0=x0, dt=float(blk.get("dt", 1e-3)),
+                t_end=_finite(blk["t_end"], "sim.t_end"), x0=x0,
+                dt=_finite(blk.get("dt", 1e-3), "sim.dt"),
                 method=blk.get("method", "rk4"),
                 sign_mode=blk.get("sign_mode", "boundary_layer"),
-                eps_bl=float(blk.get("eps_bl", 1e-3)),
-                observer_init=obs_init,
-                record_stride=int(blk.get("record_stride", 1)),
-                divergence_guard=float(blk.get("divergence_guard", 1e12)))
+                eps_bl=_finite(blk.get("eps_bl", 1e-3), "sim.eps_bl"),
+                observer_init=obs_init, record_stride=int(stride),
+                divergence_guard=_finite(blk.get("divergence_guard", 1e12),
+                                         "sim.divergence_guard"))
         except DimensionMismatch as exc:
             raise ConfigError(str(exc)) from exc
 
-    u_bar_max = float(data.get("u_bar_max", 0.0))
+    u_bar_max = _finite(data.get("u_bar_max", 0.0), "u_bar_max")
     _require(u_bar_max >= 0, "u_bar_max must be nonnegative")
 
     return ProjectConfig(system=system, partition=partition,

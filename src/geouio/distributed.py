@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from .errors import AssumptionViolated, DimensionMismatch, SingularQ
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, as_matrix,
-                        contains, intersect, subspaces_equal)
+                        intersect, subspaces_equal)
 from .central import (LinSystem, _quotient_invariants, _rank_condition,
                       solve_output_reconstruction)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
@@ -150,10 +150,7 @@ class SensorNode:
                          tol.rel_rank_tol),
                 Subspace(n, sla.null_space(d.W_star.basis.T) if d.W_star.dim
                          else np.eye(n), tol.rel_rank_tol), tol),
-            "V_inside_Wg": contains(
-                d.W_g_star, Subspace(n, d.V, tol.rel_rank_tol), tol),
-            "V_orthogonal_to_Wstar": float(np.linalg.norm(
-                d.V.T @ d.W_star.basis)) if d.W_star.dim and d.V.size else 0.0,
+            **d.v_invariants(tol),
         }
         if self.node_class == N1:
             checks["reconstruction_residual"] = float(np.linalg.norm(

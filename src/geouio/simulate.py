@@ -19,7 +19,21 @@ kernel is affine in the state and in the stage drives w_j = G u(t + c_j h)
 as a step operator s+ = T s + sum_j W_j w_j (T = R(hM), the method's
 stability polynomial), together with the stage projections K s_i = P_i s +
 sum_{j<i} Pi_ij w_j that the sign term needs.  Inputs are evaluated for a
-whole chunk of steps at once; each step then costs a few small products.
+whole chunk of steps at once.
+
+Most steps are not taken one at a time.  The region pattern of a step holds,
+for every stage sign row, whether its argument lies below the boundary layer,
+inside it or above it (in exact mode: its sign).  While the pattern holds,
+each sigma_j is affine in the state, so the step is one affine map
+s+ = T_p s + U_p u + c_p and a run of steps is a linear recurrence.
+``_integrate`` computes up to a chunk of such steps at once with a doubling
+scan, recomputes every stage's sign argument of those steps with one product,
+and keeps the steps before the first one whose pattern differs.  The
+per-step path ``_StepOperator.advance`` then takes the next step and yields
+the new pattern.  After a short run it takes a longer stretch of steps,
+doubled while runs stay short, so that a chattering sign term costs no
+wasted scans.  ``advance`` is also the reference the scan is tested against.
+A centralized kernel has no sign rows: each chunk is one scan.
 """
 
 from __future__ import annotations
@@ -185,9 +199,18 @@ _TABLEAUX = {
             (1 / 6, 1 / 3, 1 / 3, 1 / 6), (0.0, 0.5, 0.5, 1.0)),
 }
 
-# Steps whose inputs are evaluated together and whose states are guarded as
-# one block.
+# Steps whose inputs are evaluated together, and the longest scan.
 _CHUNK = 256
+# Chattering guard: a scan cut short by a region change after fewer than
+# _SHORT_RUN steps hands the next `stretch` steps to the per-step path.  The
+# stretch starts at _STRETCH, doubles on every further short run up to
+# _MAX_STRETCH and starts again after a long run.
+_SHORT_RUN = 8
+_STRETCH = 4
+_MAX_STRETCH = 1024
+# Affine steps kept per run (oldest evicted first), so that a run visiting
+# many region patterns does not grow memory with their number.
+_PATTERNS = 8
 
 
 @dataclass(frozen=True)
@@ -207,14 +230,19 @@ class _StepOperator:
     stages: tuple         # (r, S m + dim + i r) for stage i; none if r = 0
     step: np.ndarray      # (dim, S m + dim + S r)
     sign: object
+    eps: float | None     # boundary-layer width; None for the exact sign
 
-    def advance(self, s, t, signals) -> np.ndarray:
-        """States after consecutive steps from s, step j starting at t[j].
+    def inputs(self, t, signals) -> np.ndarray:
+        """Stage inputs (u_1..u_S) of the steps starting at the times t."""
+        return eval_signals(signals, t[:, None] + self.offsets).reshape(len(t), -1)
 
-        Without sign rows a step is just s+ = T s + (W G u).
+    def advance(self, s, u, signs=None) -> np.ndarray:
+        """States after consecutive steps from s, step j with stage inputs u[j].
+
+        Without sign rows a step is just s+ = T s + (W G u).  If given,
+        ``signs`` receives the last step's stage signs (sigma_1..sigma_S).
         """
-        n, dim = len(t), s.size
-        u = eval_signals(signals, t[:, None] + self.offsets).reshape(n, -1)
+        dim = s.size
         buf = np.empty(self.step.shape[1])
         inputs, cur = buf[:u.shape[1]], buf[u.shape[1]:u.shape[1] + dim]
         cur[:] = s
@@ -223,13 +251,97 @@ class _StepOperator:
             w = Ki.shape[1]
             slots.append((Ki, buf[:w], buf[w:w + Ki.shape[0]]))
         step, sign = self.step, self.sign
-        states = np.empty((n, dim))
+        states = np.empty((len(u), dim))
         for uj, out in zip(u, states):
             inputs[:] = uj
             for Ki, head, sig in slots:
                 sign(np.dot(Ki, head), sig)
             cur[:] = out[:] = np.dot(step, buf)
+        if signs is not None:
+            signs[:] = buf[u.shape[1] + dim:]
         return states
+
+    def affine(self, pattern) -> _AffineStep:
+        """The step while every stage sign row stays in its ``pattern`` region.
+
+        An entry -1 or +1 fixes sigma at that value.  An entry 0 is the
+        boundary layer's linear region, sigma = v / eps, or in exact mode
+        sign(v) = 0.  Each sigma_i is then affine in z = (u, s, 1), stage by
+        stage, and so are the stage arguments v_i and the step.
+        """
+        size = pattern.size
+        head = self.step.shape[1] - size
+        r = size // len(self.offsets)
+        V = np.zeros((size, head + 1))       # stage arguments as maps of z
+        sigma = np.zeros((size, head + 1))   # stage signs as maps of z
+        sigma[:, head] = pattern
+        for i, Ki in enumerate(self.stages):
+            rows = slice(i * r, (i + 1) * r)
+            V[rows, :head] = Ki[:, :head]
+            V[rows] += Ki[:, head:] @ sigma[:i * r]
+            if self.eps is not None:
+                lin = np.flatnonzero(pattern[rows] == 0) + i * r
+                sigma[lin] = V[lin] / self.eps
+        F = self.step[:, head:] @ sigma
+        F[:, :head] += self.step[:, :head]
+        m = head - self.step.shape[0]
+        powers = [F[:, m:head].T.copy()]     # (T^(2^k))^T
+        while 1 << len(powers) < _CHUNK:
+            powers.append(powers[-1] @ powers[-1])
+        return _AffineStep(pattern=pattern, drive=F[:, :m].T.copy(),
+                           const=F[:, head].copy(), powers=tuple(powers),
+                           args=V.T.copy(), sign=self.sign)
+
+
+@dataclass(frozen=True)
+class _AffineStep:
+    """The step under one region pattern: s+ = T s + U u + c.
+
+    ``args`` maps the row (u, s, 1) to the stage sign arguments v, whose
+    regions tell whether the pattern still holds.
+    """
+
+    pattern: np.ndarray
+    drive: np.ndarray     # U^T
+    const: np.ndarray     # c
+    powers: tuple         # (T^(2^k))^T, k = 0, 1, ...
+    args: np.ndarray      # (S m + dim + 1, S r)
+    sign: object
+
+    def scan(self, s, u) -> np.ndarray:
+        """States after the leading steps from s whose pattern is this one.
+
+        All len(u) steps are computed as one linear recurrence by a doubling
+        scan; the result is cut before the first step whose stage arguments
+        leave the pattern's regions.
+        """
+        m, A = u.shape[1], self.args
+        if self.pattern.size:
+            # a region change at the first step costs no scan
+            v = np.dot(u[0], A[:m]) + np.dot(s, A[m:-1]) + A[-1]
+            if not (np.trunc(self.sign(v)) == self.pattern).all():
+                return np.empty((0, s.size))
+        y = u @ self.drive + self.const
+        y[0] += s @ self.powers[0]
+        for k, P in enumerate(self.powers):
+            d = 1 << k
+            if d >= len(y):
+                break
+            y[d:] += y[:-d] @ P
+        if not self.pattern.size:
+            return y
+        v = u[1:] @ A[:m] + y[:-1] @ A[m:-1] + A[-1]
+        held = (np.trunc(self.sign(v)) == self.pattern).all(axis=1)
+        return y if held.all() else y[:held.argmin() + 1]
+
+
+@dataclass
+class _ScanCounts:
+    """Steps taken by the scan and by the per-step path, and region changes."""
+
+    scanned: int = 0
+    oracle: int = 0
+    region_changes: int = 0
 
 
 def _step_operator(kernel: _Kernel, cfg: SimConfig) -> _StepOperator:
@@ -257,35 +369,72 @@ def _step_operator(kernel: _Kernel, cfg: SimConfig) -> _StepOperator:
         offsets=np.asarray(c) * h,
         stages=tuple((K @ on_buffer(X))[:, :head + i * r]
                      for i, X in enumerate(stage_states) if r),
-        step=on_buffer(X_out), sign=cfg.sign_fn())
+        step=on_buffer(X_out), sign=cfg.sign_fn(),
+        eps=cfg.eps_bl if cfg.sign_mode == "boundary_layer" else None)
 
 
-def _integrate(kernel: _Kernel, signals, cfg: SimConfig) -> np.ndarray:
+def _integrate(kernel: _Kernel, signals, cfg: SimConfig,
+               counts: _ScanCounts | None = None) -> np.ndarray:
     """Fixed-step integration collecting every ``record_stride``-th state.
 
-    The divergence guard checks every step: each chunk's states are checked
-    after the chunk, and the first offending step is the one reported.
+    Steps are taken as scans of the affine step of the current region
+    pattern, which ``advance`` supplies (see the module docstring); ``counts``,
+    if given, tallies how.  The divergence guard checks every step: each batch
+    of states is checked as it is taken, and the first offending step is the
+    one reported.
     """
     op = _step_operator(kernel, cfg)
+    counts = _ScanCounts() if counts is None else counts
     n_steps, stride, guard = _n_steps(cfg), cfg.record_stride, cfg.divergence_guard
     recs = np.empty((n_steps // stride + 1, kernel.s0.size))
     recs[0] = s = kernel.s0
     row = 1
+    signs = np.empty(len(op.offsets) * kernel.K.shape[0])
+    steps = {}              # pattern bytes -> _AffineStep, oldest first
+    current = None          # affine step of the pattern in force, if known
+    stretch, owed = _STRETCH, 0
     for k0 in range(0, n_steps, _CHUNK):
-        k = np.arange(k0, min(k0 + _CHUNK, n_steps))
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = op.advance(s, k * cfg.dt, signals)
-            bad = (~np.isfinite(states).all(axis=1)
-                   | (np.abs(states).max(axis=1) > guard))
-        if bad.any():
-            t = float((k[bad.argmax()] + 1) * cfg.dt)
-            raise NonFiniteState(
-                f"state left the bounded region at t = {t:.6g} "
-                f"(max |state| > {guard:.3g} or non-finite)", t=t)
-        kept = states[(stride - 1 - k0) % stride::stride]
-        recs[row:row + len(kept)] = kept
-        row += len(kept)
-        s = states[-1]
+        u = op.inputs(np.arange(k0, min(k0 + _CHUNK, n_steps)) * cfg.dt, signals)
+        k = k0
+        while k < k0 + len(u):
+            rest = u[k - k0:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if current is None:
+                    states = op.advance(s, rest[:max(1, min(owed, len(rest)))],
+                                        signs)
+                    owed = max(0, owed - len(states))
+                    counts.oracle += len(states)
+                    if not owed:  # scan on with the last step's pattern
+                        pattern = np.trunc(signs)
+                        key = pattern.astype(np.int8).tobytes()
+                        current = steps.get(key)
+                        if current is None:
+                            if len(steps) == _PATTERNS:
+                                del steps[next(iter(steps))]
+                            current = steps[key] = op.affine(pattern)
+                else:
+                    states = current.scan(s, rest)
+                    counts.scanned += len(states)
+                    if len(states) >= _SHORT_RUN:
+                        stretch = _STRETCH
+                    if len(states) < len(rest):  # the pattern changed
+                        counts.region_changes += 1
+                        current = None
+                        if len(states) < _SHORT_RUN:
+                            owed, stretch = stretch, min(2 * stretch, _MAX_STRETCH)
+                bad = (~np.isfinite(states).all(axis=1)
+                       | (np.abs(states).max(axis=1) > guard))
+            if bad.any():
+                t = float((k + bad.argmax() + 1) * cfg.dt)
+                raise NonFiniteState(
+                    f"state left the bounded region at t = {t:.6g} "
+                    f"(max |state| > {guard:.3g} or non-finite)", t=t)
+            kept = states[(stride - 1 - k) % stride::stride]
+            recs[row:row + len(kept)] = kept
+            row += len(kept)
+            k += len(states)
+            if len(states):
+                s = states[-1]
     return recs
 
 

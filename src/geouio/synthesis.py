@@ -482,6 +482,20 @@ class GeometricDecomposition:
     def n(self) -> int:
         return self.W_star.ambient_dim
 
+    def split_identity_holds(self) -> bool:
+        """dim Xbar_g + dim Xbar_b = dim S* - dim W*."""
+        return (self.Xbar_g.dim + self.Xbar_b.dim
+                == self.S_star.dim - self.W_star.dim)
+
+    def v_invariants(self, tol: TolerancePolicy) -> dict:
+        """V lies inside W_g* and is orthogonal to W*."""
+        return {
+            "V_inside_Wg": contains(self.W_g_star,
+                                    Subspace(self.n, self.V, tol.rel_rank_tol), tol),
+            "V_orthogonal_to_Wstar": float(np.linalg.norm(
+                self.V.T @ self.W_star.basis)) if self.W_star.dim and self.V.size else 0.0,
+        }
+
     def validate(self, A, C, Bbar) -> dict:
         """Residuals/booleans for every structural invariant of the decomposition."""
         t = self.tol
@@ -490,9 +504,7 @@ class GeometricDecomposition:
             "contains_Bbar_in_Wstar": contains(self.W_star, image(Bbar, t), t),
             "contains_Wstar_in_Wg": contains(self.W_g_star, self.W_star, t),
             "contains_Wg_in_Sstar": contains(self.S_star, self.W_g_star, t),
-            "split_dimension_identity": (
-                self.Xbar_g.dim + self.Xbar_b.dim
-                == self.S_star.dim - self.W_star.dim),
+            "split_dimension_identity": self.split_identity_holds(),
             "wg_dimension_identity": (
                 self.W_g_star.dim == self.W_star.dim + self.Xbar_b.dim),
             "chart_orthonormal_Wstar": float(np.abs(
@@ -505,10 +517,7 @@ class GeometricDecomposition:
                 - np.eye(self.P_Wg.shape[0])).max()) if self.P_Wg.size else 0.0,
             "chart_kernel_Wg": float(np.linalg.norm(
                 self.P_Wg @ self.W_g_star.basis)) if self.W_g_star.dim else 0.0,
-            "V_inside_Wg": contains(self.W_g_star,
-                                    Subspace(self.n, self.V, t.rel_rank_tol), t),
-            "V_orthogonal_to_Wstar": float(np.linalg.norm(
-                self.V.T @ self.W_star.basis)) if self.W_star.dim and self.V.size else 0.0,
+            **self.v_invariants(t),
             "wg_equals_wstar_plus_V": subspaces_equal(
                 self.W_g_star,
                 subspace_sum(self.W_star,

@@ -210,6 +210,44 @@ def test_exit_code_bad_spectral_setting(tmp_path, capsys, spectral):
     assert capsys.readouterr().err.startswith("error: spectral.")
 
 
+@pytest.mark.parametrize("where, value", [
+    (("signals", 0, "amplitude"), "x"),
+    (("signals", 0, "amplitude"), math.nan),
+    (("signals", 1, "frequency"), "fast"),
+    (("signals", 1, "phase"), math.inf),
+    (("sim", "t_end"), "abc"),
+    (("sim", "t_end"), math.nan),
+    (("sim", "dt"), "small"),
+    (("sim", "eps_bl"), math.nan),
+    (("sim", "record_stride"), "ten"),
+    (("sim", "record_stride"), 2.5),
+    (("sim", "record_stride"), math.nan),
+    (("sim", "divergence_guard"), "big"),
+    (("sim", "divergence_guard"), math.nan),
+    (("u_bar_max",), "x"),
+    (("u_bar_max",), math.nan),
+    (("sim", "x0"), ["a", 0.0, 0.0]),
+    (("sim", "x0"), [math.nan, 0.0, 0.0]),
+    (("sim", "observer_init"), [["a", 0.0]]),
+    (("sim", "observer_init"), [[math.inf, 0.0]]),
+    (("sim", "observer_init"), 0.0),
+])
+def test_exit_code_bad_numeric_setting(tmp_path, capsys, where, value):
+    cfg = short_centralized()
+    *parents, key = where
+    blk = cfg
+    for name in parents:
+        blk = blk[name]
+    blk[key] = value
+    cfgp = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(where[-1]) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_divergence(tmp_path):
     cfg = short_centralized(t_end=20.0)
     cfg["sim"]["divergence_guard"] = 1e6
@@ -269,6 +307,48 @@ def test_reproduce_synthesizes_once(tmp_path, monkeypatch, central_cfg):
     calls.clear()
     assert main(["reproduce", "centralized", "--out", str(tmp_path)]) == 0
     assert per_synthesis >= 1 and len(calls) == per_synthesis
+
+
+def _count_report_writes(monkeypatch):
+    import geouio.cli as cli
+
+    writes = []
+    real = cli.rpt.write_json
+
+    def counted(path, payload):
+        if Path(path).name == "report.json":
+            writes.append(path)
+        return real(path, payload)
+
+    monkeypatch.setattr(cli.rpt, "write_json", counted)
+    return writes
+
+
+def test_reproduce_writes_the_report_once(tmp_path, monkeypatch, capsys):
+    writes = _count_report_writes(monkeypatch)
+    assert main(["reproduce", "centralized", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "centralized" / "report.json"
+    assert writes == [path]
+    assert "metrics" in json.loads(path.read_text())
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["synthesized centralized observer: z_dim = 2, "
+                       "existence condition passed",
+                       f"report written to {path}"]
+    assert out[2].startswith("simulated centralized run to t = 20")
+
+
+def test_reproduce_keeps_the_synthesis_report_when_simulation_fails(
+        tmp_path, monkeypatch):
+    import geouio.cli as cli
+    from geouio.errors import NonFiniteState
+
+    def diverge(*args):
+        raise NonFiniteState("state left the bounded region", t=1.0)
+
+    monkeypatch.setattr(cli, "simulate_centralized", diverge)
+    assert main(["reproduce", "centralized", "--out", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "centralized" / "report.json").read_text())
+    assert "residuals" in report and "metrics" not in report
 
 
 # Each numeric invariant with its comparison and limit, written out here so

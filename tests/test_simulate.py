@@ -11,8 +11,9 @@ from geouio.distributed import (N1, node_estimate_n1, node_rhs_n1, node_rhs_n2)
 from geouio.errors import DimensionMismatch, NonFiniteState
 from geouio.simulate import (_CHUNK, SignalSpec, SimConfig, _central_kernel,
                              _integrate, _n_steps, _network_kernel,
-                             _step_operator, error_metrics, eval_signals,
-                             simulate_centralized, simulate_distributed)
+                             _ScanCounts, _step_operator, error_metrics,
+                             eval_signals, simulate_centralized,
+                             simulate_distributed)
 from geouio.synthesis import SpectralPartition
 
 ALPHA0 = SpectralPartition(0.0)
@@ -333,13 +334,19 @@ def test_step_operator_matches_classical_step(both_kernels, method, sign_mode):
         kern = build(pcfg.system, artifact, cfg)
         op = _step_operator(kern, cfg)
         f = kern.rhs(pcfg.signals, cfg.sign_fn())
+        signs = np.empty(len(op.offsets) * kern.K.shape[0])
         for trial in range(6):
             # small states put the sign arguments inside the boundary layer
             s = rng.normal(size=kern.s0.size) * (1e-3 if trial % 2 else 1.0)
             t = float(rng.uniform(0.0, 10.0))
-            got = op.advance(s, np.array([t]), pcfg.signals)[0]
+            u = op.inputs(np.array([t]), pcfg.signals)
+            got = op.advance(s, u, signs)[0]
             ref = _classical_step(f, s, t, cfg.dt, method)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (
+                build.__name__, trial)
+            # the affine step of the step's own region pattern is the same step
+            (affine,) = op.affine(np.trunc(signs)).scan(s, u)
+            assert np.abs(affine - ref).max() <= 1e-12 * np.abs(ref).max(), (
                 build.__name__, trial)
 
 
@@ -358,11 +365,12 @@ def test_guard_trips_at_the_reference_step(central_cfg, central_obs, step):
     assert peaks[step] > before * (1 + 1e-6)
     guard = 0.5 * (before + peaks[step])
     t_ref = next((k + 1) * cfg.dt for k, p in enumerate(peaks) if p > guard)
+    counts = _ScanCounts()
     with pytest.raises(NonFiniteState) as exc:
-        simulate_centralized(sys, central_cfg.partition, obs,
-                             central_cfg.signals,
-                             replace(cfg, divergence_guard=guard))
+        _integrate(kern, central_cfg.signals,
+                   replace(cfg, divergence_guard=guard), counts)
     assert exc.value.t == t_ref
+    assert counts.oracle == 1 and counts.scanned > step  # a scanned step tripped
 
 
 def test_odd_record_stride_matches_reference(dist_cfg, dist_net):
@@ -374,10 +382,110 @@ def test_odd_record_stride_matches_reference(dist_cfg, dist_net):
     kern = _network_kernel(dist_cfg.system, net, cfg)
     ref = np.vstack([kern.s0, _classical_run(kern, dist_cfg.signals, cfg,
                                              n_steps)[stride - 1::stride]])
-    recs = _integrate(kern, dist_cfg.signals, cfg)
+    counts = _ScanCounts()
+    recs = _integrate(kern, dist_cfg.signals, cfg, counts)
+    assert counts.scanned > 0
     assert recs.shape == ref.shape == (n_steps // stride + 1, kern.s0.size)
     assert np.abs(recs - ref).max() <= 1e-12 * np.abs(ref).max()
     traj = simulate_distributed(dist_cfg.system, net, dist_cfg.signals, cfg)
     assert np.allclose(traj.times, np.arange(len(ref)) * cfg.dt * stride,
                        rtol=1e-15, atol=0.0)
     assert np.array_equal(traj.x, recs[:, :dist_cfg.system.n])
+
+
+# ---------------------------------------------------------------------------
+# affine-chunk scan against the per-step path
+
+
+def _advance_run(kern, signals, cfg):
+    """Every state of a run taken by the per-step path alone, s0 first."""
+    op = _step_operator(kern, cfg)
+    n_steps = _n_steps(cfg)
+    states = [kern.s0[None]]
+    for k0 in range(0, n_steps, _CHUNK):
+        t = np.arange(k0, min(k0 + _CHUNK, n_steps)) * cfg.dt
+        states.append(op.advance(states[-1][-1], op.inputs(t, signals)))
+    return np.vstack(states)
+
+
+def _assert_arrays_match(kern, recs, ref, rel=1e-10):
+    """x, every xhat, err_norm and quotient error agree to ``rel`` per array."""
+    arrays = [lambda r: r[:, :kern.n]]
+    arrays += [lambda r, D=D: r[:, :kern.n] - r @ D.T for D in kern.D]
+    arrays += [lambda r, D=D: np.linalg.norm(r @ D.T, axis=1) for D in kern.D]
+    arrays += [lambda r, Q=Q: r @ Q.T for Q in kern.Q]
+    for i, arr in enumerate(arrays):
+        got, want = arr(recs), arr(ref)
+        assert np.abs(got - want).max() <= rel * np.abs(want).max(), i
+
+
+@pytest.mark.parametrize("mode, method, sign_mode, t_end", [
+    ("distributed", "rk4", "boundary_layer", 8.0),   # 45 region changes
+    ("distributed", "rk4", "exact", 2.0),            # changes almost every step
+    ("distributed", "euler", "boundary_layer", 8.0),
+    ("centralized", "euler", "boundary_layer", 10.0),
+])
+def test_scan_matches_advance(both_kernels, mode, method, sign_mode, t_end):
+    build, pcfg, artifact = both_kernels[mode == "distributed"]
+    cfg = replace(pcfg.sim, method=method, sign_mode=sign_mode, t_end=t_end,
+                  record_stride=1)
+    kern = build(pcfg.system, artifact, cfg)
+    counts = _ScanCounts()
+    recs = _integrate(kern, pcfg.signals, cfg, counts)
+    _assert_arrays_match(kern, recs, _advance_run(kern, pcfg.signals, cfg))
+    assert counts.scanned + counts.oracle == _n_steps(cfg)
+    if mode == "distributed":
+        # scans cut short by a region change, and per-step stretches after
+        # short runs: more per-step steps than one per change
+        assert counts.region_changes > 0
+        assert counts.oracle > counts.region_changes + 1
+    else:
+        assert counts.oracle == 1 and counts.region_changes == 0
+    assert np.array_equal(_integrate(kern, pcfg.signals, cfg), recs)
+
+
+def test_scan_starting_on_a_boundary_tie(dist_cfg, dist_net):
+    # start the first scanned step with a sign argument on the layer's edge,
+    # v = eps up to rounding, where the two adjacent regions give one step
+    net, _ = dist_net
+    cfg = replace(dist_cfg.sim, t_end=0.5, record_stride=1)
+    kern = _network_kernel(dist_cfg.system, net, cfg)
+    op = _step_operator(kern, cfg)
+    u = op.inputs(np.zeros(1), dist_cfg.signals)
+    signs = np.empty(len(op.offsets) * kern.K.shape[0])
+    k = kern.K[0]
+    s0 = kern.s0
+    for _ in range(5):  # Newton steps on the piecewise-affine map s0 -> K s1
+        s1 = op.advance(s0, u, signs)[0]
+        T = op.affine(np.trunc(signs)).powers[0].T
+        w = T.T @ k
+        s0 = s0 + (cfg.eps_bl - k @ s1) / (k @ T @ w) * w
+    s1 = op.advance(s0, u, signs)[0]
+    assert abs(k @ s1 - cfg.eps_bl) <= 1e-12 * cfg.eps_bl
+    # either region at the tie reproduces the per-step path's step from s1
+    u1 = op.inputs(np.full(1, cfg.dt), dist_cfg.signals)
+    ref = op.advance(s1, u1, signs)[0]
+    accepted = 0
+    for edge in (0.0, 1.0):
+        pattern = np.trunc(signs)
+        pattern[0] = edge
+        got = op.affine(pattern).scan(s1, u1)
+        accepted += len(got)
+        if len(got):
+            assert np.abs(got[0] - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert accepted >= 1
+    tied = replace(kern, s0=s0)
+    counts = _ScanCounts()
+    recs = _integrate(tied, dist_cfg.signals, cfg, counts)
+    assert counts.scanned > 0
+    _assert_arrays_match(tied, recs, _advance_run(tied, dist_cfg.signals, cfg))
+
+
+def test_distributed_demo_rarely_takes_the_per_step_path(dist_cfg, dist_net):
+    net, _ = dist_net
+    kern = _network_kernel(dist_cfg.system, net, dist_cfg.sim)
+    counts = _ScanCounts()
+    _integrate(kern, dist_cfg.signals, dist_cfg.sim, counts)
+    n_steps = _n_steps(dist_cfg.sim)
+    assert counts.scanned + counts.oracle == n_steps
+    assert counts.oracle < 0.02 * n_steps
