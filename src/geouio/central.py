@@ -110,16 +110,15 @@ class CentralizedObserver:
                 self.E @ self.P_Wg + self.F @ sys.C - np.eye(sys.n))),
             "commutation_residual": float(np.linalg.norm(
                 self.Abar_L @ self.P_Wg - self.P_Wg @ AL)),
-            **_quotient_invariants(self.decomp, self.P_Wg, AL, self.Abar_L,
-                                   part.B_unknown),
+            **_quotient_invariants(self.decomp, AL, self.Abar_L, part.B_unknown),
         }
 
 
-def _quotient_invariants(decomp: GeometricDecomposition, P_Wg, A_cl, Abar,
+def _quotient_invariants(decomp: GeometricDecomposition, A_cl, Abar,
                          B_unknown) -> dict:
     """Invariants shared by every observer on X/W_g* (A_cl = A + L C, Abar its
-    induced map, P_Wg the chart of the quotient)."""
-    Wg = decomp.W_g_star
+    induced map in the chart decomp.P_Wg)."""
+    Wg, P_Wg = decomp.W_g_star, decomp.P_Wg
     return {
         "friend_invariance_residual": float(np.linalg.norm(
             P_Wg @ A_cl @ Wg.basis)) if Wg.dim else 0.0,

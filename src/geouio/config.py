@@ -51,6 +51,11 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _object(obj, name) -> dict:
+    _require(isinstance(obj, dict), f"{name} must be a JSON object")
+    return obj
+
+
 def _matrix(obj, name):
     try:
         M = np.asarray(obj, dtype=float)
@@ -103,16 +108,20 @@ def parse_config(source) -> ProjectConfig:
         data = json.loads(json.dumps(source))
     else:
         raise ConfigError("config source must be a path or a dict")
-
-    _require("system" in data, "missing 'system' block")
-    sysblk = data["system"]
-    for key in ("A", "B", "C"):
-        _require(key in sysblk, f"system block missing matrix {key!r}")
     try:
-        system = LinSystem(_matrix(sysblk["A"], "A"), _matrix(sysblk["B"], "B"),
-                           _matrix(sysblk["C"], "C"))
+        return _parse(_object(data, "config"))
     except DimensionMismatch as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _parse(data: dict) -> ProjectConfig:
+    """Validated objects of a loaded config; may raise DimensionMismatch."""
+    _require("system" in data, "missing 'system' block")
+    sysblk = _object(data["system"], "'system' block")
+    for key in ("A", "B", "C"):
+        _require(key in sysblk, f"system block missing matrix {key!r}")
+    system = LinSystem(_matrix(sysblk["A"], "A"), _matrix(sysblk["B"], "B"),
+                       _matrix(sysblk["C"], "C"))
     n, m, p = system.n, system.m, system.p
 
     has_part = "partition" in data
@@ -123,20 +132,17 @@ def parse_config(source) -> ProjectConfig:
 
     partition = node_specs = graph = None
     if has_part:
-        blk = data["partition"]
-        try:
-            partition = InputPartition.from_columns(
-                system, _int_list(blk.get("known_cols", []), "known_cols", m),
-                _int_list(blk.get("unknown_cols", []), "unknown_cols", m))
-        except DimensionMismatch as exc:
-            raise ConfigError(str(exc)) from exc
+        blk = _object(data["partition"], "'partition' block")
+        partition = InputPartition.from_columns(
+            system, _int_list(blk.get("known_cols", []), "known_cols", m),
+            _int_list(blk.get("unknown_cols", []), "unknown_cols", m))
     else:
         _require("graph" in data, "distributed config requires a 'graph' block")
         specs = []
         _require(isinstance(data["nodes"], list) and data["nodes"],
                  "'nodes' must be a nonempty list")
         for k, nd in enumerate(data["nodes"]):
-            node_id = nd.get("id", k + 1)
+            node_id = _object(nd, f"'nodes' entry {k}").get("id", k + 1)
             if "C" in nd:
                 C_i = _matrix(nd["C"], f"node {node_id} C")
                 _require(C_i.shape[1] == n, f"node {node_id} C must have {n} columns")
@@ -154,15 +160,13 @@ def parse_config(source) -> ProjectConfig:
         _require(len({s.node_id for s in specs}) == len(specs),
                  "node ids must be unique")
         node_specs = tuple(specs)
-        try:
-            graph = SensorGraph(_matrix(data["graph"].get("adjacency"), "adjacency"))
-        except DimensionMismatch as exc:
-            raise ConfigError(str(exc)) from exc
+        graph = SensorGraph(_matrix(
+            _object(data["graph"], "'graph' block").get("adjacency"), "adjacency"))
         _require(graph.n_nodes == len(node_specs),
                  "adjacency size must equal the number of nodes")
 
     sp = dict(_SPECTRAL_DEFAULTS)
-    sp.update(data.get("spectral", {}))
+    sp.update(_object(data.get("spectral", {}), "'spectral' block"))
     unknown_keys = set(sp) - set(_SPECTRAL_DEFAULTS)
     _require(not unknown_keys, f"unknown spectral keys: {sorted(unknown_keys)}")
     spectral = SpectralPartition(_finite(sp["alpha"], "spectral.alpha"))
@@ -178,9 +182,10 @@ def parse_config(source) -> ProjectConfig:
 
     signals = []
     _require("signals" in data, "missing 'signals' block")
+    _require(isinstance(data["signals"], list), "'signals' must be a list")
     _require(len(data["signals"]) == m, f"need {m} signal specs (one per input)")
     for k, sg in enumerate(data["signals"]):
-        kind = sg.get("kind")
+        kind = _object(sg, f"'signals' entry {k}").get("kind")
         _require(kind in SIGNAL_KINDS, f"signal {k}: unknown kind {kind!r}")
         signals.append(SignalSpec(kind, *(
             _finite(sg.get(key, default), f"signal {k} {key}")
@@ -189,7 +194,7 @@ def parse_config(source) -> ProjectConfig:
 
     sim = None
     if "sim" in data:
-        blk = dict(data["sim"])
+        blk = _object(data["sim"], "'sim' block")
         unknown_keys = set(blk) - _SIM_KEYS
         _require(not unknown_keys, f"unknown sim keys: {sorted(unknown_keys)}")
         _require("t_end" in blk and "x0" in blk, "sim block needs t_end and x0")
@@ -203,18 +208,15 @@ def parse_config(source) -> ProjectConfig:
                              for i, v in enumerate(obs_init))
         stride = _finite(blk.get("record_stride", 1), "sim.record_stride")
         _require(stride == int(stride), "sim.record_stride must be an integer")
-        try:
-            sim = SimConfig(
-                t_end=_finite(blk["t_end"], "sim.t_end"), x0=x0,
-                dt=_finite(blk.get("dt", 1e-3), "sim.dt"),
-                method=blk.get("method", "rk4"),
-                sign_mode=blk.get("sign_mode", "boundary_layer"),
-                eps_bl=_finite(blk.get("eps_bl", 1e-3), "sim.eps_bl"),
-                observer_init=obs_init, record_stride=int(stride),
-                divergence_guard=_finite(blk.get("divergence_guard", 1e12),
-                                         "sim.divergence_guard"))
-        except DimensionMismatch as exc:
-            raise ConfigError(str(exc)) from exc
+        sim = SimConfig(
+            t_end=_finite(blk["t_end"], "sim.t_end"), x0=x0,
+            dt=_finite(blk.get("dt", 1e-3), "sim.dt"),
+            method=blk.get("method", "rk4"),
+            sign_mode=blk.get("sign_mode", "boundary_layer"),
+            eps_bl=_finite(blk.get("eps_bl", 1e-3), "sim.eps_bl"),
+            observer_init=obs_init, record_stride=int(stride),
+            divergence_guard=_finite(blk.get("divergence_guard", 1e12),
+                                     "sim.divergence_guard"))
 
     u_bar_max = _finite(data.get("u_bar_max", 0.0), "u_bar_max")
     _require(u_bar_max >= 0, "u_bar_max must be nonnegative")
@@ -234,4 +236,4 @@ def tolerance_from_env(environ) -> TolerancePolicy:
     try:
         return TolerancePolicy(rel_rank_tol=float(raw))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"GEO_UIO_TOL is not a valid tolerance: {raw!r}") from exc
+        raise ConfigError(f"GEO_UIO_TOL is not a valid tolerance ({raw!r}): {exc}") from exc

@@ -143,7 +143,7 @@ class SensorNode:
             "local_rank_condition_matches_class": (
                 _rank_condition(self.C, self.B_unknown, tol)
                 == (self.node_class == N1)),
-            **_quotient_invariants(d, d.P_Wg, AL, self.Abarbar, self.B_unknown),
+            **_quotient_invariants(d, AL, self.Abarbar, self.B_unknown),
             # block relations between the two quotient charts
             "chart_rowspace_is_Wstar_perp": subspaces_equal(
                 Subspace(n, d.P_Wstar.T if d.P_Wstar.size else np.zeros((n, 0)),
@@ -312,13 +312,11 @@ def _consensus(nodes, graph: SensorGraph) -> _Consensus:
                       float(np.linalg.svd(Q, compute_uv=False).min()))
 
 
-def _detectable(cons: _Consensus, nodes, graph: SensorGraph,
-                tol: TolerancePolicy) -> bool:
-    """Gram-matrix route, cross-checked by direct intersection."""
+def _detectable(cons: _Consensus, inter: Subspace, graph: SensorGraph) -> bool:
+    """Gram-matrix route, cross-checked by the recoverability intersection."""
     gram_ok = cons.sigma_min > GRAM_FLOOR
-    subspace_ok = recoverability_intersection(nodes, tol).is_zero
     # The two routes disagree only in numerically marginal situations.
-    return graph.is_connected and gram_ok and gram_ok == subspace_ok
+    return graph.is_connected and gram_ok and gram_ok == inter.is_zero
 
 
 def _gain_bounds(cons: _Consensus, u_bar_max: float):
@@ -344,7 +342,8 @@ def joint_detectability_check(nodes, graph: SensorGraph,
                               tol: TolerancePolicy = DEFAULT_POLICY):
     """(ok, sigma_min_Q): Gram-matrix route, cross-checked by direct intersection."""
     cons = _consensus(nodes, graph)
-    return _detectable(cons, nodes, graph, tol), cons.sigma_min
+    inter = recoverability_intersection(nodes, tol)
+    return _detectable(cons, inter, graph), cons.sigma_min
 
 
 def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float,
@@ -375,8 +374,8 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
                                          pole_targets=pole_targets, margin=margin)
                   for spec in node_specs)
     cons = _consensus(nodes, graph)
-    if not _detectable(cons, nodes, graph, tol):
-        inter = recoverability_intersection(nodes, tol)
+    inter = recoverability_intersection(nodes, tol)
+    if not _detectable(cons, inter, graph):
         raise AssumptionViolated(
             3, "jointly unrecoverable directions remain",
             diagnostics={"intersection_basis": inter.basis,

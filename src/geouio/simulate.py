@@ -66,22 +66,15 @@ class SignalSpec:
 
     def __call__(self, t):
         """Channel value at time t, or at each time of an array t."""
-        if isinstance(t, np.ndarray):
-            if self.kind == "const":
-                return np.full(t.shape, self.amplitude)
-            wave = np.sin if self.kind == "sin" else np.cos
-            return self.amplitude * wave(self.frequency * t + self.phase)
-        if self.kind == "sin":
-            return self.amplitude * math.sin(self.frequency * t + self.phase)
-        if self.kind == "cos":
-            return self.amplitude * math.cos(self.frequency * t + self.phase)
-        return self.amplitude
+        t = np.asarray(t, dtype=float)
+        if self.kind == "const":
+            return np.full(t.shape, self.amplitude)
+        wave = np.sin if self.kind == "sin" else np.cos
+        return self.amplitude * wave(self.frequency * t + self.phase)
 
 
 def eval_signals(specs, t) -> np.ndarray:
     """Stack the channel values at time t: shape (m,), or t.shape + (m,)."""
-    if np.ndim(t) == 0:
-        return np.array([s(t) for s in specs], dtype=float)
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape + (len(specs),))
     for j, s in enumerate(specs):

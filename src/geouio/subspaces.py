@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class TolerancePolicy:
     """Numerical regime shared by every rank and residual decision.
 
     rel_rank_tol
-        Relative singular-value cutoff for rank decisions.
+        Relative singular-value cutoff for rank decisions, in (0, 1).
     abs_residual_tol
         Absolute bound under which residuals count as zero.
     """
@@ -34,8 +34,8 @@ class TolerancePolicy:
     abs_residual_tol: float = DEFAULT_ABS_RESIDUAL_TOL
 
     def __post_init__(self):
-        if not (self.rel_rank_tol > 0 and self.abs_residual_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.rel_rank_tol < 1 and 0 < self.abs_residual_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite, rel_rank_tol < 1")
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -146,6 +146,8 @@ class Subspace:
     ambient_dim: int
     basis: np.ndarray
     tol: float = DEFAULT_REL_RANK_TOL
+    # orth_complement's results by rel_rank_tol, each with its rank margins.
+    _perp: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -232,10 +234,21 @@ def subspace_sum(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY
 
 
 def orth_complement(V: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
-    """Orthogonal complement; dim(V) + dim(V^perp) = n."""
-    if V.is_zero:
-        return Subspace.full(V.ambient_dim, tol.rel_rank_tol)
-    return kernel(V.basis.T, tol)
+    """Orthogonal complement; dim(V) + dim(V^perp) = n.
+
+    Computed once per subspace and rank tolerance and kept on ``V``; a repeat
+    call notes the first call's rank margins again for any margin monitor.
+    """
+    cached = V._perp.get(tol.rel_rank_tol)
+    if cached is None:
+        with margin_monitor() as rec:
+            comp = (Subspace.full(V.ambient_dim, tol.rel_rank_tol) if V.is_zero
+                    else kernel(V.basis.T, tol))
+        cached = V._perp[tol.rel_rank_tol] = (comp, rec.margins)
+    else:
+        for margin in cached[1]:
+            note_margin(margin)
+    return cached[0]
 
 
 def intersect(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -276,13 +289,19 @@ def induced_map(A, W: Subspace, P, tol: TolerancePolicy = DEFAULT_POLICY) -> np.
     """
     A = as_matrix(A, "A")
     P = as_matrix(P, "P")
-    if W.dim:
-        resid = float(np.linalg.norm(P @ A @ W.basis))
-        scale = max(1.0, float(np.linalg.norm(A, 2)))
-        if resid > tol.abs_residual_tol * scale:
-            raise InvarianceViolated(
-                f"subspace is not invariant under the map (residual {resid:.2e})")
+    _require_invariant(P, A, W, max(1.0, float(np.linalg.norm(A, 2))), tol,
+                       "subspace is not invariant under the map")
     return P @ A @ P.T
+
+
+def _require_invariant(P, M, W: Subspace, scale: float, tol: TolerancePolicy,
+                       what: str):
+    """Raise InvarianceViolated naming ``what`` unless ||P M W|| is within
+    ``abs_residual_tol * scale``; P charts X/W and scale = max(1, ||M||_2)."""
+    if W.dim:
+        resid = float(np.linalg.norm(P @ M @ W.basis))
+        if resid > tol.abs_residual_tol * scale:
+            raise InvarianceViolated(f"{what} (residual {resid:.2e})")
 
 
 def contains(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -22,10 +22,11 @@ import scipy.linalg as sla
 
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
-from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, as_matrix,
-                        canonical_projection, contains, image, intersect,
-                        kernel, orth_complement, preimage, subspace_sum,
-                        subspaces_equal, unobservable_subspace)
+from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
+                        _require_invariant, as_matrix, canonical_projection,
+                        contains, image, intersect, kernel, orth_complement,
+                        preimage, subspace_sum, subspaces_equal,
+                        unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
 # ("bad"): a raw comparison would flip on rounding noise when zeros sit
@@ -170,20 +171,25 @@ def common_friend(A, C, subspace_list,
 # Spectral splitting of the invariant-zero dynamics.
 
 
-def _split_in_chart(A, C, W_star, S_star, L0, part, P, tol):
-    """Split S*/W* into good/bad invariant subspaces in the chart P of X/W*."""
-    n = A.shape[0]
+def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
+                   part: SpectralPartition,
+                   tol: TolerancePolicy = DEFAULT_POLICY):
+    """Good/bad invariant subspaces of the induced map on S*/W*.
+
+    Works in the chart ``canonical_projection(W_star)``; eigenvalues the
+    partition counts as bad lead the ordered real Schur form and span the
+    bad subspace.  Returns ``(X_good, X_bad)`` with dimensions summing to
+    dim S* - dim W*.
+    """
+    A = as_matrix(A, "A")
+    C = as_matrix(C, "C")
+    L0 = as_matrix(L0, "L0")
+    P = canonical_projection(W_star, tol)
     AL = A + L0 @ C
     a_scale = max(1.0, float(np.linalg.norm(AL, 2)))
-    if W_star.dim:
-        r = float(np.linalg.norm(P @ AL @ W_star.basis))
-        if r > tol.abs_residual_tol * a_scale:
-            raise InvarianceViolated(f"L0 is not a friend of W* (residual {r:.2e})")
-    if S_star.dim:
-        PS = canonical_projection(S_star, tol)
-        r = float(np.linalg.norm(PS @ AL @ S_star.basis))
-        if r > tol.abs_residual_tol * a_scale:
-            raise InvarianceViolated(f"L0 is not a friend of S* (residual {r:.2e})")
+    _require_invariant(P, AL, W_star, a_scale, tol, "L0 is not a friend of W*")
+    _require_invariant(canonical_projection(S_star, tol), AL, S_star, a_scale,
+                       tol, "L0 is not a friend of S*")
     q = P.shape[0]
     # S* ∩ W*^perp maps isometrically onto the quotient image of S*.
     Sq = P @ intersect(S_star, orth_complement(W_star, tol), tol).basis
@@ -197,10 +203,10 @@ def _split_in_chart(A, C, W_star, S_star, L0, part, P, tol):
         raise InvarianceViolated(
             f"quotient image of S* is not invariant (residual {off:.2e})")
     R = Sq.T @ Abar @ Sq
-    scale = max(1.0, float(np.linalg.norm(R, 2)))
-    boundary = part.alpha - EIG_TIE_TOL * scale
-    _, Zb, nb = sla.schur(R, output="real", sort=lambda re, im: re >= boundary)
-    _, Zg, ng = sla.schur(R, output="real", sort=lambda re, im: re < boundary)
+    scale = float(np.linalg.norm(R, 2))
+    bad = lambda re, im: part.is_bad(re, scale)
+    _, Zb, nb = sla.schur(R, output="real", sort=bad)
+    _, Zg, ng = sla.schur(R, output="real", sort=lambda re, im: not bad(re, im))
     if nb + ng != d:
         raise InvarianceViolated("spectral split lost eigenvalues at the boundary")
     Xb = image(Sq @ Zb[:, :nb], tol) if nb else Subspace.zero(q, tol.rel_rank_tol)
@@ -208,33 +214,16 @@ def _split_in_chart(A, C, W_star, S_star, L0, part, P, tol):
     return Xg, Xb
 
 
-def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
-                   part: SpectralPartition,
-                   tol: TolerancePolicy = DEFAULT_POLICY):
-    """Good/bad invariant subspaces of the induced map on S*/W*.
-
-    Works in the chart ``canonical_projection(W_star)``; eigenvalues with
-    real part >= alpha (minus the tie band) lead the ordered real Schur form
-    and span the bad subspace.  Returns ``(X_good, X_bad)`` with dimensions
-    summing to dim S* - dim W*.
-    """
-    A = as_matrix(A, "A")
-    C = as_matrix(C, "C")
-    L0 = as_matrix(L0, "L0")
-    P = canonical_projection(W_star, tol)
-    return _split_in_chart(A, C, W_star, S_star, L0, part, P, tol)
-
-
-def compute_wg_star(W_star: Subspace, Xbar_b: Subspace, P_Wstar,
+def compute_wg_star(W_star: Subspace, Xbar_b: Subspace,
                     tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """Inverse image of the bad quotient subspace under the chart of X/W*.
 
-    The result contains W* and has dimension dim W* + dim Xbar_b.
+    ``Xbar_b`` lives in the chart ``canonical_projection(W_star)``.  The
+    result contains W* and has dimension dim W* + dim Xbar_b.
     """
-    P_Wstar = as_matrix(P_Wstar, "P_Wstar")
-    if P_Wstar.shape[0] != Xbar_b.ambient_dim:
+    if Xbar_b.ambient_dim != W_star.ambient_dim - W_star.dim:
         raise DimensionMismatch("Xbar_b must live in the chart of X/W*")
-    Wg = preimage(P_Wstar, Xbar_b, tol)
+    Wg = preimage(canonical_projection(W_star, tol), Xbar_b, tol)
     expected = W_star.dim + Xbar_b.dim
     if Wg.dim != expected:
         raise InvarianceViolated(
@@ -434,21 +423,18 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
         K = Vbt[:r].T @ (gain / sb[:r, None])
         Theta = np.hstack([U1, U2]) @ np.vstack([-K.T, np.zeros((U2.shape[1], p))])
     L = L0 + P.T @ Theta @ H
-    Abar = P @ (A + L @ C) @ P.T
+    AL = A + L @ C
+    Abar = P @ AL @ P.T
     eigs = np.linalg.eigvals(Abar)
     worst = float(eigs.real.max())
     if worst >= part.alpha - 1e-9:
         raise SpectrumUnassignable(
             f"quotient spectrum cannot be pushed below alpha={part.alpha} "
             f"(max Re = {worst:.3e})", eigenvalues=eigs)
-    a_scale = max(1.0, float(np.linalg.norm(A + L @ C, 2)))
+    a_scale = max(1.0, float(np.linalg.norm(AL, 2)))
     for W in (W_g_star, *keep_invariant):
-        if W.dim:
-            r = float(np.linalg.norm(canonical_projection(W, tol)
-                                     @ (A + L @ C) @ W.basis))
-            if r > tol.abs_residual_tol * a_scale:
-                raise InvarianceViolated(
-                    f"stabilizing friend broke an invariance (residual {r:.2e})")
+        _require_invariant(canonical_projection(W, tol), AL, W, a_scale, tol,
+                           "stabilizing friend broke an invariance")
     return L, Abar
 
 
@@ -507,16 +493,8 @@ class GeometricDecomposition:
             "split_dimension_identity": self.split_identity_holds(),
             "wg_dimension_identity": (
                 self.W_g_star.dim == self.W_star.dim + self.Xbar_b.dim),
-            "chart_orthonormal_Wstar": float(np.abs(
-                self.P_Wstar @ self.P_Wstar.T
-                - np.eye(self.P_Wstar.shape[0])).max()) if self.P_Wstar.size else 0.0,
-            "chart_kernel_Wstar": float(np.linalg.norm(
-                self.P_Wstar @ self.W_star.basis)) if self.W_star.dim else 0.0,
-            "chart_orthonormal_Wg": float(np.abs(
-                self.P_Wg @ self.P_Wg.T
-                - np.eye(self.P_Wg.shape[0])).max()) if self.P_Wg.size else 0.0,
-            "chart_kernel_Wg": float(np.linalg.norm(
-                self.P_Wg @ self.W_g_star.basis)) if self.W_g_star.dim else 0.0,
+            **_chart_checks(self.P_Wstar, self.W_star, "Wstar"),
+            **_chart_checks(self.P_Wg, self.W_g_star, "Wg"),
             **self.v_invariants(t),
             "wg_equals_wstar_plus_V": subspaces_equal(
                 self.W_g_star,
@@ -524,6 +502,15 @@ class GeometricDecomposition:
                              Subspace(self.n, self.V, t.rel_rank_tol), t), t),
         }
         return checks
+
+
+def _chart_checks(P, W: Subspace, name: str) -> dict:
+    """Row orthonormality and kernel residuals of the chart P of X/W."""
+    return {
+        f"chart_orthonormal_{name}": float(np.abs(
+            P @ P.T - np.eye(P.shape[0])).max()) if P.size else 0.0,
+        f"chart_kernel_{name}": float(np.linalg.norm(P @ W.basis)) if W.dim else 0.0,
+    }
 
 
 def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
@@ -537,9 +524,9 @@ def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
     W = infimal_conditioned_invariant(A, C, Bbar, tol)
     S = infimal_unobservability_subspace(A, C, W, tol)
     L0 = common_friend(A, C, [W, S], tol)
+    Xg_raw, Xb_raw = spectral_split(A, C, W, S, L0, part, tol)
+    Wg = compute_wg_star(W, Xb_raw, tol)
     P_raw = canonical_projection(W, tol)
-    Xg_raw, Xb_raw = _split_in_chart(A, C, W, S, L0, part, P_raw, tol)
-    Wg = compute_wg_star(W, Xb_raw, P_raw, tol)
     V = intersect(Wg, orth_complement(W, tol), tol).basis
     if V.shape[1] != Wg.dim - W.dim:
         raise InvarianceViolated("V dimension mismatch in decomposition")

@@ -16,6 +16,7 @@ from geouio.cases import builtin_config
 from geouio.cli import main
 from geouio.config import parse_config, tolerance_from_env
 from geouio.errors import ConfigError
+from geouio.subspaces import TolerancePolicy
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -74,12 +75,20 @@ def test_unknown_demo_name_raises():
         builtin_config("bogus")
 
 
-def test_tolerance_env_override():
+def test_tolerance_env_override(tmp_path, monkeypatch, capsys):
     tol = tolerance_from_env({"GEO_UIO_TOL": "1e-8"})
     assert tol.rel_rank_tol == 1e-8
     assert tolerance_from_env({}).rel_rank_tol == 1e-10
-    with pytest.raises(ConfigError):
-        tolerance_from_env({"GEO_UIO_TOL": "abc"})
+    for raw in ("abc", "inf", "-inf", "nan", "1e300", "1", "0", "-1e-8"):
+        with pytest.raises(ConfigError, match="GEO_UIO_TOL"):
+            tolerance_from_env({"GEO_UIO_TOL": raw})
+    for bad in ({"rel_rank_tol": math.inf}, {"rel_rank_tol": 1.0},
+                {"abs_residual_tol": math.inf}, {"abs_residual_tol": math.nan}):
+        with pytest.raises(ValueError):
+            TolerancePolicy(**bad)
+    monkeypatch.setenv("GEO_UIO_TOL", "inf")
+    assert main(["reproduce", "centralized", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: GEO_UIO_TOL")
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +255,34 @@ def test_exit_code_bad_numeric_setting(tmp_path, capsys, where, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(where[-1]) in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("which, where, value, named", [
+    ("centralized", (), "system", "config"),
+    ("centralized", ("system",), "ABC", "'system' block"),
+    ("centralized", ("partition",), "all", "'partition' block"),
+    ("distributed", ("graph",), [[0, 1], [1, 0]], "'graph' block"),
+    ("centralized", ("spectral",), 0.0, "'spectral' block"),
+    ("centralized", ("sim",), 5, "'sim' block"),
+    ("centralized", ("signals",), "ab", "'signals'"),
+    ("centralized", ("signals", 1), "cos", "'signals' entry 1"),
+    ("distributed", ("nodes", 2), [0, 1], "'nodes' entry 2"),
+])
+def test_exit_code_block_of_wrong_type(tmp_path, capsys, which, where, value,
+                                       named):
+    cfg = builtin_config(which)
+    if where:
+        *parents, key = where
+        blk = cfg
+        for name in parents:
+            blk = blk[name]
+        blk[key] = value
+    else:
+        cfg = value
+    cfgp = write_cfg(tmp_path, cfg)
+    assert main(["synth", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_exit_code_divergence(tmp_path):

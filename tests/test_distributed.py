@@ -1,8 +1,12 @@
 """Networked observer: classification, per-node synthesis, gains, node dynamics."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+
+from geouio import subspaces
 
 from geouio.central import LinSystem
 from geouio.distributed import (N1, N2, NodeSpec, SensorGraph,
@@ -476,3 +480,46 @@ def test_random_network_synthesis_invariants_hold():
             elif "spectrum" in name:
                 assert val < 0.0, (name, val)
     assert synthesized >= 20
+
+
+def covered_network(seed, n=12, N=16, m=3):
+    """Hurwitz plant over a ring; a node with r output rows has at least r
+    of its m inputs unknown, and at least one known."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n)) / np.sqrt(n)
+    A = M - (np.linalg.eigvals(M).real.max() + 0.5) * np.eye(n)
+    B = rng.standard_normal((n, m))
+    specs = []
+    for i in range(N):
+        C_i = rng.standard_normal((int(rng.integers(1, 3)), n))
+        unknown = tuple(sorted(rng.choice(
+            m, size=int(rng.integers(C_i.shape[0], m)), replace=False).tolist()))
+        known = tuple(j for j in range(m) if j not in unknown)
+        specs.append(NodeSpec(i + 1, C_i, known, unknown))
+    ring = np.roll(np.eye(N), 1, axis=1)
+    sys_ = LinSystem(A, B, np.vstack([sp.C for sp in specs]))
+    return sys_, specs, SensorGraph(ring + ring.T)
+
+
+@pytest.mark.parametrize("which", ["demo", "covered N16"])
+def test_synthesis_complements_each_subspace_once(dist_cfg, monkeypatch, which):
+    if which == "demo":
+        sys_, specs, graph = dist_cfg.system, dist_cfg.node_specs, dist_cfg.graph
+    else:
+        sys_, specs, graph = covered_network(0)
+    complemented, repeats = {}, []
+    kernel = subspaces.kernel
+
+    def watched(M, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code is subspaces.orth_complement.__code__:
+            V, tol = caller.f_locals["V"], caller.f_locals["tol"]
+            key = (id(V), tol.rel_rank_tol)
+            if key in complemented:
+                repeats.append(V)
+            complemented[key] = V  # held, so no later subspace reuses the id
+        return kernel(M, *args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "kernel", watched)
+    synthesize_distributed(sys_, specs, graph, u_bar_max=0.2)
+    assert complemented and not repeats

@@ -288,6 +288,17 @@ def test_margin_monitor_flags_near_threshold_decisions():
     assert rec.min_margin > 0.5
 
 
+def test_orth_complement_is_kept_per_tolerance_and_replays_its_margin():
+    V = image(np.array([[1.0, 0.0], [0.0, 5e-10], [0.0, 0.0]]))
+    first = orth_complement(V)
+    with margin_monitor() as rec:
+        assert orth_complement(V) is first
+    assert rec.margins and rec.min_margin > 0.5
+    coarse = orth_complement(V, TolerancePolicy(rel_rank_tol=1e-6))
+    assert coarse is not first and coarse.tol == 1e-6
+    assert np.array_equal(canonical_projection(V), first.basis.T)
+
+
 def test_subspace_rejects_nonorthonormal_basis():
     with pytest.raises(DimensionMismatch):
         Subspace(3, np.array([[1.0], [1.0], [0.0]]))

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from geouio.errors import NotConditionedInvariant, SpectrumUnassignable
+from geouio.errors import (DimensionMismatch, InvarianceViolated,
+                           NotConditionedInvariant, SpectrumUnassignable)
 from geouio.subspaces import (Subspace, canonical_projection, contains, image,
                               intersect, kernel, orth_complement,
                               subspaces_equal)
@@ -189,6 +190,17 @@ def test_split_all_good_modes():
     assert Xb.is_zero and Xg.dim == 3
 
 
+def test_split_rejects_a_gain_that_is_not_a_friend():
+    W = infimal_conditioned_invariant(A3, C3, DIAG_SPAN)
+    with pytest.raises(InvarianceViolated, match=r"L0 is not a friend of W\*"):
+        spectral_split(A3, C3, W, W, np.zeros((3, 2)), ALPHA0)
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    S = image(np.array([[0.0], [1.0]]))  # A maps e2 to e1, outside S
+    with pytest.raises(InvarianceViolated, match=r"L0 is not a friend of S\*"):
+        spectral_split(A, np.zeros((1, 2)), Subspace.zero(2), S,
+                       np.zeros((2, 1)), ALPHA0)
+
+
 def test_split_dimension_identity_random():
     rng = np.random.default_rng(6)
     for _ in range(30):
@@ -246,10 +258,16 @@ def test_wg_star_trivial_and_full_lifts():
     W = infimal_conditioned_invariant(A3, C3, DIAG_SPAN)
     P = canonical_projection(W)
     q = P.shape[0]
-    assert subspaces_equal(compute_wg_star(W, Subspace.zero(q), P), W)
+    assert subspaces_equal(compute_wg_star(W, Subspace.zero(q)), W)
     S = infimal_unobservability_subspace(A3, C3, W)
     quotient_of_S = image(P @ intersect(S, orth_complement(W)).basis)
-    assert subspaces_equal(compute_wg_star(W, quotient_of_S, P), S)
+    assert subspaces_equal(compute_wg_star(W, quotient_of_S), S)
+
+
+def test_wg_star_rejects_a_subspace_outside_the_chart():
+    W = infimal_conditioned_invariant(A3, C3, DIAG_SPAN)
+    with pytest.raises(DimensionMismatch):
+        compute_wg_star(W, Subspace.zero(A3.shape[0]))
 
 
 def test_wg_star_demo_equals_wstar():
