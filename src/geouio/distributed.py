@@ -283,8 +283,8 @@ def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) ->
     n = nodes[0].decomp.n
     inter = None
     for nd in nodes:
-        blk = nd.consensus_block()
-        sub = Subspace(n, blk, tol.rel_rank_tol)
+        sub = (Subspace(n, nd.V, tol.rel_rank_tol) if nd.node_class == N1
+               else nd.decomp.W_g_star)
         inter = sub if inter is None else intersect(inter, sub, tol)
         if inter.is_zero:
             break
@@ -312,11 +312,19 @@ def _consensus(nodes, graph: SensorGraph) -> _Consensus:
                       float(np.linalg.svd(Q, compute_uv=False).min()))
 
 
-def _detectable(cons: _Consensus, inter: Subspace, graph: SensorGraph) -> bool:
-    """Gram-matrix route, cross-checked by the recoverability intersection."""
+def _undetectable(cons: _Consensus, inter: Subspace):
+    """(failed route, cause) if joint detectability fails, else None.
+
+    The Gram-matrix route is cross-checked by the recoverability
+    intersection; the two disagree only in numerically marginal situations.
+    """
     gram_ok = cons.sigma_min > GRAM_FLOOR
-    # The two routes disagree only in numerically marginal situations.
-    return graph.is_connected and gram_ok and gram_ok == inter.is_zero
+    if gram_ok != inter.is_zero:
+        return (("intersection", "the recoverability intersection is nonzero "
+                 "but the consensus Gram matrix is not singular") if gram_ok else
+                ("gram", "the consensus Gram matrix is singular but the "
+                 "recoverability intersection is zero"))
+    return None if gram_ok else ("both", "jointly unrecoverable directions remain")
 
 
 def _gain_bounds(cons: _Consensus, u_bar_max: float):
@@ -343,7 +351,7 @@ def joint_detectability_check(nodes, graph: SensorGraph,
     """(ok, sigma_min_Q): Gram-matrix route, cross-checked by direct intersection."""
     cons = _consensus(nodes, graph)
     inter = recoverability_intersection(nodes, tol)
-    return _detectable(cons, inter, graph), cons.sigma_min
+    return graph.is_connected and _undetectable(cons, inter) is None, cons.sigma_min
 
 
 def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float,
@@ -375,10 +383,15 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
                   for spec in node_specs)
     cons = _consensus(nodes, graph)
     inter = recoverability_intersection(nodes, tol)
-    if not _detectable(cons, inter, graph):
+    failure = _undetectable(cons, inter)
+    if failure:
+        route, cause = failure
         raise AssumptionViolated(
-            3, "jointly unrecoverable directions remain",
-            diagnostics={"intersection_basis": inter.basis,
+            3, f"{cause} (sigma_min_Q = {cons.sigma_min:.2e}, "
+               f"intersection dimension {inter.dim})",
+            diagnostics={"failed_route": route,
+                         "intersection_basis": inter.basis,
+                         "intersection_dim": inter.dim,
                          "sigma_min_Q": cons.sigma_min})
     chi_min, gamma_min, sigma_min = _gain_bounds(cons, u_bar_max)
     chi = safety * chi_min if chi_min > 0 else CHI_FALLBACK

@@ -27,13 +27,14 @@ inside it or above it (in exact mode: its sign).  While the pattern holds,
 each sigma_j is affine in the state, so the step is one affine map
 s+ = T_p s + U_p u + c_p and a run of steps is a linear recurrence.
 ``_integrate`` computes up to a chunk of such steps at once with a doubling
-scan, recomputes every stage's sign argument of those steps with one product,
-and keeps the steps before the first one whose pattern differs.  The
-per-step path ``_StepOperator.advance`` then takes the next step and yields
-the new pattern.  After a short run it takes a longer stretch of steps,
+scan, recomputes every stage's sign argument of those steps, the first
+included, with one product, and keeps the steps before the first one whose
+pattern differs.  The per-step path ``_StepOperator.advance`` then takes the
+next step, and the affine step of that step's pattern is built for the next
+scan.  After a short run the per-step path takes a longer stretch of steps,
 doubled while runs stay short, so that a chattering sign term costs no
-wasted scans.  ``advance`` is also the reference the scan is tested against.
-A centralized kernel has no sign rows: each chunk is one scan.
+wasted scans or builds.  ``advance`` is also the reference the scan is tested
+against.  A centralized kernel has no sign rows: each chunk is one scan.
 """
 
 from __future__ import annotations
@@ -201,9 +202,6 @@ _CHUNK = 256
 _SHORT_RUN = 8
 _STRETCH = 4
 _MAX_STRETCH = 1024
-# Affine steps kept per run (oldest evicted first), so that a run visiting
-# many region patterns does not grow memory with their number.
-_PATTERNS = 8
 
 
 @dataclass(frozen=True)
@@ -305,15 +303,9 @@ class _AffineStep:
         """States after the leading steps from s whose pattern is this one.
 
         All len(u) steps are computed as one linear recurrence by a doubling
-        scan; the result is cut before the first step whose stage arguments
-        leave the pattern's regions.
+        scan; the result is cut before the first step, the first one
+        included, whose stage arguments leave the pattern's regions.
         """
-        m, A = u.shape[1], self.args
-        if self.pattern.size:
-            # a region change at the first step costs no scan
-            v = np.dot(u[0], A[:m]) + np.dot(s, A[m:-1]) + A[-1]
-            if not (np.trunc(self.sign(v)) == self.pattern).all():
-                return np.empty((0, s.size))
         y = u @ self.drive + self.const
         y[0] += s @ self.powers[0]
         for k, P in enumerate(self.powers):
@@ -323,9 +315,10 @@ class _AffineStep:
             y[d:] += y[:-d] @ P
         if not self.pattern.size:
             return y
-        v = u[1:] @ A[:m] + y[:-1] @ A[m:-1] + A[-1]
+        m, A = u.shape[1], self.args
+        v = u @ A[:m] + np.vstack([s, y[:-1]]) @ A[m:-1] + A[-1]
         held = (np.trunc(self.sign(v)) == self.pattern).all(axis=1)
-        return y if held.all() else y[:held.argmin() + 1]
+        return y if held.all() else y[:held.argmin()]
 
 
 @dataclass
@@ -370,8 +363,10 @@ def _integrate(kernel: _Kernel, signals, cfg: SimConfig,
                counts: _ScanCounts | None = None) -> np.ndarray:
     """Fixed-step integration collecting every ``record_stride``-th state.
 
-    Steps are taken as scans of the affine step of the current region
-    pattern, which ``advance`` supplies (see the module docstring); ``counts``,
+    ``owed`` counts the steps the per-step path still takes: one at the start
+    and after a region change, a stretch after a short run.  When it reaches
+    zero, the affine step of the last step's region pattern is built and
+    scanned until the pattern changes (see the module docstring); ``counts``,
     if given, tallies how.  The divergence guard checks every step: each batch
     of states is checked as it is taken, and the first offending step is the
     one reported.
@@ -383,28 +378,20 @@ def _integrate(kernel: _Kernel, signals, cfg: SimConfig,
     recs[0] = s = kernel.s0
     row = 1
     signs = np.empty(len(op.offsets) * kernel.K.shape[0])
-    steps = {}              # pattern bytes -> _AffineStep, oldest first
-    current = None          # affine step of the pattern in force, if known
-    stretch, owed = _STRETCH, 0
+    current = None          # affine step of the pattern in force
+    stretch, owed = _STRETCH, 1
     for k0 in range(0, n_steps, _CHUNK):
         u = op.inputs(np.arange(k0, min(k0 + _CHUNK, n_steps)) * cfg.dt, signals)
         k = k0
         while k < k0 + len(u):
             rest = u[k - k0:]
             with np.errstate(over="ignore", invalid="ignore"):
-                if current is None:
-                    states = op.advance(s, rest[:max(1, min(owed, len(rest)))],
-                                        signs)
-                    owed = max(0, owed - len(states))
+                if owed:
+                    states = op.advance(s, rest[:owed], signs)
+                    owed -= len(states)
                     counts.oracle += len(states)
                     if not owed:  # scan on with the last step's pattern
-                        pattern = np.trunc(signs)
-                        key = pattern.astype(np.int8).tobytes()
-                        current = steps.get(key)
-                        if current is None:
-                            if len(steps) == _PATTERNS:
-                                del steps[next(iter(steps))]
-                            current = steps[key] = op.affine(pattern)
+                        current = op.affine(np.trunc(signs))
                 else:
                     states = current.scan(s, rest)
                     counts.scanned += len(states)
@@ -412,7 +399,7 @@ def _integrate(kernel: _Kernel, signals, cfg: SimConfig,
                         stretch = _STRETCH
                     if len(states) < len(rest):  # the pattern changed
                         counts.region_changes += 1
-                        current = None
+                        owed = 1
                         if len(states) < _SHORT_RUN:
                             owed, stretch = stretch, min(2 * stretch, _MAX_STRETCH)
                 bad = (~np.isfinite(states).all(axis=1)

@@ -242,8 +242,10 @@ def orth_complement(V: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subsp
     cached = V._perp.get(tol.rel_rank_tol)
     if cached is None:
         with margin_monitor() as rec:
-            comp = (Subspace.full(V.ambient_dim, tol.rel_rank_tol) if V.is_zero
-                    else kernel(V.basis.T, tol))
+            # a degenerate subspace's complement is the other one, no SVD
+            comp = (kernel(V.basis.T, tol) if 0 < V.dim < V.ambient_dim else
+                    Subspace(V.ambient_dim, np.eye(V.ambient_dim)[:, V.dim:],
+                             tol.rel_rank_tol))
         cached = V._perp[tol.rel_rank_tol] = (comp, rec.margins)
     else:
         for margin in cached[1]:
@@ -326,12 +328,17 @@ def unobservable_subspace(C, A, tol: TolerancePolicy = DEFAULT_POLICY,
     """
     C = as_matrix(C, "C")
     A = as_matrix(A, "A")
-    n = A.shape[0]
     K = kernel(C, tol, scale_floor=meas_scale)
-    N = K
-    for _ in range(n):
-        nxt = intersect(K, preimage(A, N, tol), tol)
-        if nxt.dim == N.dim:
-            return nxt
-        N = nxt
-    return N
+    return _fixed_point(lambda N: intersect(K, preimage(A, N, tol), tol), K,
+                        A.shape[0])[-1]
+
+
+def _fixed_point(step, start: Subspace, max_steps: int) -> list:
+    """The chain start, step(start), ... up to the first element whose
+    dimension equals its predecessor's, or of max_steps steps at most."""
+    chain = [start]
+    for _ in range(max_steps):
+        chain.append(step(chain[-1]))
+        if chain[-1].dim == chain[-2].dim:
+            break
+    return chain

@@ -23,10 +23,10 @@ import scipy.linalg as sla
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
-                        _require_invariant, as_matrix, canonical_projection,
-                        contains, image, intersect, kernel, orth_complement,
-                        preimage, subspace_sum, subspaces_equal,
-                        unobservable_subspace)
+                        _fixed_point, _require_invariant, as_matrix,
+                        canonical_projection, contains, image, intersect,
+                        kernel, orth_complement, preimage, subspace_sum,
+                        subspaces_equal, unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
 # ("bad"): a raw comparison would flip on rounding noise when zeros sit
@@ -77,17 +77,11 @@ def infimal_conditioned_invariant(A, C, Bbar: Subspace,
         raise DimensionMismatch("Bbar ambient dimension must match A")
     KC = kernel(C, tol)
     a_scale = float(np.linalg.norm(A, 2)) if A.size else 0.0
-    W = Bbar
-    history = [W]
-    for _ in range(n + 1):
-        grown = image(A @ intersect(W, KC, tol).basis, tol, scale_floor=a_scale)
-        nxt = subspace_sum(Bbar, grown, tol)
-        history.append(nxt)
-        if nxt.dim == W.dim:
-            break
-        W = nxt
-    W = history[-1]
-    return (W, history) if return_history else W
+    history = _fixed_point(
+        lambda W: subspace_sum(Bbar, image(A @ intersect(W, KC, tol).basis, tol,
+                                           scale_floor=a_scale), tol),
+        Bbar, n + 1)
+    return (history[-1], history) if return_history else history[-1]
 
 
 def infimal_unobservability_subspace(A, C, W_star: Subspace,
@@ -102,16 +96,10 @@ def infimal_unobservability_subspace(A, C, W_star: Subspace,
     C = as_matrix(C, "C")
     n = A.shape[0]
     KC = kernel(C, tol)
-    S = Subspace.full(n, tol.rel_rank_tol)
-    history = [S]
-    for _ in range(n + 1):
-        nxt = subspace_sum(W_star, intersect(preimage(A, S, tol), KC, tol), tol)
-        history.append(nxt)
-        if nxt.dim == S.dim:
-            break
-        S = nxt
-    S = history[-1]
-    return (S, history) if return_history else S
+    history = _fixed_point(
+        lambda S: subspace_sum(W_star, intersect(preimage(A, S, tol), KC, tol), tol),
+        Subspace.full(n, tol.rel_rank_tol), n + 1)
+    return (history[-1], history) if return_history else history[-1]
 
 
 # ---------------------------------------------------------------------------

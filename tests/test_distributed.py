@@ -1,12 +1,13 @@
 """Networked observer: classification, per-node synthesis, gains, node dynamics."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from geouio import subspaces
+from geouio import distributed as dist, subspaces
 
 from geouio.central import LinSystem
 from geouio.distributed import (N1, N2, NodeSpec, SensorGraph,
@@ -282,7 +283,6 @@ def test_synthesize_demo_network(dist_cfg, dist_net):
 
 
 def test_synthesis_builds_consensus_blocks_once(dist_cfg, dist_net, monkeypatch):
-    import geouio.distributed as dist
     net, _ = dist_net
     calls = []
 
@@ -312,6 +312,40 @@ def test_synthesize_rejects_disconnected_graph():
     with pytest.raises(AssumptionViolated) as exc:
         synthesize_distributed(sys, demo_specs(), two, ALPHA0, u_bar_max=0.2)
     assert exc.value.assumption == 1
+
+
+def test_synthesize_rejects_jointly_unrecoverable_network():
+    # both nodes see only x1, and the unknown input drives x3
+    C = np.array([[1.0, 0, 0]])
+    sys_ = LinSystem(np.diag([-1.0, -2, -3]), np.array([[0.0], [0], [1]]),
+                     np.vstack([C, C]))
+    pair = SensorGraph(np.array([[0, 1], [1, 0]], dtype=float))
+    with pytest.raises(AssumptionViolated) as exc:
+        synthesize_distributed(sys_, [NodeSpec(i, C, (), (0,)) for i in (1, 2)],
+                               pair, ALPHA0)
+    diag = exc.value.diagnostics
+    assert exc.value.assumption == 3
+    assert diag["failed_route"] == "both" and diag["intersection_dim"] >= 1
+    assert diag["sigma_min_Q"] <= dist.GRAM_FLOOR
+    assert "jointly unrecoverable directions remain" in str(exc.value)
+    assert f"intersection dimension {diag['intersection_dim']}" in str(exc.value)
+
+
+def test_assumption_3_names_a_gram_only_failure(dist_cfg, monkeypatch):
+    consensus = dist._consensus
+    monkeypatch.setattr(dist, "_consensus", lambda nodes, graph: replace(
+        consensus(nodes, graph), sigma_min=1e-12))
+    with pytest.raises(AssumptionViolated) as exc:
+        synthesize_distributed(dist_cfg.system, dist_cfg.node_specs,
+                               dist_cfg.graph, dist_cfg.spectral,
+                               u_bar_max=dist_cfg.u_bar_max)
+    diag = exc.value.diagnostics
+    assert exc.value.assumption == 3
+    assert diag["failed_route"] == "gram" and diag["intersection_dim"] == 0
+    assert diag["sigma_min_Q"] == 1e-12
+    msg = str(exc.value)
+    assert "Gram matrix is singular" in msg and "unrecoverable" not in msg
+    assert "sigma_min_Q = 1.00e-12" in msg
 
 
 def test_single_node_degenerates_to_centralized():
@@ -514,10 +548,11 @@ def test_synthesis_complements_each_subspace_once(dist_cfg, monkeypatch, which):
         caller = sys._getframe(1)
         if caller.f_code is subspaces.orth_complement.__code__:
             V, tol = caller.f_locals["V"], caller.f_locals["tol"]
-            key = (id(V), tol.rel_rank_tol)
+            # keyed on the basis array, so a re-wrapped basis is a repeat
+            key = (V.basis.ctypes.data, V.basis.shape, tol.rel_rank_tol)
             if key in complemented:
                 repeats.append(V)
-            complemented[key] = V  # held, so no later subspace reuses the id
+            complemented[key] = V  # held, so no later basis reuses the address
         return kernel(M, *args, **kwargs)
 
     monkeypatch.setattr(subspaces, "kernel", watched)

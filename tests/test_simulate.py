@@ -300,14 +300,15 @@ def _classical_step(f, s, t, h, method):
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _classical_run(kern, signals, cfg, n_steps):
-    """Per-step reference: every state after each of n_steps steps."""
-    f = kern.rhs(signals, cfg.sign_fn())
-    s, out = kern.s0, []
-    for k in range(n_steps):
-        s = _classical_step(f, s, k * cfg.dt, cfg.dt, cfg.method)
-        out.append(s)
-    return np.array(out)
+def _advance_run(kern, signals, cfg):
+    """Every state of a run taken by the per-step path alone, s0 first."""
+    op = _step_operator(kern, cfg)
+    n_steps = _n_steps(cfg)
+    states = [kern.s0[None]]
+    for k0 in range(0, n_steps, _CHUNK):
+        t = np.arange(k0, min(k0 + _CHUNK, n_steps)) * cfg.dt
+        states.append(op.advance(states[-1][-1], op.inputs(t, signals)))
+    return np.vstack(states)
 
 
 @pytest.fixture
@@ -351,8 +352,8 @@ def test_guard_trips_at_the_reference_step(central_cfg, central_obs, step):
     sys = central_cfg.system
     cfg = replace(central_cfg.sim, record_stride=1)
     kern = _central_kernel(sys, obs, cfg)
-    peaks = np.abs(_classical_run(kern, central_cfg.signals, cfg,
-                                  step + 1)).max(axis=1)
+    peaks = np.abs(_advance_run(kern, central_cfg.signals, cfg)[1:step + 2]
+                   ).max(axis=1)
     before = peaks[:step].max()
     assert peaks[step] > before * (1 + 1e-6)
     guard = 0.5 * (before + peaks[step])
@@ -372,8 +373,7 @@ def test_odd_record_stride_matches_reference(dist_cfg, dist_net):
     n_steps = _n_steps(cfg)
     assert _CHUNK % stride and n_steps % stride
     kern = _network_kernel(dist_cfg.system, net, cfg)
-    ref = np.vstack([kern.s0, _classical_run(kern, dist_cfg.signals, cfg,
-                                             n_steps)[stride - 1::stride]])
+    ref = _advance_run(kern, dist_cfg.signals, cfg)[::stride]
     counts = _ScanCounts()
     recs = _integrate(kern, dist_cfg.signals, cfg, counts)
     assert counts.scanned > 0
@@ -387,17 +387,6 @@ def test_odd_record_stride_matches_reference(dist_cfg, dist_net):
 
 # ---------------------------------------------------------------------------
 # affine-chunk scan against the per-step path
-
-
-def _advance_run(kern, signals, cfg):
-    """Every state of a run taken by the per-step path alone, s0 first."""
-    op = _step_operator(kern, cfg)
-    n_steps = _n_steps(cfg)
-    states = [kern.s0[None]]
-    for k0 in range(0, n_steps, _CHUNK):
-        t = np.arange(k0, min(k0 + _CHUNK, n_steps)) * cfg.dt
-        states.append(op.advance(states[-1][-1], op.inputs(t, signals)))
-    return np.vstack(states)
 
 
 def _assert_arrays_match(kern, recs, ref, rel=1e-10):
@@ -471,6 +460,27 @@ def test_scan_starting_on_a_boundary_tie(dist_cfg, dist_net):
     recs = _integrate(tied, dist_cfg.signals, cfg, counts)
     assert counts.scanned > 0
     _assert_arrays_match(tied, recs, _advance_run(tied, dist_cfg.signals, cfg))
+
+
+def test_scan_leaving_its_pattern_at_the_first_step_returns_no_states(
+        dist_cfg, dist_net):
+    net, _ = dist_net
+    cfg = replace(dist_cfg.sim, record_stride=1)
+    kern = _network_kernel(dist_cfg.system, net, cfg)
+    op = _step_operator(kern, cfg)
+    u = op.inputs(np.arange(_CHUNK) * cfg.dt, dist_cfg.signals)
+    signs = np.empty(len(op.offsets) * kern.K.shape[0])
+    op.advance(kern.s0, u[:1], signs)
+    pattern = np.trunc(signs)
+    true_step = op.affine(pattern)
+    assert len(true_step.scan(kern.s0, u)) > 0
+    # flip the entry whose first-step argument lies deepest in its region
+    v = np.concatenate([u[0], kern.s0, [1.0]]) @ true_step.args
+    i = np.argmax(np.abs(v))
+    assert abs(v[i]) > 10 * cfg.eps_bl and pattern[i] == np.sign(v[i])
+    pattern[i] = -pattern[i]
+    states = op.affine(pattern).scan(kern.s0, u)
+    assert states.shape == (0, kern.s0.size)
 
 
 def test_distributed_demo_rarely_takes_the_per_step_path(dist_cfg, dist_net):

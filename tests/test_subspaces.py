@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geouio import subspaces
 from geouio.errors import DimensionMismatch, InvarianceViolated
 from geouio.subspaces import (Subspace, TolerancePolicy,
                               canonical_projection, contains, image,
@@ -136,8 +137,14 @@ def test_orth_complement_of_e3():
     assert subspaces_equal(got, span(e1, e2))
 
 
-def test_orth_complement_of_zero_is_full():
-    assert orth_complement(Subspace.zero(5)).is_full
+@pytest.mark.parametrize("degenerate, complement", [
+    (Subspace.zero, "is_full"), (Subspace.full, "is_zero")], ids=["zero", "full"])
+def test_orth_complement_of_degenerate_subspace(monkeypatch, degenerate,
+                                                complement):
+    monkeypatch.setattr(subspaces, "kernel", None)  # takes no SVD
+    with margin_monitor() as rec:
+        assert getattr(orth_complement(degenerate(5)), complement)
+    assert not rec.margins
 
 
 def test_orth_complement_orthogonality_and_dims():
