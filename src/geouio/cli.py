@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import report as rpt
@@ -71,6 +72,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _writing(path):
+    """Report an output under ``path`` that cannot be written as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 def _synthesize(cfg: ProjectConfig, tol):
     """The synthesized observer or network and its report."""
     artifact = _design(cfg, tol)
@@ -98,7 +109,8 @@ def cmd_synth(cfg: ProjectConfig, out_dir, tol) -> int:
     """Synthesize and write report.json."""
     _, report = _synthesize(cfg, tol)
     path = Path(out_dir) / "report.json"
-    rpt.write_json(path, report)
+    with _writing(path):
+        rpt.write_json(path, report)
     _print_design(cfg, report, path)
     return EXIT_OK
 
@@ -118,11 +130,12 @@ def cmd_simulate(cfg: ProjectConfig, out_dir, tol, design=None) -> int:
     except DimensionMismatch as exc:  # e.g. observer_init that fits no observer
         raise ConfigError(str(exc)) from exc
     out = Path(out_dir)
-    rpt.write_trajectory_csv(traj, out / "trajectory.csv")
-    rpt.write_plot_series(traj, out)
     metrics = error_metrics(traj)
     report["metrics"] = metrics
-    rpt.write_json(out / "report.json", report)
+    with _writing(out):
+        rpt.write_trajectory_csv(traj, out / "trajectory.csv")
+        rpt.write_plot_series(traj, out)
+        rpt.write_json(out / "report.json", report)
     final = metrics["max_final_err"]
     print(f"simulated {cfg.mode} run to t = {cfg.sim.t_end:g}: "
           f"max final error = {final:.3e}")
@@ -137,6 +150,8 @@ def cmd_verify(args, tol) -> int:
     if args.random:
         if args.trials <= 0:
             raise ConfigError("--trials must be a positive integer")
+        if args.seed < 0:
+            raise ConfigError("--seed must be a non-negative integer")
         res = random_equivalence_battery(args.trials, args.seed, tol=tol)
         ok = res.all_agree and res.marginal_fraction < 0.05
         failed |= not ok
@@ -175,7 +190,9 @@ def cmd_verify(args, tol) -> int:
         payload = {"checks": lines}
         if battery_payload:
             payload["battery"] = battery_payload
-        rpt.write_json(Path(args.out) / "verify.json", payload)
+        path = Path(args.out) / "verify.json"
+        with _writing(path):
+            rpt.write_json(path, payload)
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -188,7 +205,8 @@ def cmd_reproduce(which, out_dir, tol) -> int:
         code = cmd_simulate(cfg, out, tol, design)
     except (ConfigError, NonFiniteState):
         # a failed simulation leaves the synthesis report, as `synth` writes it
-        rpt.write_json(out / "report.json", design[1])
+        with _writing(out):
+            rpt.write_json(out / "report.json", design[1])
         raise
     if code:
         return code

@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -267,6 +268,19 @@ def intersect(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -
 def preimage(M, S: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """{x : Mx ∈ S}, the inverse image of S under the map M."""
     M = as_matrix(M)
+    return _preimage(M, S, tol, _norm_once(M))
+
+
+def _norm_once(M: np.ndarray):
+    """A function returning ||M||_2 (0 if M is empty), computed on its first
+    call only."""
+    return cache(lambda: float(np.linalg.norm(M, 2)) if M.size else 0.0)
+
+
+def _preimage(M: np.ndarray, S: Subspace, tol: TolerancePolicy,
+              m_norm) -> Subspace:
+    """``preimage`` with ``m_norm()`` giving ||M||_2, called only when a kernel
+    is taken; a recursion over one map shares one ``_norm_once(M)``."""
     if M.shape[0] != S.ambient_dim:
         raise DimensionMismatch(
             f"map codomain {M.shape[0]} does not match subspace ambient {S.ambient_dim}")
@@ -274,8 +288,7 @@ def preimage(M, S: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     if comp.is_zero:
         return Subspace.full(M.shape[1], tol.rel_rank_tol)
     # Scale floor ||M||: a product that vanishes relative to M maps into S.
-    return kernel(comp.basis.T @ M, tol,
-                  scale_floor=float(np.linalg.norm(M, 2)) if M.size else 0.0)
+    return kernel(comp.basis.T @ M, tol, scale_floor=m_norm())
 
 
 def canonical_projection(W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -329,8 +342,9 @@ def unobservable_subspace(C, A, tol: TolerancePolicy = DEFAULT_POLICY,
     C = as_matrix(C, "C")
     A = as_matrix(A, "A")
     K = kernel(C, tol, scale_floor=meas_scale)
-    return _fixed_point(lambda N: intersect(K, preimage(A, N, tol), tol), K,
-                        A.shape[0])[-1]
+    a_norm = _norm_once(A)
+    return _fixed_point(lambda N: intersect(K, _preimage(A, N, tol, a_norm), tol),
+                        K, A.shape[0])[-1]
 
 
 def _fixed_point(step, start: Subspace, max_steps: int) -> list:

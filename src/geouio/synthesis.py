@@ -19,14 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
-                        _fixed_point, _require_invariant, as_matrix,
-                        canonical_projection, contains, image, intersect,
-                        kernel, orth_complement, preimage, subspace_sum,
-                        subspaces_equal, unobservable_subspace)
+                        _fixed_point, _norm_once, _preimage, _require_invariant,
+                        as_matrix, canonical_projection, contains, image,
+                        intersect, kernel, orth_complement, preimage,
+                        subspace_sum, subspaces_equal, unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
 # ("bad"): a raw comparison would flip on rounding noise when zeros sit
@@ -96,8 +97,10 @@ def infimal_unobservability_subspace(A, C, W_star: Subspace,
     C = as_matrix(C, "C")
     n = A.shape[0]
     KC = kernel(C, tol)
+    a_norm = _norm_once(A)
     history = _fixed_point(
-        lambda S: subspace_sum(W_star, intersect(preimage(A, S, tol), KC, tol), tol),
+        lambda S: subspace_sum(W_star, intersect(_preimage(A, S, tol, a_norm), KC,
+                                                 tol), tol),
         Subspace.full(n, tol.rel_rank_tol), n + 1)
     return (history[-1], history) if return_history else history[-1]
 
@@ -246,6 +249,46 @@ def _yt_update_order(n: int) -> np.ndarray:
     return np.array(order) - 1
 
 
+class _FullQR:
+    """``scipy.linalg.qr(a, mode="full")`` of float arrays, bit for bit.
+
+    Calls LAPACK geqrf and orgqr as scipy does, with the optimal workspace
+    sizes scipy's ``safecall`` queries.  A size depends only on the routine
+    and the shape of ``a``, so each is queried once and kept; one placement
+    owns one instance.  Skips scipy's per-call dispatch and checks: the
+    caller passes finite, non-empty arrays.
+    """
+
+    def __init__(self):
+        self._geqrf, self._orgqr = get_lapack_funcs(("geqrf", "orgqr"),
+                                                    dtype=np.float64)
+        self._lwork = {}
+
+    def _run(self, routine, name, shape, *args, overwrite_a):
+        lwork = self._lwork.get((name, shape))
+        if lwork is None:
+            work = routine(*args, lwork=-1)[-2]
+            lwork = self._lwork[name, shape] = work[0].real.astype(np.int_)
+        *out, _, info = routine(*args, lwork=lwork, overwrite_a=overwrite_a)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal {name}")
+        return out
+
+    def __call__(self, a, with_r: bool = False):
+        """Q of ``a``, and R too when ``with_r``."""
+        M, N = a.shape
+        qr, tau = self._run(self._geqrf, "geqrf", a.shape, a, overwrite_a=False)
+        R = np.triu(qr) if with_r else None  # before orgqr overwrites qr[:, :M]
+        if M < N:
+            reflectors = qr[:, :M]
+        else:  # pad the reflectors to M x M; orgqr forms all of Q in place
+            reflectors = np.empty((M, M), order="F")
+            reflectors[:, :N] = qr
+        Q, = self._run(self._orgqr, "gorgqr/gungqr", a.shape, reflectors, tau,
+                       overwrite_a=True)
+        return (Q, R) if with_r else Q
+
+
 def _yt_real_update(ker_pole, Q, X, i, j):
     """Tits-Yang update of the real column pair (i, j) of X (YT section 6.1)."""
     # u, v span the complement of the other n - 2 columns of X.
@@ -303,12 +346,13 @@ def _place_real_poles(A, B, poles) -> np.ndarray:
     if rank == n:
         # Square or wide full-rank B: X = I and K solves B K = diag - A.
         return -np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0]
-    u, z = sla.qr(B, mode="full")
+    qr = _FullQR()
+    u, z = qr(np.asarray_chkfinite(B), with_r=True)
     u0, u1, z = u[:, :rank], u[:, rank:], z[:rank, :]
     ker_pole, cols = [], []
     for p in poles:
         pole_space = np.dot(u1.T, A - p * np.eye(n)).T
-        Q, _ = sla.qr(pole_space, mode="full", check_finite=False)
+        Q = qr(pole_space)
         ker = Q[:, pole_space.shape[1]:]
         x = np.sum(ker, axis=1)[:, np.newaxis]
         ker_pole.append(ker)
@@ -321,8 +365,7 @@ def _place_real_poles(A, B, poles) -> np.ndarray:
         for _ in range(_YT_MAXITER):
             det_before = np.abs(np.linalg.det(X))
             for i, j, others in sweep:
-                Q, _ = sla.qr(X[:, others], mode="full", check_finite=False)
-                _yt_real_update(ker_pole, Q, X, i, j)
+                _yt_real_update(ker_pole, qr(X[:, others]), X, i, j)
             det = max(floor, np.abs(np.linalg.det(X)))
             if np.abs((det - det_before) / det) < _YT_RTOL and det > floor:
                 break

@@ -285,6 +285,29 @@ def test_exit_code_block_of_wrong_type(tmp_path, capsys, which, where, value,
     assert err.startswith("error: ") and named in err
 
 
+def test_exit_code_negative_seed(capsys):
+    assert main(["verify", "--random", "--trials", "2", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--config", "CFG"],
+    ["simulate", "--config", "CFG"],
+    ["reproduce", "centralized"],
+    ["verify", "--random", "--trials", "2"],
+])
+def test_exit_code_unwritable_out(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    cfgp = write_cfg(tmp_path, short_centralized())
+    argv = [cfgp if a == "CFG" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}")
+    assert err[0].endswith(": Not a directory")
+
+
 def test_exit_code_divergence(tmp_path):
     cfg = short_centralized(t_end=20.0)
     cfg["sim"]["divergence_guard"] = 1e6

@@ -11,8 +11,8 @@ from geouio.subspaces import (Subspace, canonical_projection, contains, image,
                               intersect, kernel, orth_complement,
                               subspaces_equal)
 from geouio import synthesis
-from geouio.synthesis import (SpectralPartition, _place_real_poles,
-                              common_friend, compute_wg_star,
+from geouio.synthesis import (SpectralPartition, _FullQR, _place_real_poles,
+                              _yt_update_order, common_friend, compute_wg_star,
                               decompose, default_pole_targets, friend_gain,
                               infimal_conditioned_invariant,
                               infimal_unobservability_subspace, spectral_split,
@@ -383,8 +383,7 @@ def test_place_real_poles_matches_scipy(n, m, poles):
     A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
     ref = _scipy_gain(A, B, poles).gain_matrix
     K = _place_real_poles(A, B, poles)
-    assert K.shape == ref.shape
-    assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(K, ref)
     placed = np.sort(np.linalg.eigvals(A - B @ K).real)
     assert np.allclose(placed, np.sort(poles), atol=1e-6)
 
@@ -396,9 +395,69 @@ def test_place_real_poles_matches_scipy_without_convergence():
     poles = default_pole_targets(0.0, 11)
     ref = _scipy_gain(A, B, poles)
     assert ref.nb_iter == 30
-    K = _place_real_poles(A, B, poles)
-    assert np.abs(K - ref.gain_matrix).max() <= \
-        1e-12 * np.abs(ref.gain_matrix).max()
+    assert np.array_equal(_place_real_poles(A, B, poles), ref.gain_matrix)
+
+
+def _assert_qr_matches_scipy(qr, a):
+    import scipy.linalg as sla
+
+    Q_ref, R_ref = sla.qr(a, mode="full")
+    assert np.array_equal(qr(a), Q_ref)
+    Q, R = qr(a, with_r=True)
+    assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_full_qr_matches_scipy_on_sweep_shapes(n):
+    # the sweep factors the n - 2 columns of X outside the updated pair
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, n))
+    qr = _FullQR()
+    for i, j in _yt_update_order(n)[:3]:
+        _assert_qr_matches_scipy(qr, X[:, np.delete(np.arange(n), (i, j))])
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (6, 2), (6, 5), (12, 1), (12, 11),
+                                   (3, 5), (2, 7)])
+def test_full_qr_matches_scipy_on_kernel_and_input_shapes(shape):
+    # kernel bases factor a transposed product (a Fortran-ordered view);
+    # the input matrix B may be tall or wide
+    rng = np.random.default_rng(sum(shape))
+    qr = _FullQR()
+    _assert_qr_matches_scipy(qr, rng.normal(size=shape[::-1]).T)
+    _assert_qr_matches_scipy(qr, rng.normal(size=shape))
+
+
+def test_thirty_sweep_placement_calls_lapack_directly(monkeypatch):
+    import scipy.linalg as sla
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("scipy.linalg.qr called")
+
+    queries, calls = {}, {}
+    real = synthesis.get_lapack_funcs
+
+    def counting(names, *args, **kwargs):
+        def counted(name, routine):
+            def call(a, *rest, lwork=None, **kw):
+                if lwork == -1:  # orgqr's shape: padded reflectors and tau
+                    key = (name, a.shape, *(np.shape(r) for r in rest))
+                    queries[key] = queries.get(key, 0) + 1
+                else:
+                    calls[name] = calls.get(name, 0) + 1
+                return routine(a, *rest, lwork=lwork, **kw)
+            return call
+        return tuple(counted(name, f)
+                     for name, f in zip(names, real(names, *args, **kwargs)))
+
+    monkeypatch.setattr(sla, "qr", no_qr)
+    monkeypatch.setattr(synthesis, "get_lapack_funcs", counting)
+    rng = np.random.default_rng(7)  # scipy needs all 30 sweeps here
+    A, B = rng.normal(size=(11, 11)), rng.normal(size=(11, 2))
+    _place_real_poles(A, B, default_pole_targets(0.0, 11))
+    factored = 1 + 11 + 30 * len(_yt_update_order(11))  # B, kernels, sweeps
+    assert calls == {"geqrf": factored, "orgqr": factored}
+    assert set(queries.values()) == {1}
 
 
 def test_place_real_poles_rejects_what_scipy_rejects():
