@@ -194,7 +194,7 @@ def solve_output_reconstruction(P_Wg, C, tol: TolerancePolicy = DEFAULT_POLICY):
 def synthesize_centralized_uio(sys: LinSystem, part: InputPartition,
                                spectral: SpectralPartition = SpectralPartition(),
                                tol: TolerancePolicy = DEFAULT_POLICY,
-                               pole_targets=None, margin: float = 0.5) -> CentralizedObserver:
+                               ) -> CentralizedObserver:
     """Full pipeline: decomposition, existence check, gain, reconstruction."""
     decomp = decompose(sys.A, sys.C, part.B_unknown, spectral, tol)
     blocked = intersect(decomp.W_g_star, kernel(sys.C, tol), tol)
@@ -204,10 +204,8 @@ def synthesize_centralized_uio(sys: LinSystem, part: InputPartition,
             diagnostics={"intersection_basis": blocked.basis,
                          "w_g_dim": decomp.W_g_star.dim})
     try:
-        L, Abar_L = stabilizing_friend(
-            sys.A, sys.C, decomp.W_g_star, spectral, tol,
-            pole_targets=pole_targets, margin=margin,
-            keep_invariant=(decomp.W_star,))
+        L, Abar_L = stabilizing_friend(sys.A, sys.C, decomp.W_g_star, spectral,
+                                       tol, W_star=decomp.W_star)
     except (SpectrumUnassignable, InvarianceViolated,
             NotConditionedInvariant) as exc:
         raise ExistenceFailed(f"quotient spectrum not assignable: {exc}",

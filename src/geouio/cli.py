@@ -200,6 +200,8 @@ def cmd_reproduce(which, out_dir, tol) -> int:
     cfg = parse_config(builtin_config(which))
     out = Path(out_dir) / which
     design = _synthesize(cfg, tol)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     _print_design(cfg, design[1], out / "report.json")
     try:
         code = cmd_simulate(cfg, out, tol, design)

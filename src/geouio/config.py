@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +15,8 @@ from .simulate import SIGNAL_KINDS, SignalSpec, SimConfig
 from .subspaces import TolerancePolicy
 from .synthesis import SpectralPartition
 
-_SPECTRAL_DEFAULTS = {"alpha": 0.0, "margin": 0.5, "safety": 1.1,
-                      "pole_targets": None}
-_SIM_KEYS = {"t_end", "dt", "method", "sign_mode", "eps_bl", "x0",
-             "observer_init", "record_stride", "divergence_guard"}
+_SPECTRAL_KEYS = {f.name for f in fields(SpectralPartition)}
+_SIM_KEYS = {f.name for f in fields(SimConfig)}
 
 
 @dataclass(frozen=True)
@@ -30,9 +28,6 @@ class ProjectConfig:
     node_specs: tuple | None
     graph: SensorGraph | None
     spectral: SpectralPartition
-    margin: float
-    safety: float
-    pole_targets: tuple | None
     signals: tuple
     sim: SimConfig | None
     u_bar_max: float
@@ -165,20 +160,7 @@ def _parse(data: dict) -> ProjectConfig:
         _require(graph.n_nodes == len(node_specs),
                  "adjacency size must equal the number of nodes")
 
-    sp = dict(_SPECTRAL_DEFAULTS)
-    sp.update(_object(data.get("spectral", {}), "'spectral' block"))
-    unknown_keys = set(sp) - set(_SPECTRAL_DEFAULTS)
-    _require(not unknown_keys, f"unknown spectral keys: {sorted(unknown_keys)}")
-    spectral = SpectralPartition(_finite(sp["alpha"], "spectral.alpha"))
-    pole_targets = sp["pole_targets"]
-    if pole_targets is not None:
-        _require(isinstance(pole_targets, list),
-                 "spectral.pole_targets must be a list of numbers")
-        pole_targets = tuple(_finite(v, "spectral.pole_targets entry")
-                             for v in pole_targets)
-    margin = _finite(sp["margin"], "spectral.margin")
-    safety = _finite(sp["safety"], "spectral.safety")
-    _require(safety >= 1.0, "spectral.safety must be >= 1")
+    spectral = _spectral(_object(data.get("spectral", {}), "'spectral' block"))
 
     signals = []
     _require("signals" in data, "missing 'signals' block")
@@ -192,40 +174,55 @@ def _parse(data: dict) -> ProjectConfig:
             for key, default in (("amplitude", 1.0), ("frequency", 1.0),
                                  ("phase", 0.0)))))
 
-    sim = None
-    if "sim" in data:
-        blk = _object(data["sim"], "'sim' block")
-        unknown_keys = set(blk) - _SIM_KEYS
-        _require(not unknown_keys, f"unknown sim keys: {sorted(unknown_keys)}")
-        _require("t_end" in blk and "x0" in blk, "sim block needs t_end and x0")
-        x0 = _vector(blk["x0"], "x0")
-        _require(x0.size == n, f"x0 must have length {n}")
-        obs_init = blk.get("observer_init")
-        if obs_init is not None:
-            _require(isinstance(obs_init, list),
-                     "observer_init must be a list of initial states")
-            obs_init = tuple(_vector(v, f"observer_init entry {i}")
-                             for i, v in enumerate(obs_init))
-        stride = _finite(blk.get("record_stride", 1), "sim.record_stride")
-        _require(stride == int(stride), "sim.record_stride must be an integer")
-        sim = SimConfig(
-            t_end=_finite(blk["t_end"], "sim.t_end"), x0=x0,
-            dt=_finite(blk.get("dt", 1e-3), "sim.dt"),
-            method=blk.get("method", "rk4"),
-            sign_mode=blk.get("sign_mode", "boundary_layer"),
-            eps_bl=_finite(blk.get("eps_bl", 1e-3), "sim.eps_bl"),
-            observer_init=obs_init, record_stride=int(stride),
-            divergence_guard=_finite(blk.get("divergence_guard", 1e12),
-                                     "sim.divergence_guard"))
+    sim = _sim(_object(data["sim"], "'sim' block"), n) if "sim" in data else None
 
     u_bar_max = _finite(data.get("u_bar_max", 0.0), "u_bar_max")
     _require(u_bar_max >= 0, "u_bar_max must be nonnegative")
 
     return ProjectConfig(system=system, partition=partition,
                          node_specs=node_specs, graph=graph, spectral=spectral,
-                         margin=margin, safety=safety, pole_targets=pole_targets,
                          signals=tuple(signals), sim=sim, u_bar_max=u_bar_max,
                          raw=data)
+
+
+def _spectral(blk: dict) -> SpectralPartition:
+    """The partition of a 'spectral' block; omitted keys take its defaults."""
+    unknown_keys = set(blk) - _SPECTRAL_KEYS
+    _require(not unknown_keys, f"unknown spectral keys: {sorted(unknown_keys)}")
+    given = {key: _finite(blk[key], f"spectral.{key}")
+             for key in ("alpha", "margin", "safety") if key in blk}
+    if blk.get("pole_targets") is not None:
+        _require(isinstance(blk["pole_targets"], list),
+                 "spectral.pole_targets must be a list of numbers")
+        given["pole_targets"] = tuple(_finite(v, "spectral.pole_targets entry")
+                                      for v in blk["pole_targets"])
+    try:
+        return SpectralPartition(**given)
+    except ValueError as exc:  # safety below 1
+        raise ConfigError(f"spectral.{exc}") from exc
+
+
+def _sim(blk: dict, n: int) -> SimConfig:
+    """The settings of a 'sim' block; omitted keys take SimConfig's defaults."""
+    unknown_keys = set(blk) - _SIM_KEYS
+    _require(not unknown_keys, f"unknown sim keys: {sorted(unknown_keys)}")
+    _require("t_end" in blk and "x0" in blk, "sim block needs t_end and x0")
+    x0 = _vector(blk["x0"], "x0")
+    _require(x0.size == n, f"x0 must have length {n}")
+    given = {"x0": x0}
+    if blk.get("observer_init") is not None:
+        _require(isinstance(blk["observer_init"], list),
+                 "observer_init must be a list of initial states")
+        given["observer_init"] = tuple(_vector(v, f"observer_init entry {i}")
+                                       for i, v in enumerate(blk["observer_init"]))
+    if "record_stride" in blk:
+        stride = _finite(blk["record_stride"], "sim.record_stride")
+        _require(stride == int(stride), "sim.record_stride must be an integer")
+        given["record_stride"] = int(stride)
+    given.update({key: _finite(blk[key], f"sim.{key}") for key in
+                  ("t_end", "dt", "eps_bl", "divergence_guard") if key in blk})
+    given.update({key: blk[key] for key in ("method", "sign_mode") if key in blk})
+    return SimConfig(**given)
 
 
 def tolerance_from_env(environ) -> TolerancePolicy:

@@ -222,8 +222,7 @@ def classify_nodes(sys: LinSystem, node_specs,
 
 def per_node_decomposition(sys: LinSystem, spec: NodeSpec,
                            spectral: SpectralPartition = SpectralPartition(),
-                           tol: TolerancePolicy = DEFAULT_POLICY,
-                           pole_targets=None, margin: float = 0.5) -> SensorNode:
+                           tol: TolerancePolicy = DEFAULT_POLICY) -> SensorNode:
     """Run the geometric pipeline for one node and populate its observer data."""
     cols = sorted(spec.known_cols + spec.unknown_cols)
     if cols != list(range(sys.m)):
@@ -233,10 +232,8 @@ def per_node_decomposition(sys: LinSystem, spec: NodeSpec,
     B_unknown = sys.B[:, list(spec.unknown_cols)]
     is_n1 = _rank_condition(spec.C, B_unknown, tol)
     decomp = decompose(sys.A, spec.C, B_unknown, spectral, tol)
-    L, Abarbar = stabilizing_friend(
-        sys.A, spec.C, decomp.W_g_star, spectral, tol,
-        pole_targets=pole_targets, margin=margin,
-        keep_invariant=(decomp.W_star,))
+    L, Abarbar = stabilizing_friend(sys.A, spec.C, decomp.W_g_star, spectral,
+                                    tol, W_star=decomp.W_star)
     A_cl = sys.A + L @ spec.C
     E = F = Abar_L = None
     if is_n1:
@@ -362,13 +359,10 @@ def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float,
 
 def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
                            spectral: SpectralPartition = SpectralPartition(),
-                           safety: float = 1.1, u_bar_max: float = 0.0,
+                           u_bar_max: float = 0.0,
                            tol: TolerancePolicy = DEFAULT_POLICY,
-                           pole_targets=None, margin: float = 0.5,
                            ) -> DistributedObserverNetwork:
     """Full networked synthesis with assumption checks and gain selection."""
-    if safety < 1:
-        raise ValueError("safety factor must be >= 1")
     if graph.n_nodes != len(node_specs):
         raise DimensionMismatch("graph size must match the number of nodes")
     if not graph.is_connected:
@@ -378,8 +372,7 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
     if u_bar_max < 0:
         raise AssumptionViolated(2, "unknown-input bound must be nonnegative",
                                  diagnostics={"u_bar_max": u_bar_max})
-    nodes = tuple(per_node_decomposition(sys, spec, spectral, tol,
-                                         pole_targets=pole_targets, margin=margin)
+    nodes = tuple(per_node_decomposition(sys, spec, spectral, tol)
                   for spec in node_specs)
     cons = _consensus(nodes, graph)
     inter = recoverability_intersection(nodes, tol)
@@ -394,6 +387,7 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
                          "intersection_dim": inter.dim,
                          "sigma_min_Q": cons.sigma_min})
     chi_min, gamma_min, sigma_min = _gain_bounds(cons, u_bar_max)
+    safety = spectral.safety
     chi = safety * chi_min if chi_min > 0 else CHI_FALLBACK
     gamma = safety * gamma_min
     return DistributedObserverNetwork(

@@ -176,10 +176,6 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace."""
-        return self.basis @ self.basis.T
-
     @classmethod
     def zero(cls, n: int, tol: float = DEFAULT_REL_RANK_TOL) -> "Subspace":
         return cls(n, np.zeros((n, 0)), tol)

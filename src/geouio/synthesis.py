@@ -15,6 +15,7 @@ constructions consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +25,11 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
-                        _fixed_point, _norm_once, _preimage, _require_invariant,
-                        as_matrix, canonical_projection, contains, image,
-                        intersect, kernel, orth_complement, preimage,
-                        subspace_sum, subspaces_equal, unobservable_subspace)
+                        _fixed_point, _norm_once, _preimage, _rank_cut,
+                        _require_invariant, as_matrix, canonical_projection,
+                        contains, image, intersect, kernel, orth_complement,
+                        preimage, subspace_sum, subspaces_equal,
+                        unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
 # ("bad"): a raw comparison would flip on rounding noise when zeros sit
@@ -37,26 +39,45 @@ EIG_TIE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectralPartition:
-    """Symmetric split of the complex plane at Re(lambda) = alpha.
+    """Spectral specification of one design.
 
     An eigenvalue is "good" iff its real part is strictly below ``alpha``;
-    boundary ties count as bad.
+    boundary ties count as bad.  Assignable quotient modes are placed at
+    ``targets``: ``pole_targets`` first, then further real targets 0.5 apart
+    that clear the boundary by more than ``margin``.  ``safety`` (>= 1)
+    scales the networked observer's consensus gains above their bounds.
     """
 
     alpha: float = 0.0
+    margin: float = 0.5
+    pole_targets: tuple | None = None
+    safety: float = 1.1
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        if self.pole_targets is not None:
+            object.__setattr__(self, "pole_targets",
+                               tuple(float(v) for v in self.pole_targets))
+        if not all(map(math.isfinite, (self.alpha, self.margin, self.safety,
+                                       *(self.pole_targets or ())))):
+            raise ValueError("alpha, margin, safety and pole_targets must be finite")
+        if self.safety < 1:
+            raise ValueError("safety must be >= 1")
 
     def is_bad(self, re: float, scale: float = 1.0) -> bool:
         return re >= self.alpha - EIG_TIE_TOL * max(1.0, scale)
 
+    def targets(self, count: int) -> np.ndarray:
+        """``count`` real placement targets.
 
-def default_pole_targets(alpha: float, count: int, start: float = 1.0,
-                         step: float = 0.5) -> np.ndarray:
-    """Real placement targets alpha-start, alpha-start-step, ..."""
-    return alpha - start - step * np.arange(count)
+        The given ``pole_targets`` come first; the rest continue 0.5 apart
+        below both the lowest given target and ``alpha - margin - 0.5``.
+        With none given they are alpha-margin-0.5, alpha-margin-1.0, ...
+        """
+        given = np.asarray(self.pole_targets or (), dtype=float)[:count]
+        top = self.alpha - (self.margin + 0.5)
+        if given.size:
+            top = min(top, float(given.min())) - 0.5
+        return np.concatenate([given, top - 0.5 * np.arange(count - given.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +408,13 @@ def _place_real_poles(A, B, poles) -> np.ndarray:
 
 
 def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
-                       tol: TolerancePolicy = DEFAULT_POLICY,
-                       pole_targets=None, margin: float = 0.5,
-                       keep_invariant=()):
-    """Friend of W_g* whose induced quotient map has spectrum in the good region.
+                       tol: TolerancePolicy = DEFAULT_POLICY, *, W_star: Subspace):
+    """Friend of W* ⊆ W_g* whose induced quotient map has spectrum in the good region.
 
-    Parameters
-    ----------
-    pole_targets
-        Real targets for the assignable quotient modes; defaults to
-        alpha-margin-0.5, alpha-margin-1.0, ... so every placed mode clears
-        the boundary by more than ``margin``.  Fixed (unassignable) modes are
-        the good invariant zeros and are only verified against ``alpha``.
-    keep_invariant
-        Extra subspaces (e.g. W*) the returned gain must also leave
-        invariant; additional injections are restricted so every listed
-        invariance survives.
+    The assignable quotient modes go to ``part.targets``; fixed
+    (unassignable) modes are the good invariant zeros and are only verified
+    against ``alpha``.  Additional injections are restricted so that the
+    invariance of both W* and W_g* survives.
 
     Returns ``(L, Abar)`` with ``Abar`` the induced map in the chart of
     ``canonical_projection(W_g_star)``.  Raises SpectrumUnassignable when the
@@ -410,9 +422,8 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     """
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    n, p = A.shape[0], C.shape[0]
-    part = part or SpectralPartition()
-    L0 = common_friend(A, C, [W_g_star, *keep_invariant], tol)
+    p = C.shape[0]
+    L0 = common_friend(A, C, [W_g_star, W_star], tol)
     P = canonical_projection(W_g_star, tol)
     q = P.shape[0]
     if q == 0:
@@ -432,23 +443,15 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     if n_obs:
         A11 = U1.T @ Abar0 @ U1
         C1 = Cbar @ U1
-        if pole_targets is None:
-            poles = default_pole_targets(part.alpha, n_obs, start=margin + 0.5)
-        else:
-            poles = np.asarray(pole_targets, dtype=float)[:n_obs]
-            if poles.size < n_obs:
-                poles = np.concatenate([
-                    poles, default_pole_targets(part.alpha - len(poles) * 0.5,
-                                                n_obs - poles.size)])
         # Placement needs a full-column-rank input matrix: factor C1^T
         # through its column-space isometry.
         Ub, sb, Vbt = np.linalg.svd(C1.T, full_matrices=False)
-        r = int(np.sum(sb > sb[0] * max(C1.shape) * tol.rel_rank_tol)) if sb.size else 0
+        r, _ = _rank_cut(sb, C1.shape, tol.rel_rank_tol)
         if r == 0:
             raise SpectrumUnassignable(
                 "observable quotient modes exist but the factored measurement vanishes")
         try:
-            gain = _place_real_poles(A11.T, Ub[:, :r], poles)
+            gain = _place_real_poles(A11.T, Ub[:, :r], part.targets(n_obs))
         except ValueError as exc:
             raise SpectrumUnassignable(f"pole placement failed: {exc}") from exc
         K = Vbt[:r].T @ (gain / sb[:r, None])
@@ -463,7 +466,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
             f"quotient spectrum cannot be pushed below alpha={part.alpha} "
             f"(max Re = {worst:.3e})", eigenvalues=eigs)
     a_scale = max(1.0, float(np.linalg.norm(AL, 2)))
-    for W in (W_g_star, *keep_invariant):
+    for W in (W_g_star, W_star):
         _require_invariant(canonical_projection(W, tol), AL, W, a_scale, tol,
                            "stabilizing friend broke an invariance")
     return L, Abar

@@ -24,6 +24,8 @@ from .subspaces import DEFAULT_POLICY, TolerancePolicy, margin_monitor
 from .synthesis import SpectralPartition, decompose
 
 MARGINAL_GAP = 1e-6
+# Largest state, output and unknown-input dimensions the battery draws.
+_BATTERY_N_MAX, _BATTERY_P_MAX, _BATTERY_Q_MAX = 6, 3, 2
 
 
 @dataclass
@@ -50,9 +52,7 @@ class BatteryResult:
 
 def random_equivalence_battery(n_trials: int, seed: int,
                                alpha: float = 0.0,
-                               tol: TolerancePolicy = DEFAULT_POLICY,
-                               n_max: int = 6, p_max: int = 3,
-                               q_max: int = 2) -> BatteryResult:
+                               tol: TolerancePolicy = DEFAULT_POLICY) -> BatteryResult:
     """Compare the geometric and classical existence tests on random draws."""
     if n_trials <= 0:
         raise ValueError("trial count must be positive")
@@ -61,9 +61,9 @@ def random_equivalence_battery(n_trials: int, seed: int,
     out = BatteryResult(trials=n_trials, agreements=0, seed=seed)
     t0 = time.perf_counter()
     for trial in range(n_trials):
-        n = int(rng.integers(2, n_max + 1))
-        p = int(rng.integers(1, min(p_max, n) + 1))
-        q = int(rng.integers(1, min(q_max, p) + 1))
+        n = int(rng.integers(2, _BATTERY_N_MAX + 1))
+        p = int(rng.integers(1, min(_BATTERY_P_MAX, n) + 1))
+        q = int(rng.integers(1, min(_BATTERY_Q_MAX, p) + 1))
         A = rng.uniform(-2.0, 2.0, (n, n))
         C = rng.uniform(-2.0, 2.0, (p, n))
         B = rng.uniform(-2.0, 2.0, (n, q))
@@ -127,14 +127,9 @@ class Check:
 def _design(cfg: ProjectConfig, tol: TolerancePolicy):
     """The centralized observer or the network the config describes."""
     if cfg.mode == "centralized":
-        return synthesize_centralized_uio(cfg.system, cfg.partition, cfg.spectral,
-                                          tol, pole_targets=cfg.pole_targets,
-                                          margin=cfg.margin)
+        return synthesize_centralized_uio(cfg.system, cfg.partition, cfg.spectral, tol)
     return synthesize_distributed(cfg.system, cfg.node_specs, cfg.graph,
-                                  cfg.spectral, safety=cfg.safety,
-                                  u_bar_max=cfg.u_bar_max, tol=tol,
-                                  pole_targets=cfg.pole_targets,
-                                  margin=cfg.margin)
+                                  cfg.spectral, u_bar_max=cfg.u_bar_max, tol=tol)
 
 
 def _residuals(cfg: ProjectConfig, artifact, tol: TolerancePolicy) -> dict:

@@ -31,8 +31,7 @@ def dist_cfg():
 def central_obs(central_cfg):
     t0 = time.perf_counter()
     obs = synthesize_centralized_uio(central_cfg.system, central_cfg.partition,
-                                     central_cfg.spectral,
-                                     margin=central_cfg.margin)
+                                     central_cfg.spectral)
     return obs, time.perf_counter() - t0
 
 
@@ -41,9 +40,7 @@ def dist_net(dist_cfg):
     t0 = time.perf_counter()
     net = synthesize_distributed(dist_cfg.system, dist_cfg.node_specs,
                                  dist_cfg.graph, dist_cfg.spectral,
-                                 safety=dist_cfg.safety,
-                                 u_bar_max=dist_cfg.u_bar_max,
-                                 margin=dist_cfg.margin)
+                                 u_bar_max=dist_cfg.u_bar_max)
     return net, time.perf_counter() - t0
 
 

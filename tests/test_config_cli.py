@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from geouio.cases import builtin_config
 from geouio.cli import main
 from geouio.config import parse_config, tolerance_from_env
 from geouio.errors import ConfigError
+from geouio.simulate import SimConfig
 from geouio.subspaces import TolerancePolicy
+from geouio.synthesis import SpectralPartition
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -70,6 +73,21 @@ def test_parse_rejects_bad_configs():
         parse_config("/nonexistent/path.json")
 
 
+@pytest.mark.parametrize("spectral", [None, {}])
+def test_omitted_optional_keys_take_the_dataclass_defaults(spectral):
+    cfg = builtin_config("centralized")
+    cfg.pop("spectral")
+    if spectral is not None:
+        cfg["spectral"] = spectral
+    cfg["sim"] = {"t_end": 1.0, "x0": [1.0, 2.0, 3.0]}
+    parsed = parse_config(cfg)
+    for f in fields(SpectralPartition):
+        assert getattr(parsed.spectral, f.name) == f.default, f.name
+    for f in fields(SimConfig):
+        if f.name not in cfg["sim"]:
+            assert getattr(parsed.sim, f.name) == f.default, f.name
+
+
 def test_unknown_demo_name_raises():
     with pytest.raises(ConfigError):
         builtin_config("bogus")
@@ -117,6 +135,19 @@ def test_cli_synth_writes_report(tmp_path):
     assert report["dimensions"]["z_dim"] == 2
     assert report["mode"] == "centralized"
     assert report["checks"]["existence_condition"] is True
+
+
+def test_short_pole_target_list_is_completed(tmp_path):
+    # the demo has two assignable quotient modes; one target is given
+    cfg = short_centralized()
+    cfg["spectral"]["pole_targets"] = [-1.5]
+    cfgp = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["synth", "--config", cfgp, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    placed = sorted(re for re, _ in report["checks"]["quotient_spectrum"])
+    assert np.allclose(placed, [-2.0, -1.5], atol=1e-9)
+    assert main(["verify", "--config", cfgp]) == 0
 
 
 def test_cli_report_residuals_roundtrip(tmp_path):
@@ -208,6 +239,7 @@ def test_exit_code_synthesis_failure(tmp_path):
     {"pole_targets": -1.0},
     {"alpha": math.nan},
     {"margin": math.inf},
+    {"safety": 0.5},
 ])
 def test_exit_code_bad_spectral_setting(tmp_path, capsys, spectral):
     cfg = short_centralized()
@@ -303,9 +335,12 @@ def test_exit_code_unwritable_out(tmp_path, capsys, argv):
     cfgp = write_cfg(tmp_path, short_centralized())
     argv = [cfgp if a == "CFG" else a for a in argv]
     assert main(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}")
     assert err[0].endswith(": Not a directory")
+    if argv[0] == "reproduce":  # no line claims a report was written
+        assert captured.out == ""
 
 
 def test_exit_code_divergence(tmp_path):

@@ -293,9 +293,7 @@ def test_synthesis_builds_consensus_blocks_once(dist_cfg, dist_net, monkeypatch)
     monkeypatch.setattr(dist, "build_consensus_blocks", counted)
     again = synthesize_distributed(dist_cfg.system, dist_cfg.node_specs,
                                    dist_cfg.graph, dist_cfg.spectral,
-                                   safety=dist_cfg.safety,
-                                   u_bar_max=dist_cfg.u_bar_max,
-                                   margin=dist_cfg.margin)
+                                   u_bar_max=dist_cfg.u_bar_max)
     assert len(calls) == 1
     assert (again.chi, again.gamma, again.sigma_min_Q) == (
         net.chi, net.gamma, net.sigma_min_Q)

@@ -8,12 +8,12 @@ import pytest
 from geouio.errors import (DimensionMismatch, InvarianceViolated,
                            NotConditionedInvariant, SpectrumUnassignable)
 from geouio.subspaces import (Subspace, canonical_projection, contains, image,
-                              intersect, kernel, orth_complement,
-                              subspaces_equal)
+                              intersect, kernel, margin_monitor,
+                              orth_complement, subspaces_equal)
 from geouio import synthesis
 from geouio.synthesis import (SpectralPartition, _FullQR, _place_real_poles,
                               _yt_update_order, common_friend, compute_wg_star,
-                              decompose, default_pole_targets, friend_gain,
+                              decompose, friend_gain,
                               infimal_conditioned_invariant,
                               infimal_unobservability_subspace, spectral_split,
                               stabilizing_friend)
@@ -24,6 +24,12 @@ BBAR3 = np.array([[1.0], [1.0], [0.0]])
 DIAG_SPAN = image(BBAR3)  # span{(1,1,0)}
 
 ALPHA0 = SpectralPartition(0.0)
+
+
+def plain_friend(A, C, part=ALPHA0):
+    """stabilizing_friend with W* = W_g* = 0: classical observer placement."""
+    zero = Subspace.zero(A.shape[0])
+    return stabilizing_friend(A, C, zero, part, W_star=zero)
 
 
 def rand_system(rng, n_max=5, p_max=3, q_max=2):
@@ -308,8 +314,7 @@ def test_rank_condition_forces_wstar_equal_input_span():
 
 def test_stabilizing_friend_demo():
     d = decompose(A3, C3, BBAR3, ALPHA0)
-    L, Abar = stabilizing_friend(A3, C3, d.W_g_star, ALPHA0,
-                                 keep_invariant=(d.W_star,))
+    L, Abar = stabilizing_friend(A3, C3, d.W_g_star, ALPHA0, W_star=d.W_star)
     assert Abar.shape == (2, 2)
     eigs = np.linalg.eigvals(Abar)
     assert eigs.real.max() < -0.5
@@ -323,10 +328,10 @@ def test_stabilizing_friend_classical_observer_case():
     rng = np.random.default_rng(10)
     A = rng.normal(size=(4, 4))
     C = rng.normal(size=(2, 4))
-    L, Abar = stabilizing_friend(A, C, Subspace.zero(4), ALPHA0)
+    L, Abar = plain_friend(A, C)
     assert np.linalg.eigvals(Abar).real.max() < 0.0
     assert np.allclose(Abar, A + L @ C)
-    targets = default_pole_targets(0.0, 4)
+    targets = ALPHA0.targets(4)
     assert np.allclose(np.sort(np.linalg.eigvals(Abar).real), np.sort(targets),
                        atol=1e-6)
 
@@ -335,7 +340,7 @@ def test_stabilizing_friend_accepts_already_stable_quotient():
     A = np.diag([-2.0, -3.0])
     C = np.zeros((1, 2))
     # quotient spectrum is fixed at {-2, -3}: nothing to place, still valid
-    L, Abar = stabilizing_friend(A, C, Subspace.zero(2), ALPHA0)
+    L, Abar = plain_friend(A, C)
     assert np.linalg.eigvals(Abar).real.max() < 0.0
 
 
@@ -344,17 +349,55 @@ def test_stabilizing_friend_unassignable_spectrum_raises():
     A = np.diag([1.0, -1.0])
     C = np.zeros((1, 2))
     with pytest.raises(SpectrumUnassignable):
-        stabilizing_friend(A, C, Subspace.zero(2), ALPHA0)
+        plain_friend(A, C)
 
 
 def test_explicit_pole_targets_are_used():
     rng = np.random.default_rng(11)
     A = rng.normal(size=(3, 3))
     C = rng.normal(size=(2, 3))
-    L, Abar = stabilizing_friend(A, C, Subspace.zero(3), ALPHA0,
-                                 pole_targets=(-4.0, -5.0, -6.0))
+    L, Abar = plain_friend(A, C, SpectralPartition(pole_targets=(-4.0, -5.0, -6.0)))
     assert np.allclose(np.sort(np.linalg.eigvals(Abar).real),
                        [-6.0, -5.0, -4.0], atol=1e-6)
+
+
+def test_stabilizing_friend_rank_cut_is_monitored(monkeypatch):
+    rng = np.random.default_rng(10)
+    A, C = rng.normal(size=(4, 4)), rng.normal(size=(2, 4))
+    cuts, real = [], synthesis._rank_cut
+
+    def recorded(s, shape, *rest):
+        cuts.append(shape)
+        return real(s, shape, *rest)
+
+    monkeypatch.setattr(synthesis, "_rank_cut", recorded)
+    with margin_monitor() as rec:
+        plain_friend(A, C)
+    # W_g* = 0 and an observable pair: C1 is C, of full row rank
+    assert cuts == [C.shape]
+    sb = np.linalg.svd(C.T, full_matrices=False)[1]
+    assert sb[-1] in rec.margins
+
+
+def test_pole_target_rule():
+    for part in (ALPHA0, SpectralPartition(alpha=-0.3, margin=0.2)):
+        old = part.alpha - (part.margin + 0.5) - 0.5 * np.arange(7)
+        assert np.array_equal(part.targets(7), old)
+    part = SpectralPartition(pole_targets=(-4.0, -5.0, -6.0))
+    assert np.array_equal(part.targets(3), [-4.0, -5.0, -6.0])
+    assert np.array_equal(part.targets(2), [-4.0, -5.0])
+    for given in ((-1.5,), (-0.2, -0.1), (-9.0, 3.0)):
+        part = SpectralPartition(pole_targets=given)
+        targets = part.targets(6)
+        padded = targets[len(given):]
+        assert np.array_equal(targets[:len(given)], given)
+        assert len(set(targets.tolist())) == 6
+        assert np.all(padded < min(given))
+        assert np.all(padded < part.alpha - part.margin - 0.5)
+    with pytest.raises(ValueError, match="safety"):
+        SpectralPartition(safety=0.9)
+    with pytest.raises(ValueError, match="finite"):
+        SpectralPartition(pole_targets=(np.nan,))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +435,7 @@ def test_place_real_poles_matches_scipy_without_convergence():
     # n = 11 with 2 inputs: scipy runs all 30 Tits-Yang sweeps.
     rng = np.random.default_rng(7)
     A, B = rng.normal(size=(11, 11)), rng.normal(size=(11, 2))
-    poles = default_pole_targets(0.0, 11)
+    poles = ALPHA0.targets(11)
     ref = _scipy_gain(A, B, poles)
     assert ref.nb_iter == 30
     assert np.array_equal(_place_real_poles(A, B, poles), ref.gain_matrix)
@@ -454,7 +497,7 @@ def test_thirty_sweep_placement_calls_lapack_directly(monkeypatch):
     monkeypatch.setattr(synthesis, "get_lapack_funcs", counting)
     rng = np.random.default_rng(7)  # scipy needs all 30 sweeps here
     A, B = rng.normal(size=(11, 11)), rng.normal(size=(11, 2))
-    _place_real_poles(A, B, default_pole_targets(0.0, 11))
+    _place_real_poles(A, B, ALPHA0.targets(11))
     factored = 1 + 11 + 30 * len(_yt_update_order(11))  # B, kernels, sweeps
     assert calls == {"geqrf": factored, "orgqr": factored}
     assert set(queries.values()) == {1}
@@ -477,8 +520,7 @@ def test_stabilizing_friend_reports_unplaceable_targets():
     C = rng.normal(size=(1, 3))  # one output: rank 1
     with pytest.raises(SpectrumUnassignable,
                        match="pole placement failed: .*repeated more than rank"):
-        stabilizing_friend(A, C, Subspace.zero(3), ALPHA0,
-                           pole_targets=(-2.0, -2.0, -3.0))
+        plain_friend(A, C, SpectralPartition(pole_targets=(-2.0, -2.0, -3.0)))
 
 
 def test_stabilizing_friend_uncontrollable_pair_raises():
@@ -486,7 +528,7 @@ def test_stabilizing_friend_uncontrollable_pair_raises():
     A = np.diag([1.0, 2.0, -1.0])
     C = np.array([[1.0, 0.0, 1.0]])
     with pytest.raises(SpectrumUnassignable):
-        stabilizing_friend(A, C, Subspace.zero(3), ALPHA0)
+        plain_friend(A, C)
 
 
 def test_non_converged_placement_is_silent(monkeypatch):
@@ -501,7 +543,7 @@ def test_non_converged_placement_is_silent(monkeypatch):
     A, C = rng.normal(size=(11, 11)), rng.normal(size=(2, 11))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, Abar = stabilizing_friend(A, C, Subspace.zero(11), ALPHA0)
+        _, Abar = plain_friend(A, C)
     assert np.linalg.eigvals(Abar).real.max() < -0.5
     (A11t, B1, poles), = placements
     assert _scipy_gain(A11t, B1, poles).nb_iter == 30
