@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import AssumptionViolated, DimensionMismatch, SingularQ
-from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, as_matrix,
-                        intersect, subspaces_equal)
+from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, _block_diag,
+                        _null_space, as_matrix, intersect, subspaces_equal)
 from .central import (LinSystem, _quotient_invariants, _rank_condition,
                       solve_output_reconstruction)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
@@ -148,7 +147,7 @@ class SensorNode:
             "chart_rowspace_is_Wstar_perp": subspaces_equal(
                 Subspace(n, d.P_Wstar.T if d.P_Wstar.size else np.zeros((n, 0)),
                          tol.rel_rank_tol),
-                Subspace(n, sla.null_space(d.W_star.basis.T) if d.W_star.dim
+                Subspace(n, _null_space(d.W_star.basis.T) if d.W_star.dim
                          else np.eye(n), tol.rel_rank_tol), tol),
             **d.v_invariants(tol),
         }
@@ -256,15 +255,8 @@ def _class_order(nodes):
 def build_consensus_blocks(nodes):
     """Block-diagonal W_V and A_L in class order; returns (W_V, A_L, ordered nodes)."""
     ordered = _class_order(nodes)
-    n = ordered[0].decomp.n
-    blocks = [nd.consensus_block() for nd in ordered]
-    # placed by hand: block_diag would drop the n rows of a block with no columns
-    W_V = np.zeros((n * len(ordered), sum(b.shape[1] for b in blocks)))
-    c = 0
-    for k, blk in enumerate(blocks):
-        W_V[k * n:(k + 1) * n, c:c + blk.shape[1]] = blk
-        c += blk.shape[1]
-    A_L = sla.block_diag(*(nd.coupling_restriction() for nd in ordered))
+    W_V = _block_diag(*(nd.consensus_block() for nd in ordered))
+    A_L = _block_diag(*(nd.coupling_restriction() for nd in ordered))
     return W_V, A_L, ordered
 
 

@@ -43,11 +43,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .central import CentralizedObserver, InputPartition, LinSystem
 from .distributed import N1, N2, DistributedObserverNetwork
 from .errors import DimensionMismatch, NonFiniteState
+from .subspaces import _block_diag
 
 SIGNAL_KINDS = ("sin", "cos", "const")
 
@@ -111,6 +111,9 @@ class SimConfig:
             raise DimensionMismatch("eps_bl must be positive")
         if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
             raise DimensionMismatch("record_stride must be a positive integer")
+        if not (self.divergence_guard > 0):
+            raise DimensionMismatch("sim.divergence_guard must be positive, "
+                                    f"got {self.divergence_guard}")
 
     def sign_fn(self):
         """The sign term as f(v, out=None), exact or boundary-layer."""
@@ -464,7 +467,7 @@ def _central_kernel(sys: LinSystem, obs: CentralizedObserver,
     n, q = sys.n, obs.z_dim
     (z0,) = _observer_init(cfg, ("node1",), (q,))
     return _Kernel(
-        n=n, M=sla.block_diag(sys.A, obs.Abar_L),
+        n=n, M=_block_diag(sys.A, obs.Abar_L),
         G=np.vstack([sys.B, np.zeros((q, sys.m))]),
         K=np.zeros((0, n + q)), lift=np.zeros((n + q, 0)),
         s0=np.concatenate([cfg.x0, obs.P_Wg @ cfg.x0 - z0]), labels=("node1",),
@@ -492,7 +495,7 @@ def _network_kernel(sys: LinSystem, net: DistributedObserverNetwork,
     # consensus drive sum_j a_ij (xhat_j - xhat_i) as a map of s
     cons = [sum((H[j] for j in np.flatnonzero(adj[i])), -adj[i].sum() * H[i])
             for i in range(len(nodes))]
-    M = sla.block_diag(sys.A, np.zeros((dim - n, dim - n)))
+    M = _block_diag(sys.A, np.zeros((dim - n, dim - n)))
     G = np.vstack([sys.B, np.zeros((dim - n, m))])
     n_sign = sum(nd.Wg_basis.shape[1] for nd in nodes if nd.node_class == N2)
     K, lift = np.zeros((n_sign, dim)), np.zeros((dim, n_sign))

@@ -100,6 +100,32 @@ def as_matrix(M, name="matrix") -> np.ndarray:
     return M
 
 
+def _block_diag(*blocks) -> np.ndarray:
+    """The blocks along the diagonal, zeros elsewhere.
+
+    A block with no columns still takes its rows, and one with no rows its
+    columns, as in ``scipy.linalg.block_diag``.
+    """
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def _null_space(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of Ker M by ``scipy.linalg.null_space``'s rule.
+
+    A full SVD; singular values up to ``sigma_max * eps * max(M.shape)``
+    count as zero.  Independent of the policy's cutoff, so checks can use it
+    as an oracle for ``kernel`` and ``orth_complement``.
+    """
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    cut = np.amax(s, initial=0.0) * np.finfo(float).eps * max(M.shape)
+    return vh[np.sum(s > cut, dtype=int):].T
+
+
 def _rank_cut(s: np.ndarray, shape, rel_tol: float, scale_floor: float = 0.0):
     """Number of singular values kept, recording the flip margin.
 

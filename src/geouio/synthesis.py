@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import get_lapack_funcs
+from numpy.linalg import lapack_lite
 
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
@@ -43,9 +42,10 @@ class SpectralPartition:
 
     An eigenvalue is "good" iff its real part is strictly below ``alpha``;
     boundary ties count as bad.  Assignable quotient modes are placed at
-    ``targets``: ``pole_targets`` first, then further real targets 0.5 apart
-    that clear the boundary by more than ``margin``.  ``safety`` (>= 1)
-    scales the networked observer's consensus gains above their bounds.
+    ``targets``: ``pole_targets`` first (each left of ``alpha``), then further
+    real targets 0.5 apart that clear the boundary by more than ``margin``
+    (>= 0).  ``safety`` (>= 1) scales the networked observer's consensus
+    gains above their bounds.
     """
 
     alpha: float = 0.0
@@ -62,6 +62,11 @@ class SpectralPartition:
             raise ValueError("alpha, margin, safety and pole_targets must be finite")
         if self.safety < 1:
             raise ValueError("safety must be >= 1")
+        if self.margin < 0:
+            raise ValueError(f"margin must be >= 0, got {self.margin}")
+        if any(t >= self.alpha for t in self.pole_targets or ()):
+            raise ValueError(f"pole_targets must lie left of alpha = {self.alpha}, "
+                             f"got {self.pole_targets}")
 
     def is_bad(self, re: float, scale: float = 1.0) -> bool:
         return re >= self.alpha - EIG_TIE_TOL * max(1.0, scale)
@@ -217,6 +222,7 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
     R = Sq.T @ Abar @ Sq
     scale = float(np.linalg.norm(R, 2))
     bad = lambda re, im: part.is_bad(re, scale)
+    import scipy.linalg as sla  # loaded only for a nonempty split
     _, Zb, nb = sla.schur(R, output="real", sort=bad)
     _, Zg, ng = sla.schur(R, output="real", sort=lambda re, im: not bad(re, im))
     if nb + ng != d:
@@ -273,41 +279,46 @@ def _yt_update_order(n: int) -> np.ndarray:
 class _FullQR:
     """``scipy.linalg.qr(a, mode="full")`` of float arrays, bit for bit.
 
-    Calls LAPACK geqrf and orgqr as scipy does, with the optimal workspace
-    sizes scipy's ``safecall`` queries.  A size depends only on the routine
-    and the shape of ``a``, so each is queried once and kept; one placement
-    owns one instance.  Skips scipy's per-call dispatch and checks: the
-    caller passes finite, non-empty arrays.
+    Calls LAPACK dgeqrf and dorgqr through numpy's ``lapack_lite`` as scipy
+    calls them, with the optimal workspace sizes scipy's ``safecall``
+    queries.  A C-ordered copy of ``a.T`` is ``a`` in the Fortran layout
+    LAPACK expects, and Q comes back as the transpose of a C-ordered array:
+    Fortran-ordered, as scipy returns it.  A workspace depends only on the
+    routine and the shape of ``a``, so each is queried and allocated once and
+    kept; one placement owns one instance.  Skips scipy's per-call dispatch
+    and checks: the caller passes finite, non-empty float arrays.
     """
 
     def __init__(self):
-        self._geqrf, self._orgqr = get_lapack_funcs(("geqrf", "orgqr"),
-                                                    dtype=np.float64)
-        self._lwork = {}
+        self._geqrf, self._orgqr = lapack_lite.dgeqrf, lapack_lite.dorgqr
+        self._buffers = {}
 
-    def _run(self, routine, name, shape, *args, overwrite_a):
-        lwork = self._lwork.get((name, shape))
-        if lwork is None:
-            work = routine(*args, lwork=-1)[-2]
-            lwork = self._lwork[name, shape] = work[0].real.astype(np.int_)
-        *out, _, info = routine(*args, lwork=lwork, overwrite_a=overwrite_a)
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal {name}")
-        return out
+    def _allocate(self, M, N):
+        """tau and the two work arrays of an M x N factorization, kept."""
+        tau, query = np.empty(min(M, N)), np.empty(1)
+        self._geqrf(M, N, np.empty((N, M)), M, tau, query, -1, 0)
+        work_qr = np.empty(int(query[0]))
+        self._orgqr(M, M, tau.size, np.empty((M, M)), M, tau, query, -1, 0)
+        buffers = self._buffers[M, N] = (tau, work_qr, np.empty(int(query[0])))
+        return buffers
 
     def __call__(self, a, with_r: bool = False):
         """Q of ``a``, and R too when ``with_r``."""
         M, N = a.shape
-        qr, tau = self._run(self._geqrf, "geqrf", a.shape, a, overwrite_a=False)
-        R = np.triu(qr) if with_r else None  # before orgqr overwrites qr[:, :M]
+        tau, work_qr, work_q = self._buffers.get(a.shape) or self._allocate(M, N)
+        qr = a.T.copy()  # qr.T is a, Fortran-ordered
+        info = self._geqrf(M, N, qr, M, tau, work_qr, work_qr.size, 0)["info"]
+        R = np.triu(qr.T) if with_r else None  # before dorgqr overwrites qr
         if M < N:
-            reflectors = qr[:, :M]
-        else:  # pad the reflectors to M x M; orgqr forms all of Q in place
-            reflectors = np.empty((M, M), order="F")
-            reflectors[:, :N] = qr
-        Q, = self._run(self._orgqr, "gorgqr/gungqr", a.shape, reflectors, tau,
-                       overwrite_a=True)
-        return (Q, R) if with_r else Q
+            Q = qr[:M]
+        else:  # pad the reflectors to M x M; dorgqr forms all of Q in place
+            Q = np.empty((M, M))
+            Q[:N] = qr
+        info = min(info, self._orgqr(M, M, tau.size, Q, M, tau, work_q,
+                                     work_q.size, 0)["info"])
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgeqrf/dorgqr")
+        return (Q.T, R) if with_r else Q.T
 
 
 def _yt_real_update(ker_pole, Q, X, i, j):

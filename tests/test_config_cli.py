@@ -251,6 +251,25 @@ def test_exit_code_bad_spectral_setting(tmp_path, capsys, spectral):
     assert capsys.readouterr().err.startswith("error: spectral.")
 
 
+@pytest.mark.parametrize("which, spectral, key", [
+    ("centralized", {"margin": -2.0}, "spectral.margin"),
+    ("centralized", {"margin": -1e-9}, "spectral.margin"),
+    ("centralized", {"pole_targets": [0.0, -1.0]}, "spectral.pole_targets"),
+    ("distributed", {"pole_targets": [5.0]}, "spectral.pole_targets"),
+    ("distributed", {"alpha": -1.0, "pole_targets": [-2.0, -0.5]},
+     "spectral.pole_targets"),
+])
+def test_exit_code_impossible_spectral_setting(tmp_path, capsys, which, spectral, key):
+    # such settings used to parse and then fail synthesis with exit 2
+    cfg = short_centralized() if which == "centralized" else short_distributed()
+    cfg.setdefault("spectral", {}).update(spectral)
+    cfgp = write_cfg(tmp_path, cfg)
+    assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} ")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("where, value", [
     (("signals", 0, "amplitude"), "x"),
     (("signals", 0, "amplitude"), math.nan),
@@ -272,6 +291,8 @@ def test_exit_code_bad_spectral_setting(tmp_path, capsys, spectral):
     (("sim", "observer_init"), [["a", 0.0]]),
     (("sim", "observer_init"), [[math.inf, 0.0]]),
     (("sim", "observer_init"), 0.0),
+    (("sim", "divergence_guard"), -1.0),   # used to exit 3 at the first step
+    (("sim", "divergence_guard"), 0.0),
 ])
 def test_exit_code_bad_numeric_setting(tmp_path, capsys, where, value):
     cfg = short_centralized()
@@ -575,13 +596,19 @@ def test_report_serializes_complex_quotient_spectrum(tmp_path):
     assert all(re < 0 for re, _ in spectrum)
 
 
-def test_reproduce_leaves_scipy_signal_unimported(tmp_path):
-    # Pole placement is geouio's own; scipy.signal would add ~1 s of start-up.
-    code = ("import sys, geouio\n"
+def test_import_and_reproduce_leave_scipy_unimported(tmp_path):
+    # geouio needs scipy only to split a nonempty set of invariant zeros; the
+    # centralized demo has none.  scipy.linalg would add ~0.2 s of start-up.
+    code = ("import sys\n"
+            "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "import geouio\n"
+            "print(scipy())\n"
             "from geouio import cli\n"
             f"code = cli.main(['reproduce', 'centralized', '--out', {str(tmp_path)!r}])\n"
-            "print(code, 'scipy.signal' in sys.modules)\n")
+            "print(code, scipy())\n")
     env = dict(os.environ, PYTHONPATH=str(Path(geouio.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
-    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "0 []", proc.stdout

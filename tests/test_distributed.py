@@ -224,9 +224,8 @@ def test_gain_bounds_zero_cases(demo_nodes):
     assert gamma_min == 0.0 and chi_min > 0 and smin > 0
 
 
-def test_gain_bounds_cross_checked_against_fresh_assembly(dist_cfg, dist_net):
-    net, _ = dist_net
-    # independent re-evaluation from node data
+def _fresh_blocks(net):
+    """Node ids in class order, their consensus blocks and coupling restrictions."""
     order = sorted(net.n1_ids) + sorted(net.n2_ids)
     blocks, ablocks = [], []
     for nid in order:
@@ -234,6 +233,13 @@ def test_gain_bounds_cross_checked_against_fresh_assembly(dist_cfg, dist_net):
         blk = nd.V if nd.node_class == N1 else nd.Wg_basis
         blocks.append(blk)
         ablocks.append(blk.T @ nd.A_cl @ blk)
+    return order, blocks, ablocks
+
+
+def test_gain_bounds_cross_checked_against_fresh_assembly(dist_cfg, dist_net):
+    net, _ = dist_net
+    # independent re-evaluation from node data
+    order, blocks, ablocks = _fresh_blocks(net)
     W_V = sla.block_diag(*blocks)
     A_L = sla.block_diag(*ablocks)
     ids = [nd.node_id for nd in net.nodes]
@@ -249,6 +255,19 @@ def test_gain_bounds_cross_checked_against_fresh_assembly(dist_cfg, dist_net):
     assert np.isclose(chi_min, net.chi_min, rtol=1e-9)
     assert np.isclose(gamma_min, net.gamma_min, rtol=1e-9)
     assert np.isclose(smin, net.sigma_min_Q, rtol=1e-9)
+
+
+def test_block_helpers_match_scipy_on_the_demo(dist_net):
+    net, _ = dist_net
+    _, blocks, ablocks = _fresh_blocks(net)
+    W_V, A_L, _ = build_consensus_blocks(net.nodes)
+    assert np.array_equal(W_V, sla.block_diag(*blocks))
+    assert np.array_equal(A_L, sla.block_diag(*ablocks))
+    assert np.array_equal(subspaces._block_diag(*blocks), W_V)
+    for nd in net.nodes:
+        if nd.decomp.W_star.dim:
+            W = nd.decomp.W_star.basis.T
+            assert np.array_equal(subspaces._null_space(W), sla.null_space(W))
 
 
 def test_gamma_bound_is_monotone_in_unknown_channel_norm():

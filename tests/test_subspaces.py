@@ -314,3 +314,38 @@ def test_subspace_rejects_nonorthonormal_basis():
 def test_tolerance_policy_requires_positive_entries():
     with pytest.raises(ValueError):
         TolerancePolicy(rel_rank_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# numpy stand-ins for scipy.linalg.block_diag and null_space, bit for bit
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 3), (1, 1), (4, 2)],
+    [(3, 3)],
+    [(6, 0), (6, 2), (6, 0), (6, 1)],   # blocks with no columns keep their rows
+    [(0, 4), (2, 2), (0, 1)],           # blocks with no rows keep their columns
+    [(0, 0), (3, 0), (0, 2)],
+])
+def test_block_diag_matches_scipy(shapes):
+    import scipy.linalg as sla
+
+    rng = np.random.default_rng(len(shapes))
+    blocks = [rng.normal(size=s) for s in shapes]
+    out = subspaces._block_diag(*blocks)
+    ref = sla.block_diag(*blocks)
+    assert out.shape == ref.shape and np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("shape, rank", [((3, 6), 3), ((2, 5), 1), ((5, 5), 3),
+                                         ((6, 4), 4), ((4, 7), 0), ((1, 3), 1),
+                                         ((0, 4), 0)])
+def test_null_space_matches_scipy(shape, rank):
+    import scipy.linalg as sla
+
+    rng = np.random.default_rng(sum(shape) + rank)
+    M = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+    Z = subspaces._null_space(M)
+    ref = sla.null_space(M)
+    assert Z.shape == ref.shape == (shape[1], shape[1] - rank)
+    assert np.array_equal(Z, ref)

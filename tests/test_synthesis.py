@@ -386,7 +386,7 @@ def test_pole_target_rule():
     part = SpectralPartition(pole_targets=(-4.0, -5.0, -6.0))
     assert np.array_equal(part.targets(3), [-4.0, -5.0, -6.0])
     assert np.array_equal(part.targets(2), [-4.0, -5.0])
-    for given in ((-1.5,), (-0.2, -0.1), (-9.0, 3.0)):
+    for given in ((-1.5,), (-0.2, -0.1), (-9.0, -0.3)):
         part = SpectralPartition(pole_targets=given)
         targets = part.targets(6)
         padded = targets[len(given):]
@@ -398,6 +398,12 @@ def test_pole_target_rule():
         SpectralPartition(safety=0.9)
     with pytest.raises(ValueError, match="finite"):
         SpectralPartition(pole_targets=(np.nan,))
+    with pytest.raises(ValueError, match="margin"):
+        SpectralPartition(margin=-0.1)
+    for given in ((0.0,), (-1.0, 0.5)):
+        with pytest.raises(ValueError, match="left of alpha"):
+            SpectralPartition(pole_targets=given)
+    assert SpectralPartition(alpha=2.0, margin=0.0, pole_targets=(1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -472,34 +478,38 @@ def test_full_qr_matches_scipy_on_kernel_and_input_shapes(shape):
 
 
 def test_thirty_sweep_placement_calls_lapack_directly(monkeypatch):
+    import types
+
     import scipy.linalg as sla
+    from numpy.linalg import lapack_lite
 
     def no_qr(*args, **kwargs):
         raise AssertionError("scipy.linalg.qr called")
 
     queries, calls = {}, {}
-    real = synthesis.get_lapack_funcs
 
-    def counting(names, *args, **kwargs):
-        def counted(name, routine):
-            def call(a, *rest, lwork=None, **kw):
-                if lwork == -1:  # orgqr's shape: padded reflectors and tau
-                    key = (name, a.shape, *(np.shape(r) for r in rest))
-                    queries[key] = queries.get(key, 0) + 1
-                else:
-                    calls[name] = calls.get(name, 0) + 1
-                return routine(a, *rest, lwork=lwork, **kw)
-            return call
-        return tuple(counted(name, f)
-                     for name, f in zip(names, real(names, *args, **kwargs)))
+    def counted(name):
+        routine = getattr(lapack_lite, name)
+
+        def call(*args):
+            *head, work, lwork, info = args
+            if lwork == -1:  # keyed by the sizes and array shapes passed
+                key = (name, *(np.shape(a) if isinstance(a, np.ndarray) else a
+                               for a in head))
+                queries[key] = queries.get(key, 0) + 1
+            else:
+                calls[name] = calls.get(name, 0) + 1
+            return routine(*args)
+        return call
 
     monkeypatch.setattr(sla, "qr", no_qr)
-    monkeypatch.setattr(synthesis, "get_lapack_funcs", counting)
+    monkeypatch.setattr(synthesis, "lapack_lite", types.SimpleNamespace(
+        dgeqrf=counted("dgeqrf"), dorgqr=counted("dorgqr")))
     rng = np.random.default_rng(7)  # scipy needs all 30 sweeps here
     A, B = rng.normal(size=(11, 11)), rng.normal(size=(11, 2))
     _place_real_poles(A, B, ALPHA0.targets(11))
     factored = 1 + 11 + 30 * len(_yt_update_order(11))  # B, kernels, sweeps
-    assert calls == {"geqrf": factored, "orgqr": factored}
+    assert calls == {"dgeqrf": factored, "dorgqr": factored}
     assert set(queries.values()) == {1}
 
 
