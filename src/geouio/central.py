@@ -200,8 +200,12 @@ def synthesize_centralized_uio(sys: LinSystem, part: InputPartition,
     blocked = intersect(decomp.W_g_star, kernel(sys.C, tol), tol)
     if not blocked.is_zero:
         raise ExistenceFailed(
-            "unrecoverable directions: the decoupled subspace intersects Ker C",
+            f"unrecoverable directions: the decoupled subspace intersects Ker C "
+            f"in dimension {blocked.dim}; x is still estimable modulo that "
+            f"{blocked.dim}-dimensional subspace, that is, by any T with "
+            f"T·basis = 0 for a basis of it",
             diagnostics={"intersection_basis": blocked.basis,
+                         "blocked_dim": blocked.dim,
                          "w_g_dim": decomp.W_g_star.dim})
     try:
         L, Abar_L = stabilizing_friend(sys.A, sys.C, decomp.W_g_star, spectral,

@@ -15,8 +15,10 @@ constructions consume.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -27,7 +29,7 @@ from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
                         _fixed_point, _norm_once, _preimage, _rank_cut,
                         _require_invariant, as_matrix, canonical_projection,
                         contains, image, intersect, kernel, orth_complement,
-                        preimage, subspace_sum, subspaces_equal,
+                        subspace_sum, subspaces_equal,
                         unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
@@ -222,9 +224,9 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
     R = Sq.T @ Abar @ Sq
     scale = float(np.linalg.norm(R, 2))
     bad = lambda re, im: part.is_bad(re, scale)
-    import scipy.linalg as sla  # loaded only for a nonempty split
-    _, Zb, nb = sla.schur(R, output="real", sort=bad)
-    _, Zg, ng = sla.schur(R, output="real", sort=lambda re, im: not bad(re, im))
+    schur = _ordered_schur()
+    _, Zb, nb = schur(R, bad)
+    _, Zg, ng = schur(R, lambda re, im: not bad(re, im))
     if nb + ng != d:
         raise InvarianceViolated("spectral split lost eigenvalues at the boundary")
     Xb = image(Sq @ Zb[:, :nb], tol) if nb else Subspace.zero(q, tol.rel_rank_tol)
@@ -241,7 +243,8 @@ def compute_wg_star(W_star: Subspace, Xbar_b: Subspace,
     """
     if Xbar_b.ambient_dim != W_star.ambient_dim - W_star.dim:
         raise DimensionMismatch("Xbar_b must live in the chart of X/W*")
-    Wg = preimage(canonical_projection(W_star, tol), Xbar_b, tol)
+    # The chart has orthonormal rows: its 2-norm is 1.
+    Wg = _preimage(canonical_projection(W_star, tol), Xbar_b, tol, lambda: 1.0)
     expected = W_star.dim + Xbar_b.dim
     if Wg.dim != expected:
         raise InvarianceViolated(
@@ -319,6 +322,110 @@ class _FullQR:
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dgeqrf/dorgqr")
         return (Q.T, R) if with_r else Q.T
+
+
+_INT = ctypes.c_int64
+_SELECT = ctypes.CFUNCTYPE(_INT, ctypes.POINTER(ctypes.c_double),
+                           ctypes.POINTER(ctypes.c_double))
+
+
+class _OrderedSchur:
+    """``scipy.linalg.schur(a, output="real", sort=select)`` of float arrays,
+    bit for bit.
+
+    Calls LAPACK dgees, which reorders the form with dtrsen, from the ILP64
+    OpenBLAS numpy links, through ctypes in the gfortran ABI: INTEGER and
+    LOGICAL are 64-bit, and the lengths of the two CHARACTER arguments trail
+    as ``size_t``.  A C-ordered copy of ``a.T`` is ``a`` in Fortran layout,
+    and T and Z come back as transposes of C-ordered arrays: Fortran-ordered,
+    as scipy returns them.  The workspace size is scipy's query (``LWORK =
+    -1``, unsorted); the workspace, the eigenvalue arrays and ``BWORK``
+    depend only on the order, so each order's are queried and allocated once
+    and kept.  ``select(re, im)`` answers through one C callback made at
+    construction, so an instance is not reentrant.  Skips scipy's finiteness
+    check and its empty-matrix case: the caller passes a finite, non-empty
+    square array.
+    """
+
+    def __init__(self, dgees):
+        self._dgees = dgees
+        self._select = None
+        self._callback = _SELECT(lambda wr, wi: self._select(wr[0], wi[0]))
+        self._sdim, self._info = _INT(), _INT()
+        self._buffers = {}
+
+    def _allocate(self, n: int):
+        """The kept arrays of order n, with N, LWORK and their addresses."""
+        N, query = _INT(n), np.empty(1)
+        wr, wi, bwork = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
+        self._dgees(b"V", b"N", self._callback, N, np.empty((n, n)).ctypes.data, N,
+                    self._sdim, wr.ctypes.data, wi.ctypes.data,
+                    np.empty((n, n)).ctypes.data, N, query.ctypes.data, _INT(-1),
+                    bwork.ctypes.data, self._info, 1, 1)
+        kept = (wr, wi, np.empty(int(query[0])), bwork)
+        buffers = self._buffers[n] = (kept, N, _INT(kept[2].size),
+                                      *(x.ctypes.data for x in kept))
+        return buffers
+
+    def __call__(self, a, select):
+        """``(T, Z, sdim)`` with the eigenvalues ``select`` accepts leading."""
+        n = a.shape[0]
+        if a.shape != (n, n):
+            raise ValueError("expected square matrix")
+        _, N, lwork, wr, wi, work, bwork = self._buffers.get(n) or self._allocate(n)
+        t = np.array(a.T, dtype=float, order="C")  # t.T is a, Fortran-ordered
+        vs = np.empty((n, n))
+        self._select = select
+        self._dgees(b"V", b"S", self._callback, N, t.ctypes.data, N, self._sdim,
+                    wr, wi, vs.ctypes.data, N, work, lwork, bwork, self._info, 1, 1)
+        info = self._info.value
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+        if info == n + 1:
+            raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+        if info == n + 2:
+            raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+        if info > 0:
+            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+        return t.T, vs.T, self._sdim.value
+
+
+def _numpy_dgees():
+    """numpy's LAPACK dgees as a ctypes function, or None.
+
+    numpy's wheels link the ILP64 scipy-openblas, which exports
+    ``scipy_dgees_64_``; lapack_lite's handle resolves it through its own
+    dependency.  Other builds (Accelerate, MKL, a system LAPACK) lack it.
+    """
+    try:
+        dgees = ctypes.CDLL(lapack_lite.__file__).scipy_dgees_64_
+    except (OSError, AttributeError):
+        return None
+    ptr, ref = ctypes.c_void_p, ctypes.POINTER(_INT)
+    # JOBVS, SORT, SELECT, N, A, LDA, SDIM, WR, WI, VS, LDVS, WORK, LWORK,
+    # BWORK, INFO, then the lengths of JOBVS and SORT.
+    dgees.argtypes = [ctypes.c_char_p, ctypes.c_char_p, _SELECT, ref, ptr, ref,
+                      ref, ptr, ptr, ptr, ref, ptr, ref, ptr, ref,
+                      ctypes.c_size_t, ctypes.c_size_t]
+    dgees.restype = None
+    return dgees
+
+
+def _scipy_schur(a, select):
+    """The ordered real Schur form where numpy's LAPACK exports no dgees."""
+    import scipy.linalg as sla
+    return sla.schur(a, output="real", sort=select)
+
+
+@cache
+def _ordered_schur():
+    """``schur(a, select) -> (T, Z, sdim)``: numpy's dgees, else scipy's.
+
+    Resolved on the first nonempty spectral split and kept for the process,
+    with its workspaces.
+    """
+    dgees = _numpy_dgees()
+    return _scipy_schur if dgees is None else _OrderedSchur(dgees)
 
 
 def _yt_real_update(ker_pole, Q, X, i, j):

@@ -168,7 +168,11 @@ def test_synthesize_fails_with_zero_output():
     with pytest.raises(ExistenceFailed) as exc:
         synthesize_centralized_uio(sys, part, ALPHA0)
     assert "Ker C" in str(exc.value)
-    assert exc.value.diagnostics["intersection_basis"].shape[1] > 0
+    d = exc.value.diagnostics["intersection_basis"].shape[1]
+    assert d > 0 and exc.value.diagnostics["blocked_dim"] == d
+    assert f"in dimension {d}" in str(exc.value)
+    assert f"estimable modulo that {d}-dimensional subspace" in str(exc.value)
+    assert "T·basis = 0" in str(exc.value)
 
 
 def test_friend_failure_is_reported_but_programming_errors_propagate(monkeypatch):

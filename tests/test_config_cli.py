@@ -597,18 +597,30 @@ def test_report_serializes_complex_quotient_spectrum(tmp_path):
 
 
 def test_import_and_reproduce_leave_scipy_unimported(tmp_path):
-    # geouio needs scipy only to split a nonempty set of invariant zeros; the
-    # centralized demo has none.  scipy.linalg would add ~0.2 s of start-up.
+    # The spectral split calls the dgees of the scipy-openblas numpy links;
+    # only numpy builds without it load scipy.linalg (for a nonempty split,
+    # which the centralized demo lacks).  scipy.linalg would add ~0.12 s of
+    # start-up.
     code = ("import sys\n"
             "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "import geouio\n"
             "print(scipy())\n"
             "from geouio import cli\n"
-            f"code = cli.main(['reproduce', 'centralized', '--out', {str(tmp_path)!r}])\n"
-            "print(code, scipy())\n")
+            "for which in sys.argv[1:]:\n"
+            f"    code = cli.main(['reproduce', which, '--out', {str(tmp_path)!r}])\n"
+            "    print(code, scipy())\n")
     env = dict(os.environ, PYTHONPATH=str(Path(geouio.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "[]" and lines[-1] == "0 []", proc.stdout
+
+    def run(*modes):
+        proc = subprocess.run([sys.executable, "-c", code, *modes], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    lines = run("centralized")
+    assert lines[0] == "[]" and lines[-1] == "0 []", lines
+    config = getattr(np.__config__, "CONFIG", {})  # numpy >= 1.25
+    lapack = config.get("Build Dependencies", {}).get("lapack", {}).get("name")
+    if lapack != "scipy-openblas":
+        pytest.skip(f"numpy links {lapack}, not scipy-openblas")
+    assert run("distributed")[-1] == "0 []"

@@ -256,6 +256,111 @@ def test_invariant_zero_spectrum_is_friend_independent():
     assert checked >= 10
 
 
+def _require_dgees():
+    dgees = synthesis._numpy_dgees()
+    if dgees is None:
+        pytest.skip("numpy's LAPACK exports no ILP64 dgees")
+    return dgees
+
+
+def _straddling_matrix(rng, n):
+    """Order-n matrix whose first complex pairs sit on both sides of Re = 0.
+
+    Blocks alternate sides; the first two (room permitting) are complex pairs,
+    the rest real or complex at random.
+    """
+    D, k, side = np.zeros((n, n)), 0, -1.0
+    while k < n:
+        re = side * rng.uniform(0.2, 2.0)
+        if n - k >= 2 and (k < 4 or rng.random() < 0.5):
+            im = rng.uniform(0.5, 2.0)
+            D[k:k + 2, k:k + 2] = [[re, im], [-im, re]]
+            k += 2
+        else:
+            D[k, k] = re
+            k += 1
+        side = -side
+    V = rng.normal(size=(n, n)) + n * np.eye(n)
+    return V @ D @ np.linalg.inv(V)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_ordered_schur_matches_scipy(n):
+    import scipy.linalg as sla
+
+    schur = synthesis._OrderedSchur(_require_dgees())
+    rng = np.random.default_rng(100 + n)
+    straddling = [_straddling_matrix(rng, n) for _ in range(2)]
+    if n >= 4:  # each leads with a complex pair on each side of the boundary
+        for R in straddling:
+            pairs = np.linalg.eigvals(R)
+            pairs = pairs[pairs.imag > 0].real
+            assert pairs.min() < 0 < pairs.max()
+    for R in straddling + [rng.normal(size=(n, n))]:
+        scale = float(np.linalg.norm(R, 2))
+        bad = lambda re, im: ALPHA0.is_bad(re, scale)
+        for select in (bad, lambda re, im: not bad(re, im)):
+            T, Z, sdim = schur(R, select)
+            T_ref, Z_ref, sdim_ref = sla.schur(R, output="real", sort=select)
+            assert np.array_equal(T, T_ref) and np.array_equal(Z, Z_ref)
+            assert sdim == sdim_ref and T.flags.f_contiguous
+
+
+def test_ordered_schur_queries_workspace_once_per_order():
+    dgees = _require_dgees()
+    queries = []
+
+    def counted(*args):
+        if args[12].value == -1:  # LWORK
+            queries.append(args[3].value)  # N
+        return dgees(*args)
+
+    schur = synthesis._OrderedSchur(counted)
+    rng = np.random.default_rng(3)
+    for n in (4, 2, 4, 1, 2, 4):
+        schur(rng.normal(size=(n, n)), lambda re, im: re < 0)
+    assert queries == [4, 2, 1]
+
+
+@pytest.mark.parametrize("info, error, text", [
+    (-4, ValueError, "illegal value in 4-th argument of internal gees"),
+    (4, np.linalg.LinAlgError, "Eigenvalues could not be separated for reordering."),
+    (5, np.linalg.LinAlgError, "Leading eigenvalues do not satisfy sort condition."),
+    (2, np.linalg.LinAlgError, "Schur form not found. Possibly ill-conditioned."),
+])
+def test_ordered_schur_raises_what_scipy_raises(info, error, text):
+    import ctypes
+
+    def failing(*args):
+        if args[12].value == -1:
+            ctypes.c_double.from_address(args[11]).value = 9.0  # WORK(1)
+        else:
+            args[14].value = info
+
+    schur = synthesis._OrderedSchur(failing)
+    with pytest.raises(error) as exc:
+        schur(np.eye(3), lambda re, im: True)
+    assert str(exc.value) == text
+
+
+def test_spectral_split_falls_back_to_scipy(monkeypatch):
+    A = _straddling_matrix(np.random.default_rng(5), 7)
+    C, W, S = np.zeros((1, 7)), Subspace.zero(7), Subspace.full(7)
+    direct = spectral_split(A, C, W, S, np.zeros((7, 1)), ALPHA0)
+    if synthesis._numpy_dgees() is not None:
+        assert isinstance(synthesis._ordered_schur(), synthesis._OrderedSchur)
+    monkeypatch.setattr(synthesis, "_numpy_dgees", lambda: None)
+    synthesis._ordered_schur.cache_clear()
+    try:
+        fallback = spectral_split(A, C, W, S, np.zeros((7, 1)), ALPHA0)
+        assert synthesis._ordered_schur() is synthesis._scipy_schur
+    finally:
+        synthesis._ordered_schur.cache_clear()
+    assert [X.dim for X in direct] == [4, 3]
+    for X, Y in zip(direct, fallback):
+        assert np.array_equal(X.basis, Y.basis)
+
+
 # ---------------------------------------------------------------------------
 # W_g* and the stabilizing friend
 
