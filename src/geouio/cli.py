@@ -133,8 +133,7 @@ def cmd_simulate(cfg: ProjectConfig, out_dir, tol, design=None) -> int:
     metrics = error_metrics(traj)
     report["metrics"] = metrics
     with _writing(out):
-        rpt.write_trajectory_csv(traj, out / "trajectory.csv")
-        rpt.write_plot_series(traj, out)
+        rpt.write_trajectory_tables(traj, out)
         rpt.write_json(out / "report.json", report)
     final = metrics["max_final_err"]
     print(f"simulated {cfg.mode} run to t = {cfg.sim.t_end:g}: "

@@ -326,18 +326,25 @@ def induced_map(A, W: Subspace, P, tol: TolerancePolicy = DEFAULT_POLICY) -> np.
     """
     A = as_matrix(A, "A")
     P = as_matrix(P, "P")
-    _require_invariant(P, A, W, max(1.0, float(np.linalg.norm(A, 2))), tol,
+    _require_invariant(P, A, W, _norm_once(A), tol,
                        "subspace is not invariant under the map")
     return P @ A @ P.T
 
 
-def _require_invariant(P, M, W: Subspace, scale: float, tol: TolerancePolicy,
+def _exceeds(resid: float, limit: float, m_norm) -> bool:
+    """``resid > limit * max(1, m_norm())``.  Up to ``limit`` the test passes
+    for any scale, so ``m_norm`` (a ``_norm_once``) is called only past it."""
+    return resid > limit and resid > limit * max(1.0, m_norm())
+
+
+def _require_invariant(P, M, W: Subspace, m_norm, tol: TolerancePolicy,
                        what: str):
     """Raise InvarianceViolated naming ``what`` unless ||P M W|| is within
-    ``abs_residual_tol * scale``; P charts X/W and scale = max(1, ||M||_2)."""
+    ``abs_residual_tol * max(1, ||M||_2)``; P charts X/W and ``m_norm()``
+    gives ||M||_2."""
     if W.dim:
         resid = float(np.linalg.norm(P @ M @ W.basis))
-        if resid > tol.abs_residual_tol * scale:
+        if _exceeds(resid, tol.abs_residual_tol, m_norm):
             raise InvarianceViolated(f"{what} (residual {resid:.2e})")
 
 

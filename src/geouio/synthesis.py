@@ -26,11 +26,11 @@ from numpy.linalg import lapack_lite
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
-                        _fixed_point, _norm_once, _preimage, _rank_cut,
-                        _require_invariant, as_matrix, canonical_projection,
-                        contains, image, intersect, kernel, orth_complement,
-                        subspace_sum, subspaces_equal,
-                        unobservable_subspace)
+                        _exceeds, _fixed_point, _norm_once, _preimage,
+                        _rank_cut, _require_invariant, as_matrix,
+                        canonical_projection, contains, image, intersect,
+                        kernel, orth_complement, subspace_sum,
+                        subspaces_equal, unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
 # ("bad"): a raw comparison would flip on rounding noise when zeros sit
@@ -179,8 +179,7 @@ def common_friend(A, C, subspace_list,
     h = np.concatenate(rhs)
     vecL, *_ = np.linalg.lstsq(G, h, rcond=None)
     resid = float(np.linalg.norm(G @ vecL - h))
-    a_scale = max(1.0, float(np.linalg.norm(A, 2)))
-    if resid > tol.abs_residual_tol * a_scale:
+    if _exceeds(resid, tol.abs_residual_tol, _norm_once(A)):
         raise NotConditionedInvariant(
             f"no common friend for the given subspaces (residual {resid:.2e})")
     return vecL.reshape((n, p), order="F")
@@ -205,9 +204,9 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
     L0 = as_matrix(L0, "L0")
     P = canonical_projection(W_star, tol)
     AL = A + L0 @ C
-    a_scale = max(1.0, float(np.linalg.norm(AL, 2)))
-    _require_invariant(P, AL, W_star, a_scale, tol, "L0 is not a friend of W*")
-    _require_invariant(canonical_projection(S_star, tol), AL, S_star, a_scale,
+    al_norm = _norm_once(AL)
+    _require_invariant(P, AL, W_star, al_norm, tol, "L0 is not a friend of W*")
+    _require_invariant(canonical_projection(S_star, tol), AL, S_star, al_norm,
                        tol, "L0 is not a friend of S*")
     q = P.shape[0]
     # S* ∩ W*^perp maps isometrically onto the quotient image of S*.
@@ -218,7 +217,7 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
         return z, z
     Abar = P @ AL @ P.T
     off = float(np.linalg.norm(Abar @ Sq - Sq @ (Sq.T @ Abar @ Sq)))
-    if off > 1e3 * tol.abs_residual_tol * a_scale:
+    if _exceeds(off, 1e3 * tol.abs_residual_tol, al_norm):
         raise InvarianceViolated(
             f"quotient image of S* is not invariant (residual {off:.2e})")
     R = Sq.T @ Abar @ Sq
@@ -583,9 +582,9 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
         raise SpectrumUnassignable(
             f"quotient spectrum cannot be pushed below alpha={part.alpha} "
             f"(max Re = {worst:.3e})", eigenvalues=eigs)
-    a_scale = max(1.0, float(np.linalg.norm(AL, 2)))
+    al_norm = _norm_once(AL)
     for W in (W_g_star, W_star):
-        _require_invariant(canonical_projection(W, tol), AL, W, a_scale, tol,
+        _require_invariant(canonical_projection(W, tol), AL, W, al_norm, tol,
                            "stabilizing friend broke an invariance")
     return L, Abar
 

@@ -1,9 +1,20 @@
 """Artifact writers: byte-exact text against a per-value formatting reference."""
 
-import numpy as np
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import geouio
+from geouio import report
+from geouio.cases import builtin_config
+from geouio.cli import main
 from geouio.report import (_BLOCK_ROWS, _jsonable, write_plot_series,
-                           write_trajectory_csv)
+                           write_trajectory_csv, write_trajectory_tables)
 from geouio.simulate import Trajectory
 
 SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
@@ -29,23 +40,146 @@ def _reference_rows(columns, sep):
     return "".join(sep.join(f"{v:.17g}" for v in row) + "\n" for row in data)
 
 
-def test_writers_match_per_value_formatting(tmp_path):
-    traj = _trajectory(2 * _BLOCK_ROWS + 5)  # a partial block at the end
-    csv = tmp_path / "trajectory.csv"
+def _force_workers(monkeypatch, workers):
+    """Make every write use ``workers`` processes, whatever its size."""
+    monkeypatch.setattr(report, "_worker_count", lambda values: workers)
+
+
+def test_writers_match_per_value_formatting(tmp_path, monkeypatch):
+    # Row counts: a partial block at the end, range boundaries inside a
+    # 1024-row block (at 1026 for 2 workers, 684 and 1369 for 3), fewer rows
+    # than workers.
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        for rows in (2 * _BLOCK_ROWS + 5, 2):
+            _check_writers(_trajectory(rows), tmp_path / f"{workers}-{rows}")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _check_writers(traj, out):
+    csv = out / "trajectory.csv"
     write_trajectory_csv(traj, csv)
     header, body = csv.read_text().split("\n", 1)
     assert header.split(",")[:2] == ["t", "x_1"]
     assert body == _reference_rows(
         [traj.times[:, None], traj.x, *traj.xhat,
          *(e[:, None] for e in traj.err_norm)], ",")
-    paths = write_plot_series(traj, tmp_path)
+    paths = write_plot_series(traj, out)
     assert [p.name for p in paths] == ["plot_node1_err.dat",
                                        "plot_node2_err.dat"]
     for p, err in zip(paths, traj.err_norm):
         assert p.read_text() == _reference_rows(
             [traj.times[:, None], err[:, None]], " ")
-    assert "-0," in body and "nan" in body and "-inf" in body
-    assert "4.9406564584124654e-324" in body
+    assert "-0," in body and "nan" in body
+    if len(traj.times) > len(SPECIAL):
+        assert "-inf" in body and "4.9406564584124654e-324" in body
+    # One write of every table gives the same files as the two writers.
+    together = write_trajectory_tables(traj, out / "one")
+    assert [p.name for p in together] == ["trajectory.csv",
+                                          *(p.name for p in paths)]
+    for p in together:
+        assert p.read_bytes() == (out / p.name).read_bytes()
+    assert sorted(os.listdir(out / "one")) == sorted(p.name for p in together)
+
+
+def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
+    _force_workers(monkeypatch, 3)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    write_trajectory_tables(_trajectory(50), tmp_path)
+    assert len(forks) == 2
+
+
+def test_worker_count_follows_cpus_and_size(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)),
+                        raising=False)
+    floor = report._VALUES_PER_WORKER
+    assert [report._worker_count(v) for v in
+            (0, floor - 1, 2 * floor, 3 * floor + 1, 100 * floor)] == [1, 1, 2, 3, 8]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert report._worker_count(100 * floor) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert report._worker_count(100 * floor) == 1
+
+
+def _failing_in(monkeypatch, where):
+    """Make formatting raise in the worker processes ("child") or in the
+    calling process ("parent") only."""
+    parent = os.getpid()
+    text = report._Table.text
+
+    def failing(self, start, stop):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise MemoryError("formatting failed")
+        return text(self, start, stop)
+
+    monkeypatch.setattr(report._Table, "text", failing)
+
+
+def _short_distributed_config(tmp_path):
+    cfg = builtin_config("distributed")
+    cfg["sim"]["t_end"] = 0.5
+    cfg["sim"]["record_stride"] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_failing_worker_is_a_write_error(tmp_path, monkeypatch, capsys):
+    _force_workers(monkeypatch, 3)
+    _failing_in(monkeypatch, "child")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _short_distributed_config(tmp_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write {out / 'trajectory.csv'}: ")
+    assert "formatting worker exited with status 1" in err[0]
+    assert sorted(os.listdir(out)) == ["plot_node1_err.dat", "plot_node2_err.dat",
+                                       "plot_node3_err.dat", "plot_node4_err.dat",
+                                       "trajectory.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failing_caller_still_reaps_its_workers(tmp_path, monkeypatch):
+    _force_workers(monkeypatch, 3)
+    _failing_in(monkeypatch, "parent")
+    with pytest.raises(MemoryError):
+        write_trajectory_tables(_trajectory(50), tmp_path)
+    assert sorted(os.listdir(tmp_path)) == ["trajectory.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and at least 2 CPUs")
+def test_reproduce_artifacts_do_not_depend_on_cpu_count(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(geouio.__file__).resolve().parents[1]))
+    cpu = min(os.sched_getaffinity(0))
+
+    def artifacts(out, preexec_fn=None):
+        proc = subprocess.run(
+            [sys.executable, "-m", "geouio.cli", "reproduce", "distributed",
+             "--out", str(out)], env=env, preexec_fn=preexec_fn,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return {p.name: p.read_bytes() for p in (out / "distributed").iterdir()}
+
+    pinned = artifacts(tmp_path / "pinned",
+                       lambda: os.sched_setaffinity(0, {cpu}))
+    unpinned = artifacts(tmp_path / "unpinned")
+    assert len(pinned) == 6 and pinned == unpinned
 
 
 def test_jsonable_spells_out_non_finite_values_in_one_pass():

@@ -1,5 +1,6 @@
 """Geometric synthesis: recursions, splitting, friends, full decomposition."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from geouio.errors import (DimensionMismatch, InvarianceViolated,
                            NotConditionedInvariant, SpectrumUnassignable)
-from geouio.subspaces import (Subspace, canonical_projection, contains, image,
-                              intersect, kernel, margin_monitor,
-                              orth_complement, subspaces_equal)
+from geouio.subspaces import (Subspace, _exceeds, canonical_projection,
+                              contains, image, intersect, kernel,
+                              margin_monitor, orth_complement, subspaces_equal)
 from geouio import synthesis
 from geouio.synthesis import (SpectralPartition, _FullQR, _place_real_poles,
                               _yt_update_order, common_friend, compute_wg_star,
@@ -161,6 +162,36 @@ def test_common_friend_fixes_both_subspaces():
                 P = canonical_projection(sub)
                 resid = np.linalg.norm(P @ AL @ sub.basis)
                 assert resid <= 1e-8 * max(1, np.linalg.norm(A))
+
+
+def test_residual_tests_take_the_norm_only_past_the_bare_limit(monkeypatch):
+    # resid > tol * max(1, ||M||_2) cannot hold when resid <= tol.
+    calls = []
+
+    def norm():
+        calls.append(1)
+        return 4.0
+
+    assert not _exceeds(1e-9, 1e-9, norm) and not _exceeds(np.nan, 1e-9, norm)
+    assert not calls
+    assert not _exceeds(4e-9, 1e-9, norm) and _exceeds(5e-9, 1e-9, norm)
+    assert len(calls) == 2
+    assert _exceeds(2e-9, 1e-9, lambda: 0.5)  # the scale never drops below 1
+    callers = []
+    norm2 = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            callers.append(sys._getframe(1).f_code.co_name)
+        return norm2(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        A, C, B = rand_system(rng)
+        W = infimal_conditioned_invariant(A, C, image(B))
+        common_friend(A, C, [W, infimal_unobservability_subspace(A, C, W)])
+    assert "common_friend" not in callers
 
 
 # ---------------------------------------------------------------------------
