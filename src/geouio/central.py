@@ -79,10 +79,6 @@ class InputPartition:
                 f"need #unknown ({n_unknown}) <= p ({sys.p}) <= n ({sys.n})")
         return cls(sys.B[:, list(known)], sys.B[:, list(unknown)], known, unknown)
 
-    @property
-    def l(self) -> int:
-        return len(self.known_cols)
-
 
 @dataclass(frozen=True)
 class CentralizedObserver:
@@ -101,33 +97,6 @@ class CentralizedObserver:
     @property
     def z_dim(self) -> int:
         return self.Abar_L.shape[0]
-
-    def validate(self, sys: LinSystem, part: InputPartition) -> dict:
-        """Residuals for every observer invariant (see acceptance suite)."""
-        AL = sys.A + self.L @ sys.C
-        return {
-            "reconstruction_residual": float(np.linalg.norm(
-                self.E @ self.P_Wg + self.F @ sys.C - np.eye(sys.n))),
-            "commutation_residual": float(np.linalg.norm(
-                self.Abar_L @ self.P_Wg - self.P_Wg @ AL)),
-            **_quotient_invariants(self.decomp, AL, self.Abar_L, part.B_unknown),
-        }
-
-
-def _quotient_invariants(decomp: GeometricDecomposition, A_cl, Abar,
-                         B_unknown) -> dict:
-    """Invariants shared by every observer on X/W_g* (A_cl = A + L C, Abar its
-    induced map in the chart decomp.P_Wg)."""
-    Wg, P_Wg = decomp.W_g_star, decomp.P_Wg
-    return {
-        "friend_invariance_residual": float(np.linalg.norm(
-            P_Wg @ A_cl @ Wg.basis)) if Wg.dim else 0.0,
-        "max_re_quotient_spectrum": float(
-            np.linalg.eigvals(Abar).real.max()) if Abar.size else -np.inf,
-        "quotient_kills_unknown_input": float(np.linalg.norm(
-            P_Wg @ B_unknown)) if B_unknown.size else 0.0,
-        "split_dimension_identity": decomp.split_identity_holds(),
-    }
 
 
 def check_uio_condition(decomp: GeometricDecomposition, C,

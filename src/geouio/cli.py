@@ -26,7 +26,7 @@ from .errors import (AssumptionViolated, ConfigError, DimensionMismatch,
                      NotConditionedInvariant, NotSolvable, SingularQ,
                      SpectrumUnassignable)
 from .simulate import error_metrics, simulate_centralized, simulate_distributed
-from .verify import (MARGINAL_GAP, _checks, _design, _residuals,
+from .verify import (MARGINAL_GAP, _design, invariant_checks,
                      random_equivalence_battery, synthesis_residual_checks)
 
 EXIT_OK = 0
@@ -83,14 +83,16 @@ def _writing(path):
 
 
 def _synthesize(cfg: ProjectConfig, tol):
-    """The synthesized observer or network and its report."""
+    """The synthesized observer or network, its checks and its report."""
     artifact = _design(cfg, tol)
-    residuals = _residuals(cfg, artifact, tol)
+    checks = invariant_checks(artifact, cfg.spectral.alpha, cfg.system,
+                              cfg.partition, tol)
+    residuals = {name: c.value for name, c in checks.items()}
     if cfg.mode == "centralized":
         report = rpt.centralized_report(cfg.to_dict(), artifact, cfg.system, residuals)
     else:
         report = rpt.distributed_report(cfg.to_dict(), artifact, residuals)
-    return artifact, report
+    return artifact, checks, report
 
 
 def _print_design(cfg: ProjectConfig, report: dict, path: Path):
@@ -107,7 +109,7 @@ def _print_design(cfg: ProjectConfig, report: dict, path: Path):
 
 def cmd_synth(cfg: ProjectConfig, out_dir, tol) -> int:
     """Synthesize and write report.json."""
-    _, report = _synthesize(cfg, tol)
+    *_, report = _synthesize(cfg, tol)
     path = Path(out_dir) / "report.json"
     with _writing(path):
         rpt.write_json(path, report)
@@ -116,11 +118,11 @@ def cmd_synth(cfg: ProjectConfig, out_dir, tol) -> int:
 
 
 def cmd_simulate(cfg: ProjectConfig, out_dir, tol, design=None) -> int:
-    """Simulate and write the artifacts; ``design`` is an (artifact, report)
-    pair already synthesized."""
+    """Simulate and write the artifacts; ``design`` is an (artifact, checks,
+    report) triple already synthesized."""
     if cfg.sim is None:
         raise ConfigError("config has no 'sim' block")
-    artifact, report = design or _synthesize(cfg, tol)
+    artifact, _, report = design or _synthesize(cfg, tol)
     try:
         if cfg.mode == "centralized":
             traj = simulate_centralized(cfg.system, cfg.partition, artifact,
@@ -198,23 +200,22 @@ def cmd_verify(args, tol) -> int:
 def cmd_reproduce(which, out_dir, tol) -> int:
     cfg = parse_config(builtin_config(which))
     out = Path(out_dir) / which
-    design = _synthesize(cfg, tol)
+    design = _, checks, report = _synthesize(cfg, tol)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
-    _print_design(cfg, design[1], out / "report.json")
+    _print_design(cfg, report, out / "report.json")
     try:
         code = cmd_simulate(cfg, out, tol, design)
     except (ConfigError, NonFiniteState):
         # a failed simulation leaves the synthesis report, as `synth` writes it
         with _writing(out):
-            rpt.write_json(out / "report.json", design[1])
+            rpt.write_json(out / "report.json", report)
         raise
     if code:
         return code
-    checks = _checks(design[1]["residuals"], cfg.spectral.alpha)
-    for c in checks:
+    for c in checks.values():
         print(f"  {c.name}: {'PASS' if c.passed else 'FAIL'}")
-    return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY
+    return EXIT_OK if all(c.passed for c in checks.values()) else EXIT_VERIFY
 
 
 def main(argv=None) -> int:

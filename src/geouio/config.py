@@ -51,9 +51,18 @@ def _object(obj, name) -> dict:
     return obj
 
 
+def _numbers(obj):
+    """``obj``; TypeError if it is or holds a JSON true or false."""
+    if isinstance(obj, bool):
+        raise TypeError(f"{obj!r} is not a number")
+    for v in obj if isinstance(obj, list) else ():
+        _numbers(v)
+    return obj
+
+
 def _matrix(obj, name):
     try:
-        M = np.asarray(obj, dtype=float)
+        M = np.asarray(_numbers(obj), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} is not a numeric matrix: {exc}") from exc
     _require(M.ndim == 2, f"{name} must be a nested (2-D) array")
@@ -63,7 +72,7 @@ def _matrix(obj, name):
 
 def _finite(obj, name) -> float:
     try:
-        v = float(obj)
+        v = float(_numbers(obj))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} is not a number: {obj!r}") from exc
     _require(np.isfinite(v), f"{name} must be finite, got {obj!r}")
@@ -72,7 +81,7 @@ def _finite(obj, name) -> float:
 
 def _vector(obj, name) -> np.ndarray:
     try:
-        v = np.asarray(obj, dtype=float).ravel()
+        v = np.asarray(_numbers(obj), dtype=float).ravel()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} is not a numeric vector: {exc}") from exc
     _require(np.all(np.isfinite(v)), f"{name} has non-finite entries")
@@ -138,6 +147,8 @@ def _parse(data: dict) -> ProjectConfig:
                  "'nodes' must be a nonempty list")
         for k, nd in enumerate(data["nodes"]):
             node_id = _object(nd, f"'nodes' entry {k}").get("id", k + 1)
+            _require(isinstance(node_id, int) and not isinstance(node_id, bool),
+                     f"'nodes' entry {k}: id must be an integer, got {node_id!r}")
             if "C" in nd:
                 C_i = _matrix(nd["C"], f"node {node_id} C")
                 _require(C_i.shape[1] == n, f"node {node_id} C must have {n} columns")

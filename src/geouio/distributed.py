@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import AssumptionViolated, DimensionMismatch, SingularQ
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, _block_diag,
-                        _null_space, as_matrix, intersect, subspaces_equal)
-from .central import (LinSystem, _quotient_invariants, _rank_condition,
-                      solve_output_reconstruction)
+                        as_matrix, intersect)
+from .central import LinSystem, _rank_condition, solve_output_reconstruction
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
 
@@ -134,30 +133,6 @@ class SensorNode:
         blk = self.consensus_block()
         return blk.T @ self.A_cl @ blk
 
-    def validate(self, sys: LinSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> dict:
-        d = self.decomp
-        AL = self.A_cl
-        n = sys.n
-        checks = {
-            "local_rank_condition_matches_class": (
-                _rank_condition(self.C, self.B_unknown, tol)
-                == (self.node_class == N1)),
-            **_quotient_invariants(d, AL, self.Abarbar, self.B_unknown),
-            # block relations between the two quotient charts
-            "chart_rowspace_is_Wstar_perp": subspaces_equal(
-                Subspace(n, d.P_Wstar.T if d.P_Wstar.size else np.zeros((n, 0)),
-                         tol.rel_rank_tol),
-                Subspace(n, _null_space(d.W_star.basis.T) if d.W_star.dim
-                         else np.eye(n), tol.rel_rank_tol), tol),
-            **d.v_invariants(tol),
-        }
-        if self.node_class == N1:
-            checks["reconstruction_residual"] = float(np.linalg.norm(
-                self.E @ d.P_Wstar + self.F @ self.C - np.eye(n)))
-            checks["wstar_friend_invariance"] = float(np.linalg.norm(
-                d.P_Wstar @ AL @ d.W_star.basis)) if d.W_star.dim else 0.0
-        return checks
-
 
 @dataclass(frozen=True)
 class DistributedObserverNetwork:
@@ -188,21 +163,6 @@ class DistributedObserverNetwork:
             if nd.node_id == node_id:
                 return nd
         raise KeyError(node_id)
-
-    def validate(self, sys: LinSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> dict:
-        checks = {"graph_connected": self.graph.is_connected,
-                  "sigma_min_Q": self.sigma_min_Q,
-                  "chi_exceeds_bound": (
-                      self.chi > self.chi_min
-                      or (self.chi_min == 0 and self.chi >= CHI_FALLBACK)),
-                  "gamma_exceeds_bound": (self.gamma >= self.safety * self.gamma_min)}
-        W_V, A_L, _ = build_consensus_blocks(self.nodes)
-        checks["block_matrices_match"] = bool(
-            np.allclose(W_V, self.W_V_block) and np.allclose(A_L, self.A_L_block))
-        for nd in self.nodes:
-            for name, val in nd.validate(sys, tol).items():
-                checks[f"node{nd.node_id}_{name}"] = val
-        return checks
 
 
 # ---------------------------------------------------------------------------

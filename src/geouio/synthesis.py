@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -30,7 +30,7 @@ from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
                         _rank_cut, _require_invariant, as_matrix,
                         canonical_projection, contains, image, intersect,
                         kernel, orth_complement, subspace_sum,
-                        subspaces_equal, unobservable_subspace)
+                        unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
 # ("bad"): a raw comparison would flip on rounding noise when zeros sit
@@ -605,63 +605,16 @@ class GeometricDecomposition:
 
     W_star: Subspace
     S_star: Subspace
-    L0: np.ndarray
     Xbar_g: Subspace
     Xbar_b: Subspace
     W_g_star: Subspace
     V: np.ndarray
     P_Wstar: np.ndarray
     P_Wg: np.ndarray
-    part: SpectralPartition
-    tol: TolerancePolicy = field(default=DEFAULT_POLICY)
 
     @property
     def n(self) -> int:
         return self.W_star.ambient_dim
-
-    def split_identity_holds(self) -> bool:
-        """dim Xbar_g + dim Xbar_b = dim S* - dim W*."""
-        return (self.Xbar_g.dim + self.Xbar_b.dim
-                == self.S_star.dim - self.W_star.dim)
-
-    def v_invariants(self, tol: TolerancePolicy) -> dict:
-        """V lies inside W_g* and is orthogonal to W*."""
-        return {
-            "V_inside_Wg": contains(self.W_g_star,
-                                    Subspace(self.n, self.V, tol.rel_rank_tol), tol),
-            "V_orthogonal_to_Wstar": float(np.linalg.norm(
-                self.V.T @ self.W_star.basis)) if self.W_star.dim and self.V.size else 0.0,
-        }
-
-    def validate(self, A, C, Bbar) -> dict:
-        """Residuals/booleans for every structural invariant of the decomposition."""
-        t = self.tol
-        A = as_matrix(A, "A")
-        checks = {
-            "contains_Bbar_in_Wstar": contains(self.W_star, image(Bbar, t), t),
-            "contains_Wstar_in_Wg": contains(self.W_g_star, self.W_star, t),
-            "contains_Wg_in_Sstar": contains(self.S_star, self.W_g_star, t),
-            "split_dimension_identity": self.split_identity_holds(),
-            "wg_dimension_identity": (
-                self.W_g_star.dim == self.W_star.dim + self.Xbar_b.dim),
-            **_chart_checks(self.P_Wstar, self.W_star, "Wstar"),
-            **_chart_checks(self.P_Wg, self.W_g_star, "Wg"),
-            **self.v_invariants(t),
-            "wg_equals_wstar_plus_V": subspaces_equal(
-                self.W_g_star,
-                subspace_sum(self.W_star,
-                             Subspace(self.n, self.V, t.rel_rank_tol), t), t),
-        }
-        return checks
-
-
-def _chart_checks(P, W: Subspace, name: str) -> dict:
-    """Row orthonormality and kernel residuals of the chart P of X/W."""
-    return {
-        f"chart_orthonormal_{name}": float(np.abs(
-            P @ P.T - np.eye(P.shape[0])).max()) if P.size else 0.0,
-        f"chart_kernel_{name}": float(np.linalg.norm(P @ W.basis)) if W.dim else 0.0,
-    }
 
 
 def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
@@ -671,7 +624,6 @@ def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
     C = as_matrix(C, "C")
     Bbar = B_unknown if isinstance(B_unknown, Subspace) else image(
         as_matrix(B_unknown, "B_unknown"), tol)
-    n = A.shape[0]
     W = infimal_conditioned_invariant(A, C, Bbar, tol)
     S = infimal_unobservability_subspace(A, C, W, tol)
     L0 = common_friend(A, C, [W, S], tol)
@@ -689,6 +641,5 @@ def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
     relabel = lambda X: Subspace(qdim, R @ X.basis if X.dim else X.basis,
                                  tol.rel_rank_tol)
     return GeometricDecomposition(
-        W_star=W, S_star=S, L0=L0,
-        Xbar_g=relabel(Xg_raw), Xbar_b=relabel(Xb_raw),
-        W_g_star=Wg, V=V, P_Wstar=P_W, P_Wg=P_Wg, part=part, tol=tol)
+        W_star=W, S_star=S, Xbar_g=relabel(Xg_raw), Xbar_b=relabel(Xb_raw),
+        W_g_star=Wg, V=V, P_Wstar=P_W, P_Wg=P_Wg)

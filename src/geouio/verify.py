@@ -10,17 +10,20 @@ reported as marginal rather than scored.
 from __future__ import annotations
 
 import operator
-import re
-import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .central import (InputPartition, LinSystem, check_uio_condition,
-                      classical_rank_condition, synthesize_centralized_uio)
+from .central import (InputPartition, LinSystem, _rank_condition,
+                      check_uio_condition, classical_rank_condition,
+                      synthesize_centralized_uio)
 from .config import ProjectConfig
-from .distributed import GRAM_FLOOR, synthesize_distributed
-from .subspaces import DEFAULT_POLICY, TolerancePolicy, margin_monitor
+from .distributed import (CHI_FALLBACK, GRAM_FLOOR, N1,
+                          DistributedObserverNetwork, build_consensus_blocks,
+                          synthesize_distributed)
+from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, _null_space,
+                        contains, margin_monitor, subspaces_equal)
 from .synthesis import SpectralPartition, decompose
 
 MARGINAL_GAP = 1e-6
@@ -35,7 +38,6 @@ class BatteryResult:
     marginal: list = field(default_factory=list)
     disagreements: list = field(default_factory=list)
     seed: int = 0
-    wall_time: float = 0.0
 
     @property
     def scored(self) -> int:
@@ -59,7 +61,6 @@ def random_equivalence_battery(n_trials: int, seed: int,
     rng = np.random.default_rng(seed)
     part = SpectralPartition(alpha)
     out = BatteryResult(trials=n_trials, agreements=0, seed=seed)
-    t0 = time.perf_counter()
     for trial in range(n_trials):
         n = int(rng.integers(2, _BATTERY_N_MAX + 1))
         p = int(rng.integers(1, min(_BATTERY_P_MAX, n) + 1))
@@ -82,46 +83,132 @@ def random_equivalence_battery(n_trials: int, seed: int,
             out.agreements += 1
         else:
             out.disagreements.append(info)
-    out.wall_time = time.perf_counter() - t0
     return out
 
 
 # ---------------------------------------------------------------------------
-# Residual checks for a synthesized configuration.
+# The invariant table: every check of a synthesized design.
 
-
-# Each numeric invariant by base name (its name without a node<id>_ prefix):
-# the comparison its value must satisfy and the limit, None standing for the
-# config's spectral boundary alpha.  Boolean invariants pass by truth.
-_INVARIANTS = {
-    "reconstruction_residual": ("<=", 1e-9),
-    "quotient_kills_unknown_input": ("<=", 1e-10),
-    "friend_invariance_residual": ("<=", 1e-9),
-    "wstar_friend_invariance": ("<=", 1e-9),
-    "commutation_residual": ("<=", 1e-9),
-    "V_orthogonal_to_Wstar": ("<=", 1e-9),
-    "max_re_quotient_spectrum": ("<", None),
-    "sigma_min_Q": (">", GRAM_FLOOR),
-}
+# The scopes of the rows.  A centralized observer is judged by the OBSERVER
+# rows; a network by the NETWORK rows, then each node by the NODE rows and,
+# for a class-1 node, the N1_NODE rows too.
+OBSERVER, NODE, N1_NODE, NETWORK = "observer", "node", "class-1 node", "network"
+ALPHA = "alpha"  # the limit that stands for the config's spectral boundary
 _COMPARE = {"<=": operator.le, "<": operator.lt, ">": operator.gt}
-
-
-def _row(name: str) -> tuple:
-    """The table row of a numeric invariant; KeyError if it has none."""
-    return _INVARIANTS[re.sub(r"^node\d+_", "", name)]
 
 
 @dataclass(frozen=True)
 class Check:
+    """One invariant of one design.  A number passes when ``value comparison
+    limit`` holds; a boolean takes no comparison and passes by its truth."""
+
     name: str
     value: float | bool
-    limit: float | None
-    passed: bool
+    comparison: str | None = None
+    limit: float | None = None
+
+    def __post_init__(self):
+        if (self.comparison is None) != isinstance(self.value, bool):
+            raise TypeError(f"{self.name}: a number needs a comparison, a boolean none")
 
     @property
-    def comparison(self) -> str | None:
-        """The table's comparison ("<=", "<" or ">"); None for a boolean."""
-        return None if isinstance(self.value, bool) else _row(self.name)[0]
+    def passed(self) -> bool:
+        return (self.value if self.comparison is None
+                else bool(_COMPARE[self.comparison](self.value, self.limit)))
+
+
+# One row of the table: its name, the scopes it applies to, the formula of its
+# value on the judged part of a design and, for a number, its comparison and
+# limit.
+Invariant = namedtuple("Invariant", "name scopes formula comparison limit",
+                       defaults=(None, None))
+
+
+# An observer on X/W_g* as the rows read it, the centralized observer or one
+# node: its GeometricDecomposition, C, B_unknown, A_cl = A + L C, Abar its
+# induced map on X/W_g*, E·chart + F·C = I its reconstruction (all three None
+# for a class-2 node), whether it is a class-1 node, and the tolerances.
+_Quotient = namedtuple("_Quotient", "decomp C B_unknown A_cl Abar E F chart is_n1 tol")
+
+
+def _norm(M) -> float:
+    """Frobenius norm; 0.0 for an empty matrix."""
+    return float(np.linalg.norm(M))
+
+
+def _reconstruction(o) -> float:
+    return _norm(o.E @ o.chart + o.F @ o.C - np.eye(o.decomp.n))
+
+
+def _block_matrices_match(net) -> bool:
+    W_V, A_L, _ = build_consensus_blocks(net.nodes)
+    return bool(np.allclose(W_V, net.W_V_block) and np.allclose(A_L, net.A_L_block))
+
+
+INVARIANTS = (
+    Invariant("reconstruction_residual", (OBSERVER,), _reconstruction, "<=", 1e-9),
+    Invariant("commutation_residual", (OBSERVER,), lambda o: _norm(
+        o.Abar @ o.decomp.P_Wg - o.decomp.P_Wg @ o.A_cl), "<=", 1e-9),
+    Invariant("graph_connected", (NETWORK,), lambda net: net.graph.is_connected),
+    Invariant("sigma_min_Q", (NETWORK,), lambda net: net.sigma_min_Q, ">",
+              GRAM_FLOOR),
+    Invariant("chi_exceeds_bound", (NETWORK,), lambda net: (
+        net.chi > net.chi_min or (net.chi_min == 0 and net.chi >= CHI_FALLBACK))),
+    Invariant("gamma_exceeds_bound", (NETWORK,),
+              lambda net: bool(net.gamma >= net.safety * net.gamma_min)),
+    Invariant("block_matrices_match", (NETWORK,), _block_matrices_match),
+    Invariant("local_rank_condition_matches_class", (NODE,),
+              lambda o: _rank_condition(o.C, o.B_unknown, o.tol) == o.is_n1),
+    Invariant("friend_invariance_residual", (OBSERVER, NODE), lambda o: _norm(
+        o.decomp.P_Wg @ o.A_cl @ o.decomp.W_g_star.basis), "<=", 1e-9),
+    Invariant("max_re_quotient_spectrum", (OBSERVER, NODE), lambda o: float(
+        np.linalg.eigvals(o.Abar).real.max()) if o.Abar.size else -np.inf,
+              "<", ALPHA),
+    Invariant("quotient_kills_unknown_input", (OBSERVER, NODE),
+              lambda o: _norm(o.decomp.P_Wg @ o.B_unknown), "<=", 1e-10),
+    Invariant("split_dimension_identity", (OBSERVER, NODE), lambda o: (
+        o.decomp.Xbar_g.dim + o.decomp.Xbar_b.dim
+        == o.decomp.S_star.dim - o.decomp.W_star.dim)),
+    Invariant("chart_rowspace_is_Wstar_perp", (NODE,), lambda o: subspaces_equal(
+        Subspace(o.decomp.n, o.decomp.P_Wstar.T, o.tol.rel_rank_tol),
+        Subspace(o.decomp.n, _null_space(o.decomp.W_star.basis.T), o.tol.rel_rank_tol),
+        o.tol)),
+    Invariant("V_inside_Wg", (NODE,), lambda o: contains(
+        o.decomp.W_g_star, Subspace(o.decomp.n, o.decomp.V, o.tol.rel_rank_tol),
+        o.tol)),
+    Invariant("V_orthogonal_to_Wstar", (NODE,), lambda o: _norm(
+        o.decomp.V.T @ o.decomp.W_star.basis), "<=", 1e-9),
+    Invariant("reconstruction_residual", (N1_NODE,), _reconstruction, "<=", 1e-9),
+    Invariant("wstar_friend_invariance", (N1_NODE,), lambda o: _norm(
+        o.decomp.P_Wstar @ o.A_cl @ o.decomp.W_star.basis), "<=", 1e-9),
+)
+
+
+def _judge(scopes: set, subject, alpha: float, prefix: str = "") -> dict:
+    """The checks of the rows in ``scopes``, each named prefix + row name."""
+    checks = (Check(prefix + row.name, row.formula(subject), row.comparison,
+                    alpha if row.limit == ALPHA else row.limit)
+              for row in INVARIANTS if not scopes.isdisjoint(row.scopes))
+    return {c.name: c for c in checks}
+
+
+def invariant_checks(design, alpha: float, sys: LinSystem | None = None,
+                     part: InputPartition | None = None,
+                     tol: TolerancePolicy = DEFAULT_POLICY) -> dict:
+    """Every check of a synthesized design, by name, in table order: a
+    centralized observer's against its plant ``sys`` and input split
+    ``part``, a network's with each node's rows named ``node<id>_<row>``."""
+    if not isinstance(design, DistributedObserverNetwork):
+        return _judge({OBSERVER}, _Quotient(
+            design.decomp, sys.C, part.B_unknown, sys.A + design.L @ sys.C,
+            design.Abar_L, design.E, design.F, design.P_Wg, False, tol), alpha)
+    checks = _judge({NETWORK}, design, alpha)
+    for nd in design.nodes:
+        is_n1 = nd.node_class == N1
+        checks |= _judge({NODE, N1_NODE} if is_n1 else {NODE}, _Quotient(
+            nd.decomp, nd.C, nd.B_unknown, nd.A_cl, nd.Abarbar, nd.E, nd.F,
+            nd.P_Wstar, is_n1, tol), alpha, f"node{nd.node_id}_")
+    return checks
 
 
 def _design(cfg: ProjectConfig, tol: TolerancePolicy):
@@ -132,28 +219,8 @@ def _design(cfg: ProjectConfig, tol: TolerancePolicy):
                                   cfg.spectral, u_bar_max=cfg.u_bar_max, tol=tol)
 
 
-def _residuals(cfg: ProjectConfig, artifact, tol: TolerancePolicy) -> dict:
-    """Every invariant of an observer or network synthesized from cfg, by name."""
-    if cfg.mode == "centralized":
-        return artifact.validate(cfg.system, cfg.partition)
-    return artifact.validate(cfg.system, tol)
-
-
-def _checks(residuals: dict, alpha: float) -> list:
-    """One Check per invariant, in order, each judged by its table row."""
-    out = []
-    for name, value in residuals.items():
-        if isinstance(value, (bool, np.bool_)):
-            out.append(Check(name, bool(value), None, bool(value)))
-            continue
-        op, limit = _row(name)
-        limit = alpha if limit is None else limit
-        out.append(Check(name, float(value), limit,
-                         bool(_COMPARE[op](value, limit))))
-    return out
-
-
 def synthesis_residual_checks(cfg: ProjectConfig,
                               tol: TolerancePolicy = DEFAULT_POLICY) -> list:
-    """Synthesize per the config and evaluate every invariant residual."""
-    return _checks(_residuals(cfg, _design(cfg, tol), tol), cfg.spectral.alpha)
+    """Synthesize per the config and judge every invariant, in table order."""
+    return list(invariant_checks(_design(cfg, tol), cfg.spectral.alpha,
+                                 cfg.system, cfg.partition, tol).values())

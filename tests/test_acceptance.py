@@ -13,7 +13,7 @@ from geouio.subspaces import (Subspace, contains, image, intersect, kernel,
                               preimage, subspace_sum, subspaces_equal)
 from geouio.synthesis import (infimal_conditioned_invariant,
                               infimal_unobservability_subspace)
-from geouio.verify import random_equivalence_battery
+from geouio.verify import invariant_checks, random_equivalence_battery
 
 
 def report(num, name, passed, detail):
@@ -112,10 +112,15 @@ def test_criterion_4_synthesis_invariants(central_cfg, central_obs,
         if not dims:
             failures.append(f"{label}: split dimension identity broken")
 
-    check("centralized", obs.validate(central_cfg.system, central_cfg.partition),
-          obs.alpha)
+    def values(checks, prefix=""):
+        return {name[len(prefix):]: c.value for name, c in checks.items()
+                if name.startswith(prefix)}
+
+    check("centralized", values(invariant_checks(
+        obs, obs.alpha, central_cfg.system, central_cfg.partition)), obs.alpha)
+    net_checks = invariant_checks(net, dist_cfg.spectral.alpha)
     for nd in net.nodes:
-        check(f"node{nd.node_id}", nd.validate(dist_cfg.system),
+        check(f"node{nd.node_id}", values(net_checks, f"node{nd.node_id}_"),
               dist_cfg.spectral.alpha)
     report(4, "synthesis invariant suite", not failures,
            f"5 artifacts checked; worst residuals: reconstruction "

@@ -11,7 +11,7 @@ from geouio.errors import (DimensionMismatch, ExistenceFailed, NotSolvable,
                            SpectrumUnassignable)
 from geouio.subspaces import Subspace, canonical_projection, image
 from geouio.synthesis import SpectralPartition, decompose
-from geouio.verify import random_equivalence_battery
+from geouio.verify import invariant_checks, random_equivalence_battery
 
 A3 = np.array([[2.0, -2.0, 0.0], [0.0, 0.0, 1.0], [0.0, -2.0, 1.0]])
 B3 = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -144,13 +144,19 @@ def test_reconstruction_unsolvable_when_rows_deficient():
 def test_synthesize_demo_observer(central_cfg, central_obs):
     obs, _ = central_obs
     assert obs.z_dim == 2
-    checks = obs.validate(central_cfg.system, central_cfg.partition)
-    assert checks["reconstruction_residual"] <= 1e-9
-    assert checks["quotient_kills_unknown_input"] <= 1e-10
-    assert checks["commutation_residual"] <= 1e-9
-    assert checks["friend_invariance_residual"] <= 1e-9
-    assert checks["max_re_quotient_spectrum"] < 0.0
-    assert checks["split_dimension_identity"]
+    checks = invariant_checks(obs, 0.0, central_cfg.system, central_cfg.partition)
+    assert list(checks) == ["reconstruction_residual", "commutation_residual",
+                            "friend_invariance_residual",
+                            "max_re_quotient_spectrum",
+                            "quotient_kills_unknown_input",
+                            "split_dimension_identity"]
+    assert checks["reconstruction_residual"].value <= 1e-9
+    assert checks["quotient_kills_unknown_input"].value <= 1e-10
+    assert checks["commutation_residual"].value <= 1e-9
+    assert checks["friend_invariance_residual"].value <= 1e-9
+    assert checks["max_re_quotient_spectrum"].value < 0.0
+    assert checks["split_dimension_identity"].value is True
+    assert all(c.passed for c in checks.values())
 
 
 def test_synthesize_without_unknown_inputs_is_full_order():
@@ -262,7 +268,8 @@ def test_random_synthesis_invariants_hold():
             continue
         obs = synthesize_centralized_uio(sys, part, ALPHA0)
         synthesized += 1
-        checks = obs.validate(sys, part)
+        checks = {name: c.value for name, c in
+                  invariant_checks(obs, 0.0, sys, part).items()}
         assert checks["reconstruction_residual"] <= 1e-9
         assert checks["quotient_kills_unknown_input"] <= 1e-10
         assert checks["commutation_residual"] <= 1e-9

@@ -270,6 +270,59 @@ def test_exit_code_impossible_spectral_setting(tmp_path, capsys, which, spectral
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("node_id", [[1], "a", 1.5, True, None])
+def test_exit_code_node_id_not_an_integer(tmp_path, capsys, node_id):
+    # such ids used to pass synth and crash verify --config
+    cfgp = write_cfg(tmp_path, {**short_distributed(), "nodes": [
+        {**nd, "id": node_id} if k == 1 else nd
+        for k, nd in enumerate(short_distributed()["nodes"])]})
+    for argv in (["synth", "--config", cfgp, "--out", str(tmp_path / "o")],
+                 ["verify", "--config", cfgp]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: 'nodes' entry 1: id must be an integer, got {node_id!r}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("where", [
+    ("system", "A", 0, 0), ("graph", "adjacency", 0, 1), ("sim", "x0", 2),
+    ("spectral", "alpha"), ("spectral", "pole_targets", 0), ("u_bar_max",),
+    ("signals", 1, "amplitude"), ("sim", "dt"), ("sim", "record_stride")])
+def test_exit_code_boolean_for_a_number(tmp_path, capsys, where, value):
+    # JSON true and false used to read as 1.0 and 0.0
+    cfg = short_distributed()
+    cfg["spectral"] = {"pole_targets": [-1.0]}
+    *path, last = where
+    blk = cfg
+    for key in path:
+        blk = blk[key]
+    blk[last] = value
+    cfgp = write_cfg(tmp_path, cfg)
+    assert main(["synth", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and " is not a " in err[0]
+
+
+def test_verify_judges_every_node_whatever_its_id(tmp_path, capsys):
+    # node rows are named node<id>_<row> for any integer id, negative too
+    ids = {1: 0, 2: -1, 3: 7, 4: 3}
+    cfg = builtin_config("distributed")
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0
+    expected = []
+    for line in capsys.readouterr().out.splitlines():
+        old = [k for k in ids if line.startswith(f"node{k}_")]
+        expected.append(line.replace(f"node{old[0]}_", f"node{ids[old[0]]}_", 1)
+                        if old else line)
+    for nd in cfg["nodes"]:
+        nd["id"] = ids[nd["id"]]
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.split() for ln in out] == [ln.split() for ln in expected]
+    for node_id in ids.values():
+        assert len([ln for ln in out if ln.startswith(f"node{node_id}_")]) >= 8
+
+
 @pytest.mark.parametrize("where, value", [
     (("signals", 0, "amplitude"), "x"),
     (("signals", 0, "amplitude"), math.nan),
@@ -396,8 +449,7 @@ def test_exit_code_verification_failure(tmp_path, monkeypatch):
     from geouio.verify import Check
 
     def fake_checks(cfg, tol):
-        return [Check(name="reconstruction_residual", value=1.0, limit=1e-9,
-                      passed=False)]
+        return [Check("reconstruction_residual", 1.0, "<=", 1e-9)]
 
     monkeypatch.setattr(cli, "synthesis_residual_checks", fake_checks)
     cfgp = write_cfg(tmp_path, short_centralized())
@@ -483,25 +535,40 @@ _ROWS = [("reconstruction_residual", "<=", 1e-9),
 
 @pytest.mark.parametrize("name, op, limit", _ROWS)
 def test_invariant_table_rows(name, op, limit):
-    from geouio.verify import _checks
+    from geouio.verify import (ALPHA, INVARIANTS, N1_NODE, NETWORK, NODE,
+                               OBSERVER, Check)
 
+    # the row behind each name a design gives a check, nodes 1, 3 and 12 here
+    rows = {}
+    for row in INVARIANTS:
+        if {OBSERVER, NETWORK} & set(row.scopes):
+            rows.setdefault(row.name, row)
+        if {NODE, N1_NODE} & set(row.scopes):
+            for node_id in (1, 3, 12):
+                rows.setdefault(f"node{node_id}_{row.name}", row)
+    row = rows[name]
+    assert row.comparison == op
+    assert (_ALPHA if row.limit == ALPHA else row.limit) == limit
     below, above = np.nextafter(limit, -np.inf), np.nextafter(limit, np.inf)
     expect = {"<=": (True, True, False), "<": (True, False, False),
               ">": (False, False, True)}[op]
-    checks = [_checks({name: v}, _ALPHA)[0] for v in (below, limit, above)]
+    checks = [Check(name, v, op, limit) for v in (below, limit, above)]
     assert [c.passed for c in checks] == list(expect)
-    assert all(c.limit == limit and c.comparison == op for c in checks)
 
 
 @pytest.mark.parametrize("name", ["chart_orthonormal_Wstar", "chart_kernel",
                                   "node1_sigma_min_Q_positive",
                                   "xnode1_reconstruction_residual"])
 def test_numeric_invariant_without_row_raises(name):
-    from geouio.verify import _checks
+    # a number is judged only by a row's comparison, a boolean by its truth
+    from geouio.verify import Check
 
-    with pytest.raises(KeyError):
-        _checks({name: 0.0}, 0.0)
-    assert _checks({name: True}, 0.0)[0].passed
+    with pytest.raises(TypeError):
+        Check(name, 0.0)
+    with pytest.raises(TypeError):
+        Check(name, True, "<=", 1e-9)
+    assert Check(name, True).passed is True
+    assert Check(name, False).passed is False
 
 
 def test_worst_residual_reads_only_residual_rows(tmp_path, monkeypatch, capsys):
@@ -509,9 +576,9 @@ def test_worst_residual_reads_only_residual_rows(tmp_path, monkeypatch, capsys):
     from geouio.verify import Check
 
     def fake_checks(cfg, tol):
-        return [Check("sigma_min_Q", 0.5, 1e-9, True),
-                Check("max_re_quotient_spectrum", -1.0, -0.5, True),
-                Check("node2_commutation_residual", 2e-12, 1e-9, True)]
+        return [Check("sigma_min_Q", 0.5, ">", 1e-9),
+                Check("max_re_quotient_spectrum", -1.0, "<", -0.5),
+                Check("node2_commutation_residual", 2e-12, "<=", 1e-9)]
 
     monkeypatch.setattr(cli, "synthesis_residual_checks", fake_checks)
     assert main(["verify", "--config", write_cfg(tmp_path, short_centralized())]) == 0
@@ -523,39 +590,45 @@ def test_worst_residual_reads_only_residual_rows(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("which", ["centralized", "distributed"])
 def test_reproduce_validates_once(tmp_path, monkeypatch, which):
-    from geouio.central import CentralizedObserver
-    from geouio.distributed import DistributedObserverNetwork
+    # one evaluation of the table per run: each row's formula runs once for
+    # each residual report.json holds, in its order
+    from geouio import verify
 
-    cls = CentralizedObserver if which == "centralized" else DistributedObserverNetwork
     calls = []
-    real = cls.validate
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return real(self, *args, **kwargs)
+    def counted(row):
+        def formula(subject):
+            calls.append(row.name)
+            return row.formula(subject)
+        return row._replace(formula=formula)
 
-    monkeypatch.setattr(cls, "validate", counted)
+    monkeypatch.setattr(verify, "INVARIANTS",
+                        tuple(map(counted, verify.INVARIANTS)))
     assert main(["reproduce", which, "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    residuals = json.loads(
+        (tmp_path / which / "report.json").read_text())["residuals"]
+    assert len(calls) == len(residuals)
+    assert all(name.endswith(row) for name, row in zip(residuals, calls))
 
 
 def test_reproduce_report_residuals_are_the_printed_checks(tmp_path, monkeypatch,
                                                            capsys):
     import geouio.cli as cli
 
-    printed = []
-    real = cli._checks
+    designs = []
+    real = cli.invariant_checks
 
     def recorded(*args):
-        printed.extend(real(*args))
-        return printed
+        designs.append(real(*args))
+        return designs[-1]
 
-    monkeypatch.setattr(cli, "_checks", recorded)
+    monkeypatch.setattr(cli, "invariant_checks", recorded)
     monkeypatch.setenv("GEO_UIO_TOL", "1e-8")
     assert main(["reproduce", "distributed", "--out", str(tmp_path)]) == 0
     residuals = json.loads(
         (tmp_path / "distributed" / "report.json").read_text())["residuals"]
-    assert [(c.name, c.value) for c in printed] == list(residuals.items())
+    [checks] = designs
+    assert [(c.name, c.value) for c in checks.values()] == list(residuals.items())
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("  ")]
     assert [ln.split(":")[0].strip() for ln in lines] == list(residuals)

@@ -20,6 +20,7 @@ from geouio.distributed import (N1, N2, NodeSpec, SensorGraph,
 from geouio.errors import AssumptionViolated, DimensionMismatch
 from geouio.subspaces import Subspace, contains, image, subspaces_equal
 from geouio.synthesis import SpectralPartition
+from geouio.verify import invariant_checks
 
 ALPHA0 = SpectralPartition(0.0)
 
@@ -291,14 +292,25 @@ def test_synthesize_demo_network(dist_cfg, dist_net):
     net, _ = dist_net
     assert net.n1_ids == [1, 3] and net.n2_ids == [2, 4]
     assert net.chi > net.chi_min and net.gamma > net.gamma_min
-    checks = net.validate(dist_cfg.system)
-    for name, val in checks.items():
-        if isinstance(val, (bool, np.bool_)):
+    checks = invariant_checks(net, 0.0)
+    for name, c in checks.items():
+        val = c.value
+        if isinstance(val, bool):
             assert val, name
         elif "residual" in name or "orthogonal" in name:
             assert val <= 1e-9, (name, val)
         elif "spectrum" in name:
             assert val < 0.0, (name, val)
+    # network rows first, then each node's in config order, class-1 ones
+    # ending with their reconstruction rows
+    assert list(checks)[:5] == ["graph_connected", "sigma_min_Q",
+                                "chi_exceeds_bound", "gamma_exceeds_bound",
+                                "block_matrices_match"]
+    for nd in net.nodes:
+        rows = [name for name in checks if name.startswith(f"node{nd.node_id}_")]
+        assert len(rows) == (10 if nd.node_class == N1 else 8)
+        assert rows[0] == f"node{nd.node_id}_local_rank_condition_matches_class"
+    assert len(checks) == 5 + 2 * 10 + 2 * 8
 
 
 def test_synthesis_builds_consensus_blocks_once(dist_cfg, dist_net, monkeypatch):
@@ -523,8 +535,9 @@ def test_random_network_synthesis_invariants_hold():
         except AssumptionViolated:
             continue
         synthesized += 1
-        for name, val in net.validate(sys).items():
-            if isinstance(val, (bool, np.bool_)):
+        for name, c in invariant_checks(net, 0.0).items():
+            val = c.value
+            if isinstance(val, bool):
                 assert val, name
             elif "residual" in name or "orthogonal" in name:
                 assert val <= 1e-9, (name, val)

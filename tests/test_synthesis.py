@@ -10,7 +10,8 @@ from geouio.errors import (DimensionMismatch, InvarianceViolated,
                            NotConditionedInvariant, SpectrumUnassignable)
 from geouio.subspaces import (Subspace, _exceeds, canonical_projection,
                               contains, image, intersect, kernel,
-                              margin_monitor, orth_complement, subspaces_equal)
+                              margin_monitor, orth_complement, subspace_sum,
+                              subspaces_equal)
 from geouio import synthesis
 from geouio.synthesis import (SpectralPartition, _FullQR, _place_real_poles,
                               _yt_update_order, common_friend, compute_wg_star,
@@ -427,12 +428,17 @@ def test_decomposition_sandwich_random():
         assert contains(d.W_g_star, d.W_star)
         assert contains(d.S_star, d.W_g_star)
         assert d.W_g_star.dim == d.W_star.dim + d.Xbar_b.dim
-        ok = d.validate(A, C, B)
-        for name, val in ok.items():
-            if isinstance(val, bool):
-                assert val, name
-            else:
-                assert val <= 1e-9, (name, val)
+        assert d.Xbar_g.dim + d.Xbar_b.dim == d.S_star.dim - d.W_star.dim
+        # each chart has orthonormal rows and kills its subspace
+        for P, W in ((d.P_Wstar, d.W_star), (d.P_Wg, d.W_g_star)):
+            assert np.abs(P @ P.T - np.eye(P.shape[0])).max(initial=0.0) <= 1e-9
+            assert np.linalg.norm(P @ W.basis) <= 1e-9
+        # V spans W_g* ∩ W*^perp: inside W_g*, orthogonal to W*, and with W*
+        # it spans W_g*
+        V = Subspace(d.n, d.V)
+        assert contains(d.W_g_star, V)
+        assert np.linalg.norm(d.V.T @ d.W_star.basis) <= 1e-9
+        assert subspaces_equal(d.W_g_star, subspace_sum(d.W_star, V))
 
 
 def test_rank_condition_forces_wstar_equal_input_span():
