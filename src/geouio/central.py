@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DimensionMismatch, ExistenceFailed, InvarianceViolated,
                      NotConditionedInvariant, NotSolvable, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, TolerancePolicy, as_matrix,
-                        intersect, kernel, monitored_rank)
+                        intersect, kernel, monitored_rank, two_norm)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
 
@@ -126,7 +126,7 @@ def classical_rank_condition(sys: LinSystem, part: InputPartition,
     CB_pinv = np.linalg.pinv(C @ Bbar) if Bbar.shape[1] else np.zeros((0, sys.p))
     A1 = (np.eye(n) - Bbar @ CB_pinv @ C) @ A
     spart = SpectralPartition(alpha)
-    scale = max(1.0, float(np.linalg.norm(A1, 2)))
+    scale = max(1.0, two_norm(A1))
     cond_ii = True
     for lam in np.linalg.eigvals(A1):
         if spart.is_bad(lam.real, scale):

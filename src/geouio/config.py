@@ -52,18 +52,19 @@ def _object(obj, name) -> dict:
 
 
 def _numbers(obj):
-    """``obj``; TypeError if it is or holds a JSON true or false."""
-    if isinstance(obj, bool):
+    """``obj``; TypeError unless it is a number or a nested list of numbers."""
+    if isinstance(obj, list):
+        for v in obj:
+            _numbers(v)
+    elif type(obj) not in (int, float):  # bool is not a number here
         raise TypeError(f"{obj!r} is not a number")
-    for v in obj if isinstance(obj, list) else ():
-        _numbers(v)
     return obj
 
 
 def _matrix(obj, name):
     try:
         M = np.asarray(_numbers(obj), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} is not a numeric matrix: {exc}") from exc
     _require(M.ndim == 2, f"{name} must be a nested (2-D) array")
     _require(np.all(np.isfinite(M)), f"{name} has non-finite entries")
@@ -73,7 +74,7 @@ def _matrix(obj, name):
 def _finite(obj, name) -> float:
     try:
         v = float(_numbers(obj))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} is not a number: {obj!r}") from exc
     _require(np.isfinite(v), f"{name} must be finite, got {obj!r}")
     return v
@@ -82,7 +83,7 @@ def _finite(obj, name) -> float:
 def _vector(obj, name) -> np.ndarray:
     try:
         v = np.asarray(_numbers(obj), dtype=float).ravel()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} is not a numeric vector: {exc}") from exc
     _require(np.all(np.isfinite(v)), f"{name} has non-finite entries")
     return v

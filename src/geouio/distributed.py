@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AssumptionViolated, DimensionMismatch, SingularQ
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, _block_diag,
-                        as_matrix, intersect)
+                        _svd, as_matrix, intersect, two_norm)
 from .central import LinSystem, _rank_condition, solve_output_reconstruction
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
@@ -258,7 +258,7 @@ def _consensus(nodes, graph: SensorGraph) -> _Consensus:
     Lp = _permuted_laplacian(graph, nodes, ordered)
     Q = W_V.T @ np.kron(Lp, np.eye(ordered[0].decomp.n)) @ W_V
     return _Consensus(W_V, A_L, ordered,
-                      float(np.linalg.svd(Q, compute_uv=False).min()))
+                      float(_svd(Q, uv=False).min()))
 
 
 def _undetectable(cons: _Consensus, inter: Subspace):
@@ -284,7 +284,7 @@ def _gain_bounds(cons: _Consensus, u_bar_max: float):
     if sigma_min <= GRAM_FLOOR:
         raise SingularQ(
             f"consensus Gram matrix is singular (sigma_min = {sigma_min:.2e})")
-    chi_min = float(np.linalg.norm(A_L, 2)) / sigma_min if A_L.size else 0.0
+    chi_min = two_norm(A_L) / sigma_min
     n2 = [nd for nd in cons.ordered if nd.node_class == N2]
     if n2 and u_bar_max > 0:
         gamma_min = (u_bar_max

@@ -8,12 +8,13 @@ deterministic: identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DimensionMismatch, InvarianceViolated
 
@@ -49,14 +50,27 @@ DEFAULT_POLICY = TolerancePolicy()
 # spectral-boundary classification) came to flipping.  Monitors form a stack
 # so nested batteries stay independent.
 
-_monitor_state = threading.local()
+class _MonitorState(threading.local):
+    def __init__(self):
+        self.stack = []
+
+
+_monitor_state = _MonitorState()
 
 
 class MarginRecorder:
-    """Collects the flip distance of every numerical decision made under it."""
+    """Collects the flip distance of every numerical decision made under it,
+    as a context manager: ``with margin_monitor() as rec: ...``."""
 
     def __init__(self):
         self.margins: list[float] = []
+
+    def __enter__(self):
+        _monitor_state.stack.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        _monitor_state.stack.pop()
 
     def note(self, margin: float):
         self.margins.append(float(margin))
@@ -66,25 +80,13 @@ class MarginRecorder:
         return min(self.margins) if self.margins else np.inf
 
 
-@contextmanager
-def margin_monitor():
-    """Record rank-gap and eigenvalue-boundary margins of enclosed operations."""
-    stack = getattr(_monitor_state, "stack", None)
-    if stack is None:
-        stack = _monitor_state.stack = []
-    rec = MarginRecorder()
-    stack.append(rec)
-    try:
-        yield rec
-    finally:
-        stack.pop()
+# Record rank-gap and eigenvalue-boundary margins of enclosed operations.
+margin_monitor = MarginRecorder
 
 
 def note_margin(margin: float):
-    stack = getattr(_monitor_state, "stack", None)
-    if stack:
-        for rec in stack:
-            rec.note(margin)
+    for rec in _monitor_state.stack:
+        rec.note(margin)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +94,11 @@ def note_margin(margin: float):
 
 
 def as_matrix(M, name="matrix") -> np.ndarray:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if not (type(M) is np.ndarray and M.ndim == 2 and M.dtype == np.float64):
+        M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {M.shape}")
-    if M.size and not np.all(np.isfinite(M)):
+    if M.size and not np.isfinite(M).all():
         raise DimensionMismatch(f"{name} has non-finite entries")
     return M
 
@@ -114,6 +117,35 @@ def _block_diag(*blocks) -> np.ndarray:
     return out
 
 
+# The gufuncs behind numpy.linalg.svd: full and reduced factors, singular
+# values only.  numpy < 2 names them differently; _svd falls back there.
+_SVD_GUFUNCS = ((_umath_linalg.svd_f, _umath_linalg.svd_s, _umath_linalg.svd)
+                if hasattr(_umath_linalg, "svd_f") else None)
+
+
+def _svd(M: np.ndarray, full: bool = True, uv: bool = True):
+    """``numpy.linalg.svd(M, full_matrices=full, compute_uv=uv)`` of a 2-D
+    float64 or complex128 array, bit for bit: the same LAPACK gufunc with the
+    same signature, without numpy's per-call dispatch and ``errstate``.  A
+    failed SVD, which the gufunc fills with NaN, raises ``LinAlgError``."""
+    if _SVD_GUFUNCS is None:
+        return np.linalg.svd(M, full_matrices=full, compute_uv=uv)
+    cplx = M.dtype.kind == "c"
+    if uv:
+        out = _SVD_GUFUNCS[0 if full else 1](M, signature="D->DdD" if cplx else "d->ddd")
+        s = out[1]
+    else:
+        out = s = _SVD_GUFUNCS[2](M, signature="D->d" if cplx else "d->d")
+    if math.isnan(s.sum()):
+        raise LinAlgError("SVD did not converge")
+    return out
+
+
+def two_norm(M: np.ndarray) -> float:
+    """||M||_2, equal to ``numpy.linalg.norm(M, 2)``; 0.0 if M is empty."""
+    return float(_svd(M, uv=False)[0]) if M.size else 0.0
+
+
 def _null_space(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of Ker M by ``scipy.linalg.null_space``'s rule.
 
@@ -121,7 +153,7 @@ def _null_space(M: np.ndarray) -> np.ndarray:
     count as zero.  Independent of the policy's cutoff, so checks can use it
     as an oracle for ``kernel`` and ``orth_complement``.
     """
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    _, s, vh = _svd(M)
     cut = np.amax(s, initial=0.0) * np.finfo(float).eps * max(M.shape)
     return vh[np.sum(s > cut, dtype=int):].T
 
@@ -138,7 +170,7 @@ def _rank_cut(s: np.ndarray, shape, rel_tol: float, scale_floor: float = 0.0):
         note_margin(np.inf)
         return 0, 0.0
     threshold = scale * max(shape) * rel_tol
-    rank = int(np.sum(s > threshold))
+    rank = int(np.count_nonzero(s > threshold))
     # Flip margin of the decision: the spectral gap across the cut.  Exactly
     # (or numerically) zero singular values below the cut are stable drops.
     kept_min = float(s[rank - 1]) if rank > 0 else np.inf
@@ -152,8 +184,7 @@ def monitored_rank(M, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    rank, _ = _rank_cut(s, M.shape, tol.rel_rank_tol)
+    rank, _ = _rank_cut(_svd(M, uv=False), M.shape, tol.rel_rank_tol)
     return rank
 
 
@@ -183,8 +214,11 @@ class Subspace:
                 f"basis shape {b.shape} inconsistent with ambient dim {self.ambient_dim}")
         if b.shape[1] > self.ambient_dim:
             raise DimensionMismatch("subspace dimension exceeds ambient dimension")
-        if b.shape[1]:
-            gram_err = np.abs(b.T @ b - np.eye(b.shape[1])).max()
+        k = b.shape[1]
+        if k:
+            gram = b.T @ b
+            gram.reshape(-1)[::k + 1] -= 1.0
+            gram_err = np.abs(gram).max()
             if gram_err > 1e-12:
                 raise DimensionMismatch(f"basis not orthonormal (error {gram_err:.2e})")
         b.setflags(write=False)
@@ -228,9 +262,9 @@ def image(M, tol: TolerancePolicy = DEFAULT_POLICY, scale_floor: float = 0.0) ->
     """Numerical column space of ``M`` as a Subspace."""
     M = as_matrix(M)
     n = M.shape[0]
-    if M.shape[1] == 0 or M.size == 0:
+    if M.size == 0:
         return Subspace.zero(n, tol.rel_rank_tol)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    U, s, _ = _svd(M, full=False)
     rank, _ = _rank_cut(s, M.shape, tol.rel_rank_tol, scale_floor)
     return Subspace(n, U[:, :rank], tol.rel_rank_tol)
 
@@ -238,10 +272,10 @@ def image(M, tol: TolerancePolicy = DEFAULT_POLICY, scale_floor: float = 0.0) ->
 def kernel(M, tol: TolerancePolicy = DEFAULT_POLICY, scale_floor: float = 0.0) -> Subspace:
     """Numerical null space of ``M``; dimension is ``n - rank(M)``."""
     M = as_matrix(M)
-    p, n = M.shape
-    if p == 0 or n == 0 or M.size == 0:
+    n = M.shape[1]
+    if M.size == 0:
         return Subspace.full(n, tol.rel_rank_tol)
-    _, s, Vt = np.linalg.svd(M, full_matrices=True)
+    _, s, Vt = _svd(M)
     rank, _ = _rank_cut(s, M.shape, tol.rel_rank_tol, scale_floor)
     return Subspace(n, Vt[rank:].T, tol.rel_rank_tol)
 
@@ -296,7 +330,7 @@ def preimage(M, S: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
 def _norm_once(M: np.ndarray):
     """A function returning ||M||_2 (0 if M is empty), computed on its first
     call only."""
-    return cache(lambda: float(np.linalg.norm(M, 2)) if M.size else 0.0)
+    return cache(lambda: two_norm(M))
 
 
 def _preimage(M: np.ndarray, S: Subspace, tol: TolerancePolicy,

@@ -27,9 +27,9 @@ from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
                         _exceeds, _fixed_point, _norm_once, _preimage,
-                        _rank_cut, _require_invariant, as_matrix,
+                        _rank_cut, _require_invariant, _svd, as_matrix,
                         canonical_projection, contains, image, intersect,
-                        kernel, orth_complement, subspace_sum,
+                        kernel, orth_complement, subspace_sum, two_norm,
                         unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
@@ -105,7 +105,7 @@ def infimal_conditioned_invariant(A, C, Bbar: Subspace,
     if Bbar.ambient_dim != n:
         raise DimensionMismatch("Bbar ambient dimension must match A")
     KC = kernel(C, tol)
-    a_scale = float(np.linalg.norm(A, 2)) if A.size else 0.0
+    a_scale = two_norm(A)
     history = _fixed_point(
         lambda W: subspace_sum(Bbar, image(A @ intersect(W, KC, tol).basis, tol,
                                            scale_floor=a_scale), tol),
@@ -146,7 +146,7 @@ def friend_gain(A, C, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> np.
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
     if not (W.is_zero or W.is_full):
-        a_scale = max(1.0, float(np.linalg.norm(A, 2)))
+        a_scale = max(1.0, two_norm(A))
         core = image(A @ intersect(W, kernel(C, tol), tol).basis, tol,
                      scale_floor=a_scale)
         if not contains(W, core, tol):
@@ -221,7 +221,7 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
         raise InvarianceViolated(
             f"quotient image of S* is not invariant (residual {off:.2e})")
     R = Sq.T @ Abar @ Sq
-    scale = float(np.linalg.norm(R, 2))
+    scale = two_norm(R)
     bad = lambda re, im: part.is_bad(re, scale)
     schur = _ordered_schur()
     _, Zb, nb = schur(R, bad)
@@ -434,7 +434,7 @@ def _yt_real_update(ker_pole, Q, X, i, j):
     v = Q[:, -1, np.newaxis]
     m = np.dot(np.dot(ker_pole[i].T, np.dot(u, v.T) - np.dot(v, u.T)),
                ker_pole[j])
-    um, sm, vm = np.linalg.svd(m)
+    um, sm, vm = _svd(m)
     mu1, mu2 = um.T[:2, :, np.newaxis]
     nu1, nu2 = vm[:2, :, np.newaxis]
     x_ij = np.vstack((X[:, i, np.newaxis], X[:, j, np.newaxis]))
@@ -551,7 +551,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     # H C preserve the invariance of W_g* and of anything nested inside it.
     H = np.eye(p) - (CW @ np.linalg.pinv(CW) if CW.shape[1] else np.zeros((p, p)))
     Cbar = H @ C @ P.T
-    c_scale = float(np.linalg.norm(C, 2)) if C.size else 0.0
+    c_scale = two_norm(C)
     unobs = unobservable_subspace(Cbar, Abar0, tol, meas_scale=c_scale)
     U2 = unobs.basis
     U1 = orth_complement(unobs, tol).basis
@@ -562,7 +562,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
         C1 = Cbar @ U1
         # Placement needs a full-column-rank input matrix: factor C1^T
         # through its column-space isometry.
-        Ub, sb, Vbt = np.linalg.svd(C1.T, full_matrices=False)
+        Ub, sb, Vbt = _svd(C1.T, full=False)
         r, _ = _rank_cut(sb, C1.shape, tol.rel_rank_tol)
         if r == 0:
             raise SpectrumUnassignable(

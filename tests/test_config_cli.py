@@ -284,13 +284,14 @@ def test_exit_code_node_id_not_an_integer(tmp_path, capsys, node_id):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("value", [True, False, "1"])
 @pytest.mark.parametrize("where", [
     ("system", "A", 0, 0), ("graph", "adjacency", 0, 1), ("sim", "x0", 2),
     ("spectral", "alpha"), ("spectral", "pole_targets", 0), ("u_bar_max",),
     ("signals", 1, "amplitude"), ("sim", "dt"), ("sim", "record_stride")])
 def test_exit_code_boolean_for_a_number(tmp_path, capsys, where, value):
-    # JSON true and false used to read as 1.0 and 0.0
+    # JSON true and false used to read as 1.0 and 0.0, a numeric string as its
+    # number
     cfg = short_distributed()
     cfg["spectral"] = {"pole_targets": [-1.0]}
     *path, last = where
@@ -302,6 +303,7 @@ def test_exit_code_boolean_for_a_number(tmp_path, capsys, where, value):
     assert main(["synth", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and " is not a " in err[0]
+    assert [k for k in where if isinstance(k, str)][-1] in err[0]
 
 
 def test_verify_judges_every_node_whatever_its_id(tmp_path, capsys):
@@ -346,6 +348,9 @@ def test_verify_judges_every_node_whatever_its_id(tmp_path, capsys):
     (("sim", "observer_init"), 0.0),
     (("sim", "divergence_guard"), -1.0),   # used to exit 3 at the first step
     (("sim", "divergence_guard"), 0.0),
+    # integers past float's range used to raise OverflowError
+    pytest.param(("u_bar_max",), 10**400, id="u_bar_max-10**400"),
+    pytest.param(("sim", "x0"), [10**400, 0.0, 0.0], id="x0-10**400"),
 ])
 def test_exit_code_bad_numeric_setting(tmp_path, capsys, where, value):
     cfg = short_centralized()
