@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, ExistenceFailed, InvarianceViolated,
                      NotConditionedInvariant, NotSolvable, SpectrumUnassignable)
-from .subspaces import (DEFAULT_POLICY, TolerancePolicy, as_matrix,
+from .subspaces import (DEFAULT_POLICY, TolerancePolicy, _pinv, as_matrix,
                         intersect, kernel, monitored_rank, two_norm)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
@@ -123,8 +123,7 @@ def classical_rank_condition(sys: LinSystem, part: InputPartition,
     Bbar = part.B_unknown
     C, A, n = sys.C, sys.A, sys.n
     cond_i = _rank_condition(C, Bbar, tol)
-    CB_pinv = np.linalg.pinv(C @ Bbar) if Bbar.shape[1] else np.zeros((0, sys.p))
-    A1 = (np.eye(n) - Bbar @ CB_pinv @ C) @ A
+    A1 = (np.eye(n) - Bbar @ _pinv(C @ Bbar) @ C) @ A
     spart = SpectralPartition(alpha)
     scale = max(1.0, two_norm(A1))
     cond_ii = True

@@ -45,7 +45,13 @@ class AssumptionViolated(GeoUioError):
     def __init__(self, assumption, message, diagnostics=None):
         super().__init__(f"assumption {assumption}: {message}")
         self.assumption = assumption
+        self.message = message
         self.diagnostics = diagnostics or {}
+
+    def __reduce__(self):
+        # BaseException would rebuild from its one formatted ``args`` entry
+        return (type(self), (self.assumption, self.message, self.diagnostics),
+                self.__dict__)
 
 
 class SingularQ(GeoUioError):

@@ -6,6 +6,7 @@ import json
 import os
 import tempfile
 import warnings
+from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 
 from .central import CentralizedObserver
 from .distributed import DistributedObserverNetwork
-from .simulate import Trajectory
+from .simulate import _BLOCK_ROWS, Trajectory, _row_blocks
 
 
 def _jsonable(obj):
@@ -106,9 +107,6 @@ def write_json(path, payload: dict):
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=False))
 
 
-# Rows formatted per block of text: big enough to amortize the call overhead,
-# small enough that the text stays a few hundred kB.
-_BLOCK_ROWS = 1024
 # A write takes one process per this many values, up to the CPUs it may run
 # on and _MAX_WORKERS.  On a 2-core x86-64 VM a fork, the copy-on-write page
 # faults it brings and the spool copy cost about as much as formatting 10-20k
@@ -119,21 +117,23 @@ _MAX_WORKERS = 8
 
 @dataclass(frozen=True)
 class _Table:
-    """A text file: ``header``, then rows of %.17g values joined by ``sep``,
-    taken from the side-by-side 2-D ``columns`` (equal row counts)."""
+    """A text file: ``header``, then ``rows`` rows of ``width`` %.17g values
+    joined by ``sep``.  ``block(a, b)`` gives rows ``a:b`` of one absolute
+    block of ``_BLOCK_ROWS`` rows as a 2-D array."""
 
     path: Path
     header: str
-    columns: tuple
+    rows: int
+    width: int
+    block: Callable
     sep: str
 
     def text(self, start: int, stop: int):
-        """Rows ``start:stop`` as text, one block of rows at a time."""
-        width = sum(c.shape[1] for c in self.columns)
-        line = self.sep.join(["%.17g"] * width) + "\n"
-        for a in range(start, stop, _BLOCK_ROWS):
-            block = np.hstack([c[a:min(a + _BLOCK_ROWS, stop)]
-                               for c in self.columns])
+        """Rows ``start:stop`` (``start`` on a block edge) as text, one block
+        of rows at a time."""
+        line = self.sep.join(["%.17g"] * self.width) + "\n"
+        for a, b in _row_blocks(start, stop, stop):
+            block = self.block(a, b)
             yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -166,22 +166,26 @@ def _format_range(tables, bounds, k: int, spool):
 
 
 def _write_tables(tables) -> list:
-    """Write every table, its rows split into one contiguous range per
-    worker; returns the tables' paths.
+    """Write every table, its rows split at block edges into one contiguous
+    range per worker, with no more workers than blocks; returns the tables'
+    paths.
 
     The caller formats range 0 straight into the files.  Each other range
     goes to a worker made with ``os.fork``, which formats it into its own
     unlinked spool; once every worker has exited, the caller appends the
-    spools to the files in range order.  Every row is formatted by the same
-    ``%`` per block whichever process does it, so the bytes do not depend on
-    the number of workers.  Forking while BLAS threads are live is safe
-    here: workers call no BLAS, only ``np.hstack``, ``tolist`` and ``%``.
+    spools to the files in range order.  Every row is derived and formatted
+    with its whole absolute block, whichever process does it, so the bytes do
+    not depend on the number of workers.  Workers call BLAS to derive the
+    estimates: numpy's OpenBLAS stops its thread pool before a fork and
+    starts it again in each process on first use.
     """
     for t in tables:
         t.path.parent.mkdir(parents=True, exist_ok=True)
-    workers = _worker_count(sum(c.size for t in tables for c in t.columns))
-    bounds = [[len(t.columns[0]) * k // workers for k in range(workers + 1)]
-              for t in tables]
+    blocks = [-(-t.rows // _BLOCK_ROWS) for t in tables]
+    workers = min(_worker_count(sum(t.rows * t.width for t in tables)),
+                  max(blocks))
+    bounds = [[min(t.rows, b * k // workers * _BLOCK_ROWS)
+               for k in range(workers + 1)] for t, b in zip(tables, blocks)]
     with ExitStack() as stack:
         spools, pids = [], []
         try:
@@ -252,12 +256,18 @@ def _trajectory_table(traj: Trajectory, path: Path) -> _Table:
     for label in traj.labels:
         cols += [f"{label}_xhat_{i + 1}" for i in range(n)]
     cols += [f"{label}_err" for label in traj.labels]
-    blocks = (traj.times[:, None], traj.x, *traj.xhat,
-              *(e[:, None] for e in traj.err_norm))
-    return _Table(path, ",".join(cols) + "\n", blocks, ",")
+
+    def block(a, b):
+        return np.hstack([traj.times[a:b, None], traj.states[a:b, :n],
+                          *traj.estimates(a, b),
+                          *(e[a:b, None] for e in traj.err_norm)])
+
+    return _Table(path, ",".join(cols) + "\n", len(traj.times), len(cols),
+                  block, ",")
 
 
 def _plot_tables(traj: Trajectory, out_dir: Path) -> list:
-    return [_Table(out_dir / f"plot_{label}_err.dat", "",
-                   (traj.times[:, None], err[:, None]), " ")
+    return [_Table(out_dir / f"plot_{label}_err.dat", "", len(traj.times), 2,
+                   lambda a, b, err=err: np.column_stack([traj.times[a:b],
+                                                          err[a:b]]), " ")
             for label, err in zip(traj.labels, traj.err_norm)]

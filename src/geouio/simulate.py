@@ -128,27 +128,71 @@ class SimConfig:
         return clamp
 
 
+# Rows per block of every quantity derived from the recorded states.  A
+# product over a block is not always bit-equal to the same rows of a product
+# over a longer array (a one-row product is not even the same BLAS call), so
+# estimates, error norms and written rows are always computed over the same
+# absolute blocks [k B, (k + 1) B): a value's bits do not depend on which rows
+# were asked for, or on which process formats them.
+_BLOCK_ROWS = 1024
+
+
+def _row_blocks(start: int, stop: int, rows: int):
+    """(a, b) of every absolute block [a, b), cut at ``rows``, that meets
+    rows ``start:stop``."""
+    return [(a, min(a + _BLOCK_ROWS, rows))
+            for a in range(start - start % _BLOCK_ROWS, stop, _BLOCK_ROWS)]
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: times, plant state, per-observer estimates and errors.
+    """Recorded run: times, stacked states and each observer's error norm.
 
-    ``quotient_err`` holds each observer's autonomous quotient-error block
-    (the coordinate whose dynamics are governed by the stable induced map);
-    ``quotient_maps`` carries those induced maps for conformance checks.
+    ``states`` holds the recorded stacked states s, whose leading columns are
+    the plant state ``x``.  Observer i's estimate error is D[i] s and its
+    autonomous quotient error (the coordinate whose dynamics are governed by
+    the stable induced map ``quotient_maps[i]``) is Q[i] s.  Only what cannot
+    be derived is kept: the estimates ``xhat`` and the quotient errors
+    ``quotient_err`` are computed on access, and writers take the estimates
+    block by block from ``estimates``.
     """
 
     times: np.ndarray
-    x: np.ndarray
-    xhat: tuple
+    states: np.ndarray
+    D: tuple
+    Q: tuple
     err_norm: tuple
     labels: tuple
-    quotient_err: tuple
     quotient_maps: tuple
 
     def __post_init__(self):
         T = len(self.times)
-        if self.x.shape[0] != T or any(h.shape[0] != T for h in self.xhat):
+        if self.states.shape[0] != T or any(len(e) != T for e in self.err_norm):
             raise DimensionMismatch("trajectory arrays must share their length")
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.states[:, :self.D[0].shape[0]]
+
+    @property
+    def xhat(self) -> tuple:
+        return self.estimates(0, len(self.times))
+
+    @property
+    def quotient_err(self) -> tuple:
+        return tuple(self.states @ Q.T for Q in self.Q)
+
+    def estimates(self, start: int, stop: int) -> tuple:
+        """Every observer's estimate xhat_i = x - s D_i^T over rows
+        ``start:stop``, each computed over whole absolute blocks."""
+        rows, n = len(self.times), self.D[0].shape[0]
+        out = tuple(np.empty((stop - start, n)) for _ in self.D)
+        for a, b in _row_blocks(start, stop, rows):
+            s = self.states[a:b]
+            lo, hi = max(start, a), min(stop, b)
+            for o, D in zip(out, self.D):
+                o[lo - start:hi - start] = (s[:, :n] - s @ D.T)[lo - a:hi - a]
+        return out
 
 
 def _n_steps(cfg: SimConfig) -> int:
@@ -422,18 +466,18 @@ def _integrate(kernel: _Kernel, signals, cfg: SimConfig,
 
 
 def _run(kernel: _Kernel, signals, cfg: SimConfig) -> Trajectory:
-    """Integrate the kernel and read every observer's estimate off the states."""
+    """Integrate the kernel and take every observer's error norm off the
+    states, block by block."""
     recs = _integrate(kernel, signals, cfg)
-    times = np.arange(recs.shape[0]) * (cfg.dt * cfg.record_stride)
-    x = recs[:, :kernel.n]
-    xhat, err_norm = [], []
-    for D in kernel.D:
-        err = recs @ D.T
-        xhat.append(x - err)
-        err_norm.append(np.linalg.norm(err, axis=1))
-    return Trajectory(times=times, x=x, xhat=tuple(xhat),
-                      err_norm=tuple(err_norm), labels=kernel.labels,
-                      quotient_err=tuple(recs @ Q.T for Q in kernel.Q),
+    rows = recs.shape[0]
+    times = np.arange(rows, dtype=float)
+    times *= cfg.dt * cfg.record_stride
+    err_norm = tuple(np.empty(rows) for _ in kernel.D)
+    for a, b in _row_blocks(0, rows, rows):
+        for out, D in zip(err_norm, kernel.D):
+            out[a:b] = np.linalg.norm(recs[a:b] @ D.T, axis=1)
+    return Trajectory(times=times, states=recs, D=kernel.D, Q=kernel.Q,
+                      err_norm=err_norm, labels=kernel.labels,
                       quotient_maps=kernel.quotient_maps)
 
 

@@ -141,6 +141,19 @@ def _svd(M: np.ndarray, full: bool = True, uv: bool = True):
     return out
 
 
+def _pinv(M: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.pinv(M)`` of a real 2-D float64 array, bit for bit,
+    with numpy 2's steps on ``_svd``'s reduced factors: singular values up
+    to ``1e-15 * sigma_max`` count as zero, and the result is vt^T (s^-1 u^T)."""
+    if not M.size:
+        return np.zeros(M.shape[::-1])
+    u, s, vt = _svd(M, full=False)
+    large = s > 1e-15 * s.max()
+    s = np.divide(1.0, s, where=large, out=s)
+    s[~large] = 0.0
+    return vt.T @ (s[:, None] * u.T)
+
+
 def two_norm(M: np.ndarray) -> float:
     """||M||_2, equal to ``numpy.linalg.norm(M, 2)``; 0.0 if M is empty."""
     return float(_svd(M, uv=False)[0]) if M.size else 0.0

@@ -26,7 +26,7 @@ from numpy.linalg import lapack_lite
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
-                        _exceeds, _fixed_point, _norm_once, _preimage,
+                        _exceeds, _fixed_point, _norm_once, _pinv, _preimage,
                         _rank_cut, _require_invariant, _svd, as_matrix,
                         canonical_projection, contains, image, intersect,
                         kernel, orth_complement, subspace_sum, two_norm,
@@ -549,7 +549,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     CW = C @ W_g_star.basis
     # H discards the measurement components that see W_g*; injections through
     # H C preserve the invariance of W_g* and of anything nested inside it.
-    H = np.eye(p) - (CW @ np.linalg.pinv(CW) if CW.shape[1] else np.zeros((p, p)))
+    H = np.eye(p) - CW @ _pinv(CW)
     Cbar = H @ C @ P.T
     c_scale = two_norm(C)
     unobs = unobservable_subspace(Cbar, Abar0, tol, meas_scale=c_scale)

@@ -1,8 +1,9 @@
 """The lean SVD path against numpy's own wrappers, bit for bit.
 
 ``subspaces._svd`` calls the LAPACK gufunc behind ``numpy.linalg.svd``
-directly and ``subspaces.two_norm`` takes ||M||_2 through it; both must give
-exactly what numpy's wrappers give, so no rank decision of the program moves.
+directly, and ``subspaces.two_norm`` and ``subspaces._pinv`` take ||M||_2 and
+the pseudoinverse through it; all must give exactly what numpy's wrappers
+give, so no rank decision of the program moves.
 """
 
 import sys
@@ -14,7 +15,7 @@ from numpy.linalg import LinAlgError
 from geouio import subspaces, verify
 from geouio.central import synthesize_centralized_uio
 from geouio.distributed import synthesize_distributed
-from geouio.subspaces import _svd, two_norm
+from geouio.subspaces import _pinv, _svd, two_norm
 from geouio.verify import invariant_checks, random_equivalence_battery
 
 from test_distributed import covered_network
@@ -66,6 +67,30 @@ def test_numpy_fallback_gives_the_same_results(monkeypatch, name):
     for a, b in zip(lean[:2], fallback[:2], strict=True):
         assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
     assert np.array_equal(lean[2], fallback[2]) and lean[3] == fallback[3]
+
+
+def _pinv_inputs():
+    rng = np.random.default_rng(11)
+    cases = {name: M for name, M in INPUTS.items() if M.dtype.kind == "f"}
+    # singular values straddling the 1e-15 cut, and an exact zero matrix
+    U, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+    V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    cases["cut"] = (U * [1.0, 1e-3, 2e-15, 5e-16]) @ V.T
+    cases["zero"] = np.zeros((3, 2))
+    cases["rank-deficient wide"] = cases["rank-deficient"].T.copy()
+    cases["6x0"] = np.zeros((6, 0))
+    return cases
+
+
+PINV_INPUTS = _pinv_inputs()
+
+
+@pytest.mark.parametrize("name", PINV_INPUTS)
+def test_pinv_equals_numpy(name):
+    M = PINV_INPUTS[name]
+    got, want = _pinv(M), np.linalg.pinv(M)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_failed_svd_raises(monkeypatch):

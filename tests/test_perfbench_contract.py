@@ -1,13 +1,20 @@
 """The benchmark's hooks into geouio: the names it traces and the checks it reads.
 
-perfbench wraps geouio functions by name from outside the package and reads
-the results of `verify.synthesis_residual_checks`; a rename or deletion here
-would otherwise surface only as a broken benchmark run.
+perfbench wraps geouio functions by name from outside the package, reads
+their arguments and results in boundary hooks, and reads the results of
+`verify.synthesis_residual_checks`; a rename, a deletion or a changed
+parameter or result here would otherwise surface only as a broken benchmark
+run or a traced metric that silently reads 0.
 """
 
 import importlib
 import importlib.util
+import math
+import os
+from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,12 +25,17 @@ from geouio.verify import synthesis_residual_checks
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _traced():
-    """The (module, function, aggregate) triples perfbench/tracing.py wraps."""
+def _tracing():
+    """perfbench/tracing.py, loaded without installing anything."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TRACED
+    return tracing
+
+
+def _traced():
+    """The (module, function, aggregate) triples perfbench/tracing.py wraps."""
+    return _tracing().TRACED
 
 
 def test_every_traced_name_resolves():
@@ -45,3 +57,43 @@ def test_residual_checks_carry_what_the_benchmark_reads(which):
         assert isinstance(c.value, (bool, float))
         assert c.comparison in (None, "<=", "<", ">")
         assert (c.limit is None) == (c.comparison is None)
+
+
+def test_every_hook_reads_what_a_real_call_gives(central_cfg, central_obs,
+                                                 dist_cfg, dist_net, tmp_path):
+    """Each boundary hook, given a short real call of its function, counts
+    what that call did."""
+    hooks = _tracing()._HOOKS
+    tracer = SimpleNamespace(counters=defaultdict(float), op_id=0,
+                             op_data={0: {}})
+
+    def call(name, *args):
+        module, function = name.split(".")
+        fn = getattr(importlib.import_module(f"geouio.{module}"), function)
+        result = fn(*args)
+        hooks.pop(name)(tracer, fn, args, {}, result)
+        return result
+
+    decomp = call("synthesis.decompose", central_cfg.system.A,
+                  central_cfg.system.C, central_cfg.partition.B_unknown)
+    assert tracer.op_data[0]["sstar_dim"] == decomp.S_star.dim
+    obs, _ = central_obs
+    net, _ = dist_net
+    cfg_c = replace(central_cfg.sim, t_end=0.2, record_stride=1)
+    cfg_d = replace(dist_cfg.sim, t_end=0.1, record_stride=2)
+    traj = call("simulate.simulate_centralized", central_cfg.system,
+                central_cfg.partition, obs, central_cfg.signals, cfg_c)
+    call("simulate.simulate_distributed", dist_cfg.system, net,
+         dist_cfg.signals, cfg_d)
+    assert tracer.counters["rk4_steps"] == (math.floor(0.2 / cfg_c.dt + 1e-9)
+                                            + math.floor(0.1 / cfg_d.dt + 1e-9))
+    assert tracer.counters["recorded_rows"] == 201 + 51
+    csv = call("report.write_trajectory_csv", traj, tmp_path / "t.csv")
+    json_path = tmp_path / "report.json"
+    call("report.write_json", json_path, {"mode": "centralized"})
+    plots = call("report.write_plot_series", traj, tmp_path)
+    assert csv is None and len(plots) == 1
+    written = sum(os.path.getsize(p) for p in
+                  (tmp_path / "t.csv", json_path, *plots))
+    assert written > 0 and tracer.counters["bytes_written"] == written
+    assert not hooks, f"hooks without a contract check: {sorted(hooks)}"

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from geouio.cases import builtin_config
 from geouio.cli import main
 from geouio.report import (_BLOCK_ROWS, _jsonable, write_plot_series,
                            write_trajectory_csv, write_trajectory_tables)
-from geouio.simulate import Trajectory
+from geouio.simulate import Trajectory, simulate_distributed
 
 SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
            np.nextafter(2.2250738585072014e-308, 0.0), 1.0, -3.0, 2.0 ** 53,
@@ -27,12 +29,23 @@ def _trajectory(rows: int) -> Trajectory:
     n = 3
     x = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-300, 300, (rows, n))
     x.flat[:len(SPECIAL)] = SPECIAL
-    xhat = (x[::-1].copy(), -x)
+    # stacked states (x, x reversed); the estimates are x - s D_i^T
+    states = np.hstack([x, x[::-1]])
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    D = (np.hstack([zero, -eye]), np.hstack([2 * eye, zero]))
     err = (np.asarray(SPECIAL * (rows // len(SPECIAL) + 1))[:rows],
            np.abs(x[:, 0]))
-    return Trajectory(times=np.arange(rows) * 0.01, x=x, xhat=xhat,
-                      err_norm=err, labels=("node1", "node2"),
-                      quotient_err=(x, x), quotient_maps=(np.eye(1),) * 2)
+    return Trajectory(times=np.arange(rows) * 0.01, states=states, D=D,
+                      Q=(np.eye(1, 2 * n),) * 2, err_norm=err,
+                      labels=("node1", "node2"),
+                      quotient_maps=(np.eye(1),) * 2)
+
+
+def _quiet():
+    """Silence the overflow and NaN warnings of estimates derived from the
+    non-finite and huge states of ``_trajectory``; forked workers inherit
+    this state."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _reference_rows(columns, sep):
@@ -46,13 +59,13 @@ def _force_workers(monkeypatch, workers):
 
 
 def test_writers_match_per_value_formatting(tmp_path, monkeypatch):
-    # Row counts: a partial block at the end, range boundaries inside a
-    # 1024-row block (at 1026 for 2 workers, 684 and 1369 for 3), fewer rows
-    # than workers.
+    # Row counts: a partial block at the end (ranges split at block edges:
+    # 1024 for 2 workers, 1024 and 2048 for 3), fewer blocks than workers.
     for workers in (1, 2, 3):
         _force_workers(monkeypatch, workers)
         for rows in (2 * _BLOCK_ROWS + 5, 2):
-            _check_writers(_trajectory(rows), tmp_path / f"{workers}-{rows}")
+            with _quiet():
+                _check_writers(_trajectory(rows), tmp_path / f"{workers}-{rows}")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -95,8 +108,13 @@ def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    write_trajectory_tables(_trajectory(50), tmp_path)
+    with _quiet():
+        write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path)
     assert len(forks) == 2
+    # never more processes than blocks of rows
+    with _quiet():
+        write_trajectory_tables(_trajectory(_BLOCK_ROWS + 1), tmp_path)
+    assert len(forks) == 3
 
 
 def test_worker_count_follows_cpus_and_size(monkeypatch):
@@ -127,7 +145,7 @@ def _failing_in(monkeypatch, where):
 
 def _short_distributed_config(tmp_path):
     cfg = builtin_config("distributed")
-    cfg["sim"]["t_end"] = 0.5
+    cfg["sim"]["t_end"] = 2.5  # three blocks of rows
     cfg["sim"]["record_stride"] = 1
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -154,8 +172,8 @@ def test_failing_worker_is_a_write_error(tmp_path, monkeypatch, capsys):
 def test_failing_caller_still_reaps_its_workers(tmp_path, monkeypatch):
     _force_workers(monkeypatch, 3)
     _failing_in(monkeypatch, "parent")
-    with pytest.raises(MemoryError):
-        write_trajectory_tables(_trajectory(50), tmp_path)
+    with pytest.raises(MemoryError), _quiet():
+        write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path)
     assert sorted(os.listdir(tmp_path)) == ["trajectory.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -180,6 +198,62 @@ def test_reproduce_artifacts_do_not_depend_on_cpu_count(tmp_path):
                        lambda: os.sched_setaffinity(0, {cpu}))
     unpinned = artifacts(tmp_path / "unpinned")
     assert len(pinned) == 6 and pinned == unpinned
+
+
+def test_written_estimates_are_the_trajectory_estimates(dist_cfg, dist_net,
+                                                        tmp_path, monkeypatch):
+    # 3,001 rows: two whole blocks and a partial one
+    net, _ = dist_net
+    cfg = replace(dist_cfg.sim, t_end=3.0, record_stride=1)
+    traj = simulate_distributed(dist_cfg.system, net, dist_cfg.signals, cfg)
+    n, observers = traj.x.shape[1], len(traj.labels)
+    xhat = traj.xhat
+    assert len(xhat) == observers
+    for i, Q in enumerate(traj.Q):
+        assert np.array_equal(traj.quotient_err[i], traj.states @ Q.T)
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        path = write_trajectory_tables(traj, tmp_path / str(workers))[0]
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], traj.times)
+        assert np.array_equal(rows[:, 1:n + 1], traj.x)
+        for i in range(observers):
+            got = rows[:, (i + 1) * n + 1:(i + 2) * n + 1]
+            assert np.array_equal(got, xhat[i])
+            assert np.array_equal(rows[:, -observers + i], traj.err_norm[i])
+    # any row range gives the rows of the whole
+    for start, stop in ((0, 1), (1000, 1030), (2047, 3001)):
+        for part, whole in zip(traj.estimates(start, stop), xhat):
+            assert np.array_equal(part, whole[start:stop])
+
+
+def test_dense_run_holds_only_states_and_error_norms(dist_cfg, dist_net,
+                                                      tmp_path, monkeypatch):
+    """A dense run of 10,001 rows holds its states plus about one float per
+    observer and row; its write holds one block of text beyond that, however
+    long the run.
+
+    The write is traced at 2,501 and 10,001 rows: tracemalloc makes the
+    formatting about five times slower, and the full estimates of the longer
+    run (1.9 MB) would already show against one block of text (2.5 MB).
+    """
+    _force_workers(monkeypatch, 1)
+    net, _ = dist_net
+    extra = []
+    for t_end in (2.5, 10.0):
+        cfg = replace(dist_cfg.sim, t_end=t_end, record_stride=1)
+        tracemalloc.start()
+        try:
+            traj = simulate_distributed(dist_cfg.system, net, dist_cfg.signals,
+                                        cfg)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            write_trajectory_tables(traj, tmp_path / str(t_end))
+            extra.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.3 * traj.states.nbytes
+    assert abs(extra[1] - extra[0]) <= 0.05 * extra[0]
 
 
 def test_jsonable_spells_out_non_finite_values_in_one_pass():
