@@ -10,6 +10,7 @@ from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,33 +109,54 @@ def write_json(path, payload: dict):
 
 
 # A write takes one process per this many values, up to the CPUs it may run
-# on and _MAX_WORKERS.  On a 2-core x86-64 VM a fork, the copy-on-write page
-# faults it brings and the spool copy cost about as much as formatting 10-20k
-# values, and two processes beat one from about 50k values on.
-_VALUES_PER_WORKER = 25_000
+# on and _MAX_WORKERS.  On a 2-core x86-64 VM, with values formatted at about
+# 0.2 us each, two processes beat one from about 60k values on the
+# centralized demo (8 columns, two files) and from about 250k on the
+# distributed one (35 columns, five files): right after the fork each
+# process runs slower while it faults in the pages it writes.  So a dense
+# centralized write (160k values) takes two processes and a reproduced
+# distributed one (140k) takes one.
+_VALUES_PER_WORKER = 75_000
 _MAX_WORKERS = 8
+# Values formatted at a time: bounds the formatter's temporaries (about
+# 1.1 MB) whatever the table width; larger chunks are no faster.
+_CHUNK_VALUES = 4096
 
 
 @dataclass(frozen=True)
 class _Table:
-    """A text file: ``header``, then ``rows`` rows of ``width`` %.17g values
-    joined by ``sep``.  ``block(a, b)`` gives rows ``a:b`` of one absolute
-    block of ``_BLOCK_ROWS`` rows as a 2-D array."""
+    """A text file: ``header``, then columns ``cols`` (a slice or a list of
+    indexes) of every row of a write's source, as %.17g values joined by
+    ``sep``."""
 
     path: Path
     header: str
+    cols: object
+    sep: str
+
+
+class _Source(NamedTuple):
+    """The values a write formats: ``rows`` rows of ``width`` values, of
+    which ``block(a, b)`` gives rows ``a:b`` of one absolute block of
+    ``_BLOCK_ROWS`` rows as a 2-D array."""
+
     rows: int
     width: int
     block: Callable
-    sep: str
 
-    def text(self, start: int, stop: int):
-        """Rows ``start:stop`` (``start`` on a block edge) as text, one block
-        of rows at a time."""
-        line = self.sep.join(["%.17g"] * self.width) + "\n"
-        for a, b in _row_blocks(start, stop, stop):
-            block = self.block(a, b)
-            yield (line * len(block)) % tuple(block.ravel().tolist())
+
+def _texts(source, tables, start: int, stop: int):
+    """(table index, text) of rows ``start:stop`` (``start`` on a block
+    edge) of every table, a chunk of rows at a time; each value of the
+    source is formatted once, whichever tables print it."""
+    from . import _dtoa
+    for a, b in _row_blocks(start, stop, stop):
+        values = source.block(a, b)
+        step = max(1, _CHUNK_VALUES // source.width)
+        for r in range(0, len(values), step):
+            fields = _dtoa.fields(values[r:r + step])
+            for j, t in enumerate(tables):
+                yield j, _dtoa.join(fields[:, t.cols], t.sep)
 
 
 def _worker_count(values: int) -> int:
@@ -146,79 +168,73 @@ def _worker_count(values: int) -> int:
                       values // _VALUES_PER_WORKER, _MAX_WORKERS))
 
 
-def _format_range(tables, bounds, k: int, spool):
-    """Body of forked worker ``k``: writes row range ``k`` of every table to
-    ``spool``, then the offsets at which each table's text ends (int64), and
-    exits with 0, or 1 + the index of the table it failed on.  It never
+def _format_range(source, tables, start: int, stop: int, spools):
+    """Body of a forked worker: writes rows ``start:stop`` of every table to
+    its spool in ``spools`` and exits with 0, or 1 if that failed.  It never
     returns, so it never flushes the caller's stdout or file buffers."""
-    j = 0
+    code = 1
     try:
-        ends = []
-        for j, (t, b) in enumerate(zip(tables, bounds)):
-            for text in t.text(b[k], b[k + 1]):
-                spool.write(text.encode())
-            ends.append(spool.tell())
-        spool.write(np.array(ends, np.int64).tobytes())
-        spool.flush()
-        j = -1
+        for j, text in _texts(source, tables, start, stop):
+            spools[j].write(text)
+        for spool in spools:
+            spool.flush()
+        code = 0
     finally:
-        os._exit(min(j + 1, 255))
+        os._exit(code)
 
 
-def _write_tables(tables) -> list:
-    """Write every table, its rows split at block edges into one contiguous
-    range per worker, with no more workers than blocks; returns the tables'
-    paths.
+def _write_tables(source, tables) -> list:
+    """Write every table of ``source``, its rows split at block edges into
+    one contiguous range per worker, with no more workers than blocks;
+    returns the tables' paths.
 
     The caller formats range 0 straight into the files.  Each other range
-    goes to a worker made with ``os.fork``, which formats it into its own
-    unlinked spool; once every worker has exited, the caller appends the
-    spools to the files in range order.  Every row is derived and formatted
-    with its whole absolute block, whichever process does it, so the bytes do
-    not depend on the number of workers.  Workers call BLAS to derive the
-    estimates: numpy's OpenBLAS stops its thread pool before a fork and
-    starts it again in each process on first use.
+    goes to a worker made with ``os.fork``, which formats it into unlinked
+    spools, one per table; once every worker has exited, the caller appends
+    the spools to the files in range order.  Every row is derived and
+    formatted with its whole absolute block, whichever process does it, so
+    the bytes do not depend on the number of workers.  Workers call BLAS to
+    derive the estimates: numpy's OpenBLAS stops its thread pool before a
+    fork and starts it again in each process on first use.
     """
+    from . import _dtoa  # compiled on the first write, not at import
+    _dtoa.tables(_dtoa.WIDE)  # built before the fork, for every process
     for t in tables:
         t.path.parent.mkdir(parents=True, exist_ok=True)
-    blocks = [-(-t.rows // _BLOCK_ROWS) for t in tables]
-    workers = min(_worker_count(sum(t.rows * t.width for t in tables)),
-                  max(blocks))
-    bounds = [[min(t.rows, b * k // workers * _BLOCK_ROWS)
-               for k in range(workers + 1)] for t, b in zip(tables, blocks)]
+    blocks = -(-source.rows // _BLOCK_ROWS)
+    workers = min(_worker_count(source.rows * source.width), blocks)
+    bounds = [min(source.rows, blocks * k // workers * _BLOCK_ROWS)
+              for k in range(workers + 1)]
     with ExitStack() as stack:
         spools, pids = [], []
         try:
             for k in range(1, workers):
-                spools.append(stack.enter_context(
-                    tempfile.TemporaryFile(dir=tables[0].path.parent)))
+                spools.append([stack.enter_context(
+                    tempfile.TemporaryFile(dir=tables[0].path.parent))
+                    for _ in tables])
                 with warnings.catch_warnings():
                     # Python 3.12+ warns of fork with live threads; see above.
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
                 if pid == 0:
-                    _format_range(tables, bounds, k, spools[-1])
+                    _format_range(source, tables, bounds[k], bounds[k + 1],
+                                  spools[-1])
                 pids.append(pid)
-            for t, b in zip(tables, bounds):
-                with t.path.open("w") as fh:
-                    fh.write(t.header)
-                    fh.writelines(t.text(b[0], b[1]))
+            files = [stack.enter_context(t.path.open("wb")) for t in tables]
+            for t, fh in zip(tables, files):
+                fh.write(t.header.encode())
+            for j, text in _texts(source, tables, bounds[0], bounds[1]):
+                files[j].write(text)
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                      for pid in pids]
         for code in filter(None, codes):
-            t = tables[min(code, len(tables)) - 1 if code > 0 else 0]
             raise OSError(None, f"formatting worker exited with status {code}",
-                          str(t.path))
-        ends = []
-        for spool in spools:
-            spool.seek(-8 * len(tables), os.SEEK_END)
-            ends.append([0, *np.frombuffer(spool.read(), np.int64).tolist()])
-        for j, t in enumerate(tables):
-            with t.path.open("r+b") as fh:  # not "ab": sendfile refuses O_APPEND
-                fh.seek(0, os.SEEK_END)
-                for spool, e in zip(spools, ends):
-                    _append(fh, spool, e[j], e[j + 1])
+                          str(tables[0].path))
+        for j, fh in enumerate(files):
+            fh.flush()
+            for worker in spools:
+                _append(fh, worker[j], 0, os.fstat(worker[j].fileno()).st_size)
     return [t.path for t in tables]
 
 
@@ -234,20 +250,37 @@ def _append(fh, spool, start: int, stop: int):
 
 def write_trajectory_csv(traj: Trajectory, path):
     """CSV contract: t, x_1..x_n, per-observer xhat blocks, per-observer err."""
-    _write_tables([_trajectory_table(traj, Path(path))])
+    _write_tables(_trajectory_source(traj), [_trajectory_table(traj, Path(path))])
 
 
 def write_plot_series(traj: Trajectory, out_dir):
     """One two-column (t, err) file per observer, consumable by any plotter."""
-    return _write_tables(_plot_tables(traj, Path(out_dir)))
+    source = _Source(len(traj.times), 1 + len(traj.labels),
+                     lambda a, b: np.column_stack([traj.times[a:b],
+                                                   *(e[a:b] for e in traj.err_norm)]))
+    return _write_tables(source, _plot_tables(traj, Path(out_dir), 1))
 
 
 def write_trajectory_tables(traj: Trajectory, out_dir):
     """``out_dir/trajectory.csv`` and the plot series in one write, which
-    forks its workers once; returns the paths written."""
+    forks its workers once and formats each value once; returns the paths
+    written."""
     out_dir = Path(out_dir)
-    return _write_tables([_trajectory_table(traj, out_dir / "trajectory.csv"),
-                          *_plot_tables(traj, out_dir)])
+    source = _trajectory_source(traj)
+    return _write_tables(source, [
+        _trajectory_table(traj, out_dir / "trajectory.csv"),
+        *_plot_tables(traj, out_dir, source.width - len(traj.labels))])
+
+
+def _trajectory_source(traj: Trajectory) -> _Source:
+    n, observers = traj.x.shape[1], len(traj.labels)
+
+    def block(a, b):
+        return np.hstack([traj.times[a:b, None], traj.states[a:b, :n],
+                          *traj.estimates(a, b),
+                          *(e[a:b, None] for e in traj.err_norm)])
+
+    return _Source(len(traj.times), 1 + n + observers * (n + 1), block)
 
 
 def _trajectory_table(traj: Trajectory, path: Path) -> _Table:
@@ -256,18 +289,11 @@ def _trajectory_table(traj: Trajectory, path: Path) -> _Table:
     for label in traj.labels:
         cols += [f"{label}_xhat_{i + 1}" for i in range(n)]
     cols += [f"{label}_err" for label in traj.labels]
-
-    def block(a, b):
-        return np.hstack([traj.times[a:b, None], traj.states[a:b, :n],
-                          *traj.estimates(a, b),
-                          *(e[a:b, None] for e in traj.err_norm)])
-
-    return _Table(path, ",".join(cols) + "\n", len(traj.times), len(cols),
-                  block, ",")
+    return _Table(path, ",".join(cols) + "\n", slice(None), ",")
 
 
-def _plot_tables(traj: Trajectory, out_dir: Path) -> list:
-    return [_Table(out_dir / f"plot_{label}_err.dat", "", len(traj.times), 2,
-                   lambda a, b, err=err: np.column_stack([traj.times[a:b],
-                                                          err[a:b]]), " ")
-            for label, err in zip(traj.labels, traj.err_norm)]
+def _plot_tables(traj: Trajectory, out_dir: Path, first_err: int) -> list:
+    """One (t, err) table per observer of a source whose column 0 is t and
+    whose error norms start at column ``first_err``."""
+    return [_Table(out_dir / f"plot_{label}_err.dat", "", [0, first_err + i], " ")
+            for i, label in enumerate(traj.labels)]

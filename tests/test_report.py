@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import geouio
-from geouio import report
+from geouio import _dtoa, report
 from geouio.cases import builtin_config
 from geouio.cli import main
 from geouio.report import (_BLOCK_ROWS, _jsonable, write_plot_series,
@@ -96,6 +96,34 @@ def _check_writers(traj, out):
     assert sorted(os.listdir(out / "one")) == sorted(p.name for p in together)
 
 
+def test_a_write_formats_each_value_once(tmp_path, monkeypatch):
+    _force_workers(monkeypatch, 1)
+    calls = []
+    fields = _dtoa.fields
+
+    def counting(values):
+        calls.append(values.shape)
+        return fields(values)
+
+    monkeypatch.setattr(_dtoa, "fields", counting)
+    traj = _trajectory(2 * _BLOCK_ROWS + 5)
+    rows, width = len(traj.times), 1 + 3 + 2 * (3 + 1)
+    with _quiet():
+        paths = write_trajectory_tables(traj, tmp_path)
+    # trajectory.csv's values, each formatted once, in chunks of whole rows
+    # within a block; the plot series print the same t and err fields
+    step = report._CHUNK_VALUES // width
+    assert calls == [(min(step, b - r), width) for a in range(0, rows, _BLOCK_ROWS)
+                     for b in [min(a + _BLOCK_ROWS, rows)] for r in range(a, b, step)]
+    csv = [line.split(",") for line in paths[0].read_text().splitlines()[1:]]
+    for i, p in enumerate(paths[1:]):
+        assert p.read_text().splitlines() == [f"{r[0]} {r[i - 2]}" for r in csv]
+    calls.clear()
+    with _quiet():
+        write_plot_series(traj, tmp_path / "plots")
+    assert sum(r for r, _ in calls) == rows and {w for _, w in calls} == {3}
+
+
 def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
     _force_workers(monkeypatch, 3)
     forks = []
@@ -133,14 +161,14 @@ def _failing_in(monkeypatch, where):
     """Make formatting raise in the worker processes ("child") or in the
     calling process ("parent") only."""
     parent = os.getpid()
-    text = report._Table.text
+    fields = _dtoa.fields
 
-    def failing(self, start, stop):
+    def failing(values):
         if (os.getpid() == parent) == (where == "parent"):
             raise MemoryError("formatting failed")
-        return text(self, start, stop)
+        return fields(values)
 
-    monkeypatch.setattr(report._Table, "text", failing)
+    monkeypatch.setattr(_dtoa, "fields", failing)
 
 
 def _short_distributed_config(tmp_path):
@@ -174,7 +202,10 @@ def test_failing_caller_still_reaps_its_workers(tmp_path, monkeypatch):
     _failing_in(monkeypatch, "parent")
     with pytest.raises(MemoryError), _quiet():
         write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path)
-    assert sorted(os.listdir(tmp_path)) == ["trajectory.csv"]
+    # the caller opens every file before it formats; no spool is left
+    assert sorted(os.listdir(tmp_path)) == ["plot_node1_err.dat",
+                                            "plot_node2_err.dat",
+                                            "trajectory.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
