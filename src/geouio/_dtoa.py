@@ -44,10 +44,10 @@ def tables(wide) -> tuple:
     neg, k, nd = (a.reshape(-1, 1) for a in
                   np.indices((2, _KMAX - _KMIN + 1, 17)))
     k, nd = k + _KMIN, nd + 1
-    fixed = (k >= -4) & (k <= 16)
-    small = fixed & (k < 0)
+    fixed = (k >= -4) & (k <= 16)  # else the exponent form d.ddde+kk
+    small = fixed & (k < 0)  # 0.000ddd
     shift = np.where(small, 1 - k, 1)
-    last_int = np.where(small, -1, np.where(fixed, k, 0))
+    last_int = np.where(small, -1, np.where(fixed, k, 0))  # last digit in place
     p = np.arange(32)
     whole = (p >= 7) & (p <= 7 + last_int)
     frac = (p >= 8 + shift + last_int) & (p < 7 + shift + nd)
@@ -103,8 +103,7 @@ def fields(values) -> np.ndarray:
     top, low = np.divmod(d, np.uint64(10 ** 8))  # d0..d8, d9..d16
     first, high = np.divmod(top, np.uint64(10 ** 8))  # d0, d1..d8
     groups = [*np.divmod(high, np.uint64(10 ** 4)), *np.divmod(low, np.uint64(10 ** 4))]
-    # trailing zeros of d1..d16, 0..16, then each value's template
-    stripped = zeros[groups[3]]
+    stripped = zeros[groups[3]]  # trailing zeros of d1..d16, 0 to 16
     live = np.flatnonzero(stripped == 4)
     for g in groups[2::-1]:
         z = zeros[g[live]]
@@ -112,6 +111,9 @@ def fields(values) -> np.ndarray:
         live = live[z == 4]
     a = quad[groups[0]] | quad[groups[1]] << np.uint64(32)
     b = quad[groups[2]] | quad[groups[3]] << np.uint64(32)
+    # d0 at byte 7, d1..d8 and d9..d16 in words 1 and 2; each value's
+    # template keeps its integer digits there, and its fraction digits from
+    # a copy moved s / 8 bytes further along (shifted left by s bits)
     w0 = (first + np.uint64(48)) << np.uint64(56)
     t = np.take(templates, (k - _KMIN) * 17 + 16 - stripped
                 + np.signbit(v) * (17 * (_KMAX - _KMIN + 1)), axis=0)
@@ -130,11 +132,11 @@ def fields(values) -> np.ndarray:
     return out.reshape(*np.shape(values), 4)
 
 
-def join(fields, sep: str) -> bytes:
+def join(cells, sep: str) -> bytes:
     """Rows of a 2-D array of fields as text: each value followed by
     ``sep``, the last of a row by a newline.  Sets the separator bytes of
-    ``fields``."""
-    text = fields.view(np.uint8)
+    ``cells``."""
+    text = cells.view(np.uint8)
     text[..., 31] = ord(sep)
     text[:, -1, 31] = ord("\n")
     return text.tobytes().translate(None, b"\0")

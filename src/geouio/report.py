@@ -110,12 +110,11 @@ def write_json(path, payload: dict):
 
 # A write takes one process per this many values, up to the CPUs it may run
 # on and _MAX_WORKERS.  On a 2-core x86-64 VM, with values formatted at about
-# 0.2 us each, two processes beat one from about 60k values on the
-# centralized demo (8 columns, two files) and from about 250k on the
-# distributed one (35 columns, five files): right after the fork each
-# process runs slower while it faults in the pages it writes.  So a dense
-# centralized write (160k values) takes two processes and a reproduced
-# distributed one (140k) takes one.
+# 0.2 us each, two processes beat one from about 8,000 rows on: 65k values on
+# the centralized demo (8 columns), 290k on the distributed one (35); right
+# after the fork each process runs slower while it faults in the pages it
+# writes.  At 75k a dense centralized write (160k values) takes two
+# processes and a reproduced distributed one (140k) takes one.
 _VALUES_PER_WORKER = 75_000
 _MAX_WORKERS = 8
 # Values formatted at a time: bounds the formatter's temporaries (about

@@ -83,16 +83,21 @@ def test_ties_round_half_to_even_both_ways():
     assert {"2", "8"} <= set(last)  # ...25 rounds down, ...75 rounds up
 
 
+_EXTENDED = np.finfo(_dtoa.WIDE).eps < np.finfo(np.float64).eps
+
+
 def test_every_value_falls_back_where_long_double_is_double(monkeypatch):
     values = np.concatenate([_adversarial(),
                              np.random.default_rng(3).normal(size=500)])
-    assert decimal(values)[2].any()
+    assert decimal(values)[2].any() == _EXTENDED
     monkeypatch.setattr(_dtoa, "WIDE", np.float64)
     assert not decimal(values)[2].any()
     for width in (1, 2, 35):
         _check(values, width, ",")
 
 
+@pytest.mark.skipif(not _EXTENDED, reason="long double is plain double: "
+                    "every value takes the '%' fallback")
 @pytest.mark.parametrize("run", ["central", "dist"])
 def test_few_demo_values_fall_back(run, central_runs, dist_run):
     """The fast path formats nearly every value of a demo trajectory: a band

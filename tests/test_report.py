@@ -261,14 +261,16 @@ def test_written_estimates_are_the_trajectory_estimates(dist_cfg, dist_net,
 def test_dense_run_holds_only_states_and_error_norms(dist_cfg, dist_net,
                                                       tmp_path, monkeypatch):
     """A dense run of 10,001 rows holds its states plus about one float per
-    observer and row; its write holds one block of text beyond that, however
-    long the run.
+    observer and row; its write holds one block of values and one chunk of
+    text beyond that, however long the run.
 
     The write is traced at 2,501 and 10,001 rows: tracemalloc makes the
     formatting about five times slower, and the full estimates of the longer
-    run (1.9 MB) would already show against one block of text (2.5 MB).
+    run (1.9 MB) would already show against what a write holds (1.6 MB).
+    The formatter's tables, built once per process, are built first.
     """
     _force_workers(monkeypatch, 1)
+    _dtoa.tables(_dtoa.WIDE)
     net, _ = dist_net
     extra = []
     for t_end in (2.5, 10.0):
