@@ -233,13 +233,14 @@ def _write_tables(source, tables) -> list:
         for j, fh in enumerate(files):
             fh.flush()
             for worker in spools:
-                _append(fh, worker[j], 0, os.fstat(worker[j].fileno()).st_size)
+                _append(fh, worker[j])
     return [t.path for t in tables]
 
 
-def _append(fh, spool, start: int, stop: int):
-    """Write bytes ``start:stop`` of ``spool`` at the offset of ``fh``'s
-    descriptor, bypassing its (empty) buffer."""
+def _append(fh, spool):
+    """Write all of ``spool`` at the offset of ``fh``'s descriptor,
+    bypassing its (empty) buffer."""
+    start, stop = 0, os.fstat(spool.fileno()).st_size
     while start < stop:
         sent = os.sendfile(fh.fileno(), spool.fileno(), start, stop - start)
         if not sent:
