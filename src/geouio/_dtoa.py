@@ -38,9 +38,11 @@ def tables(wide) -> tuple:
     constant bytes (4 words) and the shift in bits.
     """
     pow10 = np.cumprod(np.array([1] + [10] * 27, dtype=wide))
-    n = np.arange(10_000)
-    quad = (n[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
-    zeros = sum(n % 10 ** i == 0 for i in range(1, 5)).astype(np.int64)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quad = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    zeros = np.zeros(10_000, np.int64)  # trailing zeros of 0000..9999
+    for step in (10, 100, 1000, 10_000):
+        zeros[::step] += 1
     neg, k, nd = (a.reshape(-1, 1) for a in
                   np.indices((2, _KMAX - _KMIN + 1, 17)))
     k, nd = k + _KMIN, nd + 1
@@ -56,8 +58,8 @@ def tables(wide) -> tuple:
     const[(p == 8 + np.maximum(last_int, 0)) & (small | (nd > last_int + 1))] = ord(".")
     const[small & ((p == 7) | (p >= 9) & (p < 8 - k))] = ord("0")
     expo = ~fixed[:, 0]
-    const[expo, 25:29] = np.frombuffer(b"".join(b"e%+03d" % e for e in k[expo, 0]),
-                                       np.uint8).reshape(-1, 4)
+    exponents = b"".join(b"e%+03d" % e for e in range(_KMIN, _KMAX + 1))
+    const[expo, 25:29] = np.frombuffer(exponents, np.uint8).reshape(-1, 4)[k[expo, 0] - _KMIN]
     words = [(m * np.uint8(255)).view("<u8") for m in (whole, frac)]
     templates = np.hstack([words[0][:, :3], words[1][:, 1:], const.view("<u8"),
                            (8 * shift).astype(np.uint64)]).astype(np.uint64)
