@@ -92,7 +92,6 @@ class CentralizedObserver:
     input_map: np.ndarray   # P_Wg @ B_known, applied to the known input
     output_map: np.ndarray  # P_Wg @ L, applied to the measurement
     decomp: GeometricDecomposition
-    alpha: float
 
     @property
     def z_dim(self) -> int:
@@ -186,7 +185,7 @@ def synthesize_centralized_uio(sys: LinSystem, part: InputPartition,
     return CentralizedObserver(Abar_L=Abar_L, P_Wg=decomp.P_Wg, L=L, E=E, F=F,
                                input_map=decomp.P_Wg @ part.B_known,
                                output_map=decomp.P_Wg @ L,
-                               decomp=decomp, alpha=spectral.alpha)
+                               decomp=decomp)
 
 
 def observer_rhs(obs: CentralizedObserver, z, y, u_known) -> np.ndarray:

@@ -232,7 +232,7 @@ def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) ->
     n = nodes[0].decomp.n
     inter = None
     for nd in nodes:
-        sub = (Subspace(n, nd.V, tol.rel_rank_tol) if nd.node_class == N1
+        sub = (Subspace(n, nd.V) if nd.node_class == N1
                else nd.decomp.W_g_star)
         inter = sub if inter is None else intersect(inter, sub, tol)
         if inter.is_zero:

@@ -108,14 +108,13 @@ def write_json(path, payload: dict):
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=False))
 
 
-# A write takes one process per this many values, up to the CPUs it may run
-# on and _MAX_WORKERS.  On a 2-core x86-64 VM, with values formatted at about
-# 0.2 us each, two processes beat one from about 8,000 rows on: 65k values on
-# the centralized demo (8 columns), 290k on the distributed one (35); right
-# after the fork each process runs slower while it faults in the pages it
-# writes.  At 75k a dense centralized write (160k values) takes two
-# processes and a reproduced distributed one (140k) takes one.
-_VALUES_PER_WORKER = 75_000
+# A write takes one process per this many rows (4 blocks), up to the CPUs it
+# may run on and _MAX_WORKERS.  On a 2-core x86-64 VM the crossover lies at
+# the same row count on both demos whatever their width (8 values a row
+# centralized, 35 distributed): one process wins at 6,145 rows, two win from
+# 20,001 on, and between them the two are close.  Right after the fork each
+# process runs slower while it faults in the pages it writes.
+_ROWS_PER_WORKER = 4 * _BLOCK_ROWS
 _MAX_WORKERS = 8
 # Values formatted at a time: bounds the formatter's temporaries (about
 # 1.1 MB) whatever the table width; larger chunks are no faster.
@@ -158,13 +157,13 @@ def _texts(source, tables, start: int, stop: int):
                 yield j, _dtoa.join(fields[:, t.cols], t.sep)
 
 
-def _worker_count(values: int) -> int:
-    """Processes that format a write of ``values`` values, the caller
-    included; 1 where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+def _worker_count(rows: int) -> int:
+    """Processes that format a write of ``rows`` rows, the caller included;
+    1 where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)),
-                      values // _VALUES_PER_WORKER, _MAX_WORKERS))
+                      rows // _ROWS_PER_WORKER, _MAX_WORKERS))
 
 
 def _format_range(source, tables, start: int, stop: int, spools):
@@ -201,7 +200,7 @@ def _write_tables(source, tables) -> list:
     for t in tables:
         t.path.parent.mkdir(parents=True, exist_ok=True)
     blocks = -(-source.rows // _BLOCK_ROWS)
-    workers = min(_worker_count(source.rows * source.width), blocks)
+    workers = min(_worker_count(source.rows), blocks)
     bounds = [min(source.rows, blocks * k // workers * _BLOCK_ROWS)
               for k in range(workers + 1)]
     with ExitStack() as stack:

@@ -4,17 +4,22 @@ Every subspace is stored as an orthonormal basis obtained from an SVD, with
 ranks cut at ``sigma_max * max_dim * rel_rank_tol``.  Degenerate subspaces
 (dimension 0 or full) are ordinary values.  All operations are pure and
 deterministic: identical inputs give bit-identical outputs.
+
+The module also holds every LAPACK call that geouio makes past numpy's and
+scipy's wrappers (``_svd``, ``_pinv``, ``_qr`` and the ordered real Schur
+form), each with its fallback where that entry is missing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError, _umath_linalg, lapack_lite
 
 from .errors import DimensionMismatch, InvarianceViolated
 
@@ -154,6 +159,37 @@ def _pinv(M: np.ndarray) -> np.ndarray:
     return vt.T @ (s[:, None] * u.T)
 
 
+# The gufuncs behind numpy.linalg.qr: LAPACK dgeqrf in place, then dorgqr
+# for the complete or the reduced Q.  numpy < 2 names the first differently;
+# _qr falls back there.
+_QR_GUFUNCS = ((_umath_linalg.qr_r_raw, _umath_linalg.qr_complete,
+                _umath_linalg.qr_reduced)
+               if hasattr(_umath_linalg, "qr_r_raw") else None)
+
+
+def _qr(a: np.ndarray, with_r: bool = False):
+    """Q of ``scipy.linalg.qr(a, mode="full")`` of a finite, non-empty 2-D
+    float64 array, bit for bit, and R too when ``with_r``: the LAPACK gufuncs
+    behind ``numpy.linalg.qr(a, mode="complete")``, with its signatures,
+    without its per-call dispatch and ``errstate``.  Q and R are
+    Fortran-ordered, as scipy's Q is; the products that consume Q round
+    differently on a C-ordered one."""
+    if _QR_GUFUNCS is None:
+        q, r = np.linalg.qr(a, mode="complete")
+        q = np.asfortranarray(q)
+        return (q, np.asfortranarray(r)) if with_r else q
+    raw, complete, reduced = _QR_GUFUNCS
+    M, N = a.shape
+    a = np.array(a, order="F")  # a copy: qr_r_raw factors it in place
+    tau = raw(a, signature="d->d")
+    q = np.empty((M, M), order="F")
+    (complete if M > N else reduced)(a, tau, signature="dd->d", out=(q,))
+    if not with_r:
+        return q
+    a[np.tri(M, N, -1, dtype=bool)] = 0.0
+    return q, a
+
+
 def two_norm(M: np.ndarray) -> float:
     """||M||_2, equal to ``numpy.linalg.norm(M, 2)``; 0.0 if M is empty."""
     return float(_svd(M, uv=False)[0]) if M.size else 0.0
@@ -202,6 +238,113 @@ def monitored_rank(M, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The ordered real Schur form, from numpy's own LAPACK where it exports dgees.
+
+_INT = ctypes.c_int64
+_SELECT = ctypes.CFUNCTYPE(_INT, ctypes.POINTER(ctypes.c_double),
+                           ctypes.POINTER(ctypes.c_double))
+
+
+class _OrderedSchur:
+    """``scipy.linalg.schur(a, output="real", sort=select)`` of float arrays,
+    bit for bit.
+
+    Calls LAPACK dgees, which reorders the form with dtrsen, from the ILP64
+    OpenBLAS numpy links, through ctypes in the gfortran ABI: INTEGER and
+    LOGICAL are 64-bit, and the lengths of the two CHARACTER arguments trail
+    as ``size_t``.  A C-ordered copy of ``a.T`` is ``a`` in Fortran layout,
+    and T and Z come back as transposes of C-ordered arrays: Fortran-ordered,
+    as scipy returns them.  The workspace size is scipy's query (``LWORK =
+    -1``, unsorted); the workspace, the eigenvalue arrays and ``BWORK``
+    depend only on the order, so each order's are queried and allocated once
+    and kept.  ``select(re, im)`` answers through one C callback made at
+    construction, so an instance is not reentrant.  Skips scipy's finiteness
+    check and its empty-matrix case: the caller passes a finite, non-empty
+    square array.
+    """
+
+    def __init__(self, dgees):
+        self._dgees = dgees
+        self._select = None
+        self._callback = _SELECT(lambda wr, wi: self._select(wr[0], wi[0]))
+        self._sdim, self._info = _INT(), _INT()
+        self._buffers = {}
+
+    def _allocate(self, n: int):
+        """The kept arrays of order n, with N, LWORK and their addresses."""
+        N, query = _INT(n), np.empty(1)
+        wr, wi, bwork = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
+        self._dgees(b"V", b"N", self._callback, N, np.empty((n, n)).ctypes.data, N,
+                    self._sdim, wr.ctypes.data, wi.ctypes.data,
+                    np.empty((n, n)).ctypes.data, N, query.ctypes.data, _INT(-1),
+                    bwork.ctypes.data, self._info, 1, 1)
+        kept = (wr, wi, np.empty(int(query[0])), bwork)
+        buffers = self._buffers[n] = (kept, N, _INT(kept[2].size),
+                                      *(x.ctypes.data for x in kept))
+        return buffers
+
+    def __call__(self, a, select):
+        """``(T, Z, sdim)`` with the eigenvalues ``select`` accepts leading."""
+        n = a.shape[0]
+        if a.shape != (n, n):
+            raise ValueError("expected square matrix")
+        _, N, lwork, wr, wi, work, bwork = self._buffers.get(n) or self._allocate(n)
+        t = np.array(a.T, dtype=float, order="C")  # t.T is a, Fortran-ordered
+        vs = np.empty((n, n))
+        self._select = select
+        self._dgees(b"V", b"S", self._callback, N, t.ctypes.data, N, self._sdim,
+                    wr, wi, vs.ctypes.data, N, work, lwork, bwork, self._info, 1, 1)
+        info = self._info.value
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+        if info == n + 1:
+            raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+        if info == n + 2:
+            raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+        if info > 0:
+            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+        return t.T, vs.T, self._sdim.value
+
+
+def _numpy_dgees():
+    """numpy's LAPACK dgees as a ctypes function, or None.
+
+    numpy's wheels link the ILP64 scipy-openblas, which exports
+    ``scipy_dgees_64_``; lapack_lite's handle resolves it through its own
+    dependency.  Other builds (Accelerate, MKL, a system LAPACK) lack it.
+    """
+    try:
+        dgees = ctypes.CDLL(lapack_lite.__file__).scipy_dgees_64_
+    except (OSError, AttributeError):
+        return None
+    ptr, ref = ctypes.c_void_p, ctypes.POINTER(_INT)
+    # JOBVS, SORT, SELECT, N, A, LDA, SDIM, WR, WI, VS, LDVS, WORK, LWORK,
+    # BWORK, INFO, then the lengths of JOBVS and SORT.
+    dgees.argtypes = [ctypes.c_char_p, ctypes.c_char_p, _SELECT, ref, ptr, ref,
+                      ref, ptr, ptr, ptr, ref, ptr, ref, ptr, ref,
+                      ctypes.c_size_t, ctypes.c_size_t]
+    dgees.restype = None
+    return dgees
+
+
+def _scipy_schur(a, select):
+    """The ordered real Schur form where numpy's LAPACK exports no dgees."""
+    import scipy.linalg as sla
+    return sla.schur(a, output="real", sort=select)
+
+
+@cache
+def _ordered_schur():
+    """``schur(a, select) -> (T, Z, sdim)``: numpy's dgees, else scipy's.
+
+    Resolved on the first nonempty spectral split and kept for the process,
+    with its workspaces.
+    """
+    dgees = _numpy_dgees()
+    return _scipy_schur if dgees is None else _OrderedSchur(dgees)
+
+
+# ---------------------------------------------------------------------------
 # The subspace value type.
 
 
@@ -210,13 +353,11 @@ class Subspace:
     """A linear subspace of R^n held as an orthonormal basis.
 
     ``basis`` is ``ambient_dim x k`` with orthonormal columns; the zero
-    subspace has ``k == 0`` (never a zero column).  ``tol`` records the
-    relative rank tolerance used to construct it.
+    subspace has ``k == 0`` (never a zero column).
     """
 
     ambient_dim: int
     basis: np.ndarray
-    tol: float = DEFAULT_REL_RANK_TOL
     # orth_complement's results by rel_rank_tol, each with its rank margins.
     _perp: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -250,12 +391,12 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     @classmethod
-    def zero(cls, n: int, tol: float = DEFAULT_REL_RANK_TOL) -> "Subspace":
-        return cls(n, np.zeros((n, 0)), tol)
+    def zero(cls, n: int) -> "Subspace":
+        return cls(n, np.zeros((n, 0)))
 
     @classmethod
-    def full(cls, n: int, tol: float = DEFAULT_REL_RANK_TOL) -> "Subspace":
-        return cls(n, np.eye(n), tol)
+    def full(cls, n: int) -> "Subspace":
+        return cls(n, np.eye(n))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -276,10 +417,10 @@ def image(M, tol: TolerancePolicy = DEFAULT_POLICY, scale_floor: float = 0.0) ->
     M = as_matrix(M)
     n = M.shape[0]
     if M.size == 0:
-        return Subspace.zero(n, tol.rel_rank_tol)
+        return Subspace.zero(n)
     U, s, _ = _svd(M, full=False)
     rank, _ = _rank_cut(s, M.shape, tol.rel_rank_tol, scale_floor)
-    return Subspace(n, U[:, :rank], tol.rel_rank_tol)
+    return Subspace(n, U[:, :rank])
 
 
 def kernel(M, tol: TolerancePolicy = DEFAULT_POLICY, scale_floor: float = 0.0) -> Subspace:
@@ -287,10 +428,10 @@ def kernel(M, tol: TolerancePolicy = DEFAULT_POLICY, scale_floor: float = 0.0) -
     M = as_matrix(M)
     n = M.shape[1]
     if M.size == 0:
-        return Subspace.full(n, tol.rel_rank_tol)
+        return Subspace.full(n)
     _, s, Vt = _svd(M)
     rank, _ = _rank_cut(s, M.shape, tol.rel_rank_tol, scale_floor)
-    return Subspace(n, Vt[rank:].T, tol.rel_rank_tol)
+    return Subspace(n, Vt[rank:].T)
 
 
 def subspace_sum(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -314,8 +455,7 @@ def orth_complement(V: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subsp
         with margin_monitor() as rec:
             # a degenerate subspace's complement is the other one, no SVD
             comp = (kernel(V.basis.T, tol) if 0 < V.dim < V.ambient_dim else
-                    Subspace(V.ambient_dim, np.eye(V.ambient_dim)[:, V.dim:],
-                             tol.rel_rank_tol))
+                    Subspace(V.ambient_dim, np.eye(V.ambient_dim)[:, V.dim:]))
         cached = V._perp[tol.rel_rank_tol] = (comp, rec.margins)
     else:
         for margin in cached[1]:
@@ -355,7 +495,7 @@ def _preimage(M: np.ndarray, S: Subspace, tol: TolerancePolicy,
             f"map codomain {M.shape[0]} does not match subspace ambient {S.ambient_dim}")
     comp = orth_complement(S, tol)
     if comp.is_zero:
-        return Subspace.full(M.shape[1], tol.rel_rank_tol)
+        return Subspace.full(M.shape[1])
     # Scale floor ||M||: a product that vanishes relative to M maps into S.
     return kernel(comp.basis.T @ M, tol, scale_floor=m_norm())
 

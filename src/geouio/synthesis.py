@@ -15,22 +15,19 @@ constructions consume.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
-                        _exceeds, _fixed_point, _norm_once, _pinv, _preimage,
-                        _rank_cut, _require_invariant, _svd, as_matrix,
-                        canonical_projection, contains, image, intersect,
-                        kernel, orth_complement, subspace_sum, two_norm,
-                        unobservable_subspace)
+                        _exceeds, _fixed_point, _norm_once, _ordered_schur,
+                        _pinv, _preimage, _qr, _rank_cut, _require_invariant,
+                        _svd, as_matrix, canonical_projection, contains,
+                        image, intersect, kernel, orth_complement,
+                        subspace_sum, two_norm, unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
 # ("bad"): a raw comparison would flip on rounding noise when zeros sit
@@ -129,7 +126,7 @@ def infimal_unobservability_subspace(A, C, W_star: Subspace,
     history = _fixed_point(
         lambda S: subspace_sum(W_star, intersect(_preimage(A, S, tol, a_norm), KC,
                                                  tol), tol),
-        Subspace.full(n, tol.rel_rank_tol), n + 1)
+        Subspace.full(n), n + 1)
     return (history[-1], history) if return_history else history[-1]
 
 
@@ -213,7 +210,7 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
     Sq = P @ intersect(S_star, orth_complement(W_star, tol), tol).basis
     d = Sq.shape[1]
     if d == 0:
-        z = Subspace.zero(q, tol.rel_rank_tol)
+        z = Subspace.zero(q)
         return z, z
     Abar = P @ AL @ P.T
     off = float(np.linalg.norm(Abar @ Sq - Sq @ (Sq.T @ Abar @ Sq)))
@@ -228,8 +225,8 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
     _, Zg, ng = schur(R, lambda re, im: not bad(re, im))
     if nb + ng != d:
         raise InvarianceViolated("spectral split lost eigenvalues at the boundary")
-    Xb = image(Sq @ Zb[:, :nb], tol) if nb else Subspace.zero(q, tol.rel_rank_tol)
-    Xg = image(Sq @ Zg[:, :ng], tol) if ng else Subspace.zero(q, tol.rel_rank_tol)
+    Xb = image(Sq @ Zb[:, :nb], tol) if nb else Subspace.zero(q)
+    Xg = image(Sq @ Zg[:, :ng], tol) if ng else Subspace.zero(q)
     return Xg, Xb
 
 
@@ -276,155 +273,6 @@ def _yt_update_order(n: int) -> np.ndarray:
               for j in range(2, hnb + n % 2) for i in range(hnb + 1, n + 1)]
     order += [(i, i + hnb) for i in range(1, hnb + 1)]
     return np.array(order) - 1
-
-
-class _FullQR:
-    """``scipy.linalg.qr(a, mode="full")`` of float arrays, bit for bit.
-
-    Calls LAPACK dgeqrf and dorgqr through numpy's ``lapack_lite`` as scipy
-    calls them, with the optimal workspace sizes scipy's ``safecall``
-    queries.  A C-ordered copy of ``a.T`` is ``a`` in the Fortran layout
-    LAPACK expects, and Q comes back as the transpose of a C-ordered array:
-    Fortran-ordered, as scipy returns it.  A workspace depends only on the
-    routine and the shape of ``a``, so each is queried and allocated once and
-    kept; one placement owns one instance.  Skips scipy's per-call dispatch
-    and checks: the caller passes finite, non-empty float arrays.
-    """
-
-    def __init__(self):
-        self._geqrf, self._orgqr = lapack_lite.dgeqrf, lapack_lite.dorgqr
-        self._buffers = {}
-
-    def _allocate(self, M, N):
-        """tau and the two work arrays of an M x N factorization, kept."""
-        tau, query = np.empty(min(M, N)), np.empty(1)
-        self._geqrf(M, N, np.empty((N, M)), M, tau, query, -1, 0)
-        work_qr = np.empty(int(query[0]))
-        self._orgqr(M, M, tau.size, np.empty((M, M)), M, tau, query, -1, 0)
-        buffers = self._buffers[M, N] = (tau, work_qr, np.empty(int(query[0])))
-        return buffers
-
-    def __call__(self, a, with_r: bool = False):
-        """Q of ``a``, and R too when ``with_r``."""
-        M, N = a.shape
-        tau, work_qr, work_q = self._buffers.get(a.shape) or self._allocate(M, N)
-        qr = a.T.copy()  # qr.T is a, Fortran-ordered
-        info = self._geqrf(M, N, qr, M, tau, work_qr, work_qr.size, 0)["info"]
-        R = np.triu(qr.T) if with_r else None  # before dorgqr overwrites qr
-        if M < N:
-            Q = qr[:M]
-        else:  # pad the reflectors to M x M; dorgqr forms all of Q in place
-            Q = np.empty((M, M))
-            Q[:N] = qr
-        info = min(info, self._orgqr(M, M, tau.size, Q, M, tau, work_q,
-                                     work_q.size, 0)["info"])
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgeqrf/dorgqr")
-        return (Q.T, R) if with_r else Q.T
-
-
-_INT = ctypes.c_int64
-_SELECT = ctypes.CFUNCTYPE(_INT, ctypes.POINTER(ctypes.c_double),
-                           ctypes.POINTER(ctypes.c_double))
-
-
-class _OrderedSchur:
-    """``scipy.linalg.schur(a, output="real", sort=select)`` of float arrays,
-    bit for bit.
-
-    Calls LAPACK dgees, which reorders the form with dtrsen, from the ILP64
-    OpenBLAS numpy links, through ctypes in the gfortran ABI: INTEGER and
-    LOGICAL are 64-bit, and the lengths of the two CHARACTER arguments trail
-    as ``size_t``.  A C-ordered copy of ``a.T`` is ``a`` in Fortran layout,
-    and T and Z come back as transposes of C-ordered arrays: Fortran-ordered,
-    as scipy returns them.  The workspace size is scipy's query (``LWORK =
-    -1``, unsorted); the workspace, the eigenvalue arrays and ``BWORK``
-    depend only on the order, so each order's are queried and allocated once
-    and kept.  ``select(re, im)`` answers through one C callback made at
-    construction, so an instance is not reentrant.  Skips scipy's finiteness
-    check and its empty-matrix case: the caller passes a finite, non-empty
-    square array.
-    """
-
-    def __init__(self, dgees):
-        self._dgees = dgees
-        self._select = None
-        self._callback = _SELECT(lambda wr, wi: self._select(wr[0], wi[0]))
-        self._sdim, self._info = _INT(), _INT()
-        self._buffers = {}
-
-    def _allocate(self, n: int):
-        """The kept arrays of order n, with N, LWORK and their addresses."""
-        N, query = _INT(n), np.empty(1)
-        wr, wi, bwork = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
-        self._dgees(b"V", b"N", self._callback, N, np.empty((n, n)).ctypes.data, N,
-                    self._sdim, wr.ctypes.data, wi.ctypes.data,
-                    np.empty((n, n)).ctypes.data, N, query.ctypes.data, _INT(-1),
-                    bwork.ctypes.data, self._info, 1, 1)
-        kept = (wr, wi, np.empty(int(query[0])), bwork)
-        buffers = self._buffers[n] = (kept, N, _INT(kept[2].size),
-                                      *(x.ctypes.data for x in kept))
-        return buffers
-
-    def __call__(self, a, select):
-        """``(T, Z, sdim)`` with the eigenvalues ``select`` accepts leading."""
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError("expected square matrix")
-        _, N, lwork, wr, wi, work, bwork = self._buffers.get(n) or self._allocate(n)
-        t = np.array(a.T, dtype=float, order="C")  # t.T is a, Fortran-ordered
-        vs = np.empty((n, n))
-        self._select = select
-        self._dgees(b"V", b"S", self._callback, N, t.ctypes.data, N, self._sdim,
-                    wr, wi, vs.ctypes.data, N, work, lwork, bwork, self._info, 1, 1)
-        info = self._info.value
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal gees")
-        if info == n + 1:
-            raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
-        if info == n + 2:
-            raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
-        if info > 0:
-            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-        return t.T, vs.T, self._sdim.value
-
-
-def _numpy_dgees():
-    """numpy's LAPACK dgees as a ctypes function, or None.
-
-    numpy's wheels link the ILP64 scipy-openblas, which exports
-    ``scipy_dgees_64_``; lapack_lite's handle resolves it through its own
-    dependency.  Other builds (Accelerate, MKL, a system LAPACK) lack it.
-    """
-    try:
-        dgees = ctypes.CDLL(lapack_lite.__file__).scipy_dgees_64_
-    except (OSError, AttributeError):
-        return None
-    ptr, ref = ctypes.c_void_p, ctypes.POINTER(_INT)
-    # JOBVS, SORT, SELECT, N, A, LDA, SDIM, WR, WI, VS, LDVS, WORK, LWORK,
-    # BWORK, INFO, then the lengths of JOBVS and SORT.
-    dgees.argtypes = [ctypes.c_char_p, ctypes.c_char_p, _SELECT, ref, ptr, ref,
-                      ref, ptr, ptr, ptr, ref, ptr, ref, ptr, ref,
-                      ctypes.c_size_t, ctypes.c_size_t]
-    dgees.restype = None
-    return dgees
-
-
-def _scipy_schur(a, select):
-    """The ordered real Schur form where numpy's LAPACK exports no dgees."""
-    import scipy.linalg as sla
-    return sla.schur(a, output="real", sort=select)
-
-
-@cache
-def _ordered_schur():
-    """``schur(a, select) -> (T, Z, sdim)``: numpy's dgees, else scipy's.
-
-    Resolved on the first nonempty spectral split and kept for the process,
-    with its workspaces.
-    """
-    dgees = _numpy_dgees()
-    return _scipy_schur if dgees is None else _OrderedSchur(dgees)
 
 
 def _yt_real_update(ker_pole, Q, X, i, j):
@@ -484,13 +332,12 @@ def _place_real_poles(A, B, poles) -> np.ndarray:
     if rank == n:
         # Square or wide full-rank B: X = I and K solves B K = diag - A.
         return -np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0]
-    qr = _FullQR()
-    u, z = qr(np.asarray_chkfinite(B), with_r=True)
+    u, z = _qr(np.asarray_chkfinite(B), with_r=True)
     u0, u1, z = u[:, :rank], u[:, rank:], z[:rank, :]
     ker_pole, cols = [], []
     for p in poles:
         pole_space = np.dot(u1.T, A - p * np.eye(n)).T
-        Q = qr(pole_space)
+        Q = _qr(pole_space)
         ker = Q[:, pole_space.shape[1]:]
         x = np.sum(ker, axis=1)[:, np.newaxis]
         ker_pole.append(ker)
@@ -503,7 +350,7 @@ def _place_real_poles(A, B, poles) -> np.ndarray:
         for _ in range(_YT_MAXITER):
             det_before = np.abs(np.linalg.det(X))
             for i, j, others in sweep:
-                _yt_real_update(ker_pole, qr(X[:, others]), X, i, j)
+                _yt_real_update(ker_pole, _qr(X[:, others]), X, i, j)
             det = max(floor, np.abs(np.linalg.det(X)))
             if np.abs((det - det_before) / det) < _YT_RTOL and det > floor:
                 break
@@ -638,8 +485,7 @@ def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
     P_W = np.vstack([P_Wg, V.T])
     R = P_W @ P_raw.T  # orthogonal change of chart
     qdim = P_raw.shape[0]
-    relabel = lambda X: Subspace(qdim, R @ X.basis if X.dim else X.basis,
-                                 tol.rel_rank_tol)
+    relabel = lambda X: Subspace(qdim, R @ X.basis if X.dim else X.basis)
     return GeometricDecomposition(
         W_star=W, S_star=S, Xbar_g=relabel(Xg_raw), Xbar_b=relabel(Xb_raw),
         W_g_star=Wg, V=V, P_Wstar=P_W, P_Wg=P_Wg)

@@ -170,12 +170,10 @@ INVARIANTS = (
         o.decomp.Xbar_g.dim + o.decomp.Xbar_b.dim
         == o.decomp.S_star.dim - o.decomp.W_star.dim)),
     Invariant("chart_rowspace_is_Wstar_perp", (NODE,), lambda o: subspaces_equal(
-        Subspace(o.decomp.n, o.decomp.P_Wstar.T, o.tol.rel_rank_tol),
-        Subspace(o.decomp.n, _null_space(o.decomp.W_star.basis.T), o.tol.rel_rank_tol),
-        o.tol)),
+        Subspace(o.decomp.n, o.decomp.P_Wstar.T),
+        Subspace(o.decomp.n, _null_space(o.decomp.W_star.basis.T)), o.tol)),
     Invariant("V_inside_Wg", (NODE,), lambda o: contains(
-        o.decomp.W_g_star, Subspace(o.decomp.n, o.decomp.V, o.tol.rel_rank_tol),
-        o.tol)),
+        o.decomp.W_g_star, Subspace(o.decomp.n, o.decomp.V), o.tol)),
     Invariant("V_orthogonal_to_Wstar", (NODE,), lambda o: _norm(
         o.decomp.V.T @ o.decomp.W_star.basis), "<=", 1e-9),
     Invariant("reconstruction_residual", (N1_NODE,), _reconstruction, "<=", 1e-9),

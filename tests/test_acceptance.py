@@ -117,7 +117,8 @@ def test_criterion_4_synthesis_invariants(central_cfg, central_obs,
                 if name.startswith(prefix)}
 
     check("centralized", values(invariant_checks(
-        obs, obs.alpha, central_cfg.system, central_cfg.partition)), obs.alpha)
+        obs, central_cfg.spectral.alpha, central_cfg.system,
+        central_cfg.partition)), central_cfg.spectral.alpha)
     net_checks = invariant_checks(net, dist_cfg.spectral.alpha)
     for nd in net.nodes:
         check(f"node{nd.node_id}", values(net_checks, f"node{nd.node_id}_"),

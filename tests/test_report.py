@@ -55,7 +55,7 @@ def _reference_rows(columns, sep):
 
 def _force_workers(monkeypatch, workers):
     """Make every write use ``workers`` processes, whatever its size."""
-    monkeypatch.setattr(report, "_worker_count", lambda values: workers)
+    monkeypatch.setattr(report, "_worker_count", lambda rows: workers)
 
 
 def test_writers_match_per_value_formatting(tmp_path, monkeypatch):
@@ -148,9 +148,14 @@ def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
 def test_worker_count_follows_cpus_and_size(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)),
                         raising=False)
-    floor = report._VALUES_PER_WORKER
-    assert [report._worker_count(v) for v in
+    floor = report._ROWS_PER_WORKER
+    assert [report._worker_count(r) for r in
             (0, floor - 1, 2 * floor, 3 * floor + 1, 100 * floor)] == [1, 1, 2, 3, 8]
+    # two processes from 8,192 rows on, whatever the table width; on two
+    # CPUs the demos' writes (reproduced, then dense) take 1, 1, 2 and 2
+    assert report._worker_count(8191) == 1 and report._worker_count(8192) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert [report._worker_count(r) for r in (2001, 4001, 20001, 40001)] == [1, 1, 2, 2]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert report._worker_count(100 * floor) == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -8,12 +8,12 @@ import pytest
 
 from geouio.errors import (DimensionMismatch, InvarianceViolated,
                            NotConditionedInvariant, SpectrumUnassignable)
-from geouio.subspaces import (Subspace, _exceeds, canonical_projection,
+from geouio.subspaces import (Subspace, _exceeds, _qr, canonical_projection,
                               contains, image, intersect, kernel,
                               margin_monitor, orth_complement, subspace_sum,
                               subspaces_equal)
-from geouio import synthesis
-from geouio.synthesis import (SpectralPartition, _FullQR, _place_real_poles,
+from geouio import subspaces, synthesis
+from geouio.synthesis import (SpectralPartition, _place_real_poles,
                               _yt_update_order, common_friend, compute_wg_star,
                               decompose, friend_gain,
                               infimal_conditioned_invariant,
@@ -289,7 +289,7 @@ def test_invariant_zero_spectrum_is_friend_independent():
 
 
 def _require_dgees():
-    dgees = synthesis._numpy_dgees()
+    dgees = subspaces._numpy_dgees()
     if dgees is None:
         pytest.skip("numpy's LAPACK exports no ILP64 dgees")
     return dgees
@@ -320,7 +320,7 @@ def _straddling_matrix(rng, n):
 def test_ordered_schur_matches_scipy(n):
     import scipy.linalg as sla
 
-    schur = synthesis._OrderedSchur(_require_dgees())
+    schur = subspaces._OrderedSchur(_require_dgees())
     rng = np.random.default_rng(100 + n)
     straddling = [_straddling_matrix(rng, n) for _ in range(2)]
     if n >= 4:  # each leads with a complex pair on each side of the boundary
@@ -347,7 +347,7 @@ def test_ordered_schur_queries_workspace_once_per_order():
             queries.append(args[3].value)  # N
         return dgees(*args)
 
-    schur = synthesis._OrderedSchur(counted)
+    schur = subspaces._OrderedSchur(counted)
     rng = np.random.default_rng(3)
     for n in (4, 2, 4, 1, 2, 4):
         schur(rng.normal(size=(n, n)), lambda re, im: re < 0)
@@ -369,7 +369,7 @@ def test_ordered_schur_raises_what_scipy_raises(info, error, text):
         else:
             args[14].value = info
 
-    schur = synthesis._OrderedSchur(failing)
+    schur = subspaces._OrderedSchur(failing)
     with pytest.raises(error) as exc:
         schur(np.eye(3), lambda re, im: True)
     assert str(exc.value) == text
@@ -379,15 +379,15 @@ def test_spectral_split_falls_back_to_scipy(monkeypatch):
     A = _straddling_matrix(np.random.default_rng(5), 7)
     C, W, S = np.zeros((1, 7)), Subspace.zero(7), Subspace.full(7)
     direct = spectral_split(A, C, W, S, np.zeros((7, 1)), ALPHA0)
-    if synthesis._numpy_dgees() is not None:
-        assert isinstance(synthesis._ordered_schur(), synthesis._OrderedSchur)
-    monkeypatch.setattr(synthesis, "_numpy_dgees", lambda: None)
-    synthesis._ordered_schur.cache_clear()
+    if subspaces._numpy_dgees() is not None:
+        assert isinstance(subspaces._ordered_schur(), subspaces._OrderedSchur)
+    monkeypatch.setattr(subspaces, "_numpy_dgees", lambda: None)
+    subspaces._ordered_schur.cache_clear()
     try:
         fallback = spectral_split(A, C, W, S, np.zeros((7, 1)), ALPHA0)
-        assert synthesis._ordered_schur() is synthesis._scipy_schur
+        assert subspaces._ordered_schur() is subspaces._scipy_schur
     finally:
-        synthesis._ordered_schur.cache_clear()
+        subspaces._ordered_schur.cache_clear()
     assert [X.dim for X in direct] == [4, 3]
     for X, Y in zip(direct, fallback):
         assert np.array_equal(X.basis, Y.basis)
@@ -589,13 +589,17 @@ def test_place_real_poles_matches_scipy_without_convergence():
     assert np.array_equal(_place_real_poles(A, B, poles), ref.gain_matrix)
 
 
-def _assert_qr_matches_scipy(qr, a):
+def _assert_qr_matches_scipy(a):
     import scipy.linalg as sla
 
+    before = a.copy()
     Q_ref, R_ref = sla.qr(a, mode="full")
-    assert np.array_equal(qr(a), Q_ref)
-    Q, R = qr(a, with_r=True)
+    assert np.array_equal(_qr(a), Q_ref)
+    Q, R = _qr(a, with_r=True)
     assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
+    # Fortran order keeps the rounding of the products that consume Q
+    assert Q.flags.f_contiguous and R.flags.f_contiguous
+    assert np.array_equal(a, before)  # factored in a copy
 
 
 @pytest.mark.parametrize("n", range(3, 25))
@@ -603,9 +607,8 @@ def test_full_qr_matches_scipy_on_sweep_shapes(n):
     # the sweep factors the n - 2 columns of X outside the updated pair
     rng = np.random.default_rng(n)
     X = rng.normal(size=(n, n))
-    qr = _FullQR()
     for i, j in _yt_update_order(n)[:3]:
-        _assert_qr_matches_scipy(qr, X[:, np.delete(np.arange(n), (i, j))])
+        _assert_qr_matches_scipy(X[:, np.delete(np.arange(n), (i, j))])
 
 
 @pytest.mark.parametrize("shape", [(3, 1), (6, 2), (6, 5), (12, 1), (12, 11),
@@ -614,45 +617,43 @@ def test_full_qr_matches_scipy_on_kernel_and_input_shapes(shape):
     # kernel bases factor a transposed product (a Fortran-ordered view);
     # the input matrix B may be tall or wide
     rng = np.random.default_rng(sum(shape))
-    qr = _FullQR()
-    _assert_qr_matches_scipy(qr, rng.normal(size=shape[::-1]).T)
-    _assert_qr_matches_scipy(qr, rng.normal(size=shape))
+    _assert_qr_matches_scipy(rng.normal(size=shape[::-1]).T)
+    _assert_qr_matches_scipy(rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("shape", [(12, 10), (6, 6), (3, 5)])
+def test_full_qr_numpy_fallback_gives_the_same_results(monkeypatch, shape):
+    a = np.random.default_rng(sum(shape)).normal(size=shape)
+    Q, R = _qr(a, with_r=True)
+    monkeypatch.setattr(subspaces, "_QR_GUFUNCS", None)  # as on numpy < 2
+    Q_np, R_np = _qr(a, with_r=True)
+    assert np.array_equal(Q, Q_np) and np.array_equal(R, R_np)
+    assert Q_np.flags.f_contiguous and R_np.flags.f_contiguous
 
 
 def test_thirty_sweep_placement_calls_lapack_directly(monkeypatch):
-    import types
-
     import scipy.linalg as sla
-    from numpy.linalg import lapack_lite
 
-    def no_qr(*args, **kwargs):
-        raise AssertionError("scipy.linalg.qr called")
-
-    queries, calls = {}, {}
-
-    def counted(name):
-        routine = getattr(lapack_lite, name)
-
-        def call(*args):
-            *head, work, lwork, info = args
-            if lwork == -1:  # keyed by the sizes and array shapes passed
-                key = (name, *(np.shape(a) if isinstance(a, np.ndarray) else a
-                               for a in head))
-                queries[key] = queries.get(key, 0) + 1
-            else:
-                calls[name] = calls.get(name, 0) + 1
-            return routine(*args)
+    def banned(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
         return call
 
-    monkeypatch.setattr(sla, "qr", no_qr)
-    monkeypatch.setattr(synthesis, "lapack_lite", types.SimpleNamespace(
-        dgeqrf=counted("dgeqrf"), dorgqr=counted("dorgqr")))
+    calls = []
+
+    def counted(a, with_r=False):
+        calls.append(a.shape)
+        return _qr(a, with_r)
+
+    monkeypatch.setattr(sla, "qr", banned("scipy.linalg.qr"))
+    monkeypatch.setattr(np.linalg, "qr", banned("numpy.linalg.qr"))
+    monkeypatch.setattr(synthesis, "_qr", counted)
     rng = np.random.default_rng(7)  # scipy needs all 30 sweeps here
     A, B = rng.normal(size=(11, 11)), rng.normal(size=(11, 2))
     _place_real_poles(A, B, ALPHA0.targets(11))
-    factored = 1 + 11 + 30 * len(_yt_update_order(11))  # B, kernels, sweeps
-    assert calls == {"dgeqrf": factored, "dorgqr": factored}
-    assert set(queries.values()) == {1}
+    sweeps = 30 * len(_yt_update_order(11))
+    # B, one kernel basis per target, then every pair of every sweep
+    assert calls == [(11, 2)] + [(11, 9)] * 11 + [(11, 9)] * sweeps
 
 
 def test_place_real_poles_rejects_what_scipy_rejects():
