@@ -18,12 +18,10 @@ from .synthesis import (GeometricDecomposition, SpectralPartition,
                         stabilizing_friend)
 from .central import (CentralizedObserver, InputPartition, LinSystem,
                       check_uio_condition, classical_rank_condition, estimate,
-                      observer_rhs, solve_output_reconstruction,
-                      synthesize_centralized_uio)
+                      solve_output_reconstruction, synthesize_centralized_uio)
 from .distributed import (DistributedObserverNetwork, NodeSpec, SensorGraph,
                           SensorNode, classify_nodes, gain_bounds,
-                          joint_detectability_check, node_estimate_n1,
-                          node_rhs_n1, node_rhs_n2, per_node_decomposition,
+                          joint_detectability_check, per_node_decomposition,
                           recoverability_intersection, synthesize_distributed)
 from .simulate import (SignalSpec, SimConfig, Trajectory, error_metrics,
                        eval_signals, simulate_centralized,

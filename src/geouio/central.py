@@ -188,14 +188,6 @@ def synthesize_centralized_uio(sys: LinSystem, part: InputPartition,
                                decomp=decomp)
 
 
-def observer_rhs(obs: CentralizedObserver, z, y, u_known) -> np.ndarray:
-    """dz/dt = Abar_L z + (P B_known) u_known - (P L) y."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u_known = np.asarray(u_known, dtype=float)
-    return obs.Abar_L @ z + obs.input_map @ u_known - obs.output_map @ y
-
-
 def estimate(obs: CentralizedObserver, z, y) -> np.ndarray:
     """xhat = E z + F y."""
     return obs.E @ np.asarray(z, dtype=float) + obs.F @ np.asarray(y, dtype=float)

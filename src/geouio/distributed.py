@@ -346,46 +346,3 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
         nodes=nodes, graph=graph, chi=chi, gamma=gamma, u_bar_max=u_bar_max,
         safety=safety, W_V_block=cons.W_V, A_L_block=cons.A_L,
         chi_min=chi_min, gamma_min=gamma_min, sigma_min_Q=sigma_min)
-
-
-# ---------------------------------------------------------------------------
-# Node dynamics (reference implementations; the simulator assembles the same
-# maps into one operator).
-
-
-def node_estimate_n1(node: SensorNode, z_i, y_i) -> np.ndarray:
-    """xhat_i = E_i z_i + F_i y_i."""
-    return node.E @ np.asarray(z_i, float) + node.F @ np.asarray(y_i, float)
-
-
-def node_rhs_n1(node: SensorNode, z_i, y_i, u_i, neighbor_estimates, chi) -> np.ndarray:
-    """Reduced-order node: quotient copy plus consensus drive along V_i."""
-    if node.node_class != N1:
-        raise DimensionMismatch("node is not class 1")
-    z_i = np.asarray(z_i, float)
-    y_i = np.asarray(y_i, float)
-    u_i = np.asarray(u_i, float)
-    xhat_i = node_estimate_n1(node, z_i, y_i)
-    s = np.zeros(node.decomp.n)
-    for xj in neighbor_estimates:
-        s += np.asarray(xj, float) - xhat_i
-    P = node.P_Wstar
-    V = node.V
-    return (node.Abar_L @ z_i - P @ (node.L @ y_i) + P @ (node.B_known @ u_i)
-            + chi * (P @ V) @ (V.T @ s))
-
-
-def node_rhs_n2(node: SensorNode, xhat_i, y_i, u_i, neighbor_estimates,
-                chi, gamma, sign_fn=np.sign) -> np.ndarray:
-    """Full-order node: local injection, linear consensus, sign coupling."""
-    if node.node_class != N2:
-        raise DimensionMismatch("node is not class 2")
-    xhat_i = np.asarray(xhat_i, float)
-    y_i = np.asarray(y_i, float)
-    u_i = np.asarray(u_i, float)
-    s = np.zeros(node.decomp.n)
-    for xj in neighbor_estimates:
-        s += np.asarray(xj, float) - xhat_i
-    Wg = node.Wg_basis
-    return (node.A_cl @ xhat_i - node.L @ y_i + node.B_known @ u_i
-            + chi * Wg @ (Wg.T @ s) + gamma * Wg @ sign_fn(Wg.T @ s))

@@ -7,7 +7,7 @@ import os
 import tempfile
 import warnings
 from collections.abc import Callable
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -109,11 +109,13 @@ def write_json(path, payload: dict):
 
 
 # A write takes one process per this many rows (4 blocks), up to the CPUs it
-# may run on and _MAX_WORKERS.  On a 2-core x86-64 VM the crossover lies at
-# the same row count on both demos whatever their width (8 values a row
-# centralized, 35 distributed): one process wins at 6,145 rows, two win from
-# 20,001 on, and between them the two are close.  Right after the fork each
-# process runs slower while it faults in the pages it writes.
+# may run on and _MAX_WORKERS.  Placed on CPUs of their own, two processes
+# beat one on a 2-core x86-64 VM from 2,001 rows of the distributed demo (35
+# values a row; 6,145 rows: 61 against 85 ms) and from about 12,000 rows of
+# the centralized demo (8 values; 12,289 rows: 30 against 40 ms), but
+# splitting the demos' 4,001-row writes gained nothing end to end.  Left
+# where fork put them, both processes often shared one CPU for the whole
+# write, so two never beat one below 12,289 rows.
 _ROWS_PER_WORKER = 4 * _BLOCK_ROWS
 _MAX_WORKERS = 8
 # Values formatted at a time: bounds the formatter's temporaries (about
@@ -166,12 +168,23 @@ def _worker_count(rows: int) -> int:
                       rows // _ROWS_PER_WORKER, _MAX_WORKERS))
 
 
-def _format_range(source, tables, start: int, stop: int, spools):
-    """Body of a forked worker: writes rows ``start:stop`` of every table to
-    its spool in ``spools`` and exits with 0, or 1 if that failed.  It never
-    returns, so it never flushes the caller's stdout or file buffers."""
+def _place(cpus):
+    """Run the calling thread on ``cpus`` only, if any are given; where the
+    system refuses, it stays where it is, as no byte written depends on
+    where it runs."""
+    if cpus:
+        with suppress(OSError):
+            os.sched_setaffinity(0, cpus)
+
+
+def _format_range(source, tables, start: int, stop: int, spools, home):
+    """Body of a forked worker: moves to the CPUs ``home``, writes rows
+    ``start:stop`` of every table to its spool in ``spools`` and exits with
+    0, or 1 if that failed.  It never returns, so it never flushes the
+    caller's stdout or file buffers."""
     code = 1
     try:
+        _place(home)
         for j, text in _texts(source, tables, start, stop):
             spools[j].write(text)
         for spool in spools:
@@ -191,9 +204,12 @@ def _write_tables(source, tables) -> list:
     spools, one per table; once every worker has exited, the caller appends
     the spools to the files in range order.  Every row is derived and
     formatted with its whole absolute block, whichever process does it, so
-    the bytes do not depend on the number of workers.  Workers call BLAS to
-    derive the estimates: numpy's OpenBLAS stops its thread pool before a
-    fork and starts it again in each process on first use.
+    the bytes do not depend on the number of workers.  Each process runs on
+    a CPU of its own while CPUs last: a forked child starts on its parent's
+    CPU, and the two may share it for the whole write while another idles.
+    The caller's CPUs are restored however the write ends.  Workers call
+    BLAS to derive the estimates: numpy's OpenBLAS stops its thread pool
+    before a fork and starts it again in each process on first use.
     """
     from . import _dtoa  # compiled on the first write, not at import
     _dtoa.tables(_dtoa.WIDE)  # built before the fork, for every process
@@ -203,7 +219,13 @@ def _write_tables(source, tables) -> list:
     workers = min(_worker_count(source.rows), blocks)
     bounds = [min(source.rows, blocks * k // workers * _BLOCK_ROWS)
               for k in range(workers + 1)]
+    # one CPU per process while they last, the caller's first
+    homes = (sorted(os.sched_getaffinity(0))[:workers]
+             if workers > 1 and hasattr(os, "sched_setaffinity") else [])
     with ExitStack() as stack:
+        if homes:
+            stack.callback(_place, os.sched_getaffinity(0))
+            _place(homes[:1])
         spools, pids = [], []
         try:
             for k in range(1, workers):
@@ -216,7 +238,7 @@ def _write_tables(source, tables) -> list:
                     pid = os.fork()
                 if pid == 0:
                     _format_range(source, tables, bounds[k], bounds[k + 1],
-                                  spools[-1])
+                                  spools[-1], homes[k:k + 1])
                 pids.append(pid)
             files = [stack.enter_context(t.path.open("wb")) for t in tables]
             for t, fh in zip(tables, files):

@@ -218,18 +218,6 @@ class _Kernel:
     Q: tuple
     quotient_maps: tuple
 
-    def rhs(self, signals, sign_fn):
-        M, G, K, lift = self.M, self.G, self.K, self.lift
-        signed = K.shape[0] > 0  # an empty sign term would still cost a clip per call
-
-        def f(t, s):
-            ds = M @ s + G @ eval_signals(signals, t)
-            if signed:
-                ds += lift @ sign_fn(K @ s)
-            return ds
-
-        return f
-
 
 # Explicit tableaux (a, b, c): stage i combines the slopes of stages j < i
 # with weights a[i], the step combines all slopes with weights b, and stage i

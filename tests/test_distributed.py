@@ -13,7 +13,6 @@ from geouio.central import LinSystem
 from geouio.distributed import (N1, N2, NodeSpec, SensorGraph,
                                 build_consensus_blocks, classify_nodes,
                                 gain_bounds, joint_detectability_check,
-                                node_estimate_n1, node_rhs_n1, node_rhs_n2,
                                 per_node_decomposition,
                                 recoverability_intersection,
                                 synthesize_distributed)
@@ -21,6 +20,8 @@ from geouio.errors import AssumptionViolated, DimensionMismatch
 from geouio.subspaces import Subspace, contains, image, subspaces_equal
 from geouio.synthesis import SpectralPartition
 from geouio.verify import invariant_checks
+
+from step_oracles import node_estimate_n1, node_rhs_n1, node_rhs_n2
 
 ALPHA0 = SpectralPartition(0.0)
 

@@ -58,6 +58,16 @@ def _force_workers(monkeypatch, workers):
     monkeypatch.setattr(report, "_worker_count", lambda rows: workers)
 
 
+def _affinity():
+    """The calling thread's CPUs, or None where the system cannot tell."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+placeable = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and at least 2 CPUs")
+
+
 def test_writers_match_per_value_formatting(tmp_path, monkeypatch):
     # Row counts: a partial block at the end (ranges split at block edges:
     # 1024 for 2 workers, 1024 and 2048 for 3), fewer blocks than workers.
@@ -145,6 +155,32 @@ def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
     assert len(forks) == 3
 
 
+def test_a_large_write_forks_for_each_further_cpu(tmp_path, monkeypatch):
+    """Unforced, a write of 2 * _ROWS_PER_WORKER rows takes two processes
+    where it may use two CPUs or more, and forks nothing on one."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    traj = _trajectory(2 * report._ROWS_PER_WORKER)
+    cpus = _affinity()
+    with _quiet():
+        paths = write_trajectory_tables(traj, tmp_path / "auto")
+    assert len(forks) == report._worker_count(len(traj.times)) - 1
+    assert len(forks) == (0 if cpus is None else min(len(cpus), 2) - 1)
+    assert _affinity() == cpus
+    _force_workers(monkeypatch, 1)
+    with _quiet():
+        alone = write_trajectory_tables(traj, tmp_path / "alone")
+    assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in alone]
+
+
 def test_worker_count_follows_cpus_and_size(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)),
                         raising=False)
@@ -189,6 +225,7 @@ def test_failing_worker_is_a_write_error(tmp_path, monkeypatch, capsys):
     _force_workers(monkeypatch, 3)
     _failing_in(monkeypatch, "child")
     out = tmp_path / "out"
+    cpus = _affinity()
     assert main(["simulate", "--config", _short_distributed_config(tmp_path),
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -198,6 +235,7 @@ def test_failing_worker_is_a_write_error(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(out)) == ["plot_node1_err.dat", "plot_node2_err.dat",
                                        "plot_node3_err.dat", "plot_node4_err.dat",
                                        "trajectory.csv"]
+    assert _affinity() == cpus
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -205,8 +243,10 @@ def test_failing_worker_is_a_write_error(tmp_path, monkeypatch, capsys):
 def test_failing_caller_still_reaps_its_workers(tmp_path, monkeypatch):
     _force_workers(monkeypatch, 3)
     _failing_in(monkeypatch, "parent")
+    cpus = _affinity()
     with pytest.raises(MemoryError), _quiet():
         write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path)
+    assert _affinity() == cpus
     # the caller opens every file before it formats; no spool is left
     assert sorted(os.listdir(tmp_path)) == ["plot_node1_err.dat",
                                             "plot_node2_err.dat",
@@ -215,9 +255,64 @@ def test_failing_caller_still_reaps_its_workers(tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs sched_setaffinity and at least 2 CPUs")
+@placeable
+def test_each_process_of_a_write_gets_a_cpu_of_its_own(tmp_path, monkeypatch):
+    """Every process of a split write asks for one CPU of the caller's, no
+    two the same, and the caller gets its own CPUs back."""
+    cpus = os.sched_getaffinity(0)
+    workers = min(3, len(cpus))
+    _force_workers(monkeypatch, workers)
+    log = tmp_path / "placed"
+    setaffinity = os.sched_setaffinity
+
+    def recording(pid, mask):
+        # one O_APPEND write per request, whichever process makes it
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{os.getpid()} {sorted(mask)}\n".encode())
+        finally:
+            os.close(fd)
+        setaffinity(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    with _quiet():
+        write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path / "out")
+    assert os.sched_getaffinity(0) == cpus
+    requests = {}
+    for line in log.read_text().splitlines():
+        pid, mask = line.split(" ", 1)
+        requests.setdefault(int(pid), []).append(json.loads(mask))
+    caller = requests.pop(os.getpid())
+    assert caller[1:] == [sorted(cpus)] and len(caller[0]) == 1
+    assert len(requests) == workers - 1
+    assert all(len(r) == 1 and len(r[0]) == 1 for r in requests.values())
+    homes = [caller[0][0], *(r[0][0] for r in requests.values())]
+    assert len(set(homes)) == workers and set(homes) <= cpus
+
+
+@placeable
+def test_a_write_that_cannot_place_its_processes_writes_the_same_bytes(
+        tmp_path, monkeypatch):
+    def refusing(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    traj = _trajectory(3 * _BLOCK_ROWS)
+    cpus = os.sched_getaffinity(0)
+    written = {}
+    for workers, setaffinity in ((1, os.sched_setaffinity), (3, refusing),
+                                 (3, os.sched_setaffinity)):
+        _force_workers(monkeypatch, workers)
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+        out = tmp_path / f"{workers}-{setaffinity.__name__}"
+        with _quiet():
+            paths = write_trajectory_tables(traj, out)
+        assert os.sched_getaffinity(0) == cpus
+        written[out.name] = [p.read_bytes() for p in paths]
+    first, *others = written.values()
+    assert all(w == first for w in others)
+
+
+@placeable
 def test_reproduce_artifacts_do_not_depend_on_cpu_count(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(geouio.__file__).resolve().parents[1]))
     cpu = min(os.sched_getaffinity(0))

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from geouio.central import (InputPartition, LinSystem, observer_rhs,
+from geouio.central import (InputPartition, LinSystem,
                             synthesize_centralized_uio)
-from geouio.distributed import (N1, node_estimate_n1, node_rhs_n1, node_rhs_n2)
+from geouio.distributed import N1
 from geouio.errors import DimensionMismatch, NonFiniteState
 from geouio.simulate import (_CHUNK, SignalSpec, SimConfig, _central_kernel,
                              _integrate, _n_steps, _network_kernel,
@@ -15,6 +15,9 @@ from geouio.simulate import (_CHUNK, SignalSpec, SimConfig, _central_kernel,
                              eval_signals, simulate_centralized,
                              simulate_distributed)
 from geouio.synthesis import SpectralPartition
+
+from step_oracles import (kernel_rhs, node_estimate_n1, node_rhs_n1,
+                          node_rhs_n2, observer_rhs)
 
 ALPHA0 = SpectralPartition(0.0)
 
@@ -155,7 +158,7 @@ def test_assembled_rhs_matches_per_node_reference(dist_cfg, dist_net):
         s = rng.normal(size=kern.s0.size)
         t = float(rng.uniform(0, 10))
         u = eval_signals(dist_cfg.signals, t)
-        fast = kern.rhs(dist_cfg.signals, np.sign)(t, s)
+        fast = kernel_rhs(kern, dist_cfg.signals, np.sign)(t, s)
         # reference: plant + literal node equations on the same snapshot
         x = s[:sys.n]
         ests = {}
@@ -185,7 +188,7 @@ def test_central_kernel_rhs_matches_plant_and_quotient_error(central_cfg,
     obs, _ = central_obs
     sys = central_cfg.system
     kern = _central_kernel(sys, obs, central_cfg.sim)
-    f = kern.rhs(central_cfg.signals, np.sign)
+    f = kernel_rhs(kern, central_cfg.signals, np.sign)
     rng = np.random.default_rng(9)
     for trial in range(5):
         s = rng.normal(size=sys.n + obs.z_dim)
@@ -326,7 +329,7 @@ def test_step_operator_matches_classical_step(both_kernels, method, sign_mode):
         cfg = replace(pcfg.sim, method=method, sign_mode=sign_mode)
         kern = build(pcfg.system, artifact, cfg)
         op = _step_operator(kern, cfg)
-        f = kern.rhs(pcfg.signals, cfg.sign_fn())
+        f = kernel_rhs(kern, pcfg.signals, cfg.sign_fn())
         signs = np.empty(len(op.offsets) * kern.K.shape[0])
         for trial in range(6):
             # small states put the sign arguments inside the boundary layer
