@@ -134,8 +134,8 @@ def test_a_write_formats_each_value_once(tmp_path, monkeypatch):
     assert sum(r for r, _ in calls) == rows and {w for _, w in calls} == {3}
 
 
-def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
-    _force_workers(monkeypatch, 3)
+def _count_forks(monkeypatch) -> list:
+    """The pids of the workers forked from now on, as they are forked."""
     forks = []
     fork = os.fork
 
@@ -146,6 +146,12 @@ def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
+    _force_workers(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
     with _quiet():
         write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path)
     assert len(forks) == 2
@@ -158,16 +164,7 @@ def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
 def test_a_large_write_forks_for_each_further_cpu(tmp_path, monkeypatch):
     """Unforced, a write of 2 * _ROWS_PER_WORKER rows takes two processes
     where it may use two CPUs or more, and forks nothing on one."""
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = _count_forks(monkeypatch)
     traj = _trajectory(2 * report._ROWS_PER_WORKER)
     cpus = _affinity()
     with _quiet():
