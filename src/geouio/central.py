@@ -89,8 +89,6 @@ class CentralizedObserver:
     L: np.ndarray
     E: np.ndarray
     F: np.ndarray
-    input_map: np.ndarray   # P_Wg @ B_known, applied to the known input
-    output_map: np.ndarray  # P_Wg @ L, applied to the measurement
     decomp: GeometricDecomposition
 
     @property
@@ -183,8 +181,6 @@ def synthesize_centralized_uio(sys: LinSystem, part: InputPartition,
                               diagnostics={"cause": exc}) from exc
     E, F = solve_output_reconstruction(decomp.P_Wg, sys.C, tol)
     return CentralizedObserver(Abar_L=Abar_L, P_Wg=decomp.P_Wg, L=L, E=E, F=F,
-                               input_map=decomp.P_Wg @ part.B_known,
-                               output_map=decomp.P_Wg @ L,
                                decomp=decomp)
 
 

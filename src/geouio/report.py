@@ -5,15 +5,15 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 from collections.abc import Callable
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _workers
 from .central import CentralizedObserver
 from .distributed import DistributedObserverNetwork
 from .simulate import _BLOCK_ROWS, Trajectory, _row_blocks
@@ -109,15 +109,14 @@ def write_json(path, payload: dict):
 
 
 # A write takes one process per this many rows (4 blocks), up to the CPUs it
-# may run on and _MAX_WORKERS.  Placed on CPUs of their own, two processes
-# beat one on a 2-core x86-64 VM from 2,001 rows of the distributed demo (35
-# values a row; 6,145 rows: 61 against 85 ms) and from about 12,000 rows of
-# the centralized demo (8 values; 12,289 rows: 30 against 40 ms), but
+# may run on and _workers._MAX_WORKERS.  Placed on CPUs of their own, two
+# processes beat one on a 2-core x86-64 VM from 2,001 rows of the distributed
+# demo (35 values a row; 6,145 rows: 61 against 85 ms) and from about 12,000
+# rows of the centralized demo (8 values; 12,289 rows: 30 against 40 ms), but
 # splitting the demos' 4,001-row writes gained nothing end to end.  Left
 # where fork put them, both processes often shared one CPU for the whole
 # write, so two never beat one below 12,289 rows.
 _ROWS_PER_WORKER = 4 * _BLOCK_ROWS
-_MAX_WORKERS = 8
 # Values formatted at a time: bounds the formatter's temporaries (about
 # 1.1 MB) whatever the table width; larger chunks are no faster.
 _CHUNK_VALUES = 4096
@@ -160,56 +159,21 @@ def _texts(source, tables, start: int, stop: int):
 
 
 def _worker_count(rows: int) -> int:
-    """Processes that format a write of ``rows`` rows, the caller included;
-    1 where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)),
-                      rows // _ROWS_PER_WORKER, _MAX_WORKERS))
-
-
-def _place(cpus):
-    """Run the calling thread on ``cpus`` only, if any are given; where the
-    system refuses, it stays where it is, as no byte written depends on
-    where it runs."""
-    if cpus:
-        with suppress(OSError):
-            os.sched_setaffinity(0, cpus)
-
-
-def _format_range(source, tables, start: int, stop: int, spools, home):
-    """Body of a forked worker: moves to the CPUs ``home``, writes rows
-    ``start:stop`` of every table to its spool in ``spools`` and exits with
-    0, or 1 if that failed.  It never returns, so it never flushes the
-    caller's stdout or file buffers."""
-    code = 1
-    try:
-        _place(home)
-        for j, text in _texts(source, tables, start, stop):
-            spools[j].write(text)
-        for spool in spools:
-            spool.flush()
-        code = 0
-    finally:
-        os._exit(code)
+    """Processes that format a write of ``rows`` rows, the caller included."""
+    return _workers.count(rows, _ROWS_PER_WORKER)
 
 
 def _write_tables(source, tables) -> list:
     """Write every table of ``source``, its rows split at block edges into
-    one contiguous range per worker, with no more workers than blocks;
-    returns the tables' paths.
+    one contiguous range per process (``_workers.run``), with no more
+    processes than blocks; returns the tables' paths.
 
     The caller formats range 0 straight into the files.  Each other range
-    goes to a worker made with ``os.fork``, which formats it into unlinked
-    spools, one per table; once every worker has exited, the caller appends
-    the spools to the files in range order.  Every row is derived and
-    formatted with its whole absolute block, whichever process does it, so
-    the bytes do not depend on the number of workers.  Each process runs on
-    a CPU of its own while CPUs last: a forked child starts on its parent's
-    CPU, and the two may share it for the whole write while another idles.
-    The caller's CPUs are restored however the write ends.  Workers call
-    BLAS to derive the estimates: numpy's OpenBLAS stops its thread pool
-    before a fork and starts it again in each process on first use.
+    goes to a worker, which formats it into unlinked spools, one per table;
+    once every worker has exited, the caller appends the spools to the
+    files in range order.  Every row is derived and formatted with its
+    whole absolute block, whichever process does it, so the bytes do not
+    depend on the number of processes.
     """
     from . import _dtoa  # compiled on the first write, not at import
     _dtoa.tables(_dtoa.WIDE)  # built before the fork, for every process
@@ -219,35 +183,26 @@ def _write_tables(source, tables) -> list:
     workers = min(_worker_count(source.rows), blocks)
     bounds = [min(source.rows, blocks * k // workers * _BLOCK_ROWS)
               for k in range(workers + 1)]
-    # one CPU per process while they last, the caller's first
-    homes = (sorted(os.sched_getaffinity(0))[:workers]
-             if workers > 1 and hasattr(os, "sched_setaffinity") else [])
     with ExitStack() as stack:
-        if homes:
-            stack.callback(_place, os.sched_getaffinity(0))
-            _place(homes[:1])
-        spools, pids = [], []
-        try:
-            for k in range(1, workers):
-                spools.append([stack.enter_context(
-                    tempfile.TemporaryFile(dir=tables[0].path.parent))
-                    for _ in tables])
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns of fork with live threads; see above.
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    _format_range(source, tables, bounds[k], bounds[k + 1],
-                                  spools[-1], homes[k:k + 1])
-                pids.append(pid)
+        spools = [[stack.enter_context(
+            tempfile.TemporaryFile(dir=tables[0].path.parent)) for _ in tables]
+            for _ in range(1, workers)]
+
+        def child(k):
+            for j, text in _texts(source, tables, bounds[k], bounds[k + 1]):
+                spools[k - 1][j].write(text)
+            for spool in spools[k - 1]:
+                spool.flush()
+
+        def parent():
             files = [stack.enter_context(t.path.open("wb")) for t in tables]
             for t, fh in zip(tables, files):
                 fh.write(t.header.encode())
             for j, text in _texts(source, tables, bounds[0], bounds[1]):
                 files[j].write(text)
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                     for pid in pids]
+            return files
+
+        files, codes = _workers.run(workers, child, parent)
         for code in filter(None, codes):
             raise OSError(None, f"formatting worker exited with status {code}",
                           str(tables[0].path))

@@ -12,12 +12,14 @@ from geouio.distributed import N1, N2
 from geouio.simulate import eval_signals
 
 
-def observer_rhs(obs, z, y, u_known) -> np.ndarray:
-    """Centralized observer: dz/dt = Abar_L z + (P B_known) u_known - (P L) y."""
+def observer_rhs(obs, part, z, y, u_known) -> np.ndarray:
+    """Centralized observer of the input split ``part``:
+    dz/dt = Abar_L z + (P B_known) u_known - (P L) y."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     u_known = np.asarray(u_known, dtype=float)
-    return obs.Abar_L @ z + obs.input_map @ u_known - obs.output_map @ y
+    return (obs.Abar_L @ z + obs.P_Wg @ part.B_known @ u_known
+            - obs.P_Wg @ obs.L @ y)
 
 
 def node_estimate_n1(node, z_i, y_i) -> np.ndarray:

@@ -208,9 +208,10 @@ def test_friend_failure_is_reported_but_programming_errors_propagate(monkeypatch
 # observer evaluation
 
 
-def test_rhs_zero_state_zero_io(central_obs):
+def test_rhs_zero_state_zero_io(central_cfg, central_obs):
     obs, _ = central_obs
-    dz = observer_rhs(obs, np.zeros(2), np.zeros(2), np.zeros(1))
+    dz = observer_rhs(obs, central_cfg.partition, np.zeros(2), np.zeros(2),
+                      np.zeros(1))
     assert np.allclose(dz, 0.0)
     assert np.allclose(estimate(obs, np.zeros(2), np.zeros(2)), 0.0)
 
@@ -224,13 +225,13 @@ def test_estimate_is_exact_on_consistent_data(central_obs):
         assert np.linalg.norm(xhat - x) <= 1e-9 * max(1, np.linalg.norm(x))
 
 
-def test_rhs_matches_hand_evaluation(central_obs):
+def test_rhs_matches_hand_evaluation(central_cfg, central_obs):
     obs, _ = central_obs
     x0 = np.array([1.0, 2.0, 3.0])
     z0 = np.zeros(2)
     y0 = C3 @ x0
     u0 = np.array([np.sin(0.0)])
-    got = observer_rhs(obs, z0, y0, u0)
+    got = observer_rhs(obs, central_cfg.partition, z0, y0, u0)
     # formula evaluated directly from the synthesized matrices
     b_known = B3[:, [0]]
     expected = (obs.Abar_L @ z0 + obs.P_Wg @ b_known @ u0
@@ -239,7 +240,7 @@ def test_rhs_matches_hand_evaluation(central_obs):
     assert np.allclose(got, expected, atol=1e-12)
 
 
-def test_error_dynamics_are_autonomous_in_unknown_input(central_obs):
+def test_error_dynamics_are_autonomous_in_unknown_input(central_cfg, central_obs):
     # P(Ax + Bu) - rhs(z, Cx, u_known) = Abar (Px - z) for any unknown input
     obs, _ = central_obs
     rng = np.random.default_rng(2)
@@ -247,7 +248,7 @@ def test_error_dynamics_are_autonomous_in_unknown_input(central_obs):
         x = rng.normal(size=3)
         z = rng.normal(size=2)
         u = rng.normal(size=2)  # both channels, unknown part arbitrary
-        dz = observer_rhs(obs, z, C3 @ x, u[[0]])
+        dz = observer_rhs(obs, central_cfg.partition, z, C3 @ x, u[[0]])
         dzeta = obs.P_Wg @ (A3 @ x + B3 @ u) - dz
         assert np.linalg.norm(dzeta - obs.Abar_L @ (obs.P_Wg @ x - z)) <= 1e-9
 

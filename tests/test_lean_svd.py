@@ -151,10 +151,13 @@ def _pipeline(dist_cfg, central_cfg):
         return call
 
     with pytest.MonkeyPatch.context() as mp:
+        # one process, so that every trial's recorder is made here
+        mp.setattr(verify, "_worker_count", lambda trials: 1)
         mp.setattr(verify, "margin_monitor", monitor)
         for name in ("check_uio_condition", "classical_rank_condition"):
             mp.setattr(verify, name, recorded(getattr(verify, name)))
         batteries = [random_equivalence_battery(50, seed) for seed in (0, 1, 2)]
+    assert len(recorders) == 150  # one per trial
     out = {"margins": [r.margins for r in recorders],
            "min_margins": [r.min_margin for r in recorders],
            "verdicts": verdicts,

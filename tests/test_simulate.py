@@ -268,7 +268,7 @@ def test_error_dynamics_residual_along_run(central_cfg, central_obs, central_run
         t, x, zeta = traj.times[k], traj.x[k], traj.quotient_err[0][k]
         u = eval_signals(central_cfg.signals, t)
         z = obs.P_Wg @ x - zeta
-        dz = observer_rhs(obs, z, sys.C @ x, u[[0]])
+        dz = observer_rhs(obs, central_cfg.partition, z, sys.C @ x, u[[0]])
         dzeta = obs.P_Wg @ (sys.A @ x + sys.B @ u) - dz
         resid = np.linalg.norm(dzeta - obs.Abar_L @ zeta)
         assert resid <= 1e-8 * (1.0 + np.linalg.norm(x))
