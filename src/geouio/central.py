@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DimensionMismatch, ExistenceFailed, InvarianceViolated,
                      NotConditionedInvariant, NotSolvable, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, TolerancePolicy, _pinv, as_matrix,
-                        intersect, kernel, monitored_rank, two_norm)
+                        intersect, monitored_rank, two_norm)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
 
@@ -96,11 +96,12 @@ class CentralizedObserver:
         return self.Abar_L.shape[0]
 
 
-def check_uio_condition(decomp: GeometricDecomposition, C,
+def check_uio_condition(decomp: GeometricDecomposition,
                         tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Existence condition: the decoupled subspace meets Ker C only at 0."""
-    C = as_matrix(C, "C")
-    return intersect(decomp.W_g_star, kernel(C, tol), tol).is_zero
+    """Existence condition: the decoupled subspace meets Ker C only at 0.
+
+    Ker C is ``decomp.ker_C``, taken under ``decompose``'s tolerance."""
+    return intersect(decomp.W_g_star, decomp.ker_C, tol).is_zero
 
 
 def _rank_condition(C, Bbar, tol: TolerancePolicy) -> bool:
@@ -162,7 +163,7 @@ def synthesize_centralized_uio(sys: LinSystem, part: InputPartition,
                                ) -> CentralizedObserver:
     """Full pipeline: decomposition, existence check, gain, reconstruction."""
     decomp = decompose(sys.A, sys.C, part.B_unknown, spectral, tol)
-    blocked = intersect(decomp.W_g_star, kernel(sys.C, tol), tol)
+    blocked = intersect(decomp.W_g_star, decomp.ker_C, tol)
     if not blocked.is_zero:
         raise ExistenceFailed(
             f"unrecoverable directions: the decoupled subspace intersects Ker C "

@@ -11,6 +11,7 @@ minimum-singular-value bound on the consensus Gram matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,11 +70,13 @@ class SensorGraph:
     def n_nodes(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
+    @cached_property
     def laplacian(self) -> np.ndarray:
-        return np.diag(self.adjacency.sum(axis=1)) - self.adjacency
+        L = np.diag(self.adjacency.sum(axis=1)) - self.adjacency
+        L.setflags(write=False)
+        return L
 
-    @property
+    @cached_property
     def algebraic_connectivity(self) -> float:
         if self.n_nodes == 1:
             return np.inf
@@ -303,8 +306,7 @@ def joint_detectability_check(nodes, graph: SensorGraph,
     return graph.is_connected and _undetectable(cons, inter) is None, cons.sigma_min
 
 
-def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float,
-                tol: TolerancePolicy = DEFAULT_POLICY):
+def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float):
     """Lower bounds (chi_min, gamma_min) for the consensus gains."""
     return _gain_bounds(_consensus(nodes, graph), u_bar_max)
 

@@ -88,44 +88,40 @@ class SpectralPartition:
 # Invariant-subspace recursions.
 
 
-def infimal_conditioned_invariant(A, C, Bbar: Subspace,
+def infimal_conditioned_invariant(A, ker_C: Subspace, Bbar: Subspace,
                                   tol: TolerancePolicy = DEFAULT_POLICY,
                                   return_history: bool = False):
-    """Infimal (C,A)-invariant subspace containing Bbar.
+    """Infimal (C,A)-invariant subspace containing Bbar; ``ker_C`` is Ker C.
 
     Fixed point of W_{k+1} = Bbar + A(W_k ∩ Ker C) starting from Bbar; the
     chain is nondecreasing and stabilizes within n steps.
     """
     A = as_matrix(A, "A")
-    C = as_matrix(C, "C")
     n = A.shape[0]
     if Bbar.ambient_dim != n:
         raise DimensionMismatch("Bbar ambient dimension must match A")
-    KC = kernel(C, tol)
     a_scale = two_norm(A)
     history = _fixed_point(
-        lambda W: subspace_sum(Bbar, image(A @ intersect(W, KC, tol).basis, tol,
+        lambda W: subspace_sum(Bbar, image(A @ intersect(W, ker_C, tol).basis, tol,
                                            scale_floor=a_scale), tol),
         Bbar, n + 1)
     return (history[-1], history) if return_history else history[-1]
 
 
-def infimal_unobservability_subspace(A, C, W_star: Subspace,
+def infimal_unobservability_subspace(A, ker_C: Subspace, W_star: Subspace,
                                      tol: TolerancePolicy = DEFAULT_POLICY,
                                      return_history: bool = False):
-    """Infimal unobservability subspace containing W*.
+    """Infimal unobservability subspace containing W*; ``ker_C`` is Ker C.
 
     Fixed point of S_{k+1} = W* + (A^{-1} S_k ∩ Ker C) from S_0 = R^n; the
     chain is nonincreasing and stabilizes within n steps.
     """
     A = as_matrix(A, "A")
-    C = as_matrix(C, "C")
     n = A.shape[0]
-    KC = kernel(C, tol)
     a_norm = _norm_once(A)
     history = _fixed_point(
-        lambda S: subspace_sum(W_star, intersect(_preimage(A, S, tol, a_norm), KC,
-                                                 tol), tol),
+        lambda S: subspace_sum(W_star, intersect(_preimage(A, S, tol, a_norm),
+                                                 ker_C, tol), tol),
         Subspace.full(n), n + 1)
     return (history[-1], history) if return_history else history[-1]
 
@@ -458,6 +454,7 @@ class GeometricDecomposition:
     V: np.ndarray
     P_Wstar: np.ndarray
     P_Wg: np.ndarray
+    ker_C: Subspace  # taken once: the recursions and existence checks read it
 
     @property
     def n(self) -> int:
@@ -469,10 +466,10 @@ def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
     """Run the full geometric pipeline for the triple (C, A, Im B_unknown)."""
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    Bbar = B_unknown if isinstance(B_unknown, Subspace) else image(
-        as_matrix(B_unknown, "B_unknown"), tol)
-    W = infimal_conditioned_invariant(A, C, Bbar, tol)
-    S = infimal_unobservability_subspace(A, C, W, tol)
+    Bbar = image(as_matrix(B_unknown, "B_unknown"), tol)
+    ker_C = kernel(C, tol)
+    W = infimal_conditioned_invariant(A, ker_C, Bbar, tol)
+    S = infimal_unobservability_subspace(A, ker_C, W, tol)
     L0 = common_friend(A, C, [W, S], tol)
     Xg_raw, Xb_raw = spectral_split(A, C, W, S, L0, part, tol)
     Wg = compute_wg_star(W, Xb_raw, tol)
@@ -488,4 +485,4 @@ def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
     relabel = lambda X: Subspace(qdim, R @ X.basis if X.dim else X.basis)
     return GeometricDecomposition(
         W_star=W, S_star=S, Xbar_g=relabel(Xg_raw), Xbar_b=relabel(Xb_raw),
-        W_g_star=Wg, V=V, P_Wstar=P_W, P_Wg=P_Wg)
+        W_g_star=Wg, V=V, P_Wstar=P_W, P_Wg=P_Wg, ker_C=ker_C)

@@ -110,7 +110,7 @@ def random_equivalence_battery(n_trials: int, seed: int,
             sys = LinSystem(A, B, C)
             ipart = InputPartition.from_columns(sys, (), tuple(range(q)))
             with margin_monitor() as rec:
-                geometric = check_uio_condition(decompose(A, C, B, part, tol), C, tol)
+                geometric = check_uio_condition(decompose(A, C, B, part, tol), tol)
                 ci, cii = classical_rank_condition(sys, ipart, alpha, tol)
             out.append(({"trial": trial, "n": n, "p": p, "q": q,
                          "geometric": geometric, "cond_i": ci, "cond_ii": cii,

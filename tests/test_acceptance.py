@@ -194,7 +194,7 @@ def test_criterion_5_recursion_oracles():
         Bspan = image(B)
         KC = kernel(C)
         a_norm = np.linalg.norm(A, 2)
-        W = infimal_conditioned_invariant(A, C, Bspan)
+        W = infimal_conditioned_invariant(A, KC, Bspan)
         # (a) containment
         if not contains(W, Bspan):
             failures.append(f"trial {trial}: B not inside W*")
@@ -216,7 +216,7 @@ def test_criterion_5_recursion_oracles():
         # A deflated candidate must fail to be an unobservability subspace:
         # either it loses conditioned invariance, or the unobservable
         # subspace of the factored measurement pair strictly exceeds it.
-        S = infimal_unobservability_subspace(A, C, W)
+        S = infimal_unobservability_subspace(A, KC, W)
         if not contains(S, W):
             failures.append(f"trial {trial}: W* not inside S*")
         rhs = subspace_sum(W, intersect(preimage(A, S), KC))

@@ -21,13 +21,13 @@ def _force_workers(monkeypatch, workers):
 
 def _with_marginal_and_disagreeing_trials(monkeypatch):
     """Count trials within 1e-2 of a flip as marginal, and flip the
-    geometric verdict of every draw whose C starts above 1, so that a
+    geometric verdict of every draw of odd state dimension, so that a
     battery has marginal trials and disagreements to keep in order."""
     monkeypatch.setattr(verify, "MARGINAL_GAP", 1e-2)
     check = verify.check_uio_condition
 
-    def flipped(decomp, C, tol):
-        return check(decomp, C, tol) != (C[0, 0] > 1.0)
+    def flipped(decomp, tol):
+        return check(decomp, tol) != (decomp.n % 2 == 1)
 
     monkeypatch.setattr(verify, "check_uio_condition", flipped)
 

@@ -1,8 +1,11 @@
 """Centralized observer: existence, classical equivalence, reconstruction, rhs."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from geouio import subspaces, verify
 from geouio.central import (InputPartition, LinSystem, check_uio_condition,
                             classical_rank_condition, estimate,
                             solve_output_reconstruction,
@@ -55,7 +58,7 @@ def test_partition_bound_on_unknown_channels():
 def test_existence_condition_demo_system():
     sys, part = demo_system()
     d = decompose(sys.A, sys.C, part.B_unknown, ALPHA0)
-    assert check_uio_condition(d, sys.C)
+    assert check_uio_condition(d)
 
 
 def test_existence_condition_with_injective_output():
@@ -63,13 +66,41 @@ def test_existence_condition_with_injective_output():
     A = rng.normal(size=(4, 4))
     B = rng.normal(size=(4, 2))
     d = decompose(A, np.eye(4), B, ALPHA0)
-    assert check_uio_condition(d, np.eye(4))
+    assert check_uio_condition(d)
 
 
 def test_existence_condition_fails_with_zero_output():
     C0 = np.zeros((2, 3))
     d = decompose(A3, C0, B3[:, [1]], ALPHA0)
-    assert not check_uio_condition(d, C0)
+    assert not check_uio_condition(d)
+
+
+def test_ker_c_is_taken_once_per_decomposition(monkeypatch):
+    """The recursions and both existence checks read ``decomp.ker_C``: one
+    full SVD of C per decomposition, per synthesis and per battery trial."""
+    svd = subspaces._svd
+    of_C = []
+
+    def counting(M, full=True, uv=True):
+        if full and uv and np.array_equal(M, C):
+            of_C.append(M)
+        return svd(M, full=full, uv=uv)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("geouio") and getattr(mod, "_svd", None) is svd:
+            monkeypatch.setattr(mod, "_svd", counting)
+    # the battery's one-trial draw of seed 4 admits an observer
+    _, _, q, A, C, B = verify._draw(np.random.default_rng(4))
+    plant = LinSystem(A, B, C)
+    counts = []
+    for run in (lambda: decompose(A, C, B),
+                lambda: synthesize_centralized_uio(
+                    plant, InputPartition.from_columns(plant, (), range(q))),
+                lambda: random_equivalence_battery(1, 4)):
+        of_C.clear()
+        run()
+        counts.append(len(of_C))
+    assert counts == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +298,7 @@ def test_random_synthesis_invariants_hold():
         sys = LinSystem(A, B, C)
         part = InputPartition.from_columns(sys, [0], list(range(1, q + 1)))
         d = decompose(A, C, part.B_unknown, ALPHA0)
-        if not check_uio_condition(d, C):
+        if not check_uio_condition(d):
             continue
         obs = synthesize_centralized_uio(sys, part, ALPHA0)
         synthesized += 1

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from geouio import distributed as dist, subspaces
+from geouio import distributed as dist, subspaces, verify
 
-from geouio.central import LinSystem
+from geouio.central import InputPartition, LinSystem, synthesize_centralized_uio
 from geouio.distributed import (N1, N2, NodeSpec, SensorGraph,
                                 build_consensus_blocks, classify_nodes,
                                 gain_bounds, joint_detectability_check,
                                 per_node_decomposition,
                                 recoverability_intersection,
                                 synthesize_distributed)
-from geouio.errors import AssumptionViolated, DimensionMismatch
-from geouio.subspaces import Subspace, contains, image, subspaces_equal
+from geouio.errors import AssumptionViolated, DimensionMismatch, GeoUioError
+from geouio.subspaces import (Subspace, contains, image, margin_monitor,
+                              subspaces_equal)
 from geouio.synthesis import SpectralPartition
 from geouio.verify import invariant_checks
 
@@ -394,6 +395,67 @@ def test_single_node_degenerates_to_centralized():
     dz = node_rhs_n1(nd, np.zeros(nd.z_dim), np.zeros(2), np.zeros(1), [],
                      net.chi)
     assert np.allclose(dz, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Bridge relations: the centralized problem is the one-node network, and
+# copying a node over a connected graph leaves the network's verdict as it is.
+
+
+def _verdict(synthesize):
+    """(whether the design synthesizes, the least margin of its decisions)."""
+    with margin_monitor() as rec:
+        try:
+            synthesize()
+            ok = True
+        except DimensionMismatch:
+            raise
+        except GeoUioError:
+            ok = False
+    return ok, rec.min_margin
+
+
+def _copies(sys_, q, k, graph):
+    """Verdict of k copies of the node that measures C and knows no input."""
+    specs = [NodeSpec(i + 1, sys_.C, (), range(q)) for i in range(k)]
+    return _verdict(lambda: synthesize_distributed(sys_, specs, SensorGraph(graph)))
+
+
+def _bridge_draws(count, seed):
+    """Battery draws (plant, unknown-input count), as verify draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, p, q, A, C, B = verify._draw(rng)
+        yield LinSystem(A, B, C), q
+
+
+def test_one_node_network_synthesizes_exactly_when_the_centralized_uio_does():
+    verdicts = []
+    for trial, (sys_, q) in enumerate(_bridge_draws(200, 4)):
+        part = InputPartition.from_columns(sys_, (), range(q))
+        central = _verdict(lambda: synthesize_centralized_uio(sys_, part))
+        network = _copies(sys_, q, 1, np.zeros((1, 1)))
+        if min(central[1], network[1]) < verify.MARGINAL_GAP:
+            continue
+        assert network[0] == central[0], f"draw {trial} of seed 4"
+        verdicts.append(central[0])
+    assert len(verdicts) >= 190 and 50 <= sum(verdicts) <= len(verdicts) - 50
+
+
+def test_copying_a_node_leaves_the_network_verdict_unchanged():
+    graphs = {f"{kind} {k}": graph for k in (2, 3) for kind, graph in (
+        ("path", np.eye(k, k=1) + np.eye(k, k=-1)),
+        ("complete", np.ones((k, k)) - np.eye(k)))}
+    verdicts = []
+    for trial, (sys_, q) in enumerate(_bridge_draws(50, 5)):
+        one, margin = _copies(sys_, q, 1, np.zeros((1, 1)))
+        copies = {name: _copies(sys_, q, len(g), g) for name, g in graphs.items()}
+        if min(margin, *(m for _, m in copies.values())) < verify.MARGINAL_GAP:
+            continue
+        for name, (ok, _) in copies.items():
+            assert ok == one, f"draw {trial} of seed 5, {name}"
+        verdicts.append(one)
+    assert len(verdicts) >= 45 and 10 <= sum(verdicts) <= len(verdicts) - 10
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ A3 = np.array([[2.0, -2.0, 0.0], [0.0, 0.0, 1.0], [0.0, -2.0, 1.0]])
 C3 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 BBAR3 = np.array([[1.0], [1.0], [0.0]])
 DIAG_SPAN = image(BBAR3)  # span{(1,1,0)}
+KC3 = kernel(C3)
 
 ALPHA0 = SpectralPartition(0.0)
 
@@ -47,12 +48,12 @@ def rand_system(rng, n_max=5, p_max=3, q_max=2):
 
 
 def test_wstar_demo_system_fixes_at_input_span():
-    W = infimal_conditioned_invariant(A3, C3, DIAG_SPAN)
+    W = infimal_conditioned_invariant(A3, KC3, DIAG_SPAN)
     assert subspaces_equal(W, DIAG_SPAN)
 
 
 def test_wstar_of_zero_input_is_zero():
-    W = infimal_conditioned_invariant(A3, C3, Subspace.zero(3))
+    W = infimal_conditioned_invariant(A3, KC3, Subspace.zero(3))
     assert W.is_zero
 
 
@@ -61,7 +62,7 @@ def test_wstar_with_injective_output_is_input_span():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(3, 3))
     B = rng.normal(size=(3, 1))
-    W = infimal_conditioned_invariant(A, np.eye(3), image(B))
+    W = infimal_conditioned_invariant(A, kernel(np.eye(3)), image(B))
     assert subspaces_equal(W, image(B))
 
 
@@ -69,7 +70,7 @@ def test_wstar_chain_is_monotone_and_short():
     rng = np.random.default_rng(2)
     for _ in range(25):
         A, C, B = rand_system(rng)
-        W, hist = infimal_conditioned_invariant(A, C, image(B),
+        W, hist = infimal_conditioned_invariant(A, kernel(C), image(B),
                                                 return_history=True)
         dims = [h.dim for h in hist]
         assert dims == sorted(dims)
@@ -83,8 +84,8 @@ def test_wstar_chain_is_monotone_and_short():
 
 
 def test_sstar_demo_system_equals_wstar():
-    W = infimal_conditioned_invariant(A3, C3, DIAG_SPAN)
-    S = infimal_unobservability_subspace(A3, C3, W)
+    W = infimal_conditioned_invariant(A3, KC3, DIAG_SPAN)
+    S = infimal_unobservability_subspace(A3, KC3, W)
     assert subspaces_equal(S, W)
 
 
@@ -92,14 +93,16 @@ def test_sstar_with_injective_output_is_wstar():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(4, 4))
     B = rng.normal(size=(4, 1))
-    W = infimal_conditioned_invariant(A, np.eye(4), image(B))
-    S = infimal_unobservability_subspace(A, np.eye(4), W)
+    KC = kernel(np.eye(4))
+    W = infimal_conditioned_invariant(A, KC, image(B))
+    S = infimal_unobservability_subspace(A, KC, W)
     assert subspaces_equal(S, W)
 
 
 def test_sstar_with_zero_output_is_everything():
-    W = infimal_conditioned_invariant(A3, np.zeros((1, 3)), DIAG_SPAN)
-    S = infimal_unobservability_subspace(A3, np.zeros((1, 3)), W)
+    KC = kernel(np.zeros((1, 3)))
+    W = infimal_conditioned_invariant(A3, KC, DIAG_SPAN)
+    S = infimal_unobservability_subspace(A3, KC, W)
     assert S.is_full
 
 
@@ -107,15 +110,16 @@ def test_sstar_chain_is_monotone_decreasing():
     rng = np.random.default_rng(4)
     for _ in range(25):
         A, C, B = rand_system(rng)
-        W = infimal_conditioned_invariant(A, C, image(B))
-        S, hist = infimal_unobservability_subspace(A, C, W, return_history=True)
+        KC = kernel(C)
+        W = infimal_conditioned_invariant(A, KC, image(B))
+        S, hist = infimal_unobservability_subspace(A, KC, W, return_history=True)
         dims = [h.dim for h in hist]
         assert dims == sorted(dims, reverse=True)
         assert len(hist) <= A.shape[0] + 2
         assert contains(S, W)
         # fixed point: S = W* + (A^-1 S ∩ Ker C)
         from geouio.subspaces import preimage, subspace_sum
-        rhs = subspace_sum(W, intersect(preimage(A, S), kernel(C)))
+        rhs = subspace_sum(W, intersect(preimage(A, S), KC))
         assert subspaces_equal(S, rhs)
 
 
@@ -154,8 +158,9 @@ def test_common_friend_fixes_both_subspaces():
     rng = np.random.default_rng(5)
     for _ in range(25):
         A, C, B = rand_system(rng)
-        W = infimal_conditioned_invariant(A, C, image(B))
-        S = infimal_unobservability_subspace(A, C, W)
+        KC = kernel(C)
+        W = infimal_conditioned_invariant(A, KC, image(B))
+        S = infimal_unobservability_subspace(A, KC, W)
         L0 = common_friend(A, C, [W, S])
         AL = A + L0 @ C
         for sub in (W, S):
@@ -190,8 +195,9 @@ def test_residual_tests_take_the_norm_only_past_the_bare_limit(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(5):
         A, C, B = rand_system(rng)
-        W = infimal_conditioned_invariant(A, C, image(B))
-        common_friend(A, C, [W, infimal_unobservability_subspace(A, C, W)])
+        KC = kernel(C)
+        W = infimal_conditioned_invariant(A, KC, image(B))
+        common_friend(A, C, [W, infimal_unobservability_subspace(A, KC, W)])
     assert "common_friend" not in callers
 
 
@@ -200,8 +206,8 @@ def test_residual_tests_take_the_norm_only_past_the_bare_limit(monkeypatch):
 
 
 def test_split_demo_system_is_trivial():
-    W = infimal_conditioned_invariant(A3, C3, DIAG_SPAN)
-    S = infimal_unobservability_subspace(A3, C3, W)
+    W = infimal_conditioned_invariant(A3, KC3, DIAG_SPAN)
+    S = infimal_unobservability_subspace(A3, KC3, W)
     L0 = common_friend(A3, C3, [W, S])
     Xg, Xb = spectral_split(A3, C3, W, S, L0, ALPHA0)
     assert Xg.is_zero and Xb.is_zero
@@ -212,7 +218,7 @@ def test_split_diagonal_induced_map():
     A = np.diag([-1.0, 2.0])
     C = np.zeros((1, 2))
     W = Subspace.zero(2)
-    S = infimal_unobservability_subspace(A, C, W)
+    S = infimal_unobservability_subspace(A, kernel(C), W)
     Xg, Xb = spectral_split(A, C, W, S, np.zeros((2, 1)), ALPHA0)
     assert Xg.dim == 1 and Xb.dim == 1
     assert np.allclose(np.abs(Xg.basis[:, 0]), [1.0, 0.0])
@@ -223,13 +229,13 @@ def test_split_all_good_modes():
     A = np.diag([-1.0, -2.0, -3.0])
     C = np.zeros((1, 3))
     W = Subspace.zero(3)
-    S = infimal_unobservability_subspace(A, C, W)
+    S = infimal_unobservability_subspace(A, kernel(C), W)
     Xg, Xb = spectral_split(A, C, W, S, np.zeros((3, 1)), ALPHA0)
     assert Xb.is_zero and Xg.dim == 3
 
 
 def test_split_rejects_a_gain_that_is_not_a_friend():
-    W = infimal_conditioned_invariant(A3, C3, DIAG_SPAN)
+    W = infimal_conditioned_invariant(A3, KC3, DIAG_SPAN)
     with pytest.raises(InvarianceViolated, match=r"L0 is not a friend of W\*"):
         spectral_split(A3, C3, W, W, np.zeros((3, 2)), ALPHA0)
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -243,8 +249,9 @@ def test_split_dimension_identity_random():
     rng = np.random.default_rng(6)
     for _ in range(30):
         A, C, B = rand_system(rng)
-        W = infimal_conditioned_invariant(A, C, image(B))
-        S = infimal_unobservability_subspace(A, C, W)
+        KC = kernel(C)
+        W = infimal_conditioned_invariant(A, KC, image(B))
+        S = infimal_unobservability_subspace(A, KC, W)
         L0 = common_friend(A, C, [W, S])
         Xg, Xb = spectral_split(A, C, W, S, L0, ALPHA0)
         assert Xg.dim + Xb.dim == S.dim - W.dim
@@ -255,8 +262,9 @@ def test_invariant_zero_spectrum_is_friend_independent():
     checked = 0
     for _ in range(40):
         A, C, B = rand_system(rng, n_max=5)
-        W = infimal_conditioned_invariant(A, C, image(B))
-        S = infimal_unobservability_subspace(A, C, W)
+        KC = kernel(C)
+        W = infimal_conditioned_invariant(A, KC, image(B))
+        S = infimal_unobservability_subspace(A, KC, W)
         if S.dim - W.dim == 0:
             continue
         n, p = A.shape[0], C.shape[0]
@@ -398,17 +406,17 @@ def test_spectral_split_falls_back_to_scipy(monkeypatch):
 
 
 def test_wg_star_trivial_and_full_lifts():
-    W = infimal_conditioned_invariant(A3, C3, DIAG_SPAN)
+    W = infimal_conditioned_invariant(A3, KC3, DIAG_SPAN)
     P = canonical_projection(W)
     q = P.shape[0]
     assert subspaces_equal(compute_wg_star(W, Subspace.zero(q)), W)
-    S = infimal_unobservability_subspace(A3, C3, W)
+    S = infimal_unobservability_subspace(A3, KC3, W)
     quotient_of_S = image(P @ intersect(S, orth_complement(W)).basis)
     assert subspaces_equal(compute_wg_star(W, quotient_of_S), S)
 
 
 def test_wg_star_rejects_a_subspace_outside_the_chart():
-    W = infimal_conditioned_invariant(A3, C3, DIAG_SPAN)
+    W = infimal_conditioned_invariant(A3, KC3, DIAG_SPAN)
     with pytest.raises(DimensionMismatch):
         compute_wg_star(W, Subspace.zero(A3.shape[0]))
 
@@ -448,7 +456,7 @@ def test_rank_condition_forces_wstar_equal_input_span():
         A, C, B = rand_system(rng)
         if np.linalg.matrix_rank(C @ B) != np.linalg.matrix_rank(B):
             continue
-        W = infimal_conditioned_invariant(A, C, image(B))
+        W = infimal_conditioned_invariant(A, kernel(C), image(B))
         assert subspaces_equal(W, image(B))
         hits += 1
     assert hits >= 15
