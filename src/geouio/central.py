@@ -8,8 +8,6 @@ E·P + F·C = I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (DimensionMismatch, ExistenceFailed, InvarianceViolated,
@@ -20,18 +18,15 @@ from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
 
 
-@dataclass(frozen=True)
 class LinSystem:
     """Plant matrices x' = Ax + Bu, y = Cx."""
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    __slots__ = ("A", "B", "C")
 
-    def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        B = as_matrix(self.B, "B")
-        C = as_matrix(self.C, "C")
+    def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray):
+        A = as_matrix(A, "A")
+        B = as_matrix(B, "B")
+        C = as_matrix(C, "C")
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch("A must be square")
@@ -39,8 +34,9 @@ class LinSystem:
             raise DimensionMismatch("B row count must match A")
         if C.shape[1] != n:
             raise DimensionMismatch("C column count must match A")
-        for name, M in (("A", A), ("B", B), ("C", C)):
-            object.__setattr__(self, name, M)
+        self.A = A
+        self.B = B
+        self.C = C
 
     @property
     def n(self) -> int:
@@ -55,14 +51,17 @@ class LinSystem:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
 class InputPartition:
     """Column split of B into known and unknown input channels."""
 
-    B_known: np.ndarray
-    B_unknown: np.ndarray
-    known_cols: tuple
-    unknown_cols: tuple
+    __slots__ = ("B_known", "B_unknown", "known_cols", "unknown_cols")
+
+    def __init__(self, B_known: np.ndarray, B_unknown: np.ndarray,
+                 known_cols: tuple, unknown_cols: tuple):
+        self.B_known = B_known
+        self.B_unknown = B_unknown
+        self.known_cols = known_cols
+        self.unknown_cols = unknown_cols
 
     @classmethod
     def from_columns(cls, sys: LinSystem, known_cols, unknown_cols) -> "InputPartition":
@@ -80,16 +79,19 @@ class InputPartition:
         return cls(sys.B[:, list(known)], sys.B[:, list(unknown)], known, unknown)
 
 
-@dataclass(frozen=True)
 class CentralizedObserver:
     """Synthesized observer z' = Abar_L z + P B' u' - P L y,  xhat = E z + F y."""
 
-    Abar_L: np.ndarray
-    P_Wg: np.ndarray
-    L: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
-    decomp: GeometricDecomposition
+    __slots__ = ("Abar_L", "P_Wg", "L", "E", "F", "decomp")
+
+    def __init__(self, Abar_L: np.ndarray, P_Wg: np.ndarray, L: np.ndarray,
+                 E: np.ndarray, F: np.ndarray, decomp: GeometricDecomposition):
+        self.Abar_L = Abar_L
+        self.P_Wg = P_Wg
+        self.L = L
+        self.E = E
+        self.F = F
+        self.decomp = decomp
 
     @property
     def z_dim(self) -> int:

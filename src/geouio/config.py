@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,23 +14,31 @@ from .simulate import SIGNAL_KINDS, SignalSpec, SimConfig
 from .subspaces import TolerancePolicy
 from .synthesis import SpectralPartition
 
-_SPECTRAL_KEYS = {f.name for f in fields(SpectralPartition)}
-_SIM_KEYS = {f.name for f in fields(SimConfig)}
+# The keys of a block are its record's constructor parameters, which are
+# also its __slots__, in order.
+_SPECTRAL_KEYS = set(SpectralPartition.__slots__)
+_SIM_KEYS = set(SimConfig.__slots__)
 
 
-@dataclass(frozen=True)
 class ProjectConfig:
     """Parsed and validated configuration for one synthesis/simulation run."""
 
-    system: LinSystem
-    partition: InputPartition | None
-    node_specs: tuple | None
-    graph: SensorGraph | None
-    spectral: SpectralPartition
-    signals: tuple
-    sim: SimConfig | None
-    u_bar_max: float
-    raw: dict
+    __slots__ = ("system", "partition", "node_specs", "graph", "spectral",
+                 "signals", "sim", "u_bar_max", "raw")
+
+    def __init__(self, system: LinSystem, partition: InputPartition | None,
+                 node_specs: tuple | None, graph: SensorGraph | None,
+                 spectral: SpectralPartition, signals: tuple,
+                 sim: SimConfig | None, u_bar_max: float, raw: dict):
+        self.system = system
+        self.partition = partition
+        self.node_specs = node_specs
+        self.graph = graph
+        self.spectral = spectral
+        self.signals = signals
+        self.sim = sim
+        self.u_bar_max = u_bar_max
+        self.raw = raw
 
     @property
     def mode(self) -> str:

@@ -10,7 +10,6 @@ minimum-singular-value bound on the consensus Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,29 +30,27 @@ GRAM_FLOOR = 1e-9
 CHI_FALLBACK = 0.1
 
 
-@dataclass(frozen=True)
 class NodeSpec:
     """Raw description of one sensor node before synthesis."""
 
-    node_id: int
-    C: np.ndarray
-    known_cols: tuple
-    unknown_cols: tuple
+    __slots__ = ("node_id", "C", "known_cols", "unknown_cols")
 
-    def __post_init__(self):
-        object.__setattr__(self, "C", as_matrix(self.C, f"C_{self.node_id}"))
-        object.__setattr__(self, "known_cols", tuple(int(i) for i in self.known_cols))
-        object.__setattr__(self, "unknown_cols", tuple(int(i) for i in self.unknown_cols))
+    def __init__(self, node_id: int, C: np.ndarray, known_cols: tuple,
+                 unknown_cols: tuple):
+        self.node_id = node_id
+        self.C = as_matrix(C, f"C_{node_id}")
+        self.known_cols = tuple(int(i) for i in known_cols)
+        self.unknown_cols = tuple(int(i) for i in unknown_cols)
 
 
-@dataclass(frozen=True)
 class SensorGraph:
     """Undirected communication graph given by a symmetric 0/1 adjacency."""
 
-    adjacency: np.ndarray
+    # No __slots__: the cached properties below keep their values in the
+    # instance __dict__.
 
-    def __post_init__(self):
-        A = as_matrix(self.adjacency, "adjacency")
+    def __init__(self, adjacency: np.ndarray):
+        A = as_matrix(adjacency, "adjacency")
         N = A.shape[0]
         if A.shape != (N, N):
             raise DimensionMismatch("adjacency must be square")
@@ -64,7 +61,7 @@ class SensorGraph:
         if not np.all(np.isin(A, (0.0, 1.0))):
             raise DimensionMismatch("adjacency entries must be 0 or 1")
         A.setflags(write=False)
-        object.__setattr__(self, "adjacency", A)
+        self.adjacency = A
 
     @property
     def n_nodes(self) -> int:
@@ -87,24 +84,33 @@ class SensorGraph:
         return self.n_nodes == 1 or self.algebraic_connectivity > 1e-9
 
 
-@dataclass(frozen=True)
 class SensorNode:
     """One synthesized node of the networked observer."""
 
-    node_id: int
-    C: np.ndarray
-    B_known: np.ndarray
-    B_unknown: np.ndarray
-    known_cols: tuple
-    unknown_cols: tuple
-    node_class: str
-    decomp: GeometricDecomposition
-    L: np.ndarray
-    A_cl: np.ndarray               # A + L C
-    Abarbar: np.ndarray            # induced map on X/W_g,i*
-    E: np.ndarray | None = None    # class-1 reconstruction pair
-    F: np.ndarray | None = None
-    Abar_L: np.ndarray | None = None  # class-1 induced map on X/W_i*
+    __slots__ = ("node_id", "C", "B_known", "B_unknown", "known_cols",
+                 "unknown_cols", "node_class", "decomp", "L", "A_cl",
+                 "Abarbar", "E", "F", "Abar_L")
+
+    def __init__(self, node_id: int, C: np.ndarray, B_known: np.ndarray,
+                 B_unknown: np.ndarray, known_cols: tuple, unknown_cols: tuple,
+                 node_class: str, decomp: GeometricDecomposition,
+                 L: np.ndarray, A_cl: np.ndarray, Abarbar: np.ndarray,
+                 E: np.ndarray | None = None, F: np.ndarray | None = None,
+                 Abar_L: np.ndarray | None = None):
+        self.node_id = node_id
+        self.C = C
+        self.B_known = B_known
+        self.B_unknown = B_unknown
+        self.known_cols = known_cols
+        self.unknown_cols = unknown_cols
+        self.node_class = node_class
+        self.decomp = decomp
+        self.L = L
+        self.A_cl = A_cl              # A + L C
+        self.Abarbar = Abarbar        # induced map on X/W_g,i*
+        self.E = E                    # class-1 reconstruction pair
+        self.F = F
+        self.Abar_L = Abar_L          # class-1 induced map on X/W_i*
 
     @property
     def V(self) -> np.ndarray:
@@ -137,21 +143,28 @@ class SensorNode:
         return blk.T @ self.A_cl @ blk
 
 
-@dataclass(frozen=True)
 class DistributedObserverNetwork:
     """All synthesized nodes plus the consensus gains and block matrices."""
 
-    nodes: tuple
-    graph: SensorGraph
-    chi: float
-    gamma: float
-    u_bar_max: float
-    safety: float
-    W_V_block: np.ndarray
-    A_L_block: np.ndarray
-    chi_min: float
-    gamma_min: float
-    sigma_min_Q: float
+    __slots__ = ("nodes", "graph", "chi", "gamma", "u_bar_max", "safety",
+                 "W_V_block", "A_L_block", "chi_min", "gamma_min",
+                 "sigma_min_Q")
+
+    def __init__(self, nodes: tuple, graph: SensorGraph, chi: float,
+                 gamma: float, u_bar_max: float, safety: float,
+                 W_V_block: np.ndarray, A_L_block: np.ndarray, chi_min: float,
+                 gamma_min: float, sigma_min_Q: float):
+        self.nodes = nodes
+        self.graph = graph
+        self.chi = chi
+        self.gamma = gamma
+        self.u_bar_max = u_bar_max
+        self.safety = safety
+        self.W_V_block = W_V_block
+        self.A_L_block = A_L_block
+        self.chi_min = chi_min
+        self.gamma_min = gamma_min
+        self.sigma_min_Q = sigma_min_Q
 
     @property
     def n1_ids(self):
@@ -243,14 +256,17 @@ def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) ->
     return inter
 
 
-@dataclass(frozen=True)
 class _Consensus:
     """The consensus blocks of one set of nodes, and sigma_min of their Gram."""
 
-    W_V: np.ndarray
-    A_L: np.ndarray
-    ordered: list
-    sigma_min: float
+    __slots__ = ("W_V", "A_L", "ordered", "sigma_min")
+
+    def __init__(self, W_V: np.ndarray, A_L: np.ndarray, ordered: list,
+                 sigma_min: float):
+        self.W_V = W_V
+        self.A_L = A_L
+        self.ordered = ordered
+        self.sigma_min = sigma_min
 
 
 def _consensus(nodes, graph: SensorGraph) -> _Consensus:

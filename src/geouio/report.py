@@ -7,7 +7,6 @@ import os
 import tempfile
 from collections.abc import Callable
 from contextlib import ExitStack
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -108,30 +107,33 @@ def write_json(path, payload: dict):
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=False))
 
 
-# A write takes one process per this many rows (4 blocks), up to the CPUs it
-# may run on and _workers._MAX_WORKERS.  Placed on CPUs of their own, two
-# processes beat one on a 2-core x86-64 VM from 2,001 rows of the distributed
-# demo (35 values a row; 6,145 rows: 61 against 85 ms) and from about 12,000
-# rows of the centralized demo (8 values; 12,289 rows: 30 against 40 ms), but
-# splitting the demos' 4,001-row writes gained nothing end to end.  Left
-# where fork put them, both processes often shared one CPU for the whole
-# write, so two never beat one below 12,289 rows.
-_ROWS_PER_WORKER = 4 * _BLOCK_ROWS
 # Values formatted at a time: bounds the formatter's temporaries (about
 # 1.1 MB) whatever the table width; larger chunks are no faster.
 _CHUNK_VALUES = 4096
+# A write takes one process per this many values (rows x values a row), up
+# to the CPUs it may run on and _workers._MAX_WORKERS: two from 65,536
+# values.  A count of rows alone misplaces the crossover, which follows the
+# table width.  Each process on a CPU of its own, a 2-core x86-64 VM, BLAS on
+# one thread, medians of 15 interleaved fresh-interpreter writes, 1 against
+# 2 processes: distributed demo (35 values a row) 2,001 rows 28.0 / 23.8 ms
+# and 4,001 rows 48.5 / 34.9 ms; centralized demo (8 values) 2,001 rows
+# 9.1 / 12.8 ms and 4,001 rows 14.6 / 14.8 ms.  An earlier timing put the
+# centralized demo's crossover at 8,192 rows (65,536 values; 26.2 / 26.5 ms).
+_VALUES_PER_WORKER = 8 * _CHUNK_VALUES
 
 
-@dataclass(frozen=True)
 class _Table:
     """A text file: ``header``, then columns ``cols`` (a slice or a list of
     indexes) of every row of a write's source, as %.17g values joined by
     ``sep``."""
 
-    path: Path
-    header: str
-    cols: object
-    sep: str
+    __slots__ = ("path", "header", "cols", "sep")
+
+    def __init__(self, path: Path, header: str, cols, sep: str):
+        self.path = path
+        self.header = header
+        self.cols = cols
+        self.sep = sep
 
 
 class _Source(NamedTuple):
@@ -158,9 +160,10 @@ def _texts(source, tables, start: int, stop: int):
                 yield j, _dtoa.join(fields[:, t.cols], t.sep)
 
 
-def _worker_count(rows: int) -> int:
-    """Processes that format a write of ``rows`` rows, the caller included."""
-    return _workers.count(rows, _ROWS_PER_WORKER)
+def _worker_count(values: int) -> int:
+    """Processes that format a write of ``values`` values, the caller
+    included."""
+    return _workers.count(values, _VALUES_PER_WORKER)
 
 
 def _write_tables(source, tables) -> list:
@@ -180,7 +183,7 @@ def _write_tables(source, tables) -> list:
     for t in tables:
         t.path.parent.mkdir(parents=True, exist_ok=True)
     blocks = -(-source.rows // _BLOCK_ROWS)
-    workers = min(_worker_count(source.rows), blocks)
+    workers = min(_worker_count(source.rows * source.width), blocks)
     bounds = [min(source.rows, blocks * k // workers * _BLOCK_ROWS)
               for k in range(workers + 1)]
     with ExitStack() as stack:

@@ -40,7 +40,6 @@ against.  A centralized kernel has no sign rows: each chunk is one scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,18 +51,19 @@ from .subspaces import _block_diag
 SIGNAL_KINDS = ("sin", "cos", "const")
 
 
-@dataclass(frozen=True)
 class SignalSpec:
     """One input channel: amplitude * kind(frequency * t + phase)."""
 
-    kind: str
-    amplitude: float = 1.0
-    frequency: float = 1.0
-    phase: float = 0.0
+    __slots__ = ("kind", "amplitude", "frequency", "phase")
 
-    def __post_init__(self):
-        if self.kind not in SIGNAL_KINDS:
-            raise DimensionMismatch(f"unknown signal kind {self.kind!r}")
+    def __init__(self, kind: str, amplitude: float = 1.0,
+                 frequency: float = 1.0, phase: float = 0.0):
+        if kind not in SIGNAL_KINDS:
+            raise DimensionMismatch(f"unknown signal kind {kind!r}")
+        self.kind = kind
+        self.amplitude = amplitude
+        self.frequency = frequency
+        self.phase = phase
 
     def __call__(self, t):
         """Channel value at time t, or at each time of an array t."""
@@ -83,37 +83,41 @@ def eval_signals(specs, t) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class SimConfig:
     """Fixed-step integration settings."""
 
-    t_end: float
-    x0: np.ndarray
-    dt: float = 1e-3
-    method: str = "rk4"
-    sign_mode: str = "boundary_layer"
-    eps_bl: float = 1e-3
-    observer_init: tuple | None = None   # per-observer initial states; zeros if None
-    record_stride: int = 1
-    divergence_guard: float = 1e12
+    __slots__ = ("t_end", "x0", "dt", "method", "sign_mode", "eps_bl",
+                 "observer_init", "record_stride", "divergence_guard")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).ravel())
-        if not (self.t_end > 0):
+    def __init__(self, t_end: float, x0: np.ndarray, dt: float = 1e-3,
+                 method: str = "rk4", sign_mode: str = "boundary_layer",
+                 eps_bl: float = 1e-3, observer_init: tuple | None = None,
+                 record_stride: int = 1, divergence_guard: float = 1e12):
+        x0 = np.asarray(x0, dtype=float).ravel()
+        if not (t_end > 0):
             raise DimensionMismatch("t_end must be positive")
-        if not (0 < self.dt < self.t_end):
+        if not (0 < dt < t_end):
             raise DimensionMismatch("dt must satisfy 0 < dt < t_end")
-        if self.method not in ("euler", "rk4"):
-            raise DimensionMismatch(f"unknown method {self.method!r}")
-        if self.sign_mode not in ("exact", "boundary_layer"):
-            raise DimensionMismatch(f"unknown sign_mode {self.sign_mode!r}")
-        if self.sign_mode == "boundary_layer" and not (self.eps_bl > 0):
+        if method not in ("euler", "rk4"):
+            raise DimensionMismatch(f"unknown method {method!r}")
+        if sign_mode not in ("exact", "boundary_layer"):
+            raise DimensionMismatch(f"unknown sign_mode {sign_mode!r}")
+        if sign_mode == "boundary_layer" and not (eps_bl > 0):
             raise DimensionMismatch("eps_bl must be positive")
-        if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
+        if not (isinstance(record_stride, int) and record_stride >= 1):
             raise DimensionMismatch("record_stride must be a positive integer")
-        if not (self.divergence_guard > 0):
+        if not (divergence_guard > 0):
             raise DimensionMismatch("sim.divergence_guard must be positive, "
-                                    f"got {self.divergence_guard}")
+                                    f"got {divergence_guard}")
+        self.t_end = t_end
+        self.x0 = x0
+        self.dt = dt
+        self.method = method
+        self.sign_mode = sign_mode
+        self.eps_bl = eps_bl
+        self.observer_init = observer_init  # per-observer initial states; zeros if None
+        self.record_stride = record_stride
+        self.divergence_guard = divergence_guard
 
     def sign_fn(self):
         """The sign term as f(v, out=None), exact or boundary-layer."""
@@ -144,7 +148,6 @@ def _row_blocks(start: int, stop: int, rows: int):
             for a in range(start - start % _BLOCK_ROWS, stop, _BLOCK_ROWS)]
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Recorded run: times, stacked states and each observer's error norm.
 
@@ -157,18 +160,22 @@ class Trajectory:
     block by block from ``estimates``.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    D: tuple
-    Q: tuple
-    err_norm: tuple
-    labels: tuple
-    quotient_maps: tuple
+    __slots__ = ("times", "states", "D", "Q", "err_norm", "labels",
+                 "quotient_maps")
 
-    def __post_init__(self):
-        T = len(self.times)
-        if self.states.shape[0] != T or any(len(e) != T for e in self.err_norm):
+    def __init__(self, times: np.ndarray, states: np.ndarray, D: tuple,
+                 Q: tuple, err_norm: tuple, labels: tuple,
+                 quotient_maps: tuple):
+        T = len(times)
+        if states.shape[0] != T or any(len(e) != T for e in err_norm):
             raise DimensionMismatch("trajectory arrays must share their length")
+        self.times = times
+        self.states = states
+        self.D = D
+        self.Q = Q
+        self.err_norm = err_norm
+        self.labels = labels
+        self.quotient_maps = quotient_maps
 
     @property
     def x(self) -> np.ndarray:
@@ -199,7 +206,6 @@ def _n_steps(cfg: SimConfig) -> int:
     return int(math.floor(cfg.t_end / cfg.dt + 1e-9))
 
 
-@dataclass(frozen=True)
 class _Kernel:
     """s' = M s + G u(t) + lift . sign(K s), with x = s[:n] the plant state.
 
@@ -207,16 +213,22 @@ class _Kernel:
     dynamics are governed by the induced map ``quotient_maps[i]``.
     """
 
-    n: int
-    M: np.ndarray
-    G: np.ndarray
-    K: np.ndarray
-    lift: np.ndarray
-    s0: np.ndarray
-    labels: tuple
-    D: tuple
-    Q: tuple
-    quotient_maps: tuple
+    __slots__ = ("n", "M", "G", "K", "lift", "s0", "labels", "D", "Q",
+                 "quotient_maps")
+
+    def __init__(self, n: int, M: np.ndarray, G: np.ndarray, K: np.ndarray,
+                 lift: np.ndarray, s0: np.ndarray, labels: tuple, D: tuple,
+                 Q: tuple, quotient_maps: tuple):
+        self.n = n
+        self.M = M
+        self.G = G
+        self.K = K
+        self.lift = lift
+        self.s0 = s0
+        self.labels = labels
+        self.D = D
+        self.Q = Q
+        self.quotient_maps = quotient_maps
 
 
 # Explicit tableaux (a, b, c): stage i combines the slopes of stages j < i
@@ -239,7 +251,6 @@ _STRETCH = 4
 _MAX_STRETCH = 1024
 
 
-@dataclass(frozen=True)
 class _StepOperator:
     """One explicit Runge-Kutta step of a kernel, as fixed maps.
 
@@ -252,11 +263,15 @@ class _StepOperator:
     only the buffer's head, ahead of sigma_i.
     """
 
-    offsets: np.ndarray   # stage times c_j h
-    stages: tuple         # (r, S m + dim + i r) for stage i; none if r = 0
-    step: np.ndarray      # (dim, S m + dim + S r)
-    sign: object
-    eps: float | None     # boundary-layer width; None for the exact sign
+    __slots__ = ("offsets", "stages", "step", "sign", "eps")
+
+    def __init__(self, offsets: np.ndarray, stages: tuple, step: np.ndarray,
+                 sign, eps: float | None):
+        self.offsets = offsets  # stage times c_j h
+        self.stages = stages    # (r, S m + dim + i r) for stage i; none if r = 0
+        self.step = step        # (dim, S m + dim + S r)
+        self.sign = sign
+        self.eps = eps          # boundary-layer width; None for the exact sign
 
     def inputs(self, t, signals) -> np.ndarray:
         """Stage inputs (u_1..u_S) of the steps starting at the times t."""
@@ -319,7 +334,6 @@ class _StepOperator:
                            args=V.T.copy(), sign=self.sign)
 
 
-@dataclass(frozen=True)
 class _AffineStep:
     """The step under one region pattern: s+ = T s + U u + c.
 
@@ -327,12 +341,16 @@ class _AffineStep:
     regions tell whether the pattern still holds.
     """
 
-    pattern: np.ndarray
-    drive: np.ndarray     # U^T
-    const: np.ndarray     # c
-    powers: tuple         # (T^(2^k))^T, k = 0, 1, ...
-    args: np.ndarray      # (S m + dim + 1, S r)
-    sign: object
+    __slots__ = ("pattern", "drive", "const", "powers", "args", "sign")
+
+    def __init__(self, pattern: np.ndarray, drive: np.ndarray,
+                 const: np.ndarray, powers: tuple, args: np.ndarray, sign):
+        self.pattern = pattern
+        self.drive = drive      # U^T
+        self.const = const      # c
+        self.powers = powers    # (T^(2^k))^T, k = 0, 1, ...
+        self.args = args        # (S m + dim + 1, S r)
+        self.sign = sign
 
     def scan(self, s, u) -> np.ndarray:
         """States after the leading steps from s whose pattern is this one.
@@ -356,13 +374,16 @@ class _AffineStep:
         return y if held.all() else y[:held.argmin()]
 
 
-@dataclass
 class _ScanCounts:
     """Steps taken by the scan and by the per-step path, and region changes."""
 
-    scanned: int = 0
-    oracle: int = 0
-    region_changes: int = 0
+    __slots__ = ("scanned", "oracle", "region_changes")
+
+    def __init__(self, scanned: int = 0, oracle: int = 0,
+                 region_changes: int = 0):
+        self.scanned = scanned
+        self.oracle = oracle
+        self.region_changes = region_changes
 
 
 def _step_operator(kernel: _Kernel, cfg: SimConfig) -> _StepOperator:

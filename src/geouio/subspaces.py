@@ -15,7 +15,6 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -27,7 +26,6 @@ DEFAULT_REL_RANK_TOL = 1e-10
 DEFAULT_ABS_RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class TolerancePolicy:
     """Numerical regime shared by every rank and residual decision.
 
@@ -37,12 +35,14 @@ class TolerancePolicy:
         Absolute bound under which residuals count as zero.
     """
 
-    rel_rank_tol: float = DEFAULT_REL_RANK_TOL
-    abs_residual_tol: float = DEFAULT_ABS_RESIDUAL_TOL
+    __slots__ = ("rel_rank_tol", "abs_residual_tol")
 
-    def __post_init__(self):
-        if not (0 < self.rel_rank_tol < 1 and 0 < self.abs_residual_tol < np.inf):
+    def __init__(self, rel_rank_tol: float = DEFAULT_REL_RANK_TOL,
+                 abs_residual_tol: float = DEFAULT_ABS_RESIDUAL_TOL):
+        if not (0 < rel_rank_tol < 1 and 0 < abs_residual_tol < np.inf):
             raise ValueError("tolerances must be positive and finite, rel_rank_tol < 1")
+        self.rel_rank_tol = rel_rank_tol
+        self.abs_residual_tol = abs_residual_tol
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -348,7 +348,6 @@ def _ordered_schur():
 # The subspace value type.
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace of R^n held as an orthonormal basis.
 
@@ -356,17 +355,14 @@ class Subspace:
     subspace has ``k == 0`` (never a zero column).
     """
 
-    ambient_dim: int
-    basis: np.ndarray
-    # orth_complement's results by rel_rank_tol, each with its rank margins.
-    _perp: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("ambient_dim", "basis", "_perp")
 
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: np.ndarray):
+        b = np.asarray(basis, dtype=float)
+        if b.ndim != 2 or b.shape[0] != ambient_dim:
             raise DimensionMismatch(
-                f"basis shape {b.shape} inconsistent with ambient dim {self.ambient_dim}")
-        if b.shape[1] > self.ambient_dim:
+                f"basis shape {b.shape} inconsistent with ambient dim {ambient_dim}")
+        if b.shape[1] > ambient_dim:
             raise DimensionMismatch("subspace dimension exceeds ambient dimension")
         k = b.shape[1]
         if k:
@@ -376,7 +372,10 @@ class Subspace:
             if gram_err > 1e-12:
                 raise DimensionMismatch(f"basis not orthonormal (error {gram_err:.2e})")
         b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
+        self.ambient_dim = ambient_dim
+        self.basis = b
+        # orth_complement's results by rel_rank_tol, each with its rank margins
+        self._perp = {}
 
     @property
     def dim(self) -> int:

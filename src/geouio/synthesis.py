@@ -16,7 +16,6 @@ constructions consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
 EIG_TIE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class SpectralPartition:
     """Spectral specification of one design.
 
@@ -47,25 +45,26 @@ class SpectralPartition:
     gains above their bounds.
     """
 
-    alpha: float = 0.0
-    margin: float = 0.5
-    pole_targets: tuple | None = None
-    safety: float = 1.1
+    __slots__ = ("alpha", "margin", "pole_targets", "safety")
 
-    def __post_init__(self):
-        if self.pole_targets is not None:
-            object.__setattr__(self, "pole_targets",
-                               tuple(float(v) for v in self.pole_targets))
-        if not all(map(math.isfinite, (self.alpha, self.margin, self.safety,
-                                       *(self.pole_targets or ())))):
+    def __init__(self, alpha: float = 0.0, margin: float = 0.5,
+                 pole_targets: tuple | None = None, safety: float = 1.1):
+        if pole_targets is not None:
+            pole_targets = tuple(float(v) for v in pole_targets)
+        if not all(map(math.isfinite, (alpha, margin, safety,
+                                       *(pole_targets or ())))):
             raise ValueError("alpha, margin, safety and pole_targets must be finite")
-        if self.safety < 1:
+        if safety < 1:
             raise ValueError("safety must be >= 1")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
-        if any(t >= self.alpha for t in self.pole_targets or ()):
-            raise ValueError(f"pole_targets must lie left of alpha = {self.alpha}, "
-                             f"got {self.pole_targets}")
+        if margin < 0:
+            raise ValueError(f"margin must be >= 0, got {margin}")
+        if any(t >= alpha for t in pole_targets or ()):
+            raise ValueError(f"pole_targets must lie left of alpha = {alpha}, "
+                             f"got {pole_targets}")
+        self.alpha = alpha
+        self.margin = margin
+        self.pole_targets = pole_targets
+        self.safety = safety
 
     def is_bad(self, re: float, scale: float = 1.0) -> bool:
         return re >= self.alpha - EIG_TIE_TOL * max(1.0, scale)
@@ -436,7 +435,6 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
 # Full decomposition for one (C, A, Bbar) triple.
 
 
-@dataclass(frozen=True)
 class GeometricDecomposition:
     """All subspaces and charts derived from one unknown-input channel.
 
@@ -446,15 +444,22 @@ class GeometricDecomposition:
     zero directions Xbar_b).
     """
 
-    W_star: Subspace
-    S_star: Subspace
-    Xbar_g: Subspace
-    Xbar_b: Subspace
-    W_g_star: Subspace
-    V: np.ndarray
-    P_Wstar: np.ndarray
-    P_Wg: np.ndarray
-    ker_C: Subspace  # taken once: the recursions and existence checks read it
+    __slots__ = ("W_star", "S_star", "Xbar_g", "Xbar_b", "W_g_star", "V",
+                 "P_Wstar", "P_Wg", "ker_C")
+
+    def __init__(self, W_star: Subspace, S_star: Subspace, Xbar_g: Subspace,
+                 Xbar_b: Subspace, W_g_star: Subspace, V: np.ndarray,
+                 P_Wstar: np.ndarray, P_Wg: np.ndarray, ker_C: Subspace):
+        self.W_star = W_star
+        self.S_star = S_star
+        self.Xbar_g = Xbar_g
+        self.Xbar_b = Xbar_b
+        self.W_g_star = W_g_star
+        self.V = V
+        self.P_Wstar = P_Wstar
+        self.P_Wg = P_Wg
+        # taken once: the recursions and existence checks read it
+        self.ker_C = ker_C
 
     @property
     def n(self) -> int:

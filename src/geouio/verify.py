@@ -14,7 +14,6 @@ import pickle
 import tempfile
 from collections import namedtuple
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +42,21 @@ _BATTERY_N_MAX, _BATTERY_P_MAX, _BATTERY_Q_MAX = 6, 3, 2
 _TRIALS_PER_WORKER = 7
 
 
-@dataclass
 class BatteryResult:
-    trials: int
-    agreements: int
-    marginal: list = field(default_factory=list)
-    disagreements: list = field(default_factory=list)
-    seed: int = 0
+    """Outcome of one equivalence battery; ``marginal`` and
+    ``disagreements`` hold one info dict per trial (new empty lists if
+    None)."""
+
+    __slots__ = ("trials", "agreements", "marginal", "disagreements", "seed")
+
+    def __init__(self, trials: int, agreements: int,
+                 marginal: list | None = None,
+                 disagreements: list | None = None, seed: int = 0):
+        self.trials = trials
+        self.agreements = agreements
+        self.marginal = [] if marginal is None else marginal
+        self.disagreements = [] if disagreements is None else disagreements
+        self.seed = seed
 
     @property
     def scored(self) -> int:
@@ -158,19 +165,20 @@ ALPHA = "alpha"  # the limit that stands for the config's spectral boundary
 _COMPARE = {"<=": operator.le, "<": operator.lt, ">": operator.gt}
 
 
-@dataclass(frozen=True)
 class Check:
     """One invariant of one design.  A number passes when ``value comparison
     limit`` holds; a boolean takes no comparison and passes by its truth."""
 
-    name: str
-    value: float | bool
-    comparison: str | None = None
-    limit: float | None = None
+    __slots__ = ("name", "value", "comparison", "limit")
 
-    def __post_init__(self):
-        if (self.comparison is None) != isinstance(self.value, bool):
-            raise TypeError(f"{self.name}: a number needs a comparison, a boolean none")
+    def __init__(self, name: str, value: float | bool,
+                 comparison: str | None = None, limit: float | None = None):
+        if (comparison is None) != isinstance(value, bool):
+            raise TypeError(f"{name}: a number needs a comparison, a boolean none")
+        self.name = name
+        self.value = value
+        self.comparison = comparison
+        self.limit = limit
 
     @property
     def passed(self) -> bool:

@@ -6,7 +6,6 @@ re-running the pipelines.
 """
 
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -15,6 +14,8 @@ from geouio.central import synthesize_centralized_uio
 from geouio.config import parse_config
 from geouio.distributed import synthesize_distributed
 from geouio.simulate import SignalSpec, simulate_centralized, simulate_distributed
+
+from records import rebuilt
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +49,7 @@ def dist_net(dist_cfg):
 def central_runs(central_cfg, central_obs):
     """Full-resolution reproduction run plus a run with a different unknown input."""
     obs, _ = central_obs
-    cfg = replace(central_cfg.sim, record_stride=1)
+    cfg = rebuilt(central_cfg.sim, record_stride=1)
     t0 = time.perf_counter()
     traj = simulate_centralized(central_cfg.system, central_cfg.partition, obs,
                                 central_cfg.signals, cfg)
@@ -66,7 +67,7 @@ def central_runs(central_cfg, central_obs):
 @pytest.fixture(scope="session")
 def dist_run(dist_cfg, dist_net):
     net, _ = dist_net
-    cfg = replace(dist_cfg.sim, record_stride=1)
+    cfg = rebuilt(dist_cfg.sim, record_stride=1)
     t0 = time.perf_counter()
     traj = simulate_distributed(dist_cfg.system, net, dist_cfg.signals, cfg)
     return {"traj": traj, "wall": time.perf_counter() - t0}

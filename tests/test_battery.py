@@ -11,6 +11,7 @@ from geouio import verify
 from geouio.subspaces import margin_monitor
 from geouio.verify import random_equivalence_battery
 
+from records import attributes
 from test_report import _affinity, _count_forks, placeable
 
 
@@ -45,7 +46,7 @@ def test_process_count_moves_no_result(monkeypatch):
         assert sorted(trials) == sorted(set(trials))
         assert [i["trial"] for i in first.marginal] == sorted(
             i["trial"] for i in first.marginal)
-        assert all(r == first for r in results[1:])
+        assert all(attributes(r) == attributes(first) for r in results[1:])
 
 
 def test_an_enclosing_monitor_sees_the_same_margins(monkeypatch):
@@ -149,7 +150,7 @@ def test_a_battery_forks_for_each_further_cpu(monkeypatch):
     assert len(forks) == (0 if cpus is None else min(len(cpus), 2) - 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     forks.clear()
-    assert random_equivalence_battery(trials, 6) == alone
+    assert attributes(random_equivalence_battery(trials, 6)) == attributes(alone)
     assert forks == []
 
 

@@ -5,8 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import inspect
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -81,11 +81,13 @@ def test_omitted_optional_keys_take_the_dataclass_defaults(spectral):
         cfg["spectral"] = spectral
     cfg["sim"] = {"t_end": 1.0, "x0": [1.0, 2.0, 3.0]}
     parsed = parse_config(cfg)
-    for f in fields(SpectralPartition):
-        assert getattr(parsed.spectral, f.name) == f.default, f.name
-    for f in fields(SimConfig):
-        if f.name not in cfg["sim"]:
-            assert getattr(parsed.sim, f.name) == f.default, f.name
+    for cls in (SpectralPartition, SimConfig):  # the keys config accepts
+        assert cls.__slots__ == tuple(inspect.signature(cls).parameters)
+    for name, p in inspect.signature(SpectralPartition).parameters.items():
+        assert getattr(parsed.spectral, name) == p.default, name
+    for name, p in inspect.signature(SimConfig).parameters.items():
+        if name not in cfg["sim"]:
+            assert getattr(parsed.sim, name) == p.default, name
 
 
 def test_unknown_demo_name_raises():

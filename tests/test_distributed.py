@@ -1,7 +1,6 @@
 """Networked observer: classification, per-node synthesis, gains, node dynamics."""
 
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from geouio.subspaces import (Subspace, contains, image, margin_monitor,
 from geouio.synthesis import SpectralPartition
 from geouio.verify import invariant_checks
 
+from records import rebuilt
 from step_oracles import node_estimate_n1, node_rhs_n1, node_rhs_n2
 
 ALPHA0 = SpectralPartition(0.0)
@@ -364,7 +364,7 @@ def test_synthesize_rejects_jointly_unrecoverable_network():
 
 def test_assumption_3_names_a_gram_only_failure(dist_cfg, monkeypatch):
     consensus = dist._consensus
-    monkeypatch.setattr(dist, "_consensus", lambda nodes, graph: replace(
+    monkeypatch.setattr(dist, "_consensus", lambda nodes, graph: rebuilt(
         consensus(nodes, graph), sigma_min=1e-12))
     with pytest.raises(AssumptionViolated) as exc:
         synthesize_distributed(dist_cfg.system, dist_cfg.node_specs,

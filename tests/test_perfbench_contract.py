@@ -12,7 +12,6 @@ import importlib.util
 import math
 import os
 from collections import defaultdict
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +20,8 @@ import pytest
 from geouio.cases import builtin_config
 from geouio.config import parse_config
 from geouio.verify import synthesis_residual_checks
+
+from records import rebuilt
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -79,8 +80,8 @@ def test_every_hook_reads_what_a_real_call_gives(central_cfg, central_obs,
     assert tracer.op_data[0]["sstar_dim"] == decomp.S_star.dim
     obs, _ = central_obs
     net, _ = dist_net
-    cfg_c = replace(central_cfg.sim, t_end=0.2, record_stride=1)
-    cfg_d = replace(dist_cfg.sim, t_end=0.1, record_stride=2)
+    cfg_c = rebuilt(central_cfg.sim, t_end=0.2, record_stride=1)
+    cfg_d = rebuilt(dist_cfg.sim, t_end=0.1, record_stride=2)
     traj = call("simulate.simulate_centralized", central_cfg.system,
                 central_cfg.partition, obs, central_cfg.signals, cfg_c)
     call("simulate.simulate_distributed", dist_cfg.system, net,

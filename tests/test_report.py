@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,8 @@ from geouio.cli import main
 from geouio.report import (_BLOCK_ROWS, _jsonable, write_plot_series,
                            write_trajectory_csv, write_trajectory_tables)
 from geouio.simulate import Trajectory, simulate_distributed
+
+from records import rebuilt
 
 SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
            np.nextafter(2.2250738585072014e-308, 0.0), 1.0, -3.0, 2.0 ** 53,
@@ -55,7 +56,7 @@ def _reference_rows(columns, sep):
 
 def _force_workers(monkeypatch, workers):
     """Make every write use ``workers`` processes, whatever its size."""
-    monkeypatch.setattr(report, "_worker_count", lambda rows: workers)
+    monkeypatch.setattr(report, "_worker_count", lambda values: workers)
 
 
 def _affinity():
@@ -162,14 +163,15 @@ def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
 
 
 def test_a_large_write_forks_for_each_further_cpu(tmp_path, monkeypatch):
-    """Unforced, a write of 2 * _ROWS_PER_WORKER rows takes two processes
-    where it may use two CPUs or more, and forks nothing on one."""
+    """Unforced, a write of 2 * _VALUES_PER_WORKER values takes two
+    processes where it may use two CPUs or more, and forks nothing on one."""
     forks = _count_forks(monkeypatch)
-    traj = _trajectory(2 * report._ROWS_PER_WORKER)
+    width = 12  # t, x (3), 2 estimates (3 each), 2 error norms
+    traj = _trajectory(2 * report._VALUES_PER_WORKER // width + 1)
     cpus = _affinity()
     with _quiet():
         paths = write_trajectory_tables(traj, tmp_path / "auto")
-    assert len(forks) == report._worker_count(len(traj.times)) - 1
+    assert len(forks) == report._worker_count(len(traj.times) * width) - 1
     assert len(forks) == (0 if cpus is None else min(len(cpus), 2) - 1)
     assert _affinity() == cpus
     _force_workers(monkeypatch, 1)
@@ -181,14 +183,16 @@ def test_a_large_write_forks_for_each_further_cpu(tmp_path, monkeypatch):
 def test_worker_count_follows_cpus_and_size(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)),
                         raising=False)
-    floor = report._ROWS_PER_WORKER
-    assert [report._worker_count(r) for r in
+    floor = report._VALUES_PER_WORKER
+    assert [report._worker_count(v) for v in
             (0, floor - 1, 2 * floor, 3 * floor + 1, 100 * floor)] == [1, 1, 2, 3, 8]
-    # two processes from 8,192 rows on, whatever the table width; on two
-    # CPUs the demos' writes (reproduced, then dense) take 1, 1, 2 and 2
-    assert report._worker_count(8191) == 1 and report._worker_count(8192) == 2
+    # two processes from 65,536 values on; on two CPUs the demos' writes
+    # (reproduced, then dense; 8 values a row centralized, 35 distributed)
+    # take 1, 2, 2 and 2, and a centralized write of 4,001 rows takes 1
+    assert report._worker_count(65535) == 1 and report._worker_count(65536) == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert [report._worker_count(r) for r in (2001, 4001, 20001, 40001)] == [1, 1, 2, 2]
+    assert [report._worker_count(rows * width) for rows, width in
+            ((2001, 8), (4001, 35), (20001, 8), (40001, 35), (4001, 8))] == [1, 2, 2, 2, 1]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert report._worker_count(100 * floor) == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -332,7 +336,7 @@ def test_written_estimates_are_the_trajectory_estimates(dist_cfg, dist_net,
                                                         tmp_path, monkeypatch):
     # 3,001 rows: two whole blocks and a partial one
     net, _ = dist_net
-    cfg = replace(dist_cfg.sim, t_end=3.0, record_stride=1)
+    cfg = rebuilt(dist_cfg.sim, t_end=3.0, record_stride=1)
     traj = simulate_distributed(dist_cfg.system, net, dist_cfg.signals, cfg)
     n, observers = traj.x.shape[1], len(traj.labels)
     xhat = traj.xhat
@@ -371,7 +375,7 @@ def test_dense_run_holds_only_states_and_error_norms(dist_cfg, dist_net,
     net, _ = dist_net
     extra = []
     for t_end in (2.5, 10.0):
-        cfg = replace(dist_cfg.sim, t_end=t_end, record_stride=1)
+        cfg = rebuilt(dist_cfg.sim, t_end=t_end, record_stride=1)
         tracemalloc.start()
         try:
             traj = simulate_distributed(dist_cfg.system, net, dist_cfg.signals,

@@ -1,6 +1,5 @@
 """Simulation harness: signals, determinism, decoupling, guards, assembly."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from geouio.simulate import (_CHUNK, SignalSpec, SimConfig, _central_kernel,
                              simulate_distributed)
 from geouio.synthesis import SpectralPartition
 
+from records import rebuilt
 from step_oracles import (kernel_rhs, node_estimate_n1, node_rhs_n1,
                           node_rhs_n2, observer_rhs)
 
@@ -210,7 +210,7 @@ def test_kernels_reject_bad_observer_init(central_cfg, central_obs, dist_cfg,
         states = [np.zeros(d) for d in z_dims]
         init = {"empty": (), "doubled": tuple(states) * 2,
                 "short": tuple(states[:-1]) + (np.zeros(z_dims[-1] - 1),)}[bad]
-        cfg = replace(pcfg.sim, observer_init=init)
+        cfg = rebuilt(pcfg.sim, observer_init=init)
         with pytest.raises(DimensionMismatch):
             build(pcfg.system, artifact, cfg)
 
@@ -278,7 +278,7 @@ def test_below_bound_gains_still_produce_finite_run(dist_cfg, dist_net):
     # gains below the convergence bounds void the guarantee, not the contract:
     # the harness must return a finite trajectory or diagnose divergence
     net, _ = dist_net
-    weak = replace(net, chi=0.0, gamma=0.0)
+    weak = rebuilt(net, chi=0.0, gamma=0.0)
     cfg = SimConfig(t_end=2.0, x0=dist_cfg.sim.x0, dt=1e-3, record_stride=10)
     try:
         traj = simulate_distributed(dist_cfg.system, weak, dist_cfg.signals, cfg)
@@ -326,7 +326,7 @@ def both_kernels(central_cfg, central_obs, dist_cfg, dist_net):
 def test_step_operator_matches_classical_step(both_kernels, method, sign_mode):
     rng = np.random.default_rng(11)
     for build, pcfg, artifact in both_kernels:
-        cfg = replace(pcfg.sim, method=method, sign_mode=sign_mode)
+        cfg = rebuilt(pcfg.sim, method=method, sign_mode=sign_mode)
         kern = build(pcfg.system, artifact, cfg)
         op = _step_operator(kern, cfg)
         f = kernel_rhs(kern, pcfg.signals, cfg.sign_fn())
@@ -353,7 +353,7 @@ def test_guard_trips_at_the_reference_step(central_cfg, central_obs, step):
     # then a chunk's first step) and the state that step makes
     obs, _ = central_obs
     sys = central_cfg.system
-    cfg = replace(central_cfg.sim, record_stride=1)
+    cfg = rebuilt(central_cfg.sim, record_stride=1)
     kern = _central_kernel(sys, obs, cfg)
     peaks = np.abs(_advance_run(kern, central_cfg.signals, cfg)[1:step + 2]
                    ).max(axis=1)
@@ -364,7 +364,7 @@ def test_guard_trips_at_the_reference_step(central_cfg, central_obs, step):
     counts = _ScanCounts()
     with pytest.raises(NonFiniteState) as exc:
         _integrate(kern, central_cfg.signals,
-                   replace(cfg, divergence_guard=guard), counts)
+                   rebuilt(cfg, divergence_guard=guard), counts)
     assert exc.value.t == t_ref
     assert counts.oracle == 1 and counts.scanned > step  # a scanned step tripped
 
@@ -372,7 +372,7 @@ def test_guard_trips_at_the_reference_step(central_cfg, central_obs, step):
 def test_odd_record_stride_matches_reference(dist_cfg, dist_net):
     net, _ = dist_net
     stride = 7
-    cfg = replace(dist_cfg.sim, t_end=1.0, record_stride=stride)
+    cfg = rebuilt(dist_cfg.sim, t_end=1.0, record_stride=stride)
     n_steps = _n_steps(cfg)
     assert _CHUNK % stride and n_steps % stride
     kern = _network_kernel(dist_cfg.system, net, cfg)
@@ -411,7 +411,7 @@ def _assert_arrays_match(kern, recs, ref, rel=1e-10):
 ])
 def test_scan_matches_advance(both_kernels, mode, method, sign_mode, t_end):
     build, pcfg, artifact = both_kernels[mode == "distributed"]
-    cfg = replace(pcfg.sim, method=method, sign_mode=sign_mode, t_end=t_end,
+    cfg = rebuilt(pcfg.sim, method=method, sign_mode=sign_mode, t_end=t_end,
                   record_stride=1)
     kern = build(pcfg.system, artifact, cfg)
     counts = _ScanCounts()
@@ -432,7 +432,7 @@ def test_scan_starting_on_a_boundary_tie(dist_cfg, dist_net):
     # start the first scanned step with a sign argument on the layer's edge,
     # v = eps up to rounding, where the two adjacent regions give one step
     net, _ = dist_net
-    cfg = replace(dist_cfg.sim, t_end=0.5, record_stride=1)
+    cfg = rebuilt(dist_cfg.sim, t_end=0.5, record_stride=1)
     kern = _network_kernel(dist_cfg.system, net, cfg)
     op = _step_operator(kern, cfg)
     u = op.inputs(np.zeros(1), dist_cfg.signals)
@@ -458,7 +458,7 @@ def test_scan_starting_on_a_boundary_tie(dist_cfg, dist_net):
         if len(got):
             assert np.abs(got[0] - ref).max() <= 1e-12 * np.abs(ref).max()
     assert accepted >= 1
-    tied = replace(kern, s0=s0)
+    tied = rebuilt(kern, s0=s0)
     counts = _ScanCounts()
     recs = _integrate(tied, dist_cfg.signals, cfg, counts)
     assert counts.scanned > 0
@@ -468,7 +468,7 @@ def test_scan_starting_on_a_boundary_tie(dist_cfg, dist_net):
 def test_scan_leaving_its_pattern_at_the_first_step_returns_no_states(
         dist_cfg, dist_net):
     net, _ = dist_net
-    cfg = replace(dist_cfg.sim, record_stride=1)
+    cfg = rebuilt(dist_cfg.sim, record_stride=1)
     kern = _network_kernel(dist_cfg.system, net, cfg)
     op = _step_operator(kern, cfg)
     u = op.inputs(np.arange(_CHUNK) * cfg.dt, dist_cfg.signals)
