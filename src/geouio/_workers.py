@@ -1,17 +1,30 @@
 """Forked worker processes, each on a CPU of its own.
 
-The trajectory writer and the equivalence battery split their work into
-contiguous ranges, one per process: the caller does range 0 and a worker
-made with ``os.fork`` does each other range.  A forked child starts on its
-parent's CPU, and the two may share it for the whole run while another CPU
-idles, so each process is placed on a CPU of its own while CPUs last.
+Three users split their work into contiguous ranges, one per process: the
+trajectory writer, the equivalence battery and the network synthesis.  The
+caller does range 0 and a worker made with ``os.fork`` does each other
+range.  A forked child starts on its parent's CPU, and the two may share it
+for the whole run while another CPU idles, so each process is placed on a
+CPU of its own while CPUs last.
+
+The writer sends its text back through files of its own (``run``).  The
+battery and the synthesis compute values, which ``map_ranges`` sends back
+pickled, with every array laid out as the worker had it, and with the
+margins the worker's decisions noted, so the caller gets what it would have
+computed itself.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import tempfile
 import warnings
 from contextlib import ExitStack, suppress
+
+import numpy as np
+
+from .subspaces import margin_monitor, note_margin
 
 # Most processes one split run takes, the caller included.
 _MAX_WORKERS = 8
@@ -78,3 +91,77 @@ def run(workers: int, child, parent):
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                      for pid in pids]
     return result, codes
+
+
+def _array(values: bytes, dtype, shape, strides, writeable: bool):
+    """An array of ``values`` (C order) with ``strides`` and the write
+    flag ``writeable``, over a buffer of its own."""
+    span = offset = 0
+    if 0 not in shape:
+        span = dtype.itemsize + sum((n - 1) * abs(s) for n, s in zip(shape, strides))
+        offset = sum((n - 1) * -s for n, s in zip(shape, strides) if s < 0)
+    out = np.ndarray(shape, dtype, np.empty(span, np.uint8), offset, strides)
+    out[...] = np.frombuffer(values, dtype).reshape(shape)
+    out.flags.writeable = writeable
+    return out
+
+
+class _Pickler(pickle.Pickler):
+    """Pickles each plain array with its strides and write flag.
+
+    numpy's own pickling makes a non-contiguous view C-ordered and
+    writable; the products that read an array round according to its
+    layout, so an array that changed layout on the way could give the
+    caller other results than the worker's."""
+
+    def reducer_override(self, obj):
+        if type(obj) is not np.ndarray or obj.dtype.hasobject:
+            return NotImplemented
+        return _array, (obj.tobytes(), obj.dtype, obj.shape, obj.strides,
+                        obj.flags.writeable)
+
+
+def map_ranges(fn, units: int, workers: int, ship=None, land=None) -> list:
+    """``[fn(i) for i in range(units)]``, with the units split into
+    ``workers`` contiguous ranges, one per process (``run``).
+
+    The caller computes range 0.  Each worker pickles its range's results,
+    each passed through ``ship`` if given, and every margin noted while
+    computing them, into an unlinked spool.  Then the caller takes the
+    ranges in order: it notes each worker's margins again, so an enclosing
+    margin monitor sees every margin in the order one process would note
+    them, and it passes each result, with its unit, through ``land`` if
+    given.  The caller computes a failed worker's range itself, so a unit
+    that raises raises here as itself.
+    """
+    bounds = [units * k // workers for k in range(workers + 1)]
+
+    def compute(k):
+        return [fn(i) for i in range(bounds[k], bounds[k + 1])]
+
+    with ExitStack() as stack:
+        spools = [stack.enter_context(tempfile.TemporaryFile())
+                  for _ in range(1, workers)]
+
+        def child(k):
+            with margin_monitor() as rec:
+                done = compute(k)
+            if ship is not None:
+                done = [ship(r) for r in done]
+            _Pickler(spools[k - 1], pickle.HIGHEST_PROTOCOL).dump(
+                (done, rec.margins))
+            spools[k - 1].flush()
+
+        results, codes = run(workers, child, lambda: compute(0))
+        for k, (spool, code) in enumerate(zip(spools, codes), 1):
+            if code:
+                results += compute(k)
+                continue
+            spool.seek(0)
+            done, margins = pickle.load(spool)
+            for margin in margins:
+                note_margin(margin)
+            if land is not None:
+                done = [land(i, r) for i, r in enumerate(done, bounds[k])]
+            results += done
+    return results

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _workers
 from .errors import AssumptionViolated, DimensionMismatch, SingularQ
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, _block_diag,
                         _svd, as_matrix, intersect, two_norm)
@@ -28,6 +29,9 @@ N2 = "N2"
 GRAM_FLOOR = 1e-9
 # chi when its lower bound chi_min is zero.
 CHI_FALLBACK = 0.1
+# A network's nodes are synthesized in one process per this many nodes, up
+# to the CPUs the synthesis may run on and _workers._MAX_WORKERS.
+_NODES_PER_WORKER = 8
 
 
 class NodeSpec:
@@ -203,8 +207,7 @@ def per_node_decomposition(sys: LinSystem, spec: NodeSpec,
     if cols != list(range(sys.m)):
         raise DimensionMismatch(
             f"node {spec.node_id}: known/unknown columns must partition the inputs")
-    B_known = sys.B[:, list(spec.known_cols)]
-    B_unknown = sys.B[:, list(spec.unknown_cols)]
+    B_known, B_unknown = _columns(sys, spec)
     is_n1 = _rank_condition(spec.C, B_unknown, tol)
     decomp = decompose(sys.A, spec.C, B_unknown, spectral, tol)
     L, Abarbar = stabilizing_friend(sys.A, spec.C, decomp.W_g_star, spectral,
@@ -219,6 +222,46 @@ def per_node_decomposition(sys: LinSystem, spec: NodeSpec,
                       unknown_cols=spec.unknown_cols,
                       node_class=N1 if is_n1 else N2, decomp=decomp, L=L,
                       A_cl=A_cl, Abarbar=Abarbar, E=E, F=F, Abar_L=Abar_L)
+
+
+def _columns(sys: LinSystem, spec: NodeSpec):
+    """(B_known, B_unknown) of one node."""
+    return sys.B[:, list(spec.known_cols)], sys.B[:, list(spec.unknown_cols)]
+
+
+def _worker_count(nodes: int) -> int:
+    """Processes that synthesize a network of ``nodes`` nodes, the caller
+    included."""
+    return _workers.count(nodes, _NODES_PER_WORKER)
+
+
+def _ship(nd: SensorNode) -> SensorNode:
+    """A node as a worker sends it: without the arrays the caller holds."""
+    nd.C = nd.B_known = nd.B_unknown = None
+    return nd
+
+
+def _synthesize_nodes(sys: LinSystem, node_specs, spectral: SpectralPartition,
+                      tol: TolerancePolicy) -> tuple:
+    """``per_node_decomposition`` of every node, in order, in one contiguous
+    range of nodes per process (``_workers.map_ranges``).
+
+    Each node is local to its own ``(A, C_i, B_i)``, so the ranges are
+    independent.  A node built in a worker comes back with every array
+    laid out as the worker had it and with the node's own ``C`` and the
+    caller's selection of its columns of B, so it cannot be told from a
+    node built here.
+    """
+    specs = list(node_specs)
+
+    def land(i, nd):
+        nd.C = specs[i].C
+        nd.B_known, nd.B_unknown = _columns(sys, specs[i])
+        return nd
+
+    return tuple(_workers.map_ranges(
+        lambda i: per_node_decomposition(sys, specs[i], spectral, tol),
+        len(specs), _worker_count(len(specs)), _ship, land))
 
 
 def _class_order(nodes):
@@ -342,8 +385,7 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
     if u_bar_max < 0:
         raise AssumptionViolated(2, "unknown-input bound must be nonnegative",
                                  diagnostics={"u_bar_max": u_bar_max})
-    nodes = tuple(per_node_decomposition(sys, spec, spectral, tol)
-                  for spec in node_specs)
+    nodes = _synthesize_nodes(sys, node_specs, spectral, tol)
     cons = _consensus(nodes, graph)
     inter = recoverability_intersection(nodes, tol)
     failure = _undetectable(cons, inter)

@@ -230,12 +230,18 @@ def compute_wg_star(W_star: Subspace, Xbar_b: Subspace,
     """Inverse image of the bad quotient subspace under the chart of X/W*.
 
     ``Xbar_b`` lives in the chart ``canonical_projection(W_star)``.  The
-    result contains W* and has dimension dim W* + dim Xbar_b.
+    result contains W* and has dimension dim W* + dim Xbar_b.  With no bad
+    directions it is Ker of the chart, the complement of W*^perp, which
+    ``spectral_split`` has already taken and kept on W*^perp.
     """
     if Xbar_b.ambient_dim != W_star.ambient_dim - W_star.dim:
         raise DimensionMismatch("Xbar_b must live in the chart of X/W*")
-    # The chart has orthonormal rows: its 2-norm is 1.
-    Wg = _preimage(canonical_projection(W_star, tol), Xbar_b, tol, lambda: 1.0)
+    if Xbar_b.is_zero:
+        Wg = orth_complement(orth_complement(W_star, tol), tol)
+    else:
+        # The chart has orthonormal rows: its 2-norm is 1.
+        Wg = _preimage(canonical_projection(W_star, tol), Xbar_b, tol,
+                       lambda: 1.0)
     expected = W_star.dim + Xbar_b.dim
     if Wg.dim != expected:
         raise InvarianceViolated(

@@ -10,10 +10,7 @@ reported as marginal rather than scored.
 from __future__ import annotations
 
 import operator
-import pickle
-import tempfile
 from collections import namedtuple
-from contextlib import ExitStack
 
 import numpy as np
 
@@ -26,8 +23,7 @@ from .distributed import (CHI_FALLBACK, GRAM_FLOOR, N1,
                           DistributedObserverNetwork, build_consensus_blocks,
                           synthesize_distributed)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, _null_space,
-                        contains, margin_monitor, note_margin,
-                        subspaces_equal)
+                        contains, margin_monitor, subspaces_equal)
 from .synthesis import SpectralPartition, decompose
 
 MARGINAL_GAP = 1e-6
@@ -93,58 +89,30 @@ def random_equivalence_battery(n_trials: int, seed: int,
     """Compare the geometric and classical existence tests on random draws.
 
     Every trial is drawn first; the trials then run in one contiguous range
-    per process (``_workers.run``).  Each worker sends its trials' results
-    and margins back through an unlinked spool.  The caller takes the
-    ranges in trial order and notes each worker's margins again, so an
-    enclosing margin monitor sees every margin in the order one process
-    would make them.  A range whose worker failed the caller runs itself,
-    so a trial that raises raises here as itself.
+    per process (``_workers.map_ranges``), which gives the caller every
+    result and margin in trial order, and raises a raising trial's own
+    exception.
     """
     if n_trials <= 0:
         raise ValueError("trial count must be positive")
     rng = np.random.default_rng(seed)
     draws = [_draw(rng) for _ in range(n_trials)]
     part = SpectralPartition(alpha)
-    workers = _worker_count(n_trials)
-    bounds = [n_trials * k // workers for k in range(workers + 1)]
 
-    def trials(k):
-        """(info, margins) of each trial of range k: its verdicts and the
-        margins of its decisions, in the order made."""
-        out = []
-        for trial in range(bounds[k], bounds[k + 1]):
-            n, p, q, A, C, B = draws[trial]
-            sys = LinSystem(A, B, C)
-            ipart = InputPartition.from_columns(sys, (), tuple(range(q)))
-            with margin_monitor() as rec:
-                geometric = check_uio_condition(decompose(A, C, B, part, tol), tol)
-                ci, cii = classical_rank_condition(sys, ipart, alpha, tol)
-            out.append(({"trial": trial, "n": n, "p": p, "q": q,
-                         "geometric": geometric, "cond_i": ci, "cond_ii": cii,
-                         "min_margin": rec.min_margin}, rec.margins))
-        return out
+    def trial(k):
+        """The verdicts of trial k and the least margin of its decisions."""
+        n, p, q, A, C, B = draws[k]
+        sys = LinSystem(A, B, C)
+        ipart = InputPartition.from_columns(sys, (), tuple(range(q)))
+        with margin_monitor() as rec:
+            geometric = check_uio_condition(decompose(A, C, B, part, tol), tol)
+            ci, cii = classical_rank_condition(sys, ipart, alpha, tol)
+        return {"trial": k, "n": n, "p": p, "q": q, "geometric": geometric,
+                "cond_i": ci, "cond_ii": cii, "min_margin": rec.min_margin}
 
-    with ExitStack() as stack:
-        spools = [stack.enter_context(tempfile.TemporaryFile())
-                  for _ in range(1, workers)]
-
-        def child(k):
-            pickle.dump(trials(k), spools[k - 1], pickle.HIGHEST_PROTOCOL)
-            spools[k - 1].flush()
-
-        results, codes = _workers.run(workers, child, lambda: trials(0))
-        for k, (spool, code) in enumerate(zip(spools, codes), 1):
-            if code:
-                results += trials(k)
-                continue
-            spool.seek(0)
-            done = pickle.load(spool)
-            for _, margins in done:
-                for margin in margins:
-                    note_margin(margin)
-            results += done
+    results = _workers.map_ranges(trial, n_trials, _worker_count(n_trials))
     out = BatteryResult(trials=n_trials, agreements=0, seed=seed)
-    for info, _ in results:
+    for info in results:
         if info["min_margin"] < MARGINAL_GAP:
             out.marginal.append(info)
         elif info["geometric"] == (info["cond_i"] and info["cond_ii"]):

@@ -11,8 +11,8 @@ from geouio import verify
 from geouio.subspaces import margin_monitor
 from geouio.verify import random_equivalence_battery
 
+from forks import affinity, count_forks, placeable
 from records import attributes
-from test_report import _affinity, _count_forks, placeable
 
 
 def _force_workers(monkeypatch, workers):
@@ -143,8 +143,8 @@ def test_each_process_of_a_battery_gets_a_cpu_of_its_own(tmp_path, monkeypatch):
 def test_a_battery_forks_for_each_further_cpu(monkeypatch):
     """Unforced, a battery forks one worker per further CPU while each
     process gets _TRIALS_PER_WORKER trials, and none on one CPU."""
-    forks = _count_forks(monkeypatch)
-    cpus = _affinity()
+    forks = count_forks(monkeypatch)
+    cpus = affinity()
     trials = 2 * verify._TRIALS_PER_WORKER
     alone = random_equivalence_battery(trials, 6)
     assert len(forks) == (0 if cpus is None else min(len(cpus), 2) - 1)

@@ -458,6 +458,33 @@ def test_copying_a_node_leaves_the_network_verdict_unchanged():
     assert len(verdicts) >= 45 and 10 <= sum(verdicts) <= len(verdicts) - 10
 
 
+def test_one_node_network_has_the_centralized_dimensions_and_class():
+    """Where both designs synthesize, clear of every margin: the node's W*,
+    S* and W_g* have the centralized dimensions, and it is class 1 exactly
+    when rank(C Bbar) = rank(Bbar), by numpy's rank."""
+    dims = lambda d: (d.W_star.dim, d.S_star.dim, d.W_g_star.dim)
+    compared = set()
+    for trial, (sys_, q) in enumerate(_bridge_draws(200, 4)):
+        part = InputPartition.from_columns(sys_, (), range(q))
+        with margin_monitor() as rec:
+            try:
+                obs = synthesize_centralized_uio(sys_, part)
+                net = synthesize_distributed(
+                    sys_, [NodeSpec(1, sys_.C, (), range(q))],
+                    SensorGraph(np.zeros((1, 1))))
+            except GeoUioError:
+                continue
+        if rec.min_margin < verify.MARGINAL_GAP:
+            continue
+        (nd,) = net.nodes
+        assert dims(nd.decomp) == dims(obs.decomp), f"draw {trial} of seed 4"
+        rank = np.linalg.matrix_rank
+        held = rank(sys_.C @ part.B_unknown) == rank(part.B_unknown)
+        assert (nd.node_class == N1) == held, f"draw {trial} of seed 4"
+        compared.add(dims(obs.decomp))
+    assert len(compared) >= 3  # more than one shape of design
+
+
 # ---------------------------------------------------------------------------
 # node dynamics
 
@@ -649,5 +676,7 @@ def test_synthesis_complements_each_subspace_once(dist_cfg, monkeypatch, which):
         return kernel(M, *args, **kwargs)
 
     monkeypatch.setattr(subspaces, "kernel", watched)
+    # one process, so that every complement is taken where it is watched
+    monkeypatch.setattr(dist, "_worker_count", lambda nodes: 1)
     synthesize_distributed(sys_, specs, graph, u_bar_max=0.2)
     assert complemented and not repeats

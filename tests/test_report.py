@@ -18,6 +18,7 @@ from geouio.report import (_BLOCK_ROWS, _jsonable, write_plot_series,
                            write_trajectory_csv, write_trajectory_tables)
 from geouio.simulate import Trajectory, simulate_distributed
 
+from forks import affinity, count_forks, placeable
 from records import rebuilt
 
 SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
@@ -57,16 +58,6 @@ def _reference_rows(columns, sep):
 def _force_workers(monkeypatch, workers):
     """Make every write use ``workers`` processes, whatever its size."""
     monkeypatch.setattr(report, "_worker_count", lambda values: workers)
-
-
-def _affinity():
-    """The calling thread's CPUs, or None where the system cannot tell."""
-    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-
-
-placeable = pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="needs sched_setaffinity and at least 2 CPUs")
 
 
 def test_writers_match_per_value_formatting(tmp_path, monkeypatch):
@@ -135,24 +126,9 @@ def test_a_write_formats_each_value_once(tmp_path, monkeypatch):
     assert sum(r for r, _ in calls) == rows and {w for _, w in calls} == {3}
 
 
-def _count_forks(monkeypatch) -> list:
-    """The pids of the workers forked from now on, as they are forked."""
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
 def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
     _force_workers(monkeypatch, 3)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     with _quiet():
         write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path)
     assert len(forks) == 2
@@ -165,15 +141,15 @@ def test_one_write_forks_its_workers_once(tmp_path, monkeypatch):
 def test_a_large_write_forks_for_each_further_cpu(tmp_path, monkeypatch):
     """Unforced, a write of 2 * _VALUES_PER_WORKER values takes two
     processes where it may use two CPUs or more, and forks nothing on one."""
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     width = 12  # t, x (3), 2 estimates (3 each), 2 error norms
     traj = _trajectory(2 * report._VALUES_PER_WORKER // width + 1)
-    cpus = _affinity()
+    cpus = affinity()
     with _quiet():
         paths = write_trajectory_tables(traj, tmp_path / "auto")
     assert len(forks) == report._worker_count(len(traj.times) * width) - 1
     assert len(forks) == (0 if cpus is None else min(len(cpus), 2) - 1)
-    assert _affinity() == cpus
+    assert affinity() == cpus
     _force_workers(monkeypatch, 1)
     with _quiet():
         alone = write_trajectory_tables(traj, tmp_path / "alone")
@@ -226,7 +202,7 @@ def test_failing_worker_is_a_write_error(tmp_path, monkeypatch, capsys):
     _force_workers(monkeypatch, 3)
     _failing_in(monkeypatch, "child")
     out = tmp_path / "out"
-    cpus = _affinity()
+    cpus = affinity()
     assert main(["simulate", "--config", _short_distributed_config(tmp_path),
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -236,7 +212,7 @@ def test_failing_worker_is_a_write_error(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(out)) == ["plot_node1_err.dat", "plot_node2_err.dat",
                                        "plot_node3_err.dat", "plot_node4_err.dat",
                                        "trajectory.csv"]
-    assert _affinity() == cpus
+    assert affinity() == cpus
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -244,10 +220,10 @@ def test_failing_worker_is_a_write_error(tmp_path, monkeypatch, capsys):
 def test_failing_caller_still_reaps_its_workers(tmp_path, monkeypatch):
     _force_workers(monkeypatch, 3)
     _failing_in(monkeypatch, "parent")
-    cpus = _affinity()
+    cpus = affinity()
     with pytest.raises(MemoryError), _quiet():
         write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path)
-    assert _affinity() == cpus
+    assert affinity() == cpus
     # the caller opens every file before it formats; no spool is left
     assert sorted(os.listdir(tmp_path)) == ["plot_node1_err.dat",
                                             "plot_node2_err.dat",

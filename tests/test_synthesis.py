@@ -12,7 +12,7 @@ from geouio.subspaces import (Subspace, _exceeds, _qr, canonical_projection,
                               contains, image, intersect, kernel,
                               margin_monitor, orth_complement, subspace_sum,
                               subspaces_equal)
-from geouio import subspaces, synthesis
+from geouio import subspaces, synthesis, verify
 from geouio.synthesis import (SpectralPartition, _place_real_poles,
                               _yt_update_order, common_friend, compute_wg_star,
                               decompose, friend_gain,
@@ -425,6 +425,33 @@ def test_wg_star_demo_equals_wstar():
     d = decompose(A3, C3, BBAR3, ALPHA0)
     assert subspaces_equal(d.W_g_star, DIAG_SPAN)
     assert d.V.shape[1] == 0
+
+
+def test_the_chart_of_x_mod_wstar_is_factored_once(monkeypatch):
+    """With no bad zero directions W_g* is Ker P_W*, the complement of W*^perp
+    that spectral_split's intersection has already taken: one full SVD of
+    the chart per decomposition, where taking W_g* as a preimage took two."""
+    svd = subspaces._svd
+    operands = []
+
+    def counting(M, full=True, uv=True):
+        if full and uv:
+            operands.append(np.array(M))
+        return svd(M, full=full, uv=uv)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("geouio") and getattr(mod, "_svd", None) is svd:
+            monkeypatch.setattr(mod, "_svd", counting)
+    rng = np.random.default_rng(2)
+    counts = []
+    for _ in range(40):
+        _, _, _, A, C, B = verify._draw(rng)
+        operands.clear()
+        d = decompose(A, C, B, ALPHA0)
+        if d.Xbar_b.is_zero and not (d.W_star.is_zero or d.W_star.is_full):
+            chart = canonical_projection(d.W_star)  # kept: no further SVD
+            counts.append(sum(np.array_equal(M, chart) for M in operands))
+    assert len(counts) >= 20 and set(counts) == {1}
 
 
 def test_decomposition_sandwich_random():

@@ -3,9 +3,10 @@
     python3 tools/record_bench.py PARENT_REF [--workload NAME[:PAIRS] ...]
         [--seconds S] [--first-seed N]
 
-Run it in a git checkout.  The parent is checked out into a temporary
-`git worktree`, removed again at the end; the change is this checkout as it
-stands.  For each workload (default: every workload in BENCHMARK.json) the
+Run it in a git checkout.  The parent's files are exported with
+`git archive` into a temporary directory, removed again at the end, so the
+checkout's git metadata is left as it was; the change is this checkout as
+it stands.  For each workload (default: every workload in BENCHMARK.json) the
 script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds S
@@ -147,29 +148,32 @@ def main(argv=None):
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="record-bench-") as tmp:
-        worktree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(worktree), parent)
-        try:
-            trees = {"parent": worktree, "change": ROOT}
-            for tree in trees.values():
-                subprocess.run([sys.executable, "-m", "compileall", "-q",
-                                "src", "perfbench"], cwd=tree, check=True)
-            for name, pairs in plan:
-                runs = {"parent": [], "change": []}
-                for i in range(pairs):
-                    seed = args.first_seed + i
-                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                    for side in order:
-                        r = run_once(trees[side], name, seed, args.seconds)
-                        runs[side].append(r)
-                        print(f"{name} pair {i} seed {seed} {side}: "
-                              f"{json.dumps(r.get('metrics', r))}", flush=True)
-                record["workloads"][name] = {
-                    "pairs": pairs,
-                    "metrics": compare(runs, spec["end_to_end"]),
-                    "runs": runs}
-        finally:
-            git("worktree", "remove", "--force", str(worktree))
+        exported = Path(tmp) / "parent"
+        exported.mkdir()
+        archive = subprocess.Popen(["git", "archive", parent], cwd=ROOT,
+                                   stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", str(exported)],
+                       stdin=archive.stdout, check=True)
+        if archive.wait():
+            raise SystemExit(f"git archive {parent} failed")
+        trees = {"parent": exported, "change": ROOT}
+        for tree in trees.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q",
+                            "src", "perfbench"], cwd=tree, check=True)
+        for name, pairs in plan:
+            runs = {"parent": [], "change": []}
+            for i in range(pairs):
+                seed = args.first_seed + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    r = run_once(trees[side], name, seed, args.seconds)
+                    runs[side].append(r)
+                    print(f"{name} pair {i} seed {seed} {side}: "
+                          f"{json.dumps(r.get('metrics', r))}", flush=True)
+            record["workloads"][name] = {
+                "pairs": pairs,
+                "metrics": compare(runs, spec["end_to_end"]),
+                "runs": runs}
     record["machine"]["blas"] = next(
         (r["blas"] for w in record["workloads"].values()
          for r in w["runs"]["change"] if r.get("blas")), None)
