@@ -207,7 +207,8 @@ def per_node_decomposition(sys: LinSystem, spec: NodeSpec,
     if cols != list(range(sys.m)):
         raise DimensionMismatch(
             f"node {spec.node_id}: known/unknown columns must partition the inputs")
-    B_known, B_unknown = _columns(sys, spec)
+    B_known = sys.B[:, list(spec.known_cols)]
+    B_unknown = sys.B[:, list(spec.unknown_cols)]
     is_n1 = _rank_condition(spec.C, B_unknown, tol)
     decomp = decompose(sys.A, spec.C, B_unknown, spectral, tol)
     L, Abarbar = stabilizing_friend(sys.A, spec.C, decomp.W_g_star, spectral,
@@ -224,21 +225,10 @@ def per_node_decomposition(sys: LinSystem, spec: NodeSpec,
                       A_cl=A_cl, Abarbar=Abarbar, E=E, F=F, Abar_L=Abar_L)
 
 
-def _columns(sys: LinSystem, spec: NodeSpec):
-    """(B_known, B_unknown) of one node."""
-    return sys.B[:, list(spec.known_cols)], sys.B[:, list(spec.unknown_cols)]
-
-
 def _worker_count(nodes: int) -> int:
     """Processes that synthesize a network of ``nodes`` nodes, the caller
     included."""
     return _workers.count(nodes, _NODES_PER_WORKER)
-
-
-def _ship(nd: SensorNode) -> SensorNode:
-    """A node as a worker sends it: without the arrays the caller holds."""
-    nd.C = nd.B_known = nd.B_unknown = None
-    return nd
 
 
 def _synthesize_nodes(sys: LinSystem, node_specs, spectral: SpectralPartition,
@@ -247,21 +237,14 @@ def _synthesize_nodes(sys: LinSystem, node_specs, spectral: SpectralPartition,
     range of nodes per process (``_workers.map_ranges``).
 
     Each node is local to its own ``(A, C_i, B_i)``, so the ranges are
-    independent.  A node built in a worker comes back with every array
-    laid out as the worker had it and with the node's own ``C`` and the
-    caller's selection of its columns of B, so it cannot be told from a
-    node built here.
+    independent.  A node built in a worker comes back whole, every array
+    with the bytes, strides and write flag it had there, as a node built
+    here has them.
     """
     specs = list(node_specs)
-
-    def land(i, nd):
-        nd.C = specs[i].C
-        nd.B_known, nd.B_unknown = _columns(sys, specs[i])
-        return nd
-
     return tuple(_workers.map_ranges(
         lambda i: per_node_decomposition(sys, specs[i], spectral, tol),
-        len(specs), _worker_count(len(specs)), _ship, land))
+        len(specs), _worker_count(len(specs))))
 
 
 def _class_order(nodes):

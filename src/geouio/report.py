@@ -168,15 +168,17 @@ def _worker_count(values: int) -> int:
 
 def _write_tables(source, tables) -> list:
     """Write every table of ``source``, its rows split at block edges into
-    one contiguous range per process (``_workers.run``), with no more
-    processes than blocks; returns the tables' paths.
+    one contiguous range per process (``_workers.map_ranges``), with no
+    more processes than blocks; returns the tables' paths.
 
     The caller formats range 0 straight into the files.  Each other range
-    goes to a worker, which formats it into unlinked spools, one per table;
-    once every worker has exited, the caller appends the spools to the
-    files in range order.  Every row is derived and formatted with its
-    whole absolute block, whichever process does it, so the bytes do not
-    depend on the number of processes.
+    is formatted into unlinked spools of its own, one per table, and once
+    every range is done the caller appends the spools to the files in range
+    order; no text passes through the caller's memory.  The caller formats
+    a failed worker's range again, into emptied spools, so a write fails
+    only with the caller's own error.  Every row is derived and formatted
+    with its whole absolute block, whichever process does it, so the bytes
+    do not depend on the number of processes.
     """
     from . import _dtoa  # compiled on the first write, not at import
     _dtoa.tables(_dtoa.WIDE)  # built before the fork, for every process
@@ -190,27 +192,27 @@ def _write_tables(source, tables) -> list:
         spools = [[stack.enter_context(
             tempfile.TemporaryFile(dir=tables[0].path.parent)) for _ in tables]
             for _ in range(1, workers)]
+        files = []
 
-        def child(k):
+        def format_range(k):
+            if k == 0:
+                files.extend(stack.enter_context(t.path.open("wb"))
+                             for t in tables)
+                for t, fh in zip(tables, files):
+                    fh.write(t.header.encode())
+                outs = files
+            else:
+                outs = spools[k - 1]
+                for spool in outs:  # emptied of a failed worker's text
+                    spool.seek(0)
+                    spool.truncate()
             for j, text in _texts(source, tables, bounds[k], bounds[k + 1]):
-                spools[k - 1][j].write(text)
-            for spool in spools[k - 1]:
-                spool.flush()
+                outs[j].write(text)
+            for fh in outs:
+                fh.flush()
 
-        def parent():
-            files = [stack.enter_context(t.path.open("wb")) for t in tables]
-            for t, fh in zip(tables, files):
-                fh.write(t.header.encode())
-            for j, text in _texts(source, tables, bounds[0], bounds[1]):
-                files[j].write(text)
-            return files
-
-        files, codes = _workers.run(workers, child, parent)
-        for code in filter(None, codes):
-            raise OSError(None, f"formatting worker exited with status {code}",
-                          str(tables[0].path))
+        _workers.map_ranges(format_range, workers, workers)
         for j, fh in enumerate(files):
-            fh.flush()
             for worker in spools:
                 _append(fh, worker[j])
     return [t.path for t in tables]

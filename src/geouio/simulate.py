@@ -94,6 +94,8 @@ class SimConfig:
                  eps_bl: float = 1e-3, observer_init: tuple | None = None,
                  record_stride: int = 1, divergence_guard: float = 1e12):
         x0 = np.asarray(x0, dtype=float).ravel()
+        if not np.isfinite(x0).all():
+            raise DimensionMismatch("x0 has non-finite entries")
         if not (t_end > 0):
             raise DimensionMismatch("t_end must be positive")
         if not (0 < dt < t_end):
@@ -506,10 +508,12 @@ def _observer_init(cfg: SimConfig, labels, z_dims) -> list:
             f"observer_init needs one initial state per observer "
             f"({len(z_dims)}), got {len(cfg.observer_init)}")
     out = []
-    for label, d, v in zip(labels, z_dims, cfg.observer_init):
+    for i, (label, d, v) in enumerate(zip(labels, z_dims, cfg.observer_init)):
         v = np.asarray(v, dtype=float).ravel()
         if v.size != d:
             raise DimensionMismatch(f"{label} initial state must have length {d}")
+        if not np.isfinite(v).all():
+            raise DimensionMismatch(f"observer_init entry {i} has non-finite entries")
         out.append(v)
     return out
 

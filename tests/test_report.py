@@ -1,5 +1,6 @@
 """Artifact writers: byte-exact text against a per-value formatting reference."""
 
+import errno
 import json
 import os
 import subprocess
@@ -68,8 +69,6 @@ def test_writers_match_per_value_formatting(tmp_path, monkeypatch):
         for rows in (2 * _BLOCK_ROWS + 5, 2):
             with _quiet():
                 _check_writers(_trajectory(rows), tmp_path / f"{workers}-{rows}")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _check_writers(traj, out):
@@ -149,7 +148,6 @@ def test_a_large_write_forks_for_each_further_cpu(tmp_path, monkeypatch):
         paths = write_trajectory_tables(traj, tmp_path / "auto")
     assert len(forks) == report._worker_count(len(traj.times) * width) - 1
     assert len(forks) == (0 if cpus is None else min(len(cpus), 2) - 1)
-    assert affinity() == cpus
     _force_workers(monkeypatch, 1)
     with _quiet():
         alone = write_trajectory_tables(traj, tmp_path / "alone")
@@ -175,118 +173,59 @@ def test_worker_count_follows_cpus_and_size(monkeypatch):
     assert report._worker_count(100 * floor) == 1
 
 
-def _failing_in(monkeypatch, where):
-    """Make formatting raise in the worker processes ("child") or in the
-    calling process ("parent") only."""
-    parent = os.getpid()
-    fields = _dtoa.fields
+def _simulate(tmp_path, out):
+    """Exit code and written files of a dense distributed run of three
+    blocks of rows."""
+    cfg = builtin_config("distributed")
+    cfg["sim"].update(t_end=2.5, record_stride=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["simulate", "--config", str(path), "--out", str(out)])
+    return code, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_a_formatting_failure_in_workers_only_writes_the_same_bytes(
+        tmp_path, monkeypatch, capsys):
+    """Each worker fails once it has written the text of two chunks of
+    rows; the caller formats its range again."""
+    _force_workers(monkeypatch, 1)
+    alone = _simulate(tmp_path, tmp_path / "alone")
+    caller, fields, calls = os.getpid(), _dtoa.fields, []
 
     def failing(values):
-        if (os.getpid() == parent) == (where == "parent"):
+        calls.append(os.getpid())
+        if os.getpid() != caller and calls.count(os.getpid()) > 2:
             raise MemoryError("formatting failed")
         return fields(values)
 
     monkeypatch.setattr(_dtoa, "fields", failing)
-
-
-def _short_distributed_config(tmp_path):
-    cfg = builtin_config("distributed")
-    cfg["sim"]["t_end"] = 2.5  # three blocks of rows
-    cfg["sim"]["record_stride"] = 1
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    return str(path)
-
-
-def test_failing_worker_is_a_write_error(tmp_path, monkeypatch, capsys):
     _force_workers(monkeypatch, 3)
-    _failing_in(monkeypatch, "child")
+    assert _simulate(tmp_path, tmp_path / "split") == alone
+    assert alone[0] == 0 and len(alone[1]) == 6
+    assert capsys.readouterr().err == ""
+
+
+def test_failing_caller_still_reaps_its_workers(tmp_path, monkeypatch, capsys):
+    """A write error in every process: the run fails with the caller's own
+    error, and no worker or spool is left."""
+    _force_workers(monkeypatch, 3)
     out = tmp_path / "out"
-    cpus = affinity()
-    assert main(["simulate", "--config", _short_distributed_config(tmp_path),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"error: cannot write {out / 'trajectory.csv'}: ")
-    assert "formatting worker exited with status 1" in err[0]
-    assert sorted(os.listdir(out)) == ["plot_node1_err.dat", "plot_node2_err.dat",
-                                       "plot_node3_err.dat", "plot_node4_err.dat",
-                                       "trajectory.csv"]
-    assert affinity() == cpus
+    csv = out / "trajectory.csv"
+
+    def full(fields, sep):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(csv))
+
+    monkeypatch.setattr(_dtoa, "join", full)
+    code, written = _simulate(tmp_path, out)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {csv}: No space left on device\n")
+    # the caller opens every file before it formats
+    assert sorted(written) == ["plot_node1_err.dat", "plot_node2_err.dat",
+                               "plot_node3_err.dat", "plot_node4_err.dat",
+                               "trajectory.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_failing_caller_still_reaps_its_workers(tmp_path, monkeypatch):
-    _force_workers(monkeypatch, 3)
-    _failing_in(monkeypatch, "parent")
-    cpus = affinity()
-    with pytest.raises(MemoryError), _quiet():
-        write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path)
-    assert affinity() == cpus
-    # the caller opens every file before it formats; no spool is left
-    assert sorted(os.listdir(tmp_path)) == ["plot_node1_err.dat",
-                                            "plot_node2_err.dat",
-                                            "trajectory.csv"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@placeable
-def test_each_process_of_a_write_gets_a_cpu_of_its_own(tmp_path, monkeypatch):
-    """Every process of a split write asks for one CPU of the caller's, no
-    two the same, and the caller gets its own CPUs back."""
-    cpus = os.sched_getaffinity(0)
-    workers = min(3, len(cpus))
-    _force_workers(monkeypatch, workers)
-    log = tmp_path / "placed"
-    setaffinity = os.sched_setaffinity
-
-    def recording(pid, mask):
-        # one O_APPEND write per request, whichever process makes it
-        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        try:
-            os.write(fd, f"{os.getpid()} {sorted(mask)}\n".encode())
-        finally:
-            os.close(fd)
-        setaffinity(pid, mask)
-
-    monkeypatch.setattr(os, "sched_setaffinity", recording)
-    with _quiet():
-        write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path / "out")
-    assert os.sched_getaffinity(0) == cpus
-    requests = {}
-    for line in log.read_text().splitlines():
-        pid, mask = line.split(" ", 1)
-        requests.setdefault(int(pid), []).append(json.loads(mask))
-    caller = requests.pop(os.getpid())
-    assert caller[1:] == [sorted(cpus)] and len(caller[0]) == 1
-    assert len(requests) == workers - 1
-    assert all(len(r) == 1 and len(r[0]) == 1 for r in requests.values())
-    homes = [caller[0][0], *(r[0][0] for r in requests.values())]
-    assert len(set(homes)) == workers and set(homes) <= cpus
-
-
-@placeable
-def test_a_write_that_cannot_place_its_processes_writes_the_same_bytes(
-        tmp_path, monkeypatch):
-    def refusing(pid, mask):
-        raise OSError(22, "Invalid argument")
-
-    traj = _trajectory(3 * _BLOCK_ROWS)
-    cpus = os.sched_getaffinity(0)
-    written = {}
-    for workers, setaffinity in ((1, os.sched_setaffinity), (3, refusing),
-                                 (3, os.sched_setaffinity)):
-        _force_workers(monkeypatch, workers)
-        monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
-        out = tmp_path / f"{workers}-{setaffinity.__name__}"
-        with _quiet():
-            paths = write_trajectory_tables(traj, out)
-        assert os.sched_getaffinity(0) == cpus
-        written[out.name] = [p.read_bytes() for p in paths]
-    first, *others = written.values()
-    assert all(w == first for w in others)
 
 
 @placeable

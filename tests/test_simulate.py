@@ -44,6 +44,9 @@ def test_sim_config_validation():
         SimConfig(t_end=1.0, x0=[1.0], sign_mode="soft")
     with pytest.raises(DimensionMismatch):
         SimConfig(t_end=1.0, x0=[1.0], record_stride=0)
+    # a bad input, not a divergence at t = dt
+    with pytest.raises(DimensionMismatch, match="^x0 has non-finite entries$"):
+        SimConfig(t_end=1.0, x0=[np.nan, 0.0, 0.0])
 
 
 def test_trajectory_shapes_and_uniform_times(central_cfg, central_obs):
@@ -199,7 +202,7 @@ def test_central_kernel_rhs_matches_plant_and_quotient_error(central_cfg,
         assert np.allclose(f(t, s), ref, atol=1e-10), f"trial {trial}"
 
 
-@pytest.mark.parametrize("bad", ["empty", "doubled", "short"])
+@pytest.mark.parametrize("bad", ["empty", "doubled", "short", "infinite"])
 def test_kernels_reject_bad_observer_init(central_cfg, central_obs, dist_cfg,
                                           dist_net, bad):
     obs, _ = central_obs
@@ -209,9 +212,14 @@ def test_kernels_reject_bad_observer_init(central_cfg, central_obs, dist_cfg,
     for build, pcfg, artifact, z_dims in cases:
         states = [np.zeros(d) for d in z_dims]
         init = {"empty": (), "doubled": tuple(states) * 2,
-                "short": tuple(states[:-1]) + (np.zeros(z_dims[-1] - 1),)}[bad]
+                "short": tuple(states[:-1]) + (np.zeros(z_dims[-1] - 1),),
+                "infinite": tuple(states[:-1]) + (np.full(z_dims[-1], np.inf),)
+                }[bad]
         cfg = rebuilt(pcfg.sim, observer_init=init)
-        with pytest.raises(DimensionMismatch):
+        # an infinite state is a bad input, not a divergence at t = dt
+        with pytest.raises(DimensionMismatch, match=(
+                f"observer_init entry {len(z_dims) - 1} has non-finite"
+                if bad == "infinite" else None)):
             build(pcfg.system, artifact, cfg)
 
 
