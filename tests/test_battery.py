@@ -1,14 +1,18 @@
-"""The equivalence battery split over processes: the same result and margins
-whatever the number of processes.  The fork mechanics, failures included,
-are tested in test_workers.py."""
+"""The equivalence battery split over processes: the same result, margins and
+errors whatever the number of processes, and the caller's CPUs kept.  The
+fork mechanics on their own are tested in test_workers.py."""
 
 import os
+
+import numpy as np
+import pytest
 
 from geouio import verify
 from geouio.subspaces import margin_monitor
 from geouio.verify import random_equivalence_battery
 
-from forks import affinity, count_forks
+from forks import (affinity, assert_placed, count_forks, placeable,
+                   record_placements)
 from records import attributes
 
 
@@ -54,6 +58,67 @@ def test_an_enclosing_monitor_sees_the_same_margins(monkeypatch):
             random_equivalence_battery(30, 5)
         margins.append(rec.margins)
     assert len(margins[0]) > 300 and margins[0] == margins[1]
+
+
+class TrialFailed(Exception):
+    pass
+
+
+def _failing_trial(monkeypatch, trials, seed, failing):
+    """Make trial ``failing`` of a battery of ``trials`` trials drawn from
+    ``seed`` raise TrialFailed, in whichever process runs it."""
+    rng = np.random.default_rng(seed)
+    C = [verify._draw(rng)[4] for _ in range(trials)][failing]
+    decompose = verify.decompose
+
+    def raising(A, C_, B, part, tol):
+        if np.array_equal(C_, C):
+            raise TrialFailed(f"trial {failing} failed")
+        return decompose(A, C_, B, part, tol)
+
+    monkeypatch.setattr(verify, "decompose", raising)
+
+
+@pytest.mark.parametrize("failing", [3, 25])
+def test_a_raising_trial_raises_from_the_call(monkeypatch, failing):
+    """With three processes, trials 0-9 run in the caller and 20-29 in the
+    second worker; either way the trial's own exception comes out, as it
+    does from one process, and no worker is left."""
+    _failing_trial(monkeypatch, 30, 9, failing)
+    errors = []
+    for workers in (1, 3):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(TrialFailed) as exc:
+            random_equivalence_battery(30, 9)
+        errors.append(str(exc.value))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert errors == [f"trial {failing} failed"] * 2
+
+
+@placeable
+def test_the_caller_keeps_its_cpus(monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    assert len(cpus) > 1  # no earlier battery or write kept this one pinned
+    _force_workers(monkeypatch, 3)
+    random_equivalence_battery(30, 4)
+    assert os.sched_getaffinity(0) == cpus
+    for failing in (3, 25):  # in the caller's range, in a worker's
+        with pytest.MonkeyPatch.context() as mp:
+            _failing_trial(mp, 30, 4, failing)
+            with pytest.raises(TrialFailed, match=f"trial {failing} failed"):
+                random_equivalence_battery(30, 4)
+        assert os.sched_getaffinity(0) == cpus
+
+
+@placeable
+def test_each_process_of_a_battery_gets_a_cpu_of_its_own(tmp_path, monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    _force_workers(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    calls = record_placements(monkeypatch, tmp_path)
+    random_equivalence_battery(30, 4)
+    assert_placed(calls, forks, 3, cpus, tmp_path)
 
 
 def test_a_battery_forks_for_each_further_cpu(monkeypatch):

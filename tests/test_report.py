@@ -19,7 +19,8 @@ from geouio.report import (_BLOCK_ROWS, _jsonable, write_plot_series,
                            write_trajectory_csv, write_trajectory_tables)
 from geouio.simulate import Trajectory, simulate_distributed
 
-from forks import affinity, count_forks, placeable
+from forks import (affinity, assert_placed, count_forks, placeable,
+                   record_placements)
 from records import rebuilt
 
 SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
@@ -226,6 +227,20 @@ def test_failing_caller_still_reaps_its_workers(tmp_path, monkeypatch, capsys):
                                "trajectory.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@placeable
+def test_each_process_of_a_write_gets_a_cpu_of_its_own(tmp_path, monkeypatch):
+    """Every process of a split write gets one CPU of the caller's, no two
+    the same, and the caller gets its own CPUs back."""
+    cpus = os.sched_getaffinity(0)
+    _force_workers(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    calls = record_placements(monkeypatch, tmp_path)
+    with _quiet():
+        write_trajectory_tables(_trajectory(3 * _BLOCK_ROWS), tmp_path / "out")
+    assert os.sched_getaffinity(0) == cpus
+    assert_placed(calls, forks, 3, cpus, tmp_path)
 
 
 @placeable

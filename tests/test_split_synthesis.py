@@ -1,6 +1,7 @@
 """A network's nodes synthesized over several processes: the same nodes,
-checks, margins and trajectories whatever the number of processes.  The fork
-mechanics, failures included, are tested in test_workers.py."""
+checks, margins and trajectories whatever the number of processes, each
+failure raised as itself, and the caller's CPUs kept.  The fork mechanics on
+their own are tested in test_workers.py."""
 
 import os
 
@@ -15,7 +16,7 @@ from geouio.simulate import SignalSpec, SimConfig, simulate_distributed
 from geouio.subspaces import margin_monitor
 from geouio.verify import invariant_checks
 
-from forks import affinity, count_forks
+from forks import affinity, count_forks, placeable
 from test_distributed import covered_network
 
 NETWORKS = [(seed, N) for N in (16, 32) for seed in (0, 1)]
@@ -83,6 +84,49 @@ def test_process_count_moves_no_simulated_state(monkeypatch):
             traj = simulate_distributed(sys_, net, [SignalSpec("sin")] * 3, cfg)
             finals.append(traj.states[-1].tobytes())
         assert finals[0] == finals[1], f"seed {seed}"
+
+
+class NodeFailed(Exception):
+    pass
+
+
+def _failing_node(monkeypatch, node_id):
+    """Make the synthesis of node ``node_id`` raise NodeFailed, in whichever
+    process builds it."""
+    build = dist.per_node_decomposition
+
+    def raising(sys_, spec, spectral, tol):
+        if spec.node_id == node_id:
+            raise NodeFailed(f"node {node_id} failed")
+        return build(sys_, spec, spectral, tol)
+
+    monkeypatch.setattr(dist, "per_node_decomposition", raising)
+
+
+@pytest.mark.parametrize("node_id", [3, 13])
+def test_a_raising_node_raises_from_the_call(monkeypatch, node_id):
+    """With three processes over 16 nodes, nodes 1-5 are built in the
+    caller and 11-16 in the second worker; either way the node's own
+    exception comes out, no worker is left and the caller keeps its CPUs."""
+    sys_, specs, graph = covered_network(0, n=12, N=16)
+    cpus = affinity()
+    _failing_node(monkeypatch, node_id)
+    for workers in (1, 3):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(NodeFailed, match=f"node {node_id} failed"):
+            synthesize_distributed(sys_, specs, graph, u_bar_max=0.2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert affinity() == cpus
+
+
+@placeable
+def test_the_caller_keeps_its_cpus(monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    assert len(cpus) > 1  # no earlier split run kept this one pinned
+    _force_workers(monkeypatch, 3)
+    synthesize_distributed(*covered_network(1, n=12, N=16), u_bar_max=0.2)
+    assert os.sched_getaffinity(0) == cpus
 
 
 def test_the_distributed_demo_forks_nothing(monkeypatch):

@@ -11,7 +11,8 @@ import pytest
 from geouio import _workers
 from geouio.subspaces import margin_monitor, note_margin
 
-from forks import affinity, count_forks, placeable
+from forks import (affinity, assert_placed, count_forks, placeable,
+                   record_placements)
 
 UNITS = 7  # 3 processes: units 0-1 in the caller, 2-3 and 4-6 in workers
 PROCESSES = pytest.mark.parametrize("workers", (1, 2, 3))
@@ -83,26 +84,6 @@ def test_a_killed_worker_is_recomputed(workers):
     assert _mapped(fn, workers) == EXPECTED
 
 
-def _recording(monkeypatch, tmp_path, refuse=False) -> list:
-    """Record every (pid, CPUs) the caller asks ``sched_setaffinity`` for,
-    and mark a request from any other process with ``tmp_path/by-worker``;
-    refuse each request if ``refuse``."""
-    caller = os.getpid()
-    calls = []
-    setaffinity = os.sched_setaffinity
-
-    def recording(pid, mask):
-        calls.append((pid, set(mask)))
-        if os.getpid() != caller:
-            (tmp_path / "by-worker").touch()
-        if refuse:
-            raise OSError(22, "Invalid argument")
-        setaffinity(pid, mask)
-
-    monkeypatch.setattr(os, "sched_setaffinity", recording)
-    return calls
-
-
 @placeable
 @PROCESSES
 @pytest.mark.parametrize("refuse", [False, True])
@@ -114,15 +95,10 @@ def test_each_process_gets_a_cpu_of_its_own(monkeypatch, tmp_path, workers,
     request changes no result."""
     cpus = os.sched_getaffinity(0)
     forks = count_forks(monkeypatch)
-    calls = _recording(monkeypatch, tmp_path, refuse)
+    calls = record_placements(monkeypatch, tmp_path, refuse)
     assert _mapped(_unit, workers) == EXPECTED
     assert os.sched_getaffinity(0) == cpus
-    assert not (tmp_path / "by-worker").exists()
     if workers == 1:
         assert forks == calls == []
         return
-    processes = min(workers, len(cpus))
-    assert [pid for pid, _ in calls] == [*forks[:processes - 1], 0, 0]
-    *homes, restored = [mask for _, mask in calls]
-    assert all(len(mask) == 1 for mask in homes) and restored == cpus
-    assert len(set().union(*homes)) == processes and set().union(*homes) <= cpus
+    assert_placed(calls, forks, workers, cpus, tmp_path)
