@@ -5,10 +5,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections.abc import Callable
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -101,10 +99,20 @@ def distributed_report(cfg_dict: dict, net: DistributedObserverNetwork, residual
     }
 
 
+def _named(exc: OSError, path) -> OSError:
+    """``exc``, naming ``path`` if it names no file, as from ``os.write``."""
+    if exc.filename is None:
+        exc.filename = str(path)
+    return exc
+
+
 def write_json(path, payload: dict):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=False))
+    try:
+        path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=False))
+    except OSError as exc:
+        raise _named(exc, path)
 
 
 # Values formatted at a time: bounds the formatter's temporaries (about
@@ -136,24 +144,16 @@ class _Table:
         self.sep = sep
 
 
-class _Source(NamedTuple):
-    """The values a write formats: ``rows`` rows of ``width`` values, of
-    which ``block(a, b)`` gives rows ``a:b`` of one absolute block of
-    ``_BLOCK_ROWS`` rows as a 2-D array."""
-
-    rows: int
-    width: int
-    block: Callable
-
-
-def _texts(source, tables, start: int, stop: int):
-    """(table index, text) of rows ``start:stop`` (``start`` on a block
-    edge) of every table, a chunk of rows at a time; each value of the
-    source is formatted once, whichever tables print it."""
+def _texts(width: int, block, tables, start: int, stop: int):
+    """(table index, text) of every table's headers if ``start`` is 0, then
+    of rows ``start:stop`` (``start`` on a block edge), a chunk at a time;
+    each value is formatted once, whichever tables print it."""
     from . import _dtoa
+    if not start:
+        yield from ((j, t.header.encode()) for j, t in enumerate(tables))
+    step = max(1, _CHUNK_VALUES // width)
     for a, b in _row_blocks(start, stop, stop):
-        values = source.block(a, b)
-        step = max(1, _CHUNK_VALUES // source.width)
+        values = block(a, b)
         for r in range(0, len(values), step):
             fields = _dtoa.fields(values[r:r + step])
             for j, t in enumerate(tables):
@@ -166,50 +166,56 @@ def _worker_count(values: int) -> int:
     return _workers.count(values, _VALUES_PER_WORKER)
 
 
-def _write_tables(source, tables) -> list:
-    """Write every table of ``source``, its rows split at block edges into
-    one contiguous range per process (``_workers.map_ranges``), with no
-    more processes than blocks; returns the tables' paths.
+def _write_tables(rows: int, width: int, block, tables) -> list:
+    """Write ``tables``, all in one directory, of ``rows`` rows of ``width``
+    values, which ``block(a, b)`` gives a block of ``_BLOCK_ROWS`` at a time;
+    returns their paths.  The rows are split at block edges into one range
+    per process (``_workers.map_ranges``), no more processes than blocks.
 
     The caller formats range 0 straight into the files.  Each other range
     is formatted into unlinked spools of its own, one per table, and once
     every range is done the caller appends the spools to the files in range
     order; no text passes through the caller's memory.  The caller formats
     a failed worker's range again, into emptied spools, so a write fails
-    only with the caller's own error.  Every row is derived and formatted
-    with its whole absolute block, whichever process does it, so the bytes
-    do not depend on the number of processes.
+    only with the caller's own error, which names the table it was writing.
+    Every row is derived and formatted with its whole absolute block,
+    whichever process does it, so the bytes do not depend on the number of
+    processes.
     """
     from . import _dtoa  # compiled on the first write, not at import
     _dtoa.tables(_dtoa.WIDE)  # built before the fork, for every process
-    for t in tables:
-        t.path.parent.mkdir(parents=True, exist_ok=True)
-    blocks = -(-source.rows // _BLOCK_ROWS)
-    workers = min(_worker_count(source.rows * source.width), blocks)
-    bounds = [min(source.rows, blocks * k // workers * _BLOCK_ROWS)
+    folder = tables[0].path.parent
+    folder.mkdir(parents=True, exist_ok=True)
+    blocks = -(-rows // _BLOCK_ROWS)
+    workers = min(_worker_count(rows * width), blocks)
+    bounds = [min(rows, blocks * k // workers * _BLOCK_ROWS)
               for k in range(workers + 1)]
     with ExitStack() as stack:
-        spools = [[stack.enter_context(
-            tempfile.TemporaryFile(dir=tables[0].path.parent)) for _ in tables]
-            for _ in range(1, workers)]
+        spools = [[stack.enter_context(tempfile.TemporaryFile(dir=folder))
+                   for _ in tables] for _ in range(1, workers)]
         files = []
 
         def format_range(k):
             if k == 0:
                 files.extend(stack.enter_context(t.path.open("wb"))
                              for t in tables)
-                for t, fh in zip(tables, files):
-                    fh.write(t.header.encode())
                 outs = files
             else:
                 outs = spools[k - 1]
                 for spool in outs:  # emptied of a failed worker's text
                     spool.seek(0)
                     spool.truncate()
-            for j, text in _texts(source, tables, bounds[k], bounds[k + 1]):
-                outs[j].write(text)
-            for fh in outs:
-                fh.flush()
+            try:
+                for j, text in _texts(width, block, tables, bounds[k],
+                                      bounds[k + 1]):
+                    outs[j].write(text)
+                for j, fh in enumerate(outs):
+                    fh.flush()
+            except OSError as exc:
+                for fh in outs:  # else the stack's close raises anew
+                    with suppress(OSError):
+                        fh.close()
+                raise _named(exc, tables[j].path)
 
         _workers.map_ranges(format_range, workers, workers)
         for j, fh in enumerate(files):
@@ -222,24 +228,27 @@ def _append(fh, spool):
     """Write all of ``spool`` at the offset of ``fh``'s descriptor,
     bypassing its (empty) buffer."""
     start, stop = 0, os.fstat(spool.fileno()).st_size
-    while start < stop:
-        sent = os.sendfile(fh.fileno(), spool.fileno(), start, stop - start)
-        if not sent:
-            raise OSError(None, "formatting spool ended early", fh.name)
-        start += sent
+    try:
+        while start < stop:
+            sent = os.sendfile(fh.fileno(), spool.fileno(), start, stop - start)
+            if not sent:
+                raise OSError(None, "formatting spool ended early")
+            start += sent
+    except OSError as exc:
+        raise _named(exc, fh.name)
 
 
 def write_trajectory_csv(traj: Trajectory, path):
     """CSV contract: t, x_1..x_n, per-observer xhat blocks, per-observer err."""
-    _write_tables(_trajectory_source(traj), [_trajectory_table(traj, Path(path))])
+    _write_tables(*_trajectory_source(traj), [_trajectory_table(traj, Path(path))])
 
 
 def write_plot_series(traj: Trajectory, out_dir):
     """One two-column (t, err) file per observer, consumable by any plotter."""
-    source = _Source(len(traj.times), 1 + len(traj.labels),
-                     lambda a, b: np.column_stack([traj.times[a:b],
-                                                   *(e[a:b] for e in traj.err_norm)]))
-    return _write_tables(source, _plot_tables(traj, Path(out_dir), 1))
+    return _write_tables(len(traj.times), 1 + len(traj.labels),
+                         lambda a, b: np.column_stack([traj.times[a:b],
+                                                       *(e[a:b] for e in traj.err_norm)]),
+                         _plot_tables(traj, Path(out_dir), 1))
 
 
 def write_trajectory_tables(traj: Trajectory, out_dir):
@@ -247,13 +256,13 @@ def write_trajectory_tables(traj: Trajectory, out_dir):
     forks its workers once and formats each value once; returns the paths
     written."""
     out_dir = Path(out_dir)
-    source = _trajectory_source(traj)
-    return _write_tables(source, [
+    rows, width, block = _trajectory_source(traj)
+    return _write_tables(rows, width, block, [
         _trajectory_table(traj, out_dir / "trajectory.csv"),
-        *_plot_tables(traj, out_dir, source.width - len(traj.labels))])
+        *_plot_tables(traj, out_dir, width - len(traj.labels))])
 
 
-def _trajectory_source(traj: Trajectory) -> _Source:
+def _trajectory_source(traj: Trajectory) -> tuple:
     n, observers = traj.x.shape[1], len(traj.labels)
 
     def block(a, b):
@@ -261,7 +270,7 @@ def _trajectory_source(traj: Trajectory) -> _Source:
                           *traj.estimates(a, b),
                           *(e[a:b, None] for e in traj.err_norm)])
 
-    return _Source(len(traj.times), 1 + n + observers * (n + 1), block)
+    return len(traj.times), 1 + n + observers * (n + 1), block
 
 
 def _trajectory_table(traj: Trajectory, path: Path) -> _Table:

@@ -6,8 +6,9 @@ ranks cut at ``sigma_max * max_dim * rel_rank_tol``.  Degenerate subspaces
 deterministic: identical inputs give bit-identical outputs.
 
 The module also holds every LAPACK call that geouio makes past numpy's and
-scipy's wrappers (``_svd``, ``_pinv``, ``_qr`` and the ordered real Schur
-form), each with its fallback where that entry is missing.
+scipy's wrappers: ``_svd``, ``_pinv`` and ``_qr`` through numpy's own
+gufuncs, and the ordered real Schur form, which falls back to scipy where
+numpy's LAPACK exports no ``dgees``.
 """
 
 from __future__ import annotations
@@ -122,10 +123,8 @@ def _block_diag(*blocks) -> np.ndarray:
     return out
 
 
-# The gufuncs behind numpy.linalg.svd: full and reduced factors, singular
-# values only.  numpy < 2 names them differently; _svd falls back there.
-_SVD_GUFUNCS = ((_umath_linalg.svd_f, _umath_linalg.svd_s, _umath_linalg.svd)
-                if hasattr(_umath_linalg, "svd_f") else None)
+# numpy.linalg.svd's gufuncs: full factors, reduced factors, values only.
+_SVD_GUFUNCS = (_umath_linalg.svd_f, _umath_linalg.svd_s, _umath_linalg.svd)
 
 
 def _svd(M: np.ndarray, full: bool = True, uv: bool = True):
@@ -133,8 +132,6 @@ def _svd(M: np.ndarray, full: bool = True, uv: bool = True):
     float64 or complex128 array, bit for bit: the same LAPACK gufunc with the
     same signature, without numpy's per-call dispatch and ``errstate``.  A
     failed SVD, which the gufunc fills with NaN, raises ``LinAlgError``."""
-    if _SVD_GUFUNCS is None:
-        return np.linalg.svd(M, full_matrices=full, compute_uv=uv)
     cplx = M.dtype.kind == "c"
     if uv:
         out = _SVD_GUFUNCS[0 if full else 1](M, signature="D->DdD" if cplx else "d->ddd")
@@ -159,12 +156,9 @@ def _pinv(M: np.ndarray) -> np.ndarray:
     return vt.T @ (s[:, None] * u.T)
 
 
-# The gufuncs behind numpy.linalg.qr: LAPACK dgeqrf in place, then dorgqr
-# for the complete or the reduced Q.  numpy < 2 names the first differently;
-# _qr falls back there.
-_QR_GUFUNCS = ((_umath_linalg.qr_r_raw, _umath_linalg.qr_complete,
-                _umath_linalg.qr_reduced)
-               if hasattr(_umath_linalg, "qr_r_raw") else None)
+# numpy.linalg.qr's gufuncs: dgeqrf in place, dorgqr for a complete/reduced Q.
+_QR_GUFUNCS = (_umath_linalg.qr_r_raw, _umath_linalg.qr_complete,
+               _umath_linalg.qr_reduced)
 
 
 def _qr(a: np.ndarray, with_r: bool = False):
@@ -174,10 +168,6 @@ def _qr(a: np.ndarray, with_r: bool = False):
     without its per-call dispatch and ``errstate``.  Q and R are
     Fortran-ordered, as scipy's Q is; the products that consume Q round
     differently on a C-ordered one."""
-    if _QR_GUFUNCS is None:
-        q, r = np.linalg.qr(a, mode="complete")
-        q = np.asfortranarray(q)
-        return (q, np.asfortranarray(r)) if with_r else q
     raw, complete, reduced = _QR_GUFUNCS
     M, N = a.shape
     a = np.array(a, order="F")  # a copy: qr_r_raw factors it in place

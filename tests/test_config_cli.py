@@ -699,8 +699,8 @@ def test_import_and_reproduce_leave_scipy_unimported(tmp_path):
 
     lines = run("centralized")
     assert lines[0] == "[]" and lines[-1] == "0 []", lines
-    config = getattr(np.__config__, "CONFIG", {})  # numpy >= 1.25
-    lapack = config.get("Build Dependencies", {}).get("lapack", {}).get("name")
+    lapack = np.__config__.CONFIG.get("Build Dependencies", {}).get(
+        "lapack", {}).get("name")
     if lapack != "scipy-openblas":
         pytest.skip(f"numpy links {lapack}, not scipy-openblas")
     assert run("distributed")[-1] == "0 []"

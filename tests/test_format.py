@@ -103,9 +103,8 @@ def test_few_demo_values_fall_back(run, central_runs, dist_run):
     """The fast path formats nearly every value of a demo trajectory: a band
     so wide that most values take '%' would not show in the bytes."""
     traj = (central_runs if run == "central" else dist_run)["traj"]
-    source = _trajectory_source(traj)
-    settled = np.concatenate([decimal(source.block(a, min(a + 1024, source.rows))
-                                       .ravel())[2]
-                              for a in range(0, source.rows, 1024)])
-    assert settled.size == source.rows * source.width
+    rows, width, block = _trajectory_source(traj)
+    settled = np.concatenate([decimal(block(a, min(a + 1024, rows)).ravel())[2]
+                              for a in range(0, rows, 1024)])
+    assert settled.size == rows * width
     assert 1 - settled.mean() < 0.05

@@ -57,18 +57,6 @@ def test_svd_and_two_norm_equal_numpy(name):
     _assert_like_numpy(INPUTS[name])
 
 
-@pytest.mark.parametrize("name", INPUTS)
-def test_numpy_fallback_gives_the_same_results(monkeypatch, name):
-    M = INPUTS[name]
-    lean = [_svd(M), _svd(M, full=False), _svd(M, uv=False), two_norm(M)]
-    monkeypatch.setattr(subspaces, "_SVD_GUFUNCS", None)  # as on numpy < 2
-    _assert_like_numpy(M)
-    fallback = [_svd(M), _svd(M, full=False), _svd(M, uv=False), two_norm(M)]
-    for a, b in zip(lean[:2], fallback[:2], strict=True):
-        assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
-    assert np.array_equal(lean[2], fallback[2]) and lean[3] == fallback[3]
-
-
 def _pinv_inputs():
     rng = np.random.default_rng(11)
     cases = {name: M for name, M in INPUTS.items() if M.dtype.kind == "f"}

@@ -174,14 +174,18 @@ def test_worker_count_follows_cpus_and_size(monkeypatch):
     assert report._worker_count(100 * floor) == 1
 
 
-def _simulate(tmp_path, out):
-    """Exit code and written files of a dense distributed run of three
-    blocks of rows."""
+def _run(tmp_path, out) -> int:
+    """Exit code of a dense distributed run of three blocks of rows."""
     cfg = builtin_config("distributed")
     cfg["sim"].update(t_end=2.5, record_stride=1)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    code = main(["simulate", "--config", str(path), "--out", str(out)])
+    return main(["simulate", "--config", str(path), "--out", str(out)])
+
+
+def _simulate(tmp_path, out):
+    """Exit code and written files of ``_run``."""
+    code = _run(tmp_path, out)
     return code, {p.name: p.read_bytes() for p in out.iterdir()}
 
 
@@ -227,6 +231,40 @@ def test_failing_caller_still_reaps_its_workers(tmp_path, monkeypatch, capsys):
                                "trajectory.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _no_space(path) -> str:
+    return f"error: cannot write {path}: No space left on device\n"
+
+
+def test_a_failed_append_names_its_file(tmp_path, monkeypatch, capsys):
+    """``os.sendfile`` raises without a filename; the error names the table
+    the caller was appending a worker's range to."""
+    _force_workers(monkeypatch, 2)
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "sendfile", full)
+    out = tmp_path / "out"
+    assert _run(tmp_path, out) == 1
+    assert capsys.readouterr().err == _no_space(out / "trajectory.csv")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", ["trajectory.csv", "plot_node3_err.dat",
+                                  "report.json"])
+def test_a_failed_write_names_its_file(tmp_path, monkeypatch, capsys, name):
+    """Every write to /dev/full fails with ENOSPC, which ``os.write``
+    raises without a filename: the error names the file, not ``--out``."""
+    _force_workers(monkeypatch, 1)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to("/dev/full")
+    assert _run(tmp_path, out) == 1
+    assert capsys.readouterr().err == _no_space(out / name)
 
 
 @placeable

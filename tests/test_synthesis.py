@@ -656,16 +656,6 @@ def test_full_qr_matches_scipy_on_kernel_and_input_shapes(shape):
     _assert_qr_matches_scipy(rng.normal(size=shape))
 
 
-@pytest.mark.parametrize("shape", [(12, 10), (6, 6), (3, 5)])
-def test_full_qr_numpy_fallback_gives_the_same_results(monkeypatch, shape):
-    a = np.random.default_rng(sum(shape)).normal(size=shape)
-    Q, R = _qr(a, with_r=True)
-    monkeypatch.setattr(subspaces, "_QR_GUFUNCS", None)  # as on numpy < 2
-    Q_np, R_np = _qr(a, with_r=True)
-    assert np.array_equal(Q, Q_np) and np.array_equal(R, R_np)
-    assert Q_np.flags.f_contiguous and R_np.flags.f_contiguous
-
-
 def test_thirty_sweep_placement_calls_lapack_directly(monkeypatch):
     import scipy.linalg as sla
 
