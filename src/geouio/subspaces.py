@@ -5,21 +5,19 @@ ranks cut at ``sigma_max * max_dim * rel_rank_tol``.  Degenerate subspaces
 (dimension 0 or full) are ordinary values.  All operations are pure and
 deterministic: identical inputs give bit-identical outputs.
 
-The module also holds every LAPACK call that geouio makes past numpy's and
-scipy's wrappers: ``_svd``, ``_pinv`` and ``_qr`` through numpy's own
-gufuncs, and the ordered real Schur form, which falls back to scipy where
-numpy's LAPACK exports no ``dgees``.
+The module also holds every LAPACK call that geouio makes past numpy's
+wrappers: ``_svd``, ``_pinv``, ``_qr`` and ``_matrix_sign`` call numpy's own
+gufuncs, on every numpy build.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import threading
 from functools import cache
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg, lapack_lite
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DimensionMismatch, InvarianceViolated
 
@@ -113,7 +111,7 @@ def _block_diag(*blocks) -> np.ndarray:
     """The blocks along the diagonal, zeros elsewhere.
 
     A block with no columns still takes its rows, and one with no rows its
-    columns, as in ``scipy.linalg.block_diag``.
+    columns, as scipy's ``block_diag`` does.
     """
     out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
     r = c = 0
@@ -162,7 +160,7 @@ _QR_GUFUNCS = (_umath_linalg.qr_r_raw, _umath_linalg.qr_complete,
 
 
 def _qr(a: np.ndarray, with_r: bool = False):
-    """Q of ``scipy.linalg.qr(a, mode="full")`` of a finite, non-empty 2-D
+    """Q of scipy's ``qr(a, mode="full")`` of a finite, non-empty 2-D
     float64 array, bit for bit, and R too when ``with_r``: the LAPACK gufuncs
     behind ``numpy.linalg.qr(a, mode="complete")``, with its signatures,
     without its per-call dispatch and ``errstate``.  Q and R are
@@ -186,7 +184,7 @@ def two_norm(M: np.ndarray) -> float:
 
 
 def _null_space(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of Ker M by ``scipy.linalg.null_space``'s rule.
+    """Orthonormal basis of Ker M by the rule of scipy's ``null_space``.
 
     A full SVD; singular values up to ``sigma_max * eps * max(M.shape)``
     count as zero.  Independent of the policy's cutoff, so checks can use it
@@ -228,110 +226,37 @@ def monitored_rank(M, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The ordered real Schur form, from numpy's own LAPACK where it exports dgees.
-
-_INT = ctypes.c_int64
-_SELECT = ctypes.CFUNCTYPE(_INT, ctypes.POINTER(ctypes.c_double),
-                           ctypes.POINTER(ctypes.c_double))
+# The matrix sign function.
 
 
-class _OrderedSchur:
-    """``scipy.linalg.schur(a, output="real", sort=select)`` of float arrays,
-    bit for bit.
+def _matrix_sign(Z: np.ndarray) -> np.ndarray:
+    """sign(Z) of a real square float64 array: +1 on the invariant subspace
+    of Z's eigenvalues right of the imaginary axis, -1 on that of those left.
 
-    Calls LAPACK dgees, which reorders the form with dtrsen, from the ILP64
-    OpenBLAS numpy links, through ctypes in the gfortran ABI: INTEGER and
-    LOGICAL are 64-bit, and the lengths of the two CHARACTER arguments trail
-    as ``size_t``.  A C-ordered copy of ``a.T`` is ``a`` in Fortran layout,
-    and T and Z come back as transposes of C-ordered arrays: Fortran-ordered,
-    as scipy returns them.  The workspace size is scipy's query (``LWORK =
-    -1``, unsorted); the workspace, the eigenvalue arrays and ``BWORK``
-    depend only on the order, so each order's are queried and allocated once
-    and kept.  ``select(re, im)`` answers through one C callback made at
-    construction, so an instance is not reentrant.  Skips scipy's finiteness
-    check and its empty-matrix case: the caller passes a finite, non-empty
-    square array.
+    Newton's iteration ``Z <- (cZ + (cZ)^-1) / 2`` (Roberts, Int. J. Control,
+    1980) on numpy's LAPACK gufuncs, as ``_svd`` calls them, with ``c =
+    |det Z|^(-1/n)`` while a step moves Z by more than 1e-2 of its largest
+    entry, then ``c = 1``.  Stops once a step moves Z by at most
+    ``sqrt(n * eps)``, as the next, quadratically smaller step would be
+    rounding, or, below 1e-6, by more than half the step before (the
+    rounding floor).  Raises InvarianceViolated for a singular iterate or
+    after 100 steps.
     """
-
-    def __init__(self, dgees):
-        self._dgees = dgees
-        self._select = None
-        self._callback = _SELECT(lambda wr, wi: self._select(wr[0], wi[0]))
-        self._sdim, self._info = _INT(), _INT()
-        self._buffers = {}
-
-    def _allocate(self, n: int):
-        """The kept arrays of order n, with N, LWORK and their addresses."""
-        N, query = _INT(n), np.empty(1)
-        wr, wi, bwork = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
-        self._dgees(b"V", b"N", self._callback, N, np.empty((n, n)).ctypes.data, N,
-                    self._sdim, wr.ctypes.data, wi.ctypes.data,
-                    np.empty((n, n)).ctypes.data, N, query.ctypes.data, _INT(-1),
-                    bwork.ctypes.data, self._info, 1, 1)
-        kept = (wr, wi, np.empty(int(query[0])), bwork)
-        buffers = self._buffers[n] = (kept, N, _INT(kept[2].size),
-                                      *(x.ctypes.data for x in kept))
-        return buffers
-
-    def __call__(self, a, select):
-        """``(T, Z, sdim)`` with the eigenvalues ``select`` accepts leading."""
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError("expected square matrix")
-        _, N, lwork, wr, wi, work, bwork = self._buffers.get(n) or self._allocate(n)
-        t = np.array(a.T, dtype=float, order="C")  # t.T is a, Fortran-ordered
-        vs = np.empty((n, n))
-        self._select = select
-        self._dgees(b"V", b"S", self._callback, N, t.ctypes.data, N, self._sdim,
-                    wr, wi, vs.ctypes.data, N, work, lwork, bwork, self._info, 1, 1)
-        info = self._info.value
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal gees")
-        if info == n + 1:
-            raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
-        if info == n + 2:
-            raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
-        if info > 0:
-            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-        return t.T, vs.T, self._sdim.value
-
-
-def _numpy_dgees():
-    """numpy's LAPACK dgees as a ctypes function, or None.
-
-    numpy's wheels link the ILP64 scipy-openblas, which exports
-    ``scipy_dgees_64_``; lapack_lite's handle resolves it through its own
-    dependency.  Other builds (Accelerate, MKL, a system LAPACK) lack it.
-    """
-    try:
-        dgees = ctypes.CDLL(lapack_lite.__file__).scipy_dgees_64_
-    except (OSError, AttributeError):
-        return None
-    ptr, ref = ctypes.c_void_p, ctypes.POINTER(_INT)
-    # JOBVS, SORT, SELECT, N, A, LDA, SDIM, WR, WI, VS, LDVS, WORK, LWORK,
-    # BWORK, INFO, then the lengths of JOBVS and SORT.
-    dgees.argtypes = [ctypes.c_char_p, ctypes.c_char_p, _SELECT, ref, ptr, ref,
-                      ref, ptr, ptr, ptr, ref, ptr, ref, ptr, ref,
-                      ctypes.c_size_t, ctypes.c_size_t]
-    dgees.restype = None
-    return dgees
-
-
-def _scipy_schur(a, select):
-    """The ordered real Schur form where numpy's LAPACK exports no dgees."""
-    import scipy.linalg as sla
-    return sla.schur(a, output="real", sort=select)
-
-
-@cache
-def _ordered_schur():
-    """``schur(a, select) -> (T, Z, sdim)``: numpy's dgees, else scipy's.
-
-    Resolved on the first nonempty spectral split and kept for the process,
-    with its workspaces.
-    """
-    dgees = _numpy_dgees()
-    return _scipy_schur if dgees is None else _OrderedSchur(dgees)
+    n = Z.shape[0]
+    floor = n * np.finfo(float).eps
+    move = np.inf
+    for _ in range(100):
+        sign, logdet = _umath_linalg.slogdet(Z, signature="d->dd")
+        if sign == 0.0:
+            raise InvarianceViolated("matrix sign of a singular matrix")
+        c = math.exp(-logdet / n) if move > 1e-2 else 1.0
+        cZ = c * Z
+        # (cZ)^-1 as Z^-1 / c: Z's LU has just shown no zero pivot, cZ's might
+        Z = 0.5 * (cZ + _umath_linalg.inv(Z, signature="d->d") / c)
+        last, move = move, abs(Z - cZ).max() / abs(Z).max()
+        if move * move <= floor or (move < 1e-6 and 2.0 * move > last):
+            return Z
+    raise InvarianceViolated("matrix sign did not converge in 100 Newton steps")
 
 
 # ---------------------------------------------------------------------------

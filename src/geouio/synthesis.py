@@ -22,11 +22,12 @@ import numpy as np
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
-                        _exceeds, _fixed_point, _norm_once, _ordered_schur,
+                        _exceeds, _fixed_point, _matrix_sign, _norm_once,
                         _pinv, _preimage, _qr, _rank_cut, _require_invariant,
                         _svd, as_matrix, canonical_projection, contains,
-                        image, intersect, kernel, orth_complement,
-                        subspace_sum, two_norm, unobservable_subspace)
+                        image, intersect, kernel, note_margin,
+                        orth_complement, subspace_sum, two_norm,
+                        unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
 # ("bad"): a raw comparison would flip on rounding noise when zeros sit
@@ -66,8 +67,13 @@ class SpectralPartition:
         self.pole_targets = pole_targets
         self.safety = safety
 
+    def boundary(self, scale: float = 1.0) -> float:
+        """The real part from which on an eigenvalue of a map of 2-norm
+        ``scale`` counts as bad: ``alpha`` less the tie band."""
+        return self.alpha - EIG_TIE_TOL * max(1.0, scale)
+
     def is_bad(self, re: float, scale: float = 1.0) -> bool:
-        return re >= self.alpha - EIG_TIE_TOL * max(1.0, scale)
+        return re >= self.boundary(scale)
 
     def targets(self, count: int) -> np.ndarray:
         """``count`` real placement targets.
@@ -129,6 +135,17 @@ def infimal_unobservability_subspace(A, ker_C: Subspace, W_star: Subspace,
 # Friends (output-injection gains preserving invariance).
 
 
+def _seen(C: np.ndarray, W: Subspace) -> np.ndarray:
+    """``C @ W.basis``, or zeros where ``||C W||_2 <= max(C.shape) * eps *
+    max(1, ||C||_2)``: rounding noise that a solve would divide by itself,
+    making the gain depend on W's basis."""
+    CW = C @ W.basis
+    if _exceeds(two_norm(CW), max(C.shape) * np.finfo(float).eps,
+                lambda: two_norm(C)):
+        return CW
+    return np.zeros_like(CW)
+
+
 def friend_gain(A, C, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Minimum-Frobenius-norm L with (A + L C) W ⊆ W.
 
@@ -162,8 +179,9 @@ def common_friend(A, C, subspace_list,
         if W.is_zero or W.is_full:
             continue
         P = canonical_projection(W, tol)
-        # P L (C Wb) = -P A Wb, in column-major vec form.
-        rows.append(np.kron((C @ W.basis).T, P))
+        # P L (C Wb) = -P A Wb, in column-major vec form; where C cannot see
+        # W its rows are zero and the residual check asks P A Wb = 0.
+        rows.append(np.kron(_seen(C, W).T, P))
         rhs.append((-P @ A @ W.basis).flatten(order="F"))
     if not rows:
         return np.zeros((n, p))
@@ -186,10 +204,12 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
                    tol: TolerancePolicy = DEFAULT_POLICY):
     """Good/bad invariant subspaces of the induced map on S*/W*.
 
-    Works in the chart ``canonical_projection(W_star)``; eigenvalues the
-    partition counts as bad lead the ordered real Schur form and span the
-    bad subspace.  Returns ``(X_good, X_bad)`` with dimensions summing to
-    dim S* - dim W*.
+    Works in the chart ``canonical_projection(W_star)`` on the map R that
+    ``A + L0 C`` induces on the quotient image of S*.  With ``beta =
+    part.boundary(||R||)``, the bad subspace is the image of ``I + sign(R -
+    beta I)``, the good one that of ``I - sign(R - beta I)``; a one-sided
+    spectrum takes no sign.  Notes ``min |Re eig(R) - beta|`` as a margin.
+    Returns ``(X_good, X_bad)``, dimensions summing to dim S* - dim W*.
     """
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
@@ -214,14 +234,22 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
             f"quotient image of S* is not invariant (residual {off:.2e})")
     R = Sq.T @ Abar @ Sq
     scale = two_norm(R)
-    bad = lambda re, im: part.is_bad(re, scale)
-    schur = _ordered_schur()
-    _, Zb, nb = schur(R, bad)
-    _, Zg, ng = schur(R, lambda re, im: not bad(re, im))
-    if nb + ng != d:
+    beta = part.boundary(scale)
+    re = np.linalg.eigvals(R).real
+    note_margin(np.abs(re - beta).min())
+    nb = int(np.count_nonzero(part.is_bad(re, scale)))
+    if nb in (0, d):
+        one, zero = image(Sq, tol), Subspace.zero(q)
+        return (zero, one) if nb else (one, zero)
+    I = np.eye(d)
+    try:
+        S = _matrix_sign(R - beta * I)
+    except InvarianceViolated as exc:
+        raise InvarianceViolated(
+            f"spectral split lost eigenvalues at the boundary ({exc})") from None
+    Xb, Xg = image(Sq @ (I + S), tol), image(Sq @ (I - S), tol)
+    if Xb.dim != nb or Xg.dim != d - nb:
         raise InvarianceViolated("spectral split lost eigenvalues at the boundary")
-    Xb = image(Sq @ Zb[:, :nb], tol) if nb else Subspace.zero(q)
-    Xg = image(Sq @ Zg[:, :ng], tol) if ng else Subspace.zero(q)
     return Xg, Xb
 
 
@@ -394,7 +422,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     if q == 0:
         return L0, np.zeros((0, 0))
     Abar0 = P @ (A + L0 @ C) @ P.T
-    CW = C @ W_g_star.basis
+    CW = _seen(C, W_g_star)
     # H discards the measurement components that see W_g*; injections through
     # H C preserve the invariance of W_g* and of anything nested inside it.
     H = np.eye(p) - CW @ _pinv(CW)

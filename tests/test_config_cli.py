@@ -677,10 +677,8 @@ def test_report_serializes_complex_quotient_spectrum(tmp_path):
 
 
 def test_import_and_reproduce_leave_scipy_unimported(tmp_path):
-    # The spectral split calls the dgees of the scipy-openblas numpy links;
-    # only numpy builds without it load scipy.linalg (for a nonempty split,
-    # which the centralized demo lacks).  scipy.linalg would add ~0.12 s of
-    # start-up.
+    # scipy is a test dependency only: no run may load it, on any numpy
+    # build.  scipy.linalg would add ~0.12 s of start-up.
     code = ("import sys\n"
             "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "import geouio\n"
@@ -691,16 +689,12 @@ def test_import_and_reproduce_leave_scipy_unimported(tmp_path):
             "    print(code, scipy())\n")
     env = dict(os.environ, PYTHONPATH=str(Path(geouio.__file__).resolve().parents[1]))
 
-    def run(*modes):
-        proc = subprocess.run([sys.executable, "-c", code, *modes], env=env,
+    def run(mode):
+        proc = subprocess.run([sys.executable, "-c", code, mode], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
-    lines = run("centralized")
-    assert lines[0] == "[]" and lines[-1] == "0 []", lines
-    lapack = np.__config__.CONFIG.get("Build Dependencies", {}).get(
-        "lapack", {}).get("name")
-    if lapack != "scipy-openblas":
-        pytest.skip(f"numpy links {lapack}, not scipy-openblas")
-    assert run("distributed")[-1] == "0 []"
+    for which in ("centralized", "distributed"):
+        lines = run(which)
+        assert lines[0] == "[]" and lines[-1] == "0 []", lines

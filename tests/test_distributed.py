@@ -18,7 +18,7 @@ from geouio.distributed import (N1, N2, NodeSpec, SensorGraph,
 from geouio.errors import AssumptionViolated, DimensionMismatch, GeoUioError
 from geouio.subspaces import (Subspace, contains, image, margin_monitor,
                               subspaces_equal)
-from geouio.synthesis import SpectralPartition
+from geouio.synthesis import SpectralPartition, stabilizing_friend
 from geouio.verify import invariant_checks
 
 from records import rebuilt
@@ -594,6 +594,28 @@ def test_all_class1_network_has_zero_gamma_bound():
     assert gamma_min == 0.0
     W_V, _, ordered = build_consensus_blocks(nodes)
     assert W_V.shape[1] == sum(nd.V.shape[1] for nd in ordered)
+
+
+def test_a_blind_node_friend_does_not_depend_on_the_wg_basis():
+    # Node 2 of the all-class-1 network: C W_g* is exactly zero, so the
+    # computed C W_g* is rounding noise that no gain may be fitted to.
+    C = C_ROWS[2]
+    decomp = per_node_decomposition(demo_sys(), NodeSpec(2, C, (0, 1, 2), ()),
+                                    ALPHA0).decomp
+    Wg = decomp.W_g_star
+    assert Wg.dim == 2 and np.abs(C @ Wg.basis).max() < 1e-15
+
+    def spectrum(basis):
+        _, Abar = stabilizing_friend(A6, C, Subspace(6, basis), ALPHA0,
+                                     W_star=decomp.W_star)
+        return np.sort(np.linalg.eigvals(Abar).real)
+
+    placed = spectrum(Wg.basis)
+    assert np.allclose(placed, ALPHA0.targets(4)[::-1])
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        assert np.allclose(spectrum(Wg.basis @ Q), placed, atol=1e-9)
 
 
 def test_random_network_synthesis_invariants_hold():

@@ -296,13 +296,6 @@ def test_invariant_zero_spectrum_is_friend_independent():
     assert checked >= 10
 
 
-def _require_dgees():
-    dgees = subspaces._numpy_dgees()
-    if dgees is None:
-        pytest.skip("numpy's LAPACK exports no ILP64 dgees")
-    return dgees
-
-
 def _straddling_matrix(rng, n):
     """Order-n matrix whose first complex pairs sit on both sides of Re = 0.
 
@@ -324,11 +317,23 @@ def _straddling_matrix(rng, n):
     return V @ D @ np.linalg.inv(V)
 
 
+def _split_of(R):
+    """spectral_split of R itself: with C = 0, W* = 0 and S* = X the chart
+    is the identity and the induced map is R."""
+    n = R.shape[0]
+    return spectral_split(R, np.zeros((1, n)), Subspace.zero(n),
+                          Subspace.full(n), np.zeros((n, 1)), ALPHA0)
+
+
+def _gap(X: Subspace, basis) -> float:
+    """Distance of the orthogonal projectors onto X and onto span(basis)."""
+    return float(np.linalg.norm(X.basis @ X.basis.T - basis @ basis.T, 2))
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_ordered_schur_matches_scipy(n):
     import scipy.linalg as sla
 
-    schur = subspaces._OrderedSchur(_require_dgees())
     rng = np.random.default_rng(100 + n)
     straddling = [_straddling_matrix(rng, n) for _ in range(2)]
     if n >= 4:  # each leads with a complex pair on each side of the boundary
@@ -339,66 +344,49 @@ def test_ordered_schur_matches_scipy(n):
     for R in straddling + [rng.normal(size=(n, n))]:
         scale = float(np.linalg.norm(R, 2))
         bad = lambda re, im: ALPHA0.is_bad(re, scale)
-        for select in (bad, lambda re, im: not bad(re, im)):
-            T, Z, sdim = schur(R, select)
-            T_ref, Z_ref, sdim_ref = sla.schur(R, output="real", sort=select)
-            assert np.array_equal(T, T_ref) and np.array_equal(Z, Z_ref)
-            assert sdim == sdim_ref and T.flags.f_contiguous
+        Xg, Xb = _split_of(R)
+        for X, select in ((Xb, bad), (Xg, lambda re, im: not bad(re, im))):
+            _, Z, sdim = sla.schur(R, output="real", sort=select)
+            assert X.dim == sdim and _gap(X, Z[:, :sdim]) <= 1e-12
 
 
-def test_ordered_schur_queries_workspace_once_per_order():
-    dgees = _require_dgees()
-    queries = []
-
-    def counted(*args):
-        if args[12].value == -1:  # LWORK
-            queries.append(args[3].value)  # N
-        return dgees(*args)
-
-    schur = subspaces._OrderedSchur(counted)
-    rng = np.random.default_rng(3)
-    for n in (4, 2, 4, 1, 2, 4):
-        schur(rng.normal(size=(n, n)), lambda re, im: re < 0)
-    assert queries == [4, 2, 1]
+def test_split_counts_an_eigenvalue_at_alpha_as_bad():
+    Xg, Xb = _split_of(np.array([[0.0, 1.0], [0.0, -1.0]]))
+    assert Xb.dim == Xg.dim == 1
+    assert _gap(Xb, np.array([[1.0], [0.0]])) <= 1e-15
+    assert _gap(Xg, np.array([[1.0], [-1.0]]) / np.sqrt(2)) <= 1e-15
 
 
-@pytest.mark.parametrize("info, error, text", [
-    (-4, ValueError, "illegal value in 4-th argument of internal gees"),
-    (4, np.linalg.LinAlgError, "Eigenvalues could not be separated for reordering."),
-    (5, np.linalg.LinAlgError, "Leading eigenvalues do not satisfy sort condition."),
-    (2, np.linalg.LinAlgError, "Schur form not found. Possibly ill-conditioned."),
-])
-def test_ordered_schur_raises_what_scipy_raises(info, error, text):
-    import ctypes
-
-    def failing(*args):
-        if args[12].value == -1:
-            ctypes.c_double.from_address(args[11]).value = 9.0  # WORK(1)
-        else:
-            args[14].value = info
-
-    schur = subspaces._OrderedSchur(failing)
-    with pytest.raises(error) as exc:
-        schur(np.eye(3), lambda re, im: True)
-    assert str(exc.value) == text
+def test_split_separates_jordan_blocks():
+    J = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 0.0, -1.0]])
+    V = np.random.default_rng(4).normal(size=(4, 4)) + 4 * np.eye(4)
+    Xg, Xb = _split_of(V @ J @ np.linalg.inv(V))
+    for X, cols in ((Xb, V[:, :2]), (Xg, V[:, 2:])):
+        assert _gap(X, np.linalg.qr(cols)[0]) <= 1e-12
 
 
-def test_spectral_split_falls_back_to_scipy(monkeypatch):
-    A = _straddling_matrix(np.random.default_rng(5), 7)
-    C, W, S = np.zeros((1, 7)), Subspace.zero(7), Subspace.full(7)
-    direct = spectral_split(A, C, W, S, np.zeros((7, 1)), ALPHA0)
-    if subspaces._numpy_dgees() is not None:
-        assert isinstance(subspaces._ordered_schur(), subspaces._OrderedSchur)
-    monkeypatch.setattr(subspaces, "_numpy_dgees", lambda: None)
-    subspaces._ordered_schur.cache_clear()
-    try:
-        fallback = spectral_split(A, C, W, S, np.zeros((7, 1)), ALPHA0)
-        assert subspaces._ordered_schur() is subspaces._scipy_schur
-    finally:
-        subspaces._ordered_schur.cache_clear()
-    assert [X.dim for X in direct] == [4, 3]
-    for X, Y in zip(direct, fallback):
-        assert np.array_equal(X.basis, Y.basis)
+def test_split_with_an_eigenvalue_on_the_boundary_raises():
+    scale = subspaces.two_norm(np.diag([0.0, -2.0]))
+    R = np.diag([ALPHA0.boundary(scale), -2.0])  # counted bad, sign undefined
+    assert subspaces.two_norm(R) == scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvarianceViolated, match="at the boundary"):
+            _split_of(R)
+
+
+@pytest.mark.parametrize("z", [-1e-7, 1e-7])
+def test_a_zero_near_alpha_is_a_marginal_decision(z):
+    # one invariant zero, at z: bad at +1e-7, good at -1e-7
+    A = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    with margin_monitor() as rec:
+        decomp = decompose(A, np.array([[-z, 1.0]]), np.array([[0.0], [1.0]]))
+    assert decomp.Xbar_b.dim == (z > 0)
+    assert rec.min_margin < verify.MARGINAL_GAP
+    with margin_monitor() as rec:
+        decompose(A, np.array([[0.5, 1.0]]), np.array([[0.0], [1.0]]))
+    assert rec.min_margin > 0.4
 
 
 # ---------------------------------------------------------------------------
