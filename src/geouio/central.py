@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, ExistenceFailed, InvarianceViolated,
                      NotConditionedInvariant, NotSolvable, SpectrumUnassignable)
-from .subspaces import (DEFAULT_POLICY, TolerancePolicy, _pinv, as_matrix,
-                        intersect, monitored_rank, two_norm)
+from .subspaces import (DEFAULT_POLICY, TolerancePolicy, _eigvals, _pinv,
+                        as_matrix, intersect, monitored_rank, two_norm)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
 
@@ -127,7 +127,7 @@ def classical_rank_condition(sys: LinSystem, part: InputPartition,
     spart = SpectralPartition(alpha)
     scale = max(1.0, two_norm(A1))
     cond_ii = True
-    for lam in np.linalg.eigvals(A1):
+    for lam in _eigvals(A1):
         if spart.is_bad(lam.real, scale):
             pbh = np.vstack([A1 - lam * np.eye(n), C.astype(complex)])
             if monitored_rank(pbh, tol) < n:

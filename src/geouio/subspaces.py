@@ -6,12 +6,13 @@ ranks cut at ``sigma_max * max_dim * rel_rank_tol``.  Degenerate subspaces
 deterministic: identical inputs give bit-identical outputs.
 
 The module also holds every LAPACK call that geouio makes past numpy's
-wrappers: ``_svd``, ``_pinv``, ``_qr`` and ``_matrix_sign`` call numpy's own
-gufuncs, on every numpy build.
+wrappers: ``_svd``, ``_pinv``, ``_qr``, ``_eigvals`` and ``_matrix_sign`` call
+numpy's own gufuncs, on every numpy build.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from functools import cache
@@ -136,9 +137,25 @@ def _svd(M: np.ndarray, full: bool = True, uv: bool = True):
         s = out[1]
     else:
         out = s = _SVD_GUFUNCS[2](M, signature="D->d" if cplx else "d->d")
-    if math.isnan(s.sum()):
+    if math.isnan(sum(s.tolist())):  # cheaper than s.sum() on small arrays
         raise LinAlgError("SVD did not converge")
     return out
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.eigvals(a)`` of a real square float64 array, bit for
+    bit: the same LAPACK gufunc (``d->D``) without numpy's per-call
+    dispatch and ``errstate``.  Real when every imaginary part is 0, complex
+    otherwise.  Raises ``LinAlgError`` for a non-finite ``a`` and for a
+    failed eigensolve, which the gufunc fills with NaN."""
+    if not np.isfinite(a).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    w = _umath_linalg.eigvals(a, signature="d->D")
+    # a sum that is not NaN proves it of every entry; an exact test runs
+    # only past it (inf - inf)
+    if cmath.isnan(sum(w.tolist())) and np.isnan(w).any():
+        raise LinAlgError("Eigenvalues did not converge")
+    return w if w.imag.any() else w.real
 
 
 def _pinv(M: np.ndarray) -> np.ndarray:

@@ -22,12 +22,12 @@ import numpy as np
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
-                        _exceeds, _fixed_point, _matrix_sign, _norm_once,
-                        _pinv, _preimage, _qr, _rank_cut, _require_invariant,
-                        _svd, as_matrix, canonical_projection, contains,
-                        image, intersect, kernel, note_margin,
-                        orth_complement, subspace_sum, two_norm,
-                        unobservable_subspace)
+                        _eigvals, _exceeds, _fixed_point, _matrix_sign,
+                        _norm_once, _pinv, _preimage, _qr, _rank_cut,
+                        _require_invariant, _svd, as_matrix,
+                        canonical_projection, contains, image, intersect,
+                        kernel, note_margin, orth_complement, subspace_sum,
+                        two_norm, unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
 # ("bad"): a raw comparison would flip on rounding noise when zeros sit
@@ -140,8 +140,13 @@ def _seen(C: np.ndarray, W: Subspace) -> np.ndarray:
     max(1, ||C||_2)``: rounding noise that a solve would divide by itself,
     making the gain depend on W's basis."""
     CW = C @ W.basis
-    if _exceeds(two_norm(CW), max(C.shape) * np.finfo(float).eps,
-                lambda: two_norm(C)):
+    lim = max(C.shape) * np.finfo(float).eps
+    # max|CW| <= ||CW||_2 <= ||CW||_F and ||C||_2 <= ||C||_F decide without
+    # an SVD outside a 1e-12 band, which covers the SVDs' rounding.
+    if CW.size and abs(CW).max() > lim * max(1.0, np.linalg.norm(C)) * (1 + 1e-12):
+        return CW
+    if np.linalg.norm(CW) > lim * (1 - 1e-12) and _exceeds(
+            two_norm(CW), lim, lambda: two_norm(C)):
         return CW
     return np.zeros_like(CW)
 
@@ -235,7 +240,7 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
     R = Sq.T @ Abar @ Sq
     scale = two_norm(R)
     beta = part.boundary(scale)
-    re = np.linalg.eigvals(R).real
+    re = _eigvals(R).real
     note_margin(np.abs(re - beta).min())
     nb = int(np.count_nonzero(part.is_bad(re, scale)))
     if nb in (0, d):
@@ -304,37 +309,71 @@ def _yt_update_order(n: int) -> np.ndarray:
     return np.array(order) - 1
 
 
-def _yt_real_update(ker_pole, Q, X, i, j):
-    """Tits-Yang update of the real column pair (i, j) of X (YT section 6.1)."""
-    # u, v span the complement of the other n - 2 columns of X.
-    u = Q[:, -2, np.newaxis]
-    v = Q[:, -1, np.newaxis]
-    m = np.dot(np.dot(ker_pole[i].T, np.dot(u, v.T) - np.dot(v, u.T)),
-               ker_pole[j])
-    um, sm, vm = _svd(m)
-    mu1, mu2 = um.T[:2, :, np.newaxis]
-    nu1, nu2 = vm[:2, :, np.newaxis]
-    x_ij = np.vstack((X[:, i, np.newaxis], X[:, j, np.newaxis]))
-    # scipy's two np.allclose tests, written out (the operands are finite).
-    s0, s1 = float(sm[0]), float(sm[1])
-    if not abs(s0 - s1) <= 1e-8 + 1e-5 * abs(s1):
-        ker_mu_nu = np.vstack((np.dot(ker_pole[i], mu1), np.dot(ker_pole[j], nu1)))
-    else:
-        ker_ij = np.vstack((
-            np.hstack((ker_pole[i], np.zeros(ker_pole[i].shape))),
-            np.hstack((np.zeros(ker_pole[j].shape), ker_pole[j]))))
-        ker_mu_nu = np.dot(ker_ij, np.vstack((np.hstack((mu1, mu2)),
-                                              np.hstack((nu1, nu2)))))
-    x_ij = np.dot(np.dot(ker_mu_nu, ker_mu_nu.T), x_ij)
+def _yt_sweeps(ker_pole: list, X: np.ndarray):
+    """Tits-Yang sweeps over the real column pairs of X (YT section 6.1), in
+    place, while |det X| still changes by ``_YT_RTOL`` or more, at most
+    ``_YT_MAXITER`` sweeps.
+
+    Each pair update makes the floating-point operations of scipy's
+    ``_YT_real``, in its order and through the same BLAS and LAPACK entries
+    (``np.dot``, not ``@``: matmul may round small products differently).
+    Only the Python around them is lighter: each pair's indices and kernel
+    bases are looked up once per placement, the stacked column pairs live
+    in preallocated buffers, and the norm is numpy's own ``sqrt(x . x)``.
+    """
     n = X.shape[0]
-    if np.abs(x_ij).max() > 1e-8:
-        x_ij = np.sqrt(2) * x_ij / np.linalg.norm(x_ij)
-        X[:, i] = x_ij[:n, 0]
-        X[:, j] = x_ij[n:, 0]
-    else:
-        # x_ij is orthogonal to span(ker_mu_nu): restart from that span.
-        X[:, i] = ker_mu_nu[:n, 0]
-        X[:, j] = ker_mu_nu[n:, 0]
+    pairs = [(i, j, np.delete(np.arange(n), (i, j)), ker_pole[i], ker_pole[i].T,
+              ker_pole[j]) for i, j in _yt_update_order(n).tolist()]
+    x_ij = np.empty((2 * n, 1))       # columns i and j of X, stacked
+    ker_mu_nu = np.empty((2 * n, 1))  # the kernel direction they move to
+    proj = np.empty((2 * n, 2 * n))
+    y = np.empty((2 * n, 1))          # x_ij projected on that direction
+    x_i, x_j = x_ij[:n, 0], x_ij[n:, 0]
+    kmn_i, kmn_j = ker_mu_nu[:n], ker_mu_nu[n:]
+    flat = y.ravel()
+    y_i, y_j = flat[:n], flat[n:]
+    sqrt2, big = np.sqrt(2), 4 * n * 1e-16
+    floor = np.sqrt(np.spacing(1))
+    for _ in range(_YT_MAXITER):
+        det_before = np.abs(np.linalg.det(X))
+        for i, j, others, ker_i, ker_i_t, ker_j in pairs:
+            # u, v span the complement of the other n - 2 columns of X.
+            Q = _qr(X.take(others, axis=1))
+            u = Q[:, -2, np.newaxis]
+            v = Q[:, -1, np.newaxis]
+            m = np.dot(np.dot(ker_i_t, np.dot(u, v.T) - np.dot(v, u.T)), ker_j)
+            um, sm, vm = _svd(m)
+            x_i[:] = X[:, i]
+            x_j[:] = X[:, j]
+            # scipy's np.allclose(sm[0], sm[1]), written out (sm is finite)
+            s0, s1 = float(sm[0]), float(sm[1])
+            if not abs(s0 - s1) <= 1e-8 + 1e-5 * abs(s1):
+                kmn = ker_mu_nu
+                np.dot(ker_i, um.T[0, :, np.newaxis], out=kmn_i)
+                np.dot(ker_j, vm[0, :, np.newaxis], out=kmn_j)
+            else:
+                mu1, mu2 = um.T[:2, :, np.newaxis]
+                nu1, nu2 = vm[:2, :, np.newaxis]
+                ker_ij = np.vstack((np.hstack((ker_i, np.zeros(ker_i.shape))),
+                                    np.hstack((np.zeros(ker_j.shape), ker_j))))
+                kmn = np.dot(ker_ij, np.vstack((np.hstack((mu1, mu2)),
+                                                np.hstack((nu1, nu2)))))
+            np.dot(np.dot(kmn, kmn.T, out=proj), x_ij, out=y)
+            sq = flat.dot(flat)  # np.linalg.norm's steps
+            # scipy's np.allclose(x_ij, 0) is max|x_ij| <= 1e-8; as max|x|^2
+            # <= x . x <= 2n max|x|^2, x . x decides outside a factor-2 band.
+            if sq > big or (sq >= 0.5e-16 and np.abs(flat).max() > 1e-8):
+                flat *= sqrt2
+                flat /= math.sqrt(sq)  # correctly rounded, as np.sqrt
+                X[:, i] = y_i
+                X[:, j] = y_j
+            else:
+                # x_ij is orthogonal to span(kmn): restart from that span.
+                X[:, i] = kmn[:n, 0]
+                X[:, j] = kmn[n:, 0]
+        det = max(floor, np.abs(np.linalg.det(X)))
+        if np.abs((det - det_before) / det) < _YT_RTOL and det > floor:
+            break
 
 
 def _place_real_poles(A, B, poles) -> np.ndarray:
@@ -373,16 +412,7 @@ def _place_real_poles(A, B, poles) -> np.ndarray:
         cols.append(x / np.linalg.norm(x))
     X = np.hstack(cols)
     if rank > 1:  # with one input X is already unique up to scaling
-        sweep = [(i, j, np.delete(np.arange(n), (i, j)))
-                 for i, j in _yt_update_order(n)]
-        floor = np.sqrt(np.spacing(1))
-        for _ in range(_YT_MAXITER):
-            det_before = np.abs(np.linalg.det(X))
-            for i, j, others in sweep:
-                _yt_real_update(ker_pole, _qr(X[:, others]), X, i, j)
-            det = max(floor, np.abs(np.linalg.det(X)))
-            if np.abs((det - det_before) / det) < _YT_RTOL and det > floor:
-                break
+        _yt_sweeps(ker_pole, X)
     # scipy solves in complex arithmetic (its path for conjugate pairs);
     # keeping the dtype keeps the rounding.
     X = X.astype(complex)
@@ -452,7 +482,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     L = L0 + P.T @ Theta @ H
     AL = A + L @ C
     Abar = P @ AL @ P.T
-    eigs = np.linalg.eigvals(Abar)
+    eigs = _eigvals(Abar)
     worst = float(eigs.real.max())
     if worst >= part.alpha - 1e-9:
         raise SpectrumUnassignable(

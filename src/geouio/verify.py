@@ -22,8 +22,8 @@ from .config import ProjectConfig
 from .distributed import (CHI_FALLBACK, GRAM_FLOOR, N1,
                           DistributedObserverNetwork, build_consensus_blocks,
                           synthesize_distributed)
-from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, _null_space,
-                        contains, margin_monitor, subspaces_equal)
+from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, _eigvals,
+                        _null_space, contains, margin_monitor, subspaces_equal)
 from .synthesis import SpectralPartition, decompose
 
 MARGINAL_GAP = 1e-6
@@ -199,7 +199,7 @@ INVARIANTS = (
     Invariant("friend_invariance_residual", (OBSERVER, NODE), lambda o: _norm(
         o.decomp.P_Wg @ o.A_cl @ o.decomp.W_g_star.basis), "<=", 1e-9),
     Invariant("max_re_quotient_spectrum", (OBSERVER, NODE), lambda o: float(
-        np.linalg.eigvals(o.Abar).real.max()) if o.Abar.size else -np.inf,
+        _eigvals(o.Abar).real.max()) if o.Abar.size else -np.inf,
               "<", ALPHA),
     Invariant("quotient_kills_unknown_input", (OBSERVER, NODE),
               lambda o: _norm(o.decomp.P_Wg @ o.B_unknown), "<=", 1e-10),

@@ -3,10 +3,12 @@
 ``subspaces._svd`` calls the LAPACK gufunc behind ``numpy.linalg.svd``
 directly, and ``subspaces.two_norm`` and ``subspaces._pinv`` take ||M||_2 and
 the pseudoinverse through it; all must give exactly what numpy's wrappers
-give, so no rank decision of the program moves.
+give, so no rank decision of the program moves.  ``subspaces._eigvals``
+does the same for ``numpy.linalg.eigvals``.
 """
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from numpy.linalg import LinAlgError
 from geouio import subspaces, verify
 from geouio.central import synthesize_centralized_uio
 from geouio.distributed import synthesize_distributed
-from geouio.subspaces import _pinv, _svd, two_norm
+from geouio.subspaces import _eigvals, _pinv, _svd, two_norm
 from geouio.verify import invariant_checks, random_equivalence_battery
 
 from test_distributed import covered_network
@@ -100,6 +102,45 @@ def test_failed_svd_raises(monkeypatch):
             two_norm(M)
         with pytest.raises(LinAlgError):
             subspaces.image(M.real)
+
+
+def test_eigvals_equal_numpy():
+    rng = np.random.default_rng(31)
+    dtypes = set()
+    for n in range(13):
+        M = rng.standard_normal((n, n))
+        for a in (M, M + M.T, np.triu(M), np.asfortranarray(M), M[::-1, ::-1]):
+            got, want = _eigvals(a), np.linalg.eigvals(a)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            dtypes.add(got.dtype)
+    # real spectra (symmetric, triangular, n < 2) and complex ones
+    assert dtypes == {np.dtype(float), np.dtype(complex)}
+    # every entry finite although the sum overflows: numpy's result
+    big = np.diag([1e308, 1e308, -1.0])
+    assert np.array_equal(_eigvals(big), np.linalg.eigvals(big))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigvals_reject_non_finite_input(bad):
+    # in the corner of a triangular matrix LAPACK never reads the entry
+    a = np.triu(np.ones((3, 3)))
+    a[0, 2] = bad
+    for eigvals in (np.linalg.eigvals, _eigvals):
+        with pytest.raises(LinAlgError, match="infs or NaNs"):
+            eigvals(a)
+
+
+def test_failed_eigensolve_raises(monkeypatch):
+    def failing(a, signature):
+        # what the gufunc returns when dgeev does not converge: NaN
+        w = np.linalg._umath_linalg.eigvals(a, signature=signature)
+        w[-1] = np.nan
+        return w
+
+    monkeypatch.setattr(subspaces, "_umath_linalg", SimpleNamespace(eigvals=failing))
+    for a in (np.eye(3), np.random.default_rng(2).standard_normal((4, 4))):
+        with pytest.raises(LinAlgError, match="did not converge"):
+            _eigvals(a)
 
 
 # ---------------------------------------------------------------------------

@@ -713,3 +713,130 @@ def test_non_converged_placement_is_silent(monkeypatch):
     assert np.linalg.eigvals(Abar).real.max() < -0.5
     (A11t, B1, poles), = placements
     assert _scipy_gain(A11t, B1, poles).nb_iter == 30
+
+
+def _count_scipy_branches(monkeypatch):
+    """Count the branches that scipy's real-pair Tits-Yang update takes: its
+    np.allclose(sm[0], sm[1]) (singular-value tie) and np.allclose(x_ij, 0)
+    (restart from the kernel direction) that hold.  With real targets and
+    n >= 3 no other np.allclose runs in ``place_poles``."""
+    taken = {"tie": 0, "restart": 0}
+    allclose = np.allclose
+
+    def counting(a, b, *args, **kwargs):
+        held = allclose(a, b, *args, **kwargs)
+        if held:
+            taken["tie" if np.ndim(a) == 0 else "restart"] += 1
+        return held
+
+    monkeypatch.setattr(np, "allclose", counting)
+    return taken
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (5, 2), (6, 2), (7, 2), (6, 3)])
+def test_placement_tie_and_restart_branches_match_scipy(monkeypatch, n, m):
+    # each target repeated m times makes kernel bases equal, so the pair's
+    # 2x2 matrix is skew with equal singular values, and often kills x_ij
+    taken = _count_scipy_branches(monkeypatch)
+    poles = -(1.0 + np.arange(n) // m)
+    for seed in range(3):
+        rng = np.random.default_rng([n, m, seed])
+        A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+        assert np.array_equal(_place_real_poles(A, B, poles),
+                              _scipy_gain(A, B, poles).gain_matrix)
+    assert taken["tie"] > 0 and taken["restart"] > 0
+
+
+def test_design_sweep_placement_matches_scipy(monkeypatch):
+    # the quotient placement of perfbench's centralized n = 12 plants:
+    # 11 modes, a rank-2 input, all 30 sweeps
+    from pathlib import Path
+
+    from geouio.central import synthesize_centralized_uio
+    from geouio.config import parse_config
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import central_plant
+
+    placements = []
+
+    def recording(A, B, poles):
+        placements.append((A, B, poles, _place_real_poles(A, B, poles)))
+        return placements[-1][-1]
+
+    monkeypatch.setattr(synthesis, "_place_real_poles", recording)
+    cfg = parse_config(central_plant(np.random.default_rng([1, 0]), 12))
+    synthesize_centralized_uio(cfg.system, cfg.partition, cfg.spectral)
+    (A11t, B1, poles, K), = placements
+    assert A11t.shape == (11, 11) and B1.shape == (11, 2)
+    ref = _scipy_gain(A11t, B1, poles)
+    assert ref.nb_iter == 30
+    assert np.array_equal(K, ref.gain_matrix)
+
+
+# ---------------------------------------------------------------------------
+# What C sees of a subspace: synthesis._seen against its SVD rule
+
+
+def _seen_by_svd(C, W):
+    """``synthesis._seen`` by its definition: keep C W iff ||C W||_2 >
+    max(C.shape) * eps * max(1, ||C||_2), both norms by SVD."""
+    CW = C @ W.basis
+    lim = max(C.shape) * np.finfo(float).eps
+    keep = _exceeds(np.linalg.norm(CW, 2) if CW.size else 0.0, lim,
+                    lambda: np.linalg.norm(C, 2))
+    return CW if keep else np.zeros_like(CW)
+
+
+def _assert_seen_by_svd(C, W):
+    want = _seen_by_svd(C, W)
+    got = synthesis._seen(C, W)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    return bool(want.any())
+
+
+def test_seen_decides_as_its_svd_rule_on_random_draws():
+    rng = np.random.default_rng(64)
+    kept = []
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        p, k = int(rng.integers(1, n + 1)), int(rng.integers(1, n))
+        W = image(rng.normal(size=(n, k)))
+        Wp = orth_complement(W).basis
+        lim = max(p, n) * np.finfo(float).eps
+        # C's part on W scaled from far below to far above the noise limit,
+        # its part on W^perp from 0 to large
+        on_w = 10.0 ** rng.uniform(-3, 3) * lim * rng.normal(size=(p, W.dim))
+        off_w = 10.0 ** rng.uniform(-2, 3) * rng.normal(size=(p, Wp.shape[1]))
+        C = on_w @ W.basis.T + off_w @ Wp.T
+        kept.append(_assert_seen_by_svd(C, W))
+    assert 50 < sum(kept) < 350
+
+
+def test_seen_decides_as_its_svd_rule_at_the_bounds():
+    eps = np.finfo(float).eps
+    n = 4
+    e1, e12 = Subspace(n, np.eye(n)[:, :1]), Subspace(n, np.eye(n)[:, :2])
+    u = np.array([0.6, 0.8, 0.0])
+    for big in (0.0, 0.5, 7.0):
+        # the rest of C sets ||C||: below 1 (no effect) or above
+        rest = np.zeros((3, n - 2))
+        rest[2, 0] = big
+        lim = 4 * eps
+        scale = lim * max(1.0, np.linalg.norm(np.hstack([np.zeros((3, 2)), rest]), 2))
+        for t in (lim, scale, scale * (1 + 1e-12), scale * (1 - 1e-12)):
+            for d in range(-3, 4):
+                s = t
+                for _ in range(abs(d)):  # d ulps from the bound
+                    s = np.nextafter(s, np.inf if d > 0 else -np.inf)
+                # rank 1 with one column: ||CW||_2 = ||CW||_F
+                C1 = np.hstack([s * u[:, None], np.zeros((3, 1)), rest])
+                _assert_seen_by_svd(C1, e1)
+                # rank 1 with two columns: ||CW||_2 = ||CW||_F again
+                C2 = np.hstack([s * np.outer(u, [0.6, 0.8]), rest])
+                _assert_seen_by_svd(C2, e12)
+        # an exact zero: C cannot see W at all
+        C0 = np.hstack([np.zeros((3, 2)), rest])
+        assert not _assert_seen_by_svd(C0, e12)
+    # no measurement at all
+    assert synthesis._seen(np.zeros((0, n)), e12).shape == (0, 2)
