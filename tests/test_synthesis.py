@@ -2,10 +2,13 @@
 
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from geouio.central import synthesize_centralized_uio
+from geouio.config import parse_config
 from geouio.errors import (DimensionMismatch, InvarianceViolated,
                            NotConditionedInvariant, SpectrumUnassignable)
 from geouio.subspaces import (Subspace, _exceeds, _qr, canonical_projection,
@@ -750,11 +753,6 @@ def test_placement_tie_and_restart_branches_match_scipy(monkeypatch, n, m):
 def test_design_sweep_placement_matches_scipy(monkeypatch):
     # the quotient placement of perfbench's centralized n = 12 plants:
     # 11 modes, a rank-2 input, all 30 sweeps
-    from pathlib import Path
-
-    from geouio.central import synthesize_centralized_uio
-    from geouio.config import parse_config
-
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from workloads import central_plant
 
