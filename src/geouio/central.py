@@ -150,7 +150,11 @@ def solve_output_reconstruction(P_Wg, C, tol: TolerancePolicy = DEFAULT_POLICY):
     if monitored_rank(M, tol) < n:
         raise NotSolvable(
             "rows of the quotient chart and C do not span the state space")
-    Xt, *_ = np.linalg.lstsq(M.T, np.eye(n), rcond=None)
+    try:
+        Xt, *_ = np.linalg.lstsq(M.T, np.eye(n), rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NotSolvable(
+            f"least-squares reconstruction solve failed ({exc})") from exc
     X = Xt.T
     resid = float(np.linalg.norm(X @ M - np.eye(n)))
     if resid > tol.abs_residual_tol:

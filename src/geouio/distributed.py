@@ -247,26 +247,13 @@ def _synthesize_nodes(sys: LinSystem, node_specs, spectral: SpectralPartition,
         len(specs), _worker_count(len(specs))))
 
 
-def _class_order(nodes):
-    """Class-1 nodes first (ascending id), then class-2: the block convention."""
-    n1 = sorted([nd for nd in nodes if nd.node_class == N1], key=lambda d: d.node_id)
-    n2 = sorted([nd for nd in nodes if nd.node_class == N2], key=lambda d: d.node_id)
-    return n1 + n2
-
-
 def build_consensus_blocks(nodes):
-    """Block-diagonal W_V and A_L in class order; returns (W_V, A_L, ordered nodes)."""
-    ordered = _class_order(nodes)
+    """Block-diagonal W_V and A_L in class order (class-1 nodes first, then
+    class-2, each by ascending id); returns (W_V, A_L, ordered nodes)."""
+    ordered = sorted(nodes, key=lambda nd: (nd.node_class != N1, nd.node_id))
     W_V = _block_diag(*(nd.consensus_block() for nd in ordered))
     A_L = _block_diag(*(nd.coupling_restriction() for nd in ordered))
     return W_V, A_L, ordered
-
-
-def _permuted_laplacian(graph: SensorGraph, nodes, ordered):
-    ids = [nd.node_id for nd in nodes]
-    perm = [ids.index(nd.node_id) for nd in ordered]
-    L = graph.laplacian
-    return L[np.ix_(perm, perm)]
 
 
 def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -282,37 +269,25 @@ def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) ->
     return inter
 
 
-class _Consensus:
-    """The consensus blocks of one set of nodes, and sigma_min of their Gram."""
-
-    __slots__ = ("W_V", "A_L", "ordered", "sigma_min")
-
-    def __init__(self, W_V: np.ndarray, A_L: np.ndarray, ordered: list,
-                 sigma_min: float):
-        self.W_V = W_V
-        self.A_L = A_L
-        self.ordered = ordered
-        self.sigma_min = sigma_min
-
-
-def _consensus(nodes, graph: SensorGraph) -> _Consensus:
-    """Blocks and sigma_min of Q = W_V^T (L (x) I) W_V (inf if W_V is empty)."""
+def _consensus(nodes, graph: SensorGraph):
+    """(W_V, A_L, ordered nodes, sigma_min) of Q = W_V^T (L (x) I) W_V, with
+    L permuted into the block order (sigma_min is inf if W_V is empty)."""
     W_V, A_L, ordered = build_consensus_blocks(nodes)
     if W_V.shape[1] == 0:
-        return _Consensus(W_V, A_L, ordered, np.inf)
-    Lp = _permuted_laplacian(graph, nodes, ordered)
+        return W_V, A_L, ordered, np.inf
+    perm = [nodes.index(nd) for nd in ordered]
+    Lp = graph.laplacian[np.ix_(perm, perm)]
     Q = W_V.T @ np.kron(Lp, np.eye(ordered[0].decomp.n)) @ W_V
-    return _Consensus(W_V, A_L, ordered,
-                      float(_svd(Q, uv=False).min()))
+    return W_V, A_L, ordered, float(_svd(Q, uv=False).min())
 
 
-def _undetectable(cons: _Consensus, inter: Subspace):
+def _undetectable(sigma_min: float, inter: Subspace):
     """(failed route, cause) if joint detectability fails, else None.
 
     The Gram-matrix route is cross-checked by the recoverability
     intersection; the two disagree only in numerically marginal situations.
     """
-    gram_ok = cons.sigma_min > GRAM_FLOOR
+    gram_ok = sigma_min > GRAM_FLOOR
     if gram_ok != inter.is_zero:
         return (("intersection", "the recoverability intersection is nonzero "
                  "but the consensus Gram matrix is not singular") if gram_ok else
@@ -321,16 +296,15 @@ def _undetectable(cons: _Consensus, inter: Subspace):
     return None if gram_ok else ("both", "jointly unrecoverable directions remain")
 
 
-def _gain_bounds(cons: _Consensus, u_bar_max: float):
+def _gain_bounds(A_L: np.ndarray, sigma_min: float, nodes, u_bar_max: float):
     """(chi_min, gamma_min, sigma_min) from the consensus data."""
     if u_bar_max < 0:
         raise ValueError("u_bar_max must be nonnegative")
-    sigma_min, A_L = cons.sigma_min, cons.A_L
     if sigma_min <= GRAM_FLOOR:
         raise SingularQ(
             f"consensus Gram matrix is singular (sigma_min = {sigma_min:.2e})")
     chi_min = two_norm(A_L) / sigma_min
-    n2 = [nd for nd in cons.ordered if nd.node_class == N2]
+    n2 = [nd for nd in nodes if nd.node_class == N2]
     if n2 and u_bar_max > 0:
         gamma_min = (u_bar_max
                      * max(np.linalg.norm(nd.B_unknown, 1) for nd in n2)
@@ -343,14 +317,15 @@ def _gain_bounds(cons: _Consensus, u_bar_max: float):
 def joint_detectability_check(nodes, graph: SensorGraph,
                               tol: TolerancePolicy = DEFAULT_POLICY):
     """(ok, sigma_min_Q): Gram-matrix route, cross-checked by direct intersection."""
-    cons = _consensus(nodes, graph)
+    sigma_min = _consensus(nodes, graph)[3]
     inter = recoverability_intersection(nodes, tol)
-    return graph.is_connected and _undetectable(cons, inter) is None, cons.sigma_min
+    return graph.is_connected and _undetectable(sigma_min, inter) is None, sigma_min
 
 
 def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float):
-    """Lower bounds (chi_min, gamma_min) for the consensus gains."""
-    return _gain_bounds(_consensus(nodes, graph), u_bar_max)
+    """(chi_min, gamma_min, sigma_min_Q): lower bounds for the consensus gains."""
+    _, A_L, _, sigma_min = _consensus(nodes, graph)
+    return _gain_bounds(A_L, sigma_min, nodes, u_bar_max)
 
 
 def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
@@ -369,23 +344,23 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
         raise AssumptionViolated(2, "unknown-input bound must be nonnegative",
                                  diagnostics={"u_bar_max": u_bar_max})
     nodes = _synthesize_nodes(sys, node_specs, spectral, tol)
-    cons = _consensus(nodes, graph)
+    W_V, A_L, _, sigma_min = _consensus(nodes, graph)
     inter = recoverability_intersection(nodes, tol)
-    failure = _undetectable(cons, inter)
+    failure = _undetectable(sigma_min, inter)
     if failure:
         route, cause = failure
         raise AssumptionViolated(
-            3, f"{cause} (sigma_min_Q = {cons.sigma_min:.2e}, "
+            3, f"{cause} (sigma_min_Q = {sigma_min:.2e}, "
                f"intersection dimension {inter.dim})",
             diagnostics={"failed_route": route,
                          "intersection_basis": inter.basis,
                          "intersection_dim": inter.dim,
-                         "sigma_min_Q": cons.sigma_min})
-    chi_min, gamma_min, sigma_min = _gain_bounds(cons, u_bar_max)
+                         "sigma_min_Q": sigma_min})
+    chi_min, gamma_min, _ = _gain_bounds(A_L, sigma_min, nodes, u_bar_max)
     safety = spectral.safety
     chi = safety * chi_min if chi_min > 0 else CHI_FALLBACK
     gamma = safety * gamma_min
     return DistributedObserverNetwork(
         nodes=nodes, graph=graph, chi=chi, gamma=gamma, u_bar_max=u_bar_max,
-        safety=safety, W_V_block=cons.W_V, A_L_block=cons.A_L,
+        safety=safety, W_V_block=W_V, A_L_block=A_L,
         chi_min=chi_min, gamma_min=gamma_min, sigma_min_Q=sigma_min)

@@ -192,7 +192,11 @@ def common_friend(A, C, subspace_list,
         return np.zeros((n, p))
     G = np.vstack(rows)
     h = np.concatenate(rhs)
-    vecL, *_ = np.linalg.lstsq(G, h, rcond=None)
+    try:
+        vecL, *_ = np.linalg.lstsq(G, h, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NotConditionedInvariant(
+            f"least-squares solve for a common friend failed ({exc})") from exc
     resid = float(np.linalg.norm(G @ vecL - h))
     if _exceeds(resid, tol.abs_residual_tol, _norm_once(A)):
         raise NotConditionedInvariant(
@@ -502,10 +506,12 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
 class GeometricDecomposition:
     """All subspaces and charts derived from one unknown-input channel.
 
-    The chart of X/W* is aligned so its rows stack as [P_Wg; V^T], which
-    makes the block relations between the two quotients exact.  ``V`` is an
-    ambient orthonormal basis of W_g* ∩ (W*)^perp (isomorphic to the bad
-    zero directions Xbar_b).
+    ``Xbar_g`` and ``Xbar_b`` are ``spectral_split``'s good and bad
+    invariant-zero subspaces, in the chart ``canonical_projection(W_star)``
+    that ``compute_wg_star`` reads.  ``P_Wstar`` is another chart of X/W*,
+    its rows stacked as [P_Wg; V^T] so that the block relations between the
+    two quotients are exact.  ``V`` is an ambient orthonormal basis of
+    W_g* ∩ (W*)^perp (isomorphic to the bad zero directions Xbar_b).
     """
 
     __slots__ = ("W_star", "S_star", "Xbar_g", "Xbar_b", "W_g_star", "V",
@@ -540,18 +546,12 @@ def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
     W = infimal_conditioned_invariant(A, ker_C, Bbar, tol)
     S = infimal_unobservability_subspace(A, ker_C, W, tol)
     L0 = common_friend(A, C, [W, S], tol)
-    Xg_raw, Xb_raw = spectral_split(A, C, W, S, L0, part, tol)
-    Wg = compute_wg_star(W, Xb_raw, tol)
-    P_raw = canonical_projection(W, tol)
+    Xg, Xb = spectral_split(A, C, W, S, L0, part, tol)
+    Wg = compute_wg_star(W, Xb, tol)
     V = intersect(Wg, orth_complement(W, tol), tol).basis
     if V.shape[1] != Wg.dim - W.dim:
         raise InvarianceViolated("V dimension mismatch in decomposition")
     P_Wg = canonical_projection(Wg, tol)
-    # Re-chart X/W* so its rows stack the X/W_g* chart above V^T.
-    P_W = np.vstack([P_Wg, V.T])
-    R = P_W @ P_raw.T  # orthogonal change of chart
-    qdim = P_raw.shape[0]
-    relabel = lambda X: Subspace(qdim, R @ X.basis if X.dim else X.basis)
     return GeometricDecomposition(
-        W_star=W, S_star=S, Xbar_g=relabel(Xg_raw), Xbar_b=relabel(Xb_raw),
-        W_g_star=Wg, V=V, P_Wstar=P_W, P_Wg=P_Wg, ker_C=ker_C)
+        W_star=W, S_star=S, Xbar_g=Xg, Xbar_b=Xb, W_g_star=Wg, V=V,
+        P_Wstar=np.vstack([P_Wg, V.T]), P_Wg=P_Wg, ker_C=ker_C)

@@ -170,6 +170,20 @@ def test_reconstruction_unsolvable_when_rows_deficient():
         solve_output_reconstruction(P[:1], np.zeros((1, 3)))
 
 
+def test_a_failed_reconstruction_solve_is_not_solvable(monkeypatch):
+    P = canonical_projection(Subspace.zero(3))
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    with pytest.raises(NotSolvable) as exc:
+        solve_output_reconstruction(P, C3)
+    assert "reconstruction solve" in str(exc.value)
+    assert "SVD did not converge in Linear Least Squares" in str(exc.value)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
 # ---------------------------------------------------------------------------
 # full synthesis
 

@@ -234,6 +234,20 @@ def test_exit_code_synthesis_failure(tmp_path):
     assert main(["synth", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("which", ["centralized", "distributed"])
+def test_a_failed_least_squares_solve_exits_as_a_synthesis_failure(
+        tmp_path, monkeypatch, capsys, which):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    cfgp = write_cfg(tmp_path, builtin_config(which))
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    assert main(["synth", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("synthesis failed:")
+    assert "SVD did not converge" in err
+
+
 @pytest.mark.parametrize("spectral", [
     {"pole_targets": [math.nan, -2.0]},
     {"pole_targets": [math.inf, -1.0]},

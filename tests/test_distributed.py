@@ -21,7 +21,6 @@ from geouio.subspaces import (Subspace, contains, image, margin_monitor,
 from geouio.synthesis import SpectralPartition, stabilizing_friend
 from geouio.verify import invariant_checks
 
-from records import rebuilt
 from step_oracles import node_estimate_n1, node_rhs_n1, node_rhs_n2
 
 ALPHA0 = SpectralPartition(0.0)
@@ -364,8 +363,8 @@ def test_synthesize_rejects_jointly_unrecoverable_network():
 
 def test_assumption_3_names_a_gram_only_failure(dist_cfg, monkeypatch):
     consensus = dist._consensus
-    monkeypatch.setattr(dist, "_consensus", lambda nodes, graph: rebuilt(
-        consensus(nodes, graph), sigma_min=1e-12))
+    monkeypatch.setattr(dist, "_consensus", lambda nodes, graph: (
+        *consensus(nodes, graph)[:3], 1e-12))
     with pytest.raises(AssumptionViolated) as exc:
         synthesize_distributed(dist_cfg.system, dist_cfg.node_specs,
                                dist_cfg.graph, dist_cfg.spectral,
@@ -702,3 +701,26 @@ def test_synthesis_complements_each_subspace_once(dist_cfg, monkeypatch, which):
     monkeypatch.setattr(dist, "_worker_count", lambda nodes: 1)
     synthesize_distributed(sys_, specs, graph, u_bar_max=0.2)
     assert complemented and not repeats
+
+
+@pytest.mark.parametrize("which", ["demo", 0, 1, 2, 3])
+def test_node_order_does_not_change_a_network(dist_cfg, which):
+    if which == "demo":
+        sys_, specs, graph = dist_cfg.system, dist_cfg.node_specs, dist_cfg.graph
+        spectral, u_bar_max = dist_cfg.spectral, dist_cfg.u_bar_max
+        order = [2, 0, 3, 1]
+    else:
+        sys_, specs, graph = covered_network(which, N=8)
+        spectral, u_bar_max = SpectralPartition(), 0.2
+        order = np.random.default_rng(which).permutation(8).tolist()
+    base = synthesize_distributed(sys_, specs, graph, spectral, u_bar_max)
+    # the same network, its nodes listed in another order
+    net = synthesize_distributed(
+        sys_, [specs[i] for i in order],
+        SensorGraph(graph.adjacency[np.ix_(order, order)]), spectral, u_bar_max)
+    assert (net.chi, net.gamma, net.sigma_min_Q) == (
+        base.chi, base.gamma, base.sigma_min_Q)
+    assert np.array_equal(net.W_V_block, base.W_V_block)
+    assert np.array_equal(net.A_L_block, base.A_L_block)
+    assert set(net.n1_ids) == set(base.n1_ids)
+    assert set(net.n2_ids) == set(base.n2_ids)

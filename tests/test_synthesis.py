@@ -173,6 +173,21 @@ def test_common_friend_fixes_both_subspaces():
                 assert resid <= 1e-8 * max(1, np.linalg.norm(A))
 
 
+def test_a_failed_friend_solve_is_not_conditioned_invariant(monkeypatch):
+    W = infimal_conditioned_invariant(A3, KC3, DIAG_SPAN)
+    assert 0 < W.dim < 3
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    with pytest.raises(NotConditionedInvariant) as exc:
+        common_friend(A3, C3, [W])
+    assert "common friend" in str(exc.value)
+    assert "SVD did not converge in Linear Least Squares" in str(exc.value)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_residual_tests_take_the_norm_only_past_the_bare_limit(monkeypatch):
     # resid > tol * max(1, ||M||_2) cannot hold when resid <= tol.
     calls = []
@@ -416,6 +431,19 @@ def test_wg_star_demo_equals_wstar():
     d = decompose(A3, C3, BBAR3, ALPHA0)
     assert subspaces_equal(d.W_g_star, DIAG_SPAN)
     assert d.V.shape[1] == 0
+
+
+def test_the_zero_split_lifts_back_to_wg_star():
+    # Xbar_b lives in the chart that compute_wg_star reads, so lifting it
+    # gives W_g* again, also when good and bad zeros share S*/W*.
+    rng = np.random.default_rng(3)
+    two_sided = 0
+    for _ in range(300):
+        _, _, _, A, C, B = verify._draw(rng)
+        d = decompose(A, C, B)
+        assert subspaces_equal(compute_wg_star(d.W_star, d.Xbar_b), d.W_g_star)
+        two_sided += not (d.Xbar_g.is_zero or d.Xbar_b.is_zero)
+    assert two_sided >= 50
 
 
 def test_the_chart_of_x_mod_wstar_is_factored_once(monkeypatch):
