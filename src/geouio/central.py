@@ -107,8 +107,11 @@ def check_uio_condition(decomp: GeometricDecomposition,
 
 
 def _rank_condition(C, Bbar, tol: TolerancePolicy) -> bool:
-    """Local rank test rank(C Bbar) = rank(Bbar): C loses no direction of Im Bbar."""
-    return monitored_rank(C @ Bbar, tol) == monitored_rank(Bbar, tol)
+    """Local rank test rank(C Bbar) = rank(Bbar): C loses no direction of Im Bbar.
+    The cut of C Bbar is floored at ||C|| ||Bbar||, as ``kernel`` floors
+    products, so the rounding noise of a zero product adds no rank."""
+    return (monitored_rank(C @ Bbar, tol, two_norm(C) * two_norm(Bbar))
+            == monitored_rank(Bbar, tol))
 
 
 def classical_rank_condition(sys: LinSystem, part: InputPartition,

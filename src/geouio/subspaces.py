@@ -1,7 +1,9 @@
 """Tolerance-aware numerical subspace algebra.
 
 Every subspace is stored as an orthonormal basis obtained from an SVD, with
-ranks cut at ``sigma_max * max_dim * rel_rank_tol``.  Degenerate subspaces
+ranks cut at ``sigma_max * max_dim * rel_rank_tol``.  Only the operations that
+decide a rank take a tolerance: an orthonormal basis has rank its dimension,
+so complements and quotient charts are exact.  Degenerate subspaces
 (dimension 0 or full) are ordinary values.  All operations are pure and
 deterministic: identical inputs give bit-identical outputs.
 
@@ -220,8 +222,7 @@ def _rank_cut(s: np.ndarray, shape, rel_tol: float, scale_floor: float = 0.0):
     must not resurface as a normalized garbage direction.
     """
     scale = max(float(s[0]) if s.size else 0.0, scale_floor)
-    if scale == 0.0:
-        note_margin(np.inf)
+    if scale == 0.0:  # an all-zero matrix: a cut that cannot flip
         return 0, 0.0
     threshold = scale * max(shape) * rel_tol
     rank = int(np.count_nonzero(s > threshold))
@@ -233,12 +234,13 @@ def _rank_cut(s: np.ndarray, shape, rel_tol: float, scale_floor: float = 0.0):
     return rank, threshold
 
 
-def monitored_rank(M, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
+def monitored_rank(M, tol: TolerancePolicy = DEFAULT_POLICY,
+                   scale_floor: float = 0.0) -> int:
     """Numerical rank with the shared cutoff rule (works for complex input)."""
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return 0
-    rank, _ = _rank_cut(_svd(M, uv=False), M.shape, tol.rel_rank_tol)
+    rank, _ = _rank_cut(_svd(M, uv=False), M.shape, tol.rel_rank_tol, scale_floor)
     return rank
 
 
@@ -301,13 +303,12 @@ class Subspace:
             gram = b.T @ b
             gram.reshape(-1)[::k + 1] -= 1.0
             gram_err = np.abs(gram).max()
-            if gram_err > 1e-12:
+            if not gram_err <= 1e-12:  # a NaN entry fails it too
                 raise DimensionMismatch(f"basis not orthonormal (error {gram_err:.2e})")
         b.setflags(write=False)
         self.ambient_dim = ambient_dim
         self.basis = b
-        # orth_complement's results by rel_rank_tol, each with its rank margins
-        self._perp = {}
+        self._perp = None  # orth_complement(self), once taken
 
     @property
     def dim(self) -> int:
@@ -375,23 +376,19 @@ def subspace_sum(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY
     return image(np.hstack([V.basis, W.basis]), tol)
 
 
-def orth_complement(V: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
+def orth_complement(V: Subspace) -> Subspace:
     """Orthogonal complement; dim(V) + dim(V^perp) = n.
 
-    Computed once per subspace and rank tolerance and kept on ``V``; a repeat
-    call notes the first call's rank margins again for any margin monitor.
+    Exact, so it takes no tolerance and makes no rank decision: V's basis is
+    orthonormal, so its transpose has rank dim V, and the complement is the
+    trailing rows of that transpose's full SVD.  Computed once and kept on V.
     """
-    cached = V._perp.get(tol.rel_rank_tol)
-    if cached is None:
-        with margin_monitor() as rec:
-            # a degenerate subspace's complement is the other one, no SVD
-            comp = (kernel(V.basis.T, tol) if 0 < V.dim < V.ambient_dim else
-                    Subspace(V.ambient_dim, np.eye(V.ambient_dim)[:, V.dim:]))
-        cached = V._perp[tol.rel_rank_tol] = (comp, rec.margins)
-    else:
-        for margin in cached[1]:
-            note_margin(margin)
-    return cached[0]
+    if V._perp is None:
+        n, k = V.ambient_dim, V.dim
+        # a degenerate subspace's complement is the other one, no SVD
+        V._perp = Subspace(n, _svd(V.basis.T)[2][k:].T if 0 < k < n else
+                           np.eye(n)[:, k:])
+    return V._perp
 
 
 def intersect(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -402,7 +399,7 @@ def intersect(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -
     if W.is_full:
         return V
     return orth_complement(
-        subspace_sum(orth_complement(V, tol), orth_complement(W, tol), tol), tol)
+        subspace_sum(orth_complement(V), orth_complement(W), tol))
 
 
 def preimage(M, S: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
@@ -424,16 +421,16 @@ def _preimage(M: np.ndarray, S: Subspace, tol: TolerancePolicy,
     if M.shape[0] != S.ambient_dim:
         raise DimensionMismatch(
             f"map codomain {M.shape[0]} does not match subspace ambient {S.ambient_dim}")
-    comp = orth_complement(S, tol)
+    comp = orth_complement(S)
     if comp.is_zero:
         return Subspace.full(M.shape[1])
     # Scale floor ||M||: a product that vanishes relative to M maps into S.
     return kernel(comp.basis.T @ M, tol, scale_floor=m_norm())
 
 
-def canonical_projection(W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+def canonical_projection(W: Subspace) -> np.ndarray:
     """Chart of the quotient X/W: orthonormal rows spanning W^perp, kernel W."""
-    return orth_complement(W, tol).basis.T
+    return orth_complement(W).basis.T
 
 
 def induced_map(A, W: Subspace, P, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -183,7 +183,7 @@ def common_friend(A, C, subspace_list,
     for W in subspace_list:
         if W.is_zero or W.is_full:
             continue
-        P = canonical_projection(W, tol)
+        P = canonical_projection(W)
         # P L (C Wb) = -P A Wb, in column-major vec form; where C cannot see
         # W its rows are zero and the residual check asks P A Wb = 0.
         rows.append(np.kron(_seen(C, W).T, P))
@@ -223,15 +223,15 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
     L0 = as_matrix(L0, "L0")
-    P = canonical_projection(W_star, tol)
+    P = canonical_projection(W_star)
     AL = A + L0 @ C
     al_norm = _norm_once(AL)
     _require_invariant(P, AL, W_star, al_norm, tol, "L0 is not a friend of W*")
-    _require_invariant(canonical_projection(S_star, tol), AL, S_star, al_norm,
+    _require_invariant(canonical_projection(S_star), AL, S_star, al_norm,
                        tol, "L0 is not a friend of S*")
     q = P.shape[0]
     # S* ∩ W*^perp maps isometrically onto the quotient image of S*.
-    Sq = P @ intersect(S_star, orth_complement(W_star, tol), tol).basis
+    Sq = P @ intersect(S_star, orth_complement(W_star), tol).basis
     d = Sq.shape[1]
     if d == 0:
         z = Subspace.zero(q)
@@ -274,10 +274,10 @@ def compute_wg_star(W_star: Subspace, Xbar_b: Subspace,
     if Xbar_b.ambient_dim != W_star.ambient_dim - W_star.dim:
         raise DimensionMismatch("Xbar_b must live in the chart of X/W*")
     if Xbar_b.is_zero:
-        Wg = orth_complement(orth_complement(W_star, tol), tol)
+        Wg = orth_complement(orth_complement(W_star))
     else:
         # The chart has orthonormal rows: its 2-norm is 1.
-        Wg = _preimage(canonical_projection(W_star, tol), Xbar_b, tol,
+        Wg = _preimage(canonical_projection(W_star), Xbar_b, tol,
                        lambda: 1.0)
     expected = W_star.dim + Xbar_b.dim
     if Wg.dim != expected:
@@ -451,7 +451,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     C = as_matrix(C, "C")
     p = C.shape[0]
     L0 = common_friend(A, C, [W_g_star, W_star], tol)
-    P = canonical_projection(W_g_star, tol)
+    P = canonical_projection(W_g_star)
     q = P.shape[0]
     if q == 0:
         return L0, np.zeros((0, 0))
@@ -464,7 +464,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     c_scale = two_norm(C)
     unobs = unobservable_subspace(Cbar, Abar0, tol, meas_scale=c_scale)
     U2 = unobs.basis
-    U1 = orth_complement(unobs, tol).basis
+    U1 = orth_complement(unobs).basis
     n_obs = U1.shape[1]
     Theta = np.zeros((q, p))
     if n_obs:
@@ -494,7 +494,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
             f"(max Re = {worst:.3e})", eigenvalues=eigs)
     al_norm = _norm_once(AL)
     for W in (W_g_star, W_star):
-        _require_invariant(canonical_projection(W, tol), AL, W, al_norm, tol,
+        _require_invariant(canonical_projection(W), AL, W, al_norm, tol,
                            "stabilizing friend broke an invariance")
     return L, Abar
 
@@ -548,10 +548,10 @@ def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
     L0 = common_friend(A, C, [W, S], tol)
     Xg, Xb = spectral_split(A, C, W, S, L0, part, tol)
     Wg = compute_wg_star(W, Xb, tol)
-    V = intersect(Wg, orth_complement(W, tol), tol).basis
+    V = intersect(Wg, orth_complement(W), tol).basis
     if V.shape[1] != Wg.dim - W.dim:
         raise InvarianceViolated("V dimension mismatch in decomposition")
-    P_Wg = canonical_projection(Wg, tol)
+    P_Wg = canonical_projection(Wg)
     return GeometricDecomposition(
         W_star=W, S_star=S, Xbar_g=Xg, Xbar_b=Xb, W_g_star=Wg, V=V,
         P_Wstar=np.vstack([P_Wg, V.T]), P_Wg=P_Wg, ker_C=ker_C)

@@ -8,7 +8,9 @@ import scipy.linalg as sla
 
 from geouio import distributed as dist, subspaces, verify
 
+from geouio.cases import builtin_config
 from geouio.central import InputPartition, LinSystem, synthesize_centralized_uio
+from geouio.config import parse_config
 from geouio.distributed import (N1, N2, NodeSpec, SensorGraph,
                                 build_consensus_blocks, classify_nodes,
                                 gain_bounds, joint_detectability_check,
@@ -683,24 +685,50 @@ def test_synthesis_complements_each_subspace_once(dist_cfg, monkeypatch, which):
     else:
         sys_, specs, graph = covered_network(0)
     complemented, repeats = {}, []
-    kernel = subspaces.kernel
+    svd = subspaces._svd
 
     def watched(M, *args, **kwargs):
         caller = sys._getframe(1)
         if caller.f_code is subspaces.orth_complement.__code__:
-            V, tol = caller.f_locals["V"], caller.f_locals["tol"]
+            V = caller.f_locals["V"]
             # keyed on the basis array, so a re-wrapped basis is a repeat
-            key = (V.basis.ctypes.data, V.basis.shape, tol.rel_rank_tol)
+            key = (V.basis.ctypes.data, V.basis.shape)
             if key in complemented:
                 repeats.append(V)
             complemented[key] = V  # held, so no later basis reuses the address
-        return kernel(M, *args, **kwargs)
+        return svd(M, *args, **kwargs)
 
-    monkeypatch.setattr(subspaces, "kernel", watched)
+    monkeypatch.setattr(subspaces, "_svd", watched)
     # one process, so that every complement is taken where it is watched
     monkeypatch.setattr(dist, "_worker_count", lambda nodes: 1)
     synthesize_distributed(sys_, specs, graph, u_bar_max=0.2)
     assert complemented and not repeats
+
+
+@pytest.mark.parametrize("coords", [0, 1, 2, 3, 4, "permutation"])
+def test_demo_keeps_its_node_classes_in_other_state_coordinates(dist_net, coords):
+    # Node 2's C B_unknown is exactly zero in the demo's own coordinates and
+    # rounding noise in rotated ones: C loses Im B_unknown in both.
+    rng = np.random.default_rng(0 if coords == "permutation" else coords)
+    Q = (np.eye(6)[rng.permutation(6)] if coords == "permutation"
+         else np.linalg.qr(rng.standard_normal((6, 6)))[0])
+    raw = builtin_config("distributed")
+    A, B, C = (np.array(raw["system"][k]) for k in "ABC")
+    raw["system"] = {"A": (Q.T @ A @ Q).tolist(), "B": (Q.T @ B).tolist(),
+                     "C": (C @ Q).tolist()}
+    cfg = parse_config(raw)
+    net = synthesize_distributed(cfg.system, cfg.node_specs, cfg.graph,
+                                 cfg.spectral, u_bar_max=cfg.u_bar_max)
+    base, _ = dist_net
+
+    def dims(network):
+        return [(nd.decomp.W_star.dim, nd.decomp.S_star.dim, nd.decomp.W_g_star.dim)
+                for nd in network.nodes]
+
+    assert (net.n1_ids, net.n2_ids) == (base.n1_ids, base.n2_ids)
+    assert dims(net) == dims(base)
+    failed = [c.name for c in verify.synthesis_residual_checks(cfg) if not c.passed]
+    assert not failed
 
 
 @pytest.mark.parametrize("which", ["demo", 0, 1, 2, 3])

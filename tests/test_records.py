@@ -157,7 +157,7 @@ def test_constructors_normalize_their_arguments():
     assert type(spec.known_cols[0]) is int
     assert not Subspace(2, _SQUARE).basis.flags.writeable
     assert not SensorGraph([[0, 1], [1, 0]]).adjacency.flags.writeable
-    assert Subspace(2, _SQUARE)._perp == {}
+    assert Subspace(2, _SQUARE)._perp is None
 
 
 def test_reproduce_leaves_dataclasses_unimported(tmp_path):

@@ -66,7 +66,8 @@ def test_process_count_moves_no_node_check_or_margin(monkeypatch, seed, N):
         _force_workers(monkeypatch, workers)
         designs.append(_design(seed, N))
     first = designs[0]
-    assert len(first["margins"]) > 20 * N and len(first["checks"]) > 9 * N
+    # the margins count rank cuts and spectral-boundary tests, the decisions
+    assert len(first["margins"]) > 15 * N and len(first["checks"]) > 9 * N
     for other in designs[1:]:
         for key in first:
             assert other[key] == first[key], key

@@ -295,20 +295,66 @@ def test_margin_monitor_flags_near_threshold_decisions():
     assert rec.min_margin > 0.5
 
 
-def test_orth_complement_is_kept_per_tolerance_and_replays_its_margin():
+def test_orth_complement_is_kept_once_and_notes_no_margin():
     V = image(np.array([[1.0, 0.0], [0.0, 5e-10], [0.0, 0.0]]))
-    first = orth_complement(V)
     with margin_monitor() as rec:
+        first = orth_complement(V)
         assert orth_complement(V) is first
-    assert rec.margins and rec.min_margin > 0.5
-    coarse = orth_complement(V, TolerancePolicy(rel_rank_tol=1e-6))
-    assert coarse is not first
+    assert rec.margins == []
     assert np.array_equal(canonical_projection(V), first.basis.T)
 
 
 def test_subspace_rejects_nonorthonormal_basis():
     with pytest.raises(DimensionMismatch):
         Subspace(3, np.array([[1.0], [1.0], [0.0]]))
+
+
+def test_subspace_rejects_a_nan_basis():
+    with pytest.raises(DimensionMismatch):
+        Subspace(2, np.array([[np.nan], [0.0]]))
+
+
+def _orthonormal_bases():
+    """Seeded orthonormal bases of every dimension 0..n in R^n, n = 1..24,
+    from Gaussian matrices and from matrices of condition about 1e8."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 25):
+        for k in range(n + 1):
+            M = rng.standard_normal((n, k))
+            if k % 2:
+                U, _, Wt = np.linalg.svd(M, full_matrices=False)
+                M = (U * np.logspace(0, -8, k)) @ Wt
+            V = image(M) if k else Subspace.zero(n)
+            assert V.dim == k
+            yield V
+
+
+def test_orth_complement_is_exact_against_the_kernel_oracle():
+    for V in _orthonormal_bases():
+        n, k = V.ambient_dim, V.dim
+        with margin_monitor() as rec:
+            comp = orth_complement(V)
+            P = canonical_projection(V)
+        assert rec.margins == []
+        assert comp.dim == n - k and P.shape == (n - k, n)
+        assert np.linalg.norm(V.basis.T @ comp.basis) <= 1e-13
+        if 0 < k < n:
+            assert np.array_equal(comp.basis, kernel(V.basis.T).basis)
+
+
+def test_intersect_decides_only_the_rank_of_the_sum():
+    bases = list(_orthonormal_bases())
+    rng = np.random.default_rng(6)
+    for V in bases:
+        n = V.ambient_dim
+        W = rand_subspace(rng, n, int(rng.integers(0, n)))
+        if V.is_full:
+            continue
+        with margin_monitor() as cut:
+            image(np.hstack([orth_complement(V).basis, orth_complement(W).basis]))
+        with margin_monitor() as rec:
+            intersect(V, W)
+        assert len(rec.margins) == 1 and rec.margins == cut.margins
 
 
 def test_tolerance_policy_requires_positive_entries():
