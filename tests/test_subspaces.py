@@ -343,13 +343,12 @@ def test_orth_complement_is_exact_against_the_kernel_oracle():
 
 
 def test_intersect_decides_only_the_rank_of_the_sum():
-    bases = list(_orthonormal_bases())
     rng = np.random.default_rng(6)
-    for V in bases:
-        n = V.ambient_dim
-        W = rand_subspace(rng, n, int(rng.integers(0, n)))
+    for V in _orthonormal_bases():
         if V.is_full:
             continue
+        n = V.ambient_dim
+        W = rand_subspace(rng, n, int(rng.integers(0, n)))
         with margin_monitor() as cut:
             image(np.hstack([orth_complement(V).basis, orth_complement(W).basis]))
         with margin_monitor() as rec:
