@@ -4,14 +4,16 @@ same bytes as Python's own formatting, at a fraction of its cost.
 A finite value v with 10**k <= |v| < 10**(k+1) prints as its 17 significant
 digits D = round(|v| * 10**(16-k)).  Scaling |v| in a wider float (x86-64
 long double: 64-bit mantissa) by an exact 10**n, |n| <= 27, is one correctly
-rounded operation: it errs by under 1e17 * eps / 2.  So D is settled unless
-the scaled value's fraction lies within twice that of 0.5, or D is 10**16 or
-10**17, or k is out of range, or v is 0, nan or inf; those values are
-formatted by '%' itself.  Where long double is plain double, that band
-exceeds 0.5 and every value falls back, so the output is the same on every
-platform.  ``fields`` lays out each value's text in a fixed 32-byte field and
-``join`` turns rows of fields into text.  The writers import this module,
-and build its tables, on their first write.
+rounded operation: it errs by under 1e17 * eps / 2.  Values below 1e-11 take
+a second exact power, 27 < 16 - k <= 54, and so two roundings, which err by
+under 1e17 * eps.  So D is settled unless the scaled value's fraction lies
+within twice that error of 0.5, or D is 10**16 or 10**17, or k is out of
+range, or v is 0, nan or inf; those values are formatted by '%' itself.
+Where long double is plain double, that band exceeds 0.5 and every value
+falls back, so the output is the same on every platform.  ``fields`` lays
+out each value's text in a fixed 32-byte field and ``join`` turns rows of
+fields into text.  The writers import this module, and build its tables, on
+their first write.
 """
 
 import functools
@@ -19,7 +21,7 @@ import functools
 import numpy as np
 
 WIDE = np.longdouble
-_KMIN, _KMAX = 16 - 27, 16 + 27
+_KMIN, _KMAX = 16 - 54, 16 + 27
 
 
 @functools.cache
@@ -79,7 +81,9 @@ def decimal(v) -> tuple:
     a = np.where(ok, a, 1.0)
 
     def scaled(a, k):
-        m = a.astype(WIDE) * pow10[np.maximum(16 - k, 0)]
+        m = a.astype(WIDE) * pow10[np.clip(16 - k, 0, 27)]
+        tiny = np.flatnonzero(k < 16 - 27)
+        m[tiny] *= pow10[16 - 27 - k[tiny]]
         big = np.flatnonzero(k > 16)
         m[big] = a[big].astype(WIDE) / pow10[k[big] - 16]
         return m
@@ -92,7 +96,9 @@ def decimal(v) -> tuple:
     d[off] = m[off].astype(np.uint64)
     f = (m - d.astype(WIDE)).astype(np.float64)
     d += f > 0.5
-    ok &= (np.abs(f - 0.5) > band) & (d > 10 ** 16) & (d < 10 ** 17)
+    # two roundings err twice as much as one
+    ok &= np.abs(f - 0.5) > band * (1 + (k < 16 - 27))
+    ok &= (d > 10 ** 16) & (d < 10 ** 17)
     return d, k, ok
 
 

@@ -8,8 +8,8 @@ so complements and quotient charts are exact.  Degenerate subspaces
 deterministic: identical inputs give bit-identical outputs.
 
 The module also holds every LAPACK call that geouio makes past numpy's
-wrappers: ``_svd``, ``_pinv``, ``_qr``, ``_eigvals`` and ``_matrix_sign`` call
-numpy's own gufuncs, on every numpy build.
+wrappers: ``_svd``, ``_pinv``, ``_eigvals`` and ``_matrix_sign`` call numpy's
+own gufuncs, on every numpy build.
 """
 
 from __future__ import annotations
@@ -171,30 +171,6 @@ def _pinv(M: np.ndarray) -> np.ndarray:
     s = np.divide(1.0, s, where=large, out=s)
     s[~large] = 0.0
     return vt.T @ (s[:, None] * u.T)
-
-
-# numpy.linalg.qr's gufuncs: dgeqrf in place, dorgqr for a complete/reduced Q.
-_QR_GUFUNCS = (_umath_linalg.qr_r_raw, _umath_linalg.qr_complete,
-               _umath_linalg.qr_reduced)
-
-
-def _qr(a: np.ndarray, with_r: bool = False):
-    """Q of scipy's ``qr(a, mode="full")`` of a finite, non-empty 2-D
-    float64 array, bit for bit, and R too when ``with_r``: the LAPACK gufuncs
-    behind ``numpy.linalg.qr(a, mode="complete")``, with its signatures,
-    without its per-call dispatch and ``errstate``.  Q and R are
-    Fortran-ordered, as scipy's Q is; the products that consume Q round
-    differently on a C-ordered one."""
-    raw, complete, reduced = _QR_GUFUNCS
-    M, N = a.shape
-    a = np.array(a, order="F")  # a copy: qr_r_raw factors it in place
-    tau = raw(a, signature="d->d")
-    q = np.empty((M, M), order="F")
-    (complete if M > N else reduced)(a, tau, signature="dd->d", out=(q,))
-    if not with_r:
-        return q
-    a[np.tri(M, N, -1, dtype=bool)] = 0.0
-    return q, a
 
 
 def two_norm(M: np.ndarray) -> float:

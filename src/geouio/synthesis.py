@@ -23,7 +23,7 @@ from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
                         _eigvals, _exceeds, _fixed_point, _matrix_sign,
-                        _norm_once, _pinv, _preimage, _qr, _rank_cut,
+                        _norm_once, _pinv, _preimage, _rank_cut,
                         _require_invariant, _svd, as_matrix,
                         canonical_projection, contains, image, intersect,
                         kernel, note_margin, orth_complement, subspace_sum,
@@ -39,11 +39,11 @@ class SpectralPartition:
     """Spectral specification of one design.
 
     An eigenvalue is "good" iff its real part is strictly below ``alpha``;
-    boundary ties count as bad.  Assignable quotient modes are placed at
-    ``targets``: ``pole_targets`` first (each left of ``alpha``), then further
-    real targets 0.5 apart that clear the boundary by more than ``margin``
-    (>= 0).  ``safety`` (>= 1) scales the networked observer's consensus
-    gains above their bounds.
+    boundary ties count as bad.  Assignable quotient modes are moved
+    strictly left of ``placement_bound``: the largest of ``pole_targets``
+    (each left of ``alpha``) or, with none given, ``alpha - margin - 0.5``
+    (``margin`` >= 0).  ``safety`` (>= 1) scales the networked observer's
+    consensus gains above their bounds.
     """
 
     __slots__ = ("alpha", "margin", "pole_targets", "safety")
@@ -75,18 +75,13 @@ class SpectralPartition:
     def is_bad(self, re: float, scale: float = 1.0) -> bool:
         return re >= self.boundary(scale)
 
-    def targets(self, count: int) -> np.ndarray:
-        """``count`` real placement targets.
-
-        The given ``pole_targets`` come first; the rest continue 0.5 apart
-        below both the lowest given target and ``alpha - margin - 0.5``.
-        With none given they are alpha-margin-0.5, alpha-margin-1.0, ...
-        """
-        given = np.asarray(self.pole_targets or (), dtype=float)[:count]
-        top = self.alpha - (self.margin + 0.5)
-        if given.size:
-            top = min(top, float(given.min())) - 0.5
-        return np.concatenate([given, top - 0.5 * np.arange(count - given.size)])
+    @property
+    def placement_bound(self) -> float:
+        """The real part left of which ``stabilizing_friend`` moves every
+        assignable quotient mode."""
+        if self.pole_targets:
+            return max(self.pole_targets)
+        return self.alpha - (self.margin + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -287,147 +282,35 @@ def compute_wg_star(W_star: Subspace, Xbar_b: Subspace,
 
 
 # ---------------------------------------------------------------------------
-# Real-target pole placement (Kautsky-Nichols-Van Dooren / Tits-Yang).
+# Stabilizing gain from a shifted Riccati equation.
 
-# Sweeps stop once |det X| changes by less than this fraction, or after
-# _YT_MAXITER sweeps (scipy.signal.place_poles defaults).
-_YT_RTOL = 1e-3
-_YT_MAXITER = 30
+# Weight of the state in the Riccati equation: small, so the gain moves the
+# modes that need moving and leaves the others nearly in place.
+_RICCATI_Q = 1e-6
 
 
-def _yt_update_order(n: int) -> np.ndarray:
-    """Zero-based column pairs of one Tits-Yang sweep over n real targets.
+def _riccati_gain(F: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``B^T X`` with X the stabilizing solution of the Riccati equation
+    ``F^T X + X F - X B B^T X + 1e-6 I = 0``; ``F - B B^T X`` is stable.
 
-    The order of Tits and Yang (IEEE TAC 1996, p. 1442) that
-    ``scipy.signal.place_poles`` uses; for n >= 3 it needs no single-column
-    (KNV0) update.
+    The stable invariant subspace of the Hamiltonian ``H = [[F, -B B^T],
+    [-1e-6 I, -F^T]]`` is the kernel of ``sign(H) + I`` and is spanned by
+    ``[I; X]`` (Roberts, Int. J. Control, 1980), so X solves ``[Z12; Z22]
+    X = -[Z11; Z21]`` with ``Z = sign(H) + I``, in least squares.  With the
+    small state weight the closed loop takes F's unstable modes to about
+    their mirror images and its stable ones nearly unmoved.  Raises
+    SpectrumUnassignable when the sign or the solve fails, as for a mode of
+    F on the imaginary axis that B cannot reach.
     """
-    hnb = n // 2
-    order = [(n, 1)]
-    order += [(2 * k, 2 * k + 1) for k in range(1, hnb + n % 2)]
-    order += [(2 * k - 1, 2 * k) for k in range(1, hnb + 1)]
-    order += [(i, i + j) for j in range(2, hnb + n % 2) for i in range(1, hnb + 1)]
-    order += [(i, i + j if i + j <= n else i + j - n)
-              for j in range(2, hnb + n % 2) for i in range(hnb + 1, n + 1)]
-    order += [(i, i + hnb) for i in range(1, hnb + 1)]
-    return np.array(order) - 1
-
-
-def _yt_sweeps(ker_pole: list, X: np.ndarray):
-    """Tits-Yang sweeps over the real column pairs of X (YT section 6.1), in
-    place, while |det X| still changes by ``_YT_RTOL`` or more, at most
-    ``_YT_MAXITER`` sweeps.
-
-    Each pair update makes the floating-point operations of scipy's
-    ``_YT_real``, in its order and through the same BLAS and LAPACK entries
-    (``np.dot``, not ``@``: matmul may round small products differently).
-    Only the Python around them is lighter: each pair's indices and kernel
-    bases are looked up once per placement, the stacked column pairs live
-    in preallocated buffers, and the norm is numpy's own ``sqrt(x . x)``.
-    """
-    n = X.shape[0]
-    pairs = [(i, j, np.delete(np.arange(n), (i, j)), ker_pole[i], ker_pole[i].T,
-              ker_pole[j]) for i, j in _yt_update_order(n).tolist()]
-    x_ij = np.empty((2 * n, 1))       # columns i and j of X, stacked
-    ker_mu_nu = np.empty((2 * n, 1))  # the kernel direction they move to
-    proj = np.empty((2 * n, 2 * n))
-    y = np.empty((2 * n, 1))          # x_ij projected on that direction
-    x_i, x_j = x_ij[:n, 0], x_ij[n:, 0]
-    kmn_i, kmn_j = ker_mu_nu[:n], ker_mu_nu[n:]
-    flat = y.ravel()
-    y_i, y_j = flat[:n], flat[n:]
-    sqrt2, big = np.sqrt(2), 4 * n * 1e-16
-    floor = np.sqrt(np.spacing(1))
-    for _ in range(_YT_MAXITER):
-        det_before = np.abs(np.linalg.det(X))
-        for i, j, others, ker_i, ker_i_t, ker_j in pairs:
-            # u, v span the complement of the other n - 2 columns of X.
-            Q = _qr(X.take(others, axis=1))
-            u = Q[:, -2, np.newaxis]
-            v = Q[:, -1, np.newaxis]
-            m = np.dot(np.dot(ker_i_t, np.dot(u, v.T) - np.dot(v, u.T)), ker_j)
-            um, sm, vm = _svd(m)
-            x_i[:] = X[:, i]
-            x_j[:] = X[:, j]
-            # scipy's np.allclose(sm[0], sm[1]), written out (sm is finite)
-            s0, s1 = float(sm[0]), float(sm[1])
-            if not abs(s0 - s1) <= 1e-8 + 1e-5 * abs(s1):
-                kmn = ker_mu_nu
-                np.dot(ker_i, um.T[0, :, np.newaxis], out=kmn_i)
-                np.dot(ker_j, vm[0, :, np.newaxis], out=kmn_j)
-            else:
-                mu1, mu2 = um.T[:2, :, np.newaxis]
-                nu1, nu2 = vm[:2, :, np.newaxis]
-                ker_ij = np.vstack((np.hstack((ker_i, np.zeros(ker_i.shape))),
-                                    np.hstack((np.zeros(ker_j.shape), ker_j))))
-                kmn = np.dot(ker_ij, np.vstack((np.hstack((mu1, mu2)),
-                                                np.hstack((nu1, nu2)))))
-            np.dot(np.dot(kmn, kmn.T, out=proj), x_ij, out=y)
-            sq = flat.dot(flat)  # np.linalg.norm's steps
-            # scipy's np.allclose(x_ij, 0) is max|x_ij| <= 1e-8; as max|x|^2
-            # <= x . x <= 2n max|x|^2, x . x decides outside a factor-2 band.
-            if sq > big or (sq >= 0.5e-16 and np.abs(flat).max() > 1e-8):
-                flat *= sqrt2
-                flat /= math.sqrt(sq)  # correctly rounded, as np.sqrt
-                X[:, i] = y_i
-                X[:, j] = y_j
-            else:
-                # x_ij is orthogonal to span(kmn): restart from that span.
-                X[:, i] = kmn[:n, 0]
-                X[:, j] = kmn[n:, 0]
-        det = max(floor, np.abs(np.linalg.det(X)))
-        if np.abs((det - det_before) / det) < _YT_RTOL and det > floor:
-            break
-
-
-def _place_real_poles(A, B, poles) -> np.ndarray:
-    """Gain K with spectrum(A - B K) = ``poles``, all real.
-
-    Runs the same steps and floating-point operations as
-    ``scipy.signal.place_poles(A, B, poles)`` (method "YT") on real targets,
-    so the gains agree bit for bit: Kautsky-Nichols-Van Dooren kernel bases
-    and initial transfer matrix X, then Tits-Yang column-pair sweeps while
-    |det X| still changes by ``_YT_RTOL`` or more, at most ``_YT_MAXITER``
-    sweeps.  A sweep limit reached is not an error and warns nothing: the
-    callers check the placed spectrum themselves.  Raises ValueError, as
-    scipy does, for targets repeated more than rank(B) times and for a
-    singular X.
-    """
-    poles = np.sort(np.asarray(poles, dtype=float))
-    n = A.shape[0]
-    if not np.all(np.isfinite(poles)):
-        raise ValueError("array must not contain infs or NaNs")
-    rank = np.linalg.matrix_rank(B)
-    if np.max(np.sum(poles[:, None] == poles[None, :], axis=0)) > rank:
-        raise ValueError("at least one of the requested pole is repeated "
-                         "more than rank(B) times")
-    if rank == n:
-        # Square or wide full-rank B: X = I and K solves B K = diag - A.
-        return -np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0]
-    u, z = _qr(np.asarray_chkfinite(B), with_r=True)
-    u0, u1, z = u[:, :rank], u[:, rank:], z[:rank, :]
-    ker_pole, cols = [], []
-    for p in poles:
-        pole_space = np.dot(u1.T, A - p * np.eye(n)).T
-        Q = _qr(pole_space)
-        ker = Q[:, pole_space.shape[1]:]
-        x = np.sum(ker, axis=1)[:, np.newaxis]
-        ker_pole.append(ker)
-        cols.append(x / np.linalg.norm(x))
-    X = np.hstack(cols)
-    if rank > 1:  # with one input X is already unique up to scaling
-        _yt_sweeps(ker_pole, X)
-    # scipy solves in complex arithmetic (its path for conjugate pairs);
-    # keeping the dtype keeps the rounding.
-    X = X.astype(complex)
+    n = F.shape[0]
+    H = np.block([[F, -B @ B.T], [-_RICCATI_Q * np.eye(n), -F.T]])
     try:
-        M = np.linalg.solve(X.T, np.dot(np.diag(poles), X.T)).T
-        gain = np.linalg.solve(z, np.dot(u0.T, M - A))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("The poles you've chosen can't be placed. "
-                         "Check the controllability matrix and try "
-                         "another set of poles") from exc
-    return np.real(-gain)
+        Z = _matrix_sign(H)
+        Z.reshape(-1)[::2 * n + 1] += 1.0
+        X = np.linalg.lstsq(Z[:, n:], -Z[:, :n], rcond=None)[0]
+    except (InvarianceViolated, np.linalg.LinAlgError) as exc:
+        raise SpectrumUnassignable(f"Riccati solve failed ({exc})") from None
+    return B.T @ (X + X.T) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +321,17 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
                        tol: TolerancePolicy = DEFAULT_POLICY, *, W_star: Subspace):
     """Friend of W* ⊆ W_g* whose induced quotient map has spectrum in the good region.
 
-    The assignable quotient modes go to ``part.targets``; fixed
-    (unassignable) modes are the good invariant zeros and are only verified
-    against ``alpha``.  Additional injections are restricted so that the
-    invariance of both W* and W_g* survives.
+    The assignable (observable) quotient modes move strictly left of
+    ``part.placement_bound`` through the gain of a Riccati equation shifted
+    by that bound (``_riccati_gain``); the gain does not depend on the bases
+    of W_g* or of the observable block.  Fixed (unassignable) modes are the
+    good invariant zeros and are only verified against ``alpha``.
+    Additional injections are restricted so that the invariance of both W*
+    and W_g* survives.
 
     Returns ``(L, Abar)`` with ``Abar`` the induced map in the chart of
     ``canonical_projection(W_g_star)``.  Raises SpectrumUnassignable when the
-    verification re-check of the spectrum fails.
+    Riccati solve or the verification re-check of the spectrum fails.
     """
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
@@ -470,17 +356,17 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     if n_obs:
         A11 = U1.T @ Abar0 @ U1
         C1 = Cbar @ U1
-        # Placement needs a full-column-rank input matrix: factor C1^T
-        # through its column-space isometry.
+        # The Riccati gain works on an orthonormal input matrix: factor
+        # C1^T through its column-space isometry.
         Ub, sb, Vbt = _svd(C1.T, full=False)
         r, _ = _rank_cut(sb, C1.shape, tol.rel_rank_tol)
         if r == 0:
             raise SpectrumUnassignable(
                 "observable quotient modes exist but the factored measurement vanishes")
-        try:
-            gain = _place_real_poles(A11.T, Ub[:, :r], part.targets(n_obs))
-        except ValueError as exc:
-            raise SpectrumUnassignable(f"pole placement failed: {exc}") from exc
+        # F - Ub gain is stable, so A11^T - Ub gain, the transpose of the
+        # closed observable block, has every mode left of the bound.
+        F = A11.T - part.placement_bound * np.eye(n_obs)
+        gain = _riccati_gain(F, Ub[:, :r])
         K = Vbt[:r].T @ (gain / sb[:r, None])
         Theta = np.hstack([U1, U2]) @ np.vstack([-K.T, np.zeros((U2.shape[1], p))])
     L = L0 + P.T @ Theta @ H

@@ -606,17 +606,19 @@ def test_a_blind_node_friend_does_not_depend_on_the_wg_basis():
     Wg = decomp.W_g_star
     assert Wg.dim == 2 and np.abs(C @ Wg.basis).max() < 1e-15
 
-    def spectrum(basis):
-        _, Abar = stabilizing_friend(A6, C, Subspace(6, basis), ALPHA0,
+    def design(basis):
+        L, Abar = stabilizing_friend(A6, C, Subspace(6, basis), ALPHA0,
                                      W_star=decomp.W_star)
-        return np.sort(np.linalg.eigvals(Abar).real)
+        return L, np.sort_complex(np.linalg.eigvals(Abar))
 
-    placed = spectrum(Wg.basis)
-    assert np.allclose(placed, ALPHA0.targets(4)[::-1])
+    L, placed = design(Wg.basis)
+    assert placed.real.max() < ALPHA0.placement_bound
     rng = np.random.default_rng(5)
     for _ in range(10):
         Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        assert np.allclose(spectrum(Wg.basis @ Q), placed, atol=1e-9)
+        L_q, placed_q = design(Wg.basis @ Q)
+        assert np.allclose(placed_q, placed, rtol=0, atol=1e-9)
+        assert np.allclose(L_q, L, rtol=0, atol=1e-9)
 
 
 def test_random_network_synthesis_invariants_hold():

@@ -29,7 +29,7 @@ def _check(flat, width, sep):
 
 
 _FLOATS = st.one_of(st.floats(), st.floats(-1e44, 1e44), st.floats(-1e3, 1e3),
-                    st.floats(-1e-3, 1e-3))
+                    st.floats(-1e-3, 1e-3), st.floats(-1e-8, 1e-8))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -53,7 +53,7 @@ def _ties():
 
 
 def _adversarial():
-    powers = np.array([10.0 ** e for e in range(-20, 26)])
+    powers = np.array([10.0 ** e for e in range(-40, 26)])
     near, below, above = [powers], powers, powers
     for _ in range(3):
         below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
@@ -75,6 +75,16 @@ def test_adversarial_values_format_as_percent(width, sep):
     assert len(_ties()) > 100
     _check(values, width, sep)
     _check(values[::-1], width, sep)
+
+
+@pytest.mark.parametrize("sep", [",", " "])
+def test_tiny_values_format_as_percent(sep):
+    # 1e-40 <= |v| <= 1e-8: below 1e-11 the fast path scales by two powers
+    rng = np.random.default_rng(40)
+    values = 10.0 ** rng.uniform(-40, -8, 40_000) * rng.choice([-1.0, 1.0], 40_000)
+    _check(values, 35, sep)
+    if _EXTENDED:  # the second power keeps nearly all from 1e-37 on off '%'
+        assert decimal(values[np.abs(values) >= 1e-37])[2].mean() > 0.95
 
 
 def test_ties_round_half_to_even_both_ways():
