@@ -349,7 +349,6 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     Cbar = H @ C @ P.T
     c_scale = two_norm(C)
     unobs = unobservable_subspace(Cbar, Abar0, tol, meas_scale=c_scale)
-    U2 = unobs.basis
     U1 = orth_complement(unobs).basis
     n_obs = U1.shape[1]
     Theta = np.zeros((q, p))
@@ -368,7 +367,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
         F = A11.T - part.placement_bound * np.eye(n_obs)
         gain = _riccati_gain(F, Ub[:, :r])
         K = Vbt[:r].T @ (gain / sb[:r, None])
-        Theta = np.hstack([U1, U2]) @ np.vstack([-K.T, np.zeros((U2.shape[1], p))])
+        Theta = -U1 @ K.T
     L = L0 + P.T @ Theta @ H
     AL = A + L @ C
     Abar = P @ AL @ P.T
