@@ -1,19 +1,19 @@
 """Forked worker processes, each on a CPU of its own.
 
-Three users split their work into contiguous ranges, one per process, all
-through ``map_ranges``: the trajectory writer, the equivalence battery and
-the network synthesis.  The caller does range 0 and a worker made with
-``os.fork`` does each other range.  A forked child starts on its parent's
-CPU, and the two may share it for the whole run while another CPU idles, so
-the caller places each worker on a CPU of its own as it forks it, and
-itself on its first CPU after the last fork, while CPUs last.
+Two users split their work into contiguous ranges, one per process, both
+through ``map_ranges``: the trajectory writer and the equivalence battery.
+The caller does range 0 and a worker made with ``os.fork`` does each other
+range.  A forked child starts on its parent's CPU, and the two may share it
+for the whole run while another CPU idles, so the caller places each worker
+on a CPU of its own as it forks it, and itself on its first CPU after the
+last fork, while CPUs last.
 
-Each worker sends back its range's results pickled, with every array laid
-out as the worker had it, and with the margins the worker's decisions
-noted, so the caller gets what it would have computed itself.  The caller
-computes a failed worker's range again, so a failure is its own exception.
-The writer's ranges return nothing: each writes its text into files of its
-own.
+Each worker sends back its range's results pickled, with the margins the
+worker's decisions noted, so the caller gets the same values and margins it
+would have computed itself.  The battery's results are dicts of Python
+scalars; the writer's ranges return nothing, as each writes its text into
+files of its own.  The caller computes a failed worker's range again, so a
+failure is its own exception.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import pickle
 import tempfile
 import warnings
 from contextlib import ExitStack, suppress
-
-import numpy as np
 
 from .subspaces import margin_monitor, note_margin
 
@@ -41,34 +39,6 @@ def count(units: int, per_worker: int) -> int:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), units // per_worker,
                       _MAX_WORKERS))
-
-
-def _array(values: bytes, dtype, shape, strides, writeable: bool):
-    """An array of ``values`` (C order) with ``strides`` and the write
-    flag ``writeable``, over a buffer of its own."""
-    span = offset = 0
-    if 0 not in shape:
-        span = dtype.itemsize + sum((n - 1) * abs(s) for n, s in zip(shape, strides))
-        offset = sum((n - 1) * -s for n, s in zip(shape, strides) if s < 0)
-    out = np.ndarray(shape, dtype, np.empty(span, np.uint8), offset, strides)
-    out[...] = np.frombuffer(values, dtype).reshape(shape)
-    out.flags.writeable = writeable
-    return out
-
-
-class _Pickler(pickle.Pickler):
-    """Pickles each plain array with its strides and write flag.
-
-    numpy's own pickling makes a non-contiguous view C-ordered and
-    writable; the products that read an array round according to its
-    layout, so an array that changed layout on the way could give the
-    caller other results than the worker's."""
-
-    def reducer_override(self, obj):
-        if type(obj) is not np.ndarray or obj.dtype.hasobject:
-            return NotImplemented
-        return _array, (obj.tobytes(), obj.dtype, obj.shape, obj.strides,
-                        obj.flags.writeable)
 
 
 def _place(pid: int, cpus):
@@ -123,8 +93,8 @@ def map_ranges(fn, units: int, workers: int) -> list:
                     try:
                         with margin_monitor() as rec:
                             done = compute(k)
-                        _Pickler(spools[k - 1], pickle.HIGHEST_PROTOCOL).dump(
-                            (done, rec.margins))
+                        pickle.dump((done, rec.margins), spools[k - 1],
+                                    pickle.HIGHEST_PROTOCOL)
                         spools[k - 1].flush()
                         code = 0
                     finally:

@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _workers
 from .errors import AssumptionViolated, DimensionMismatch, SingularQ
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, _block_diag,
                         _svd, as_matrix, intersect, two_norm)
@@ -29,9 +28,6 @@ N2 = "N2"
 GRAM_FLOOR = 1e-9
 # chi when its lower bound chi_min is zero.
 CHI_FALLBACK = 0.1
-# A network's nodes are synthesized in one process per this many nodes, up
-# to the CPUs the synthesis may run on and _workers._MAX_WORKERS.
-_NODES_PER_WORKER = 8
 
 
 class NodeSpec:
@@ -225,28 +221,6 @@ def per_node_decomposition(sys: LinSystem, spec: NodeSpec,
                       A_cl=A_cl, Abarbar=Abarbar, E=E, F=F, Abar_L=Abar_L)
 
 
-def _worker_count(nodes: int) -> int:
-    """Processes that synthesize a network of ``nodes`` nodes, the caller
-    included."""
-    return _workers.count(nodes, _NODES_PER_WORKER)
-
-
-def _synthesize_nodes(sys: LinSystem, node_specs, spectral: SpectralPartition,
-                      tol: TolerancePolicy) -> tuple:
-    """``per_node_decomposition`` of every node, in order, in one contiguous
-    range of nodes per process (``_workers.map_ranges``).
-
-    Each node is local to its own ``(A, C_i, B_i)``, so the ranges are
-    independent.  A node built in a worker comes back whole, every array
-    with the bytes, strides and write flag it had there, as a node built
-    here has them.
-    """
-    specs = list(node_specs)
-    return tuple(_workers.map_ranges(
-        lambda i: per_node_decomposition(sys, specs[i], spectral, tol),
-        len(specs), _worker_count(len(specs))))
-
-
 def build_consensus_blocks(nodes):
     """Block-diagonal W_V and A_L in class order (class-1 nodes first, then
     class-2, each by ascending id); returns (W_V, A_L, ordered nodes)."""
@@ -271,13 +245,20 @@ def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) ->
 
 def _consensus(nodes, graph: SensorGraph):
     """(W_V, A_L, ordered nodes, sigma_min) of Q = W_V^T (L (x) I) W_V, with
-    L permuted into the block order (sigma_min is inf if W_V is empty)."""
+    L permuted into the block order (sigma_min is inf if W_V is empty).
+
+    Block (i, j) of Q is L_ij B_i^T B_j for the consensus blocks B_i, so Q
+    is (S^T S) * L[owner, owner], with S the blocks side by side and
+    ``owner`` the node of each column: no (N n)^2 Kronecker factor.
+    """
     W_V, A_L, ordered = build_consensus_blocks(nodes)
     if W_V.shape[1] == 0:
         return W_V, A_L, ordered, np.inf
-    perm = [nodes.index(nd) for nd in ordered]
-    Lp = graph.laplacian[np.ix_(perm, perm)]
-    Q = W_V.T @ np.kron(Lp, np.eye(ordered[0].decomp.n)) @ W_V
+    blocks = [nd.consensus_block() for nd in ordered]
+    S = np.hstack(blocks)
+    owner = np.repeat([nodes.index(nd) for nd in ordered],
+                      [b.shape[1] for b in blocks])
+    Q = (S.T @ S) * graph.laplacian[np.ix_(owner, owner)]
     return W_V, A_L, ordered, float(_svd(Q, uv=False).min())
 
 
@@ -343,7 +324,8 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
     if u_bar_max < 0:
         raise AssumptionViolated(2, "unknown-input bound must be nonnegative",
                                  diagnostics={"u_bar_max": u_bar_max})
-    nodes = _synthesize_nodes(sys, node_specs, spectral, tol)
+    nodes = tuple(per_node_decomposition(sys, spec, spectral, tol)
+                  for spec in node_specs)
     W_V, A_L, _, sigma_min = _consensus(nodes, graph)
     inter = recoverability_intersection(nodes, tol)
     failure = _undetectable(sigma_min, inter)

@@ -432,7 +432,14 @@ def _integrate(kernel: _Kernel, signals, cfg: SimConfig,
     op = _step_operator(kernel, cfg)
     counts = _ScanCounts() if counts is None else counts
     n_steps, stride, guard = _n_steps(cfg), cfg.record_stride, cfg.divergence_guard
-    recs = np.empty((n_steps // stride + 1, kernel.s0.size))
+    rows, width = n_steps // stride + 1, kernel.s0.size
+    try:
+        recs = np.empty((rows, width))
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's array size
+        raise DimensionMismatch(
+            f"the run records {rows} rows of {width} values ({rows * width * 8:.3g} "
+            "bytes), more than can be allocated: lower sim.t_end, or raise "
+            "sim.dt or sim.record_stride") from None
     recs[0] = s = kernel.s0
     row = 1
     signs = np.empty(len(op.offsets) * kernel.K.shape[0])

@@ -257,28 +257,26 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
     return Xg, Xb
 
 
-def compute_wg_star(W_star: Subspace, Xbar_b: Subspace,
-                    tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
+def compute_wg_star(W_star: Subspace, Xbar_b: Subspace) -> Subspace:
     """Inverse image of the bad quotient subspace under the chart of X/W*.
 
-    ``Xbar_b`` lives in the chart ``canonical_projection(W_star)``.  The
+    ``Xbar_b`` lives in the chart ``P = canonical_projection(W_star)``.  The
     result contains W* and has dimension dim W* + dim Xbar_b.  With no bad
-    directions it is Ker of the chart, the complement of W*^perp, which
-    ``spectral_split`` has already taken and kept on W*^perp.
+    directions it is Ker P, the complement of W*^perp, which
+    ``spectral_split`` has already taken and kept on W*^perp.  Otherwise it
+    is the kernel of ``comp(Xbar_b)^T P``, whose rows are orthonormal: the
+    trailing ``n - q + dim Xbar_b`` rows of its full SVD, with no rank cut.
     """
-    if Xbar_b.ambient_dim != W_star.ambient_dim - W_star.dim:
+    n = W_star.ambient_dim
+    if Xbar_b.ambient_dim != n - W_star.dim:
         raise DimensionMismatch("Xbar_b must live in the chart of X/W*")
     if Xbar_b.is_zero:
-        Wg = orth_complement(orth_complement(W_star))
-    else:
-        # The chart has orthonormal rows: its 2-norm is 1.
-        Wg = _preimage(canonical_projection(W_star), Xbar_b, tol,
-                       lambda: 1.0)
-    expected = W_star.dim + Xbar_b.dim
-    if Wg.dim != expected:
-        raise InvarianceViolated(
-            f"lifted subspace has dim {Wg.dim}, expected {expected}")
-    return Wg
+        return orth_complement(orth_complement(W_star))
+    comp = orth_complement(Xbar_b)
+    if comp.is_zero:
+        return Subspace.full(n)
+    M = comp.basis.T @ canonical_projection(W_star)
+    return Subspace(n, _svd(M)[2][comp.dim:].T)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +393,9 @@ class GeometricDecomposition:
     invariant-zero subspaces, in the chart ``canonical_projection(W_star)``
     that ``compute_wg_star`` reads.  ``P_Wstar`` is another chart of X/W*,
     its rows stacked as [P_Wg; V^T] so that the block relations between the
-    two quotients are exact.  ``V`` is an ambient orthonormal basis of
-    W_g* ∩ (W*)^perp (isomorphic to the bad zero directions Xbar_b).
+    two quotients are exact.  ``V`` is Xbar_b's basis lifted out of that
+    chart, ``canonical_projection(W_star)^T Xbar_b.basis``: a read-only
+    orthonormal basis of W_g* ∩ (W*)^perp.
     """
 
     __slots__ = ("W_star", "S_star", "Xbar_g", "Xbar_b", "W_g_star", "V",
@@ -432,10 +431,9 @@ def decompose(A, C, B_unknown, part: SpectralPartition = SpectralPartition(),
     S = infimal_unobservability_subspace(A, ker_C, W, tol)
     L0 = common_friend(A, C, [W, S], tol)
     Xg, Xb = spectral_split(A, C, W, S, L0, part, tol)
-    Wg = compute_wg_star(W, Xb, tol)
-    V = intersect(Wg, orth_complement(W), tol).basis
-    if V.shape[1] != Wg.dim - W.dim:
-        raise InvarianceViolated("V dimension mismatch in decomposition")
+    Wg = compute_wg_star(W, Xb)
+    V = canonical_projection(W).T @ Xb.basis
+    V.setflags(write=False)
     P_Wg = canonical_projection(Wg)
     return GeometricDecomposition(
         W_star=W, S_star=S, Xbar_g=Xg, Xbar_b=Xb, W_g_star=Wg, V=V,

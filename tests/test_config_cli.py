@@ -228,6 +228,23 @@ def test_exit_code_bad_observer_init(tmp_path, capsys, make, init):
     assert err.startswith("error: ") and "observer_init" in err
 
 
+# 1e17 + 1 rows of 5 values, 3.47 EiB, beyond any address space: numpy
+# refuses the allocation with MemoryError, whatever the overcommit setting,
+# and the rows of t_end 1e19 with ValueError.
+@pytest.mark.parametrize("t_end, rows", [(1e18, "100000000000000001 rows"),
+                                         (1e19, "1000000000000000001 rows")])
+def test_a_run_too_long_to_record_is_a_config_error(tmp_path, capsys, t_end,
+                                                     rows):
+    cfg = short_centralized(t_end=t_end)
+    cfg["sim"]["dt"] = 1.0
+    cfgp = write_cfg(tmp_path, cfg)
+    assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{rows} of 5 values" in err
+    assert all(key in err for key in ("sim.t_end", "sim.dt", "sim.record_stride"))
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_synthesis_failure(tmp_path):
     cfg = short_centralized()
     cfg["system"]["C"] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]

@@ -23,6 +23,7 @@ from geouio.subspaces import (Subspace, contains, image, margin_monitor,
 from geouio.synthesis import SpectralPartition, stabilizing_friend
 from geouio.verify import invariant_checks
 
+from forks import count_forks
 from step_oracles import node_estimate_n1, node_rhs_n1, node_rhs_n2
 
 ALPHA0 = SpectralPartition(0.0)
@@ -701,8 +702,6 @@ def test_synthesis_complements_each_subspace_once(dist_cfg, monkeypatch, which):
         return svd(M, *args, **kwargs)
 
     monkeypatch.setattr(subspaces, "_svd", watched)
-    # one process, so that every complement is taken where it is watched
-    monkeypatch.setattr(dist, "_worker_count", lambda nodes: 1)
     synthesize_distributed(sys_, specs, graph, u_bar_max=0.2)
     assert complemented and not repeats
 
@@ -754,3 +753,60 @@ def test_node_order_does_not_change_a_network(dist_cfg, which):
     assert np.array_equal(net.A_L_block, base.A_L_block)
     assert set(net.n1_ids) == set(base.n1_ids)
     assert set(net.n2_ids) == set(base.n2_ids)
+
+
+@pytest.mark.parametrize("which", ["demo", 4, 8, 16, 32])
+def test_consensus_gram_matches_its_kronecker_form(dist_cfg, monkeypatch, which):
+    """Q is built as (S^T S) * L[owner, owner]; the oracle is W_V^T (L (x)
+    I_n) W_V, L permuted into the block order."""
+    if which == "demo":
+        sys_, specs, graph = dist_cfg.system, dist_cfg.node_specs, dist_cfg.graph
+    else:
+        sys_, specs, graph = covered_network(0, N=which)
+    grams = []
+    svd = dist._svd
+
+    def kept(M, *args, **kwargs):
+        grams.append(M)
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(dist, "_svd", kept)
+    net = synthesize_distributed(sys_, specs, graph, u_bar_max=0.2)
+    (Q,) = grams
+    ids = [nd.node_id for nd in net.nodes]
+    perm = [ids.index(i) for i in sorted(net.n1_ids) + sorted(net.n2_ids)]
+    Lp = graph.laplacian[np.ix_(perm, perm)]
+    W_V = net.W_V_block
+    oracle = W_V.T @ np.kron(Lp, np.eye(sys_.n)) @ W_V
+    assert Q.shape == oracle.shape and Q.shape[0] > 0
+    assert abs(Q - oracle).max() <= 1e-13 * abs(oracle).max()
+
+
+@pytest.mark.parametrize("which", ["demo", "covered N32"])
+def test_synthesis_forks_nothing(dist_cfg, monkeypatch, which):
+    if which == "demo":
+        sys_, specs, graph = dist_cfg.system, dist_cfg.node_specs, dist_cfg.graph
+    else:
+        sys_, specs, graph = covered_network(2, N=32)
+    forks = count_forks(monkeypatch)
+    synthesize_distributed(sys_, specs, graph, u_bar_max=0.2)
+    assert forks == []
+
+
+class NodeFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("node_id", [3, 13])
+def test_a_raising_node_raises_from_the_call(monkeypatch, node_id):
+    sys_, specs, graph = covered_network(0, n=12, N=16)
+    build = dist.per_node_decomposition
+
+    def raising(sys_, spec, spectral, tol):
+        if spec.node_id == node_id:
+            raise NodeFailed(f"node {node_id} failed")
+        return build(sys_, spec, spectral, tol)
+
+    monkeypatch.setattr(dist, "per_node_decomposition", raising)
+    with pytest.raises(NodeFailed, match=f"node {node_id} failed"):
+        synthesize_distributed(sys_, specs, graph, u_bar_max=0.2)

@@ -10,10 +10,10 @@ import pytest
 from geouio.config import parse_config
 from geouio.errors import (DimensionMismatch, InvarianceViolated,
                            NotConditionedInvariant, SpectrumUnassignable)
-from geouio.subspaces import (Subspace, _exceeds, canonical_projection,
-                              contains, image, intersect, kernel,
-                              margin_monitor, orth_complement, subspace_sum,
-                              subspaces_equal)
+from geouio.subspaces import (DEFAULT_POLICY, Subspace, _exceeds,
+                              _preimage, canonical_projection, contains,
+                              image, intersect, kernel, margin_monitor,
+                              orth_complement, subspace_sum, subspaces_equal)
 from geouio import subspaces, synthesis, verify
 from geouio.synthesis import (SpectralPartition, _riccati_gain,
                               common_friend, compute_wg_star,
@@ -434,15 +434,28 @@ def test_wg_star_demo_equals_wstar():
 
 def test_the_zero_split_lifts_back_to_wg_star():
     # Xbar_b lives in the chart that compute_wg_star reads, so lifting it
-    # gives W_g* again, also when good and bad zeros share S*/W*.
+    # gives W_g* again, also when good and bad zeros share S*/W*.  The lift
+    # is the chart's preimage, bit for bit, taken without a rank cut, and V
+    # is Xbar_b's basis lifted out of the chart.
     rng = np.random.default_rng(3)
-    two_sided = 0
+    two_sided = bad = 0
     for _ in range(300):
         _, _, _, A, C, B = verify._draw(rng)
         d = decompose(A, C, B)
-        assert subspaces_equal(compute_wg_star(d.W_star, d.Xbar_b), d.W_g_star)
+        Wg = compute_wg_star(d.W_star, d.Xbar_b)
+        assert subspaces_equal(Wg, d.W_g_star)
+        cut = _preimage(canonical_projection(d.W_star), d.Xbar_b,
+                        DEFAULT_POLICY, lambda: 1.0)
+        assert Wg.basis.shape == cut.basis.shape
+        assert np.array_equal(Wg.basis, cut.basis)
+        V = d.V
+        assert V.shape == (d.n, d.Xbar_b.dim) and not V.flags.writeable
+        assert abs(V.T @ V - np.eye(V.shape[1])).max(initial=0.0) <= 1e-14
+        assert abs(d.W_star.basis.T @ V).max(initial=0.0) <= 1e-14
+        assert contains(d.W_g_star, Subspace(d.n, V))
         two_sided += not (d.Xbar_g.is_zero or d.Xbar_b.is_zero)
-    assert two_sided >= 50
+        bad += not d.Xbar_b.is_zero
+    assert two_sided >= 50 and 50 <= bad <= 250
 
 
 def test_the_chart_of_x_mod_wstar_is_factored_once(monkeypatch):

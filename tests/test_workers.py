@@ -1,7 +1,7 @@
 """The fork mechanics of ``geouio._workers.map_ranges``, which the trajectory
-writer, the equivalence battery and the network synthesis share: results
-and margins in order, failures raised as themselves, failed workers
-recomputed, every worker reaped, and each process on a CPU of its own."""
+writer and the equivalence battery share: results and margins in order,
+failures raised as themselves, failed workers recomputed, every worker
+reaped, and each process on a CPU of its own."""
 
 import os
 
@@ -19,31 +19,24 @@ PROCESSES = pytest.mark.parametrize("workers", (1, 2, 3))
 
 
 def _unit(i):
-    """A result whose layout a plain pickle would change (a reversed,
-    read-only view), after noting two margins."""
+    """A result holding an array, after noting two margins."""
     note_margin(i + 0.5)
     note_margin(-i)
-    out = np.arange(3.0 * i, 3.0 * i + 6).reshape(2, 3)[:, ::-1]
-    out.flags.writeable = False
-    return i, out
+    return i, np.arange(3.0 * i, 3.0 * i + 6).reshape(2, 3)
 
 
-def _layout(a) -> tuple:
-    return a.tobytes(), a.dtype, a.shape, a.strides, a.flags.writeable
-
-
-EXPECTED = ([(i, _layout(_unit(i)[1])) for i in range(UNITS)],
+EXPECTED = ([(i, _unit(i)[1].tolist()) for i in range(UNITS)],
             [m for i in range(UNITS) for m in (i + 0.5, -i)])
 
 
 def _mapped(fn, workers) -> tuple:
-    """``map_ranges``' results, each array by its layout, and the margins an
+    """``map_ranges``' results, each array by its values, and the margins an
     enclosing monitor saw; checks that no worker is left."""
     with margin_monitor() as rec:
         results = _workers.map_ranges(fn, UNITS, workers)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return [(i, _layout(a)) for i, a in results], rec.margins
+    return [(i, a.tolist()) for i, a in results], rec.margins
 
 
 @PROCESSES
