@@ -20,7 +20,7 @@ from .central import (CentralizedObserver, InputPartition, LinSystem,
                       check_uio_condition, classical_rank_condition, estimate,
                       solve_output_reconstruction, synthesize_centralized_uio)
 from .distributed import (DistributedObserverNetwork, NodeSpec, SensorGraph,
-                          SensorNode, classify_nodes, gain_bounds,
+                          SensorNode, gain_bounds,
                           joint_detectability_check, per_node_decomposition,
                           recoverability_intersection, synthesize_distributed)
 from .simulate import (SignalSpec, SimConfig, Trajectory, error_metrics,

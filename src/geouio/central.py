@@ -13,7 +13,8 @@ import numpy as np
 from .errors import (DimensionMismatch, ExistenceFailed, InvarianceViolated,
                      NotConditionedInvariant, NotSolvable, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, TolerancePolicy, _eigvals, _pinv,
-                        as_matrix, intersect, monitored_rank, two_norm)
+                        _rank_cut, _svd, as_matrix, intersect, monitored_rank,
+                        two_norm)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
 
@@ -109,9 +110,13 @@ def check_uio_condition(decomp: GeometricDecomposition,
 def _rank_condition(C, Bbar, tol: TolerancePolicy) -> bool:
     """Local rank test rank(C Bbar) = rank(Bbar): C loses no direction of Im Bbar.
     The cut of C Bbar is floored at ||C|| ||Bbar||, as ``kernel`` floors
-    products, so the rounding noise of a zero product adds no rank."""
-    return (monitored_rank(C @ Bbar, tol, two_norm(C) * two_norm(Bbar))
-            == monitored_rank(Bbar, tol))
+    products, so the rounding noise of a zero product adds no rank.  One SVD
+    of Bbar gives both its norm and its rank; the C Bbar cut comes first."""
+    if not Bbar.size:
+        return True
+    s = _svd(Bbar, uv=False)
+    return (monitored_rank(C @ Bbar, tol, two_norm(C) * float(s[0]))
+            == _rank_cut(s, Bbar.shape, tol.rel_rank_tol))
 
 
 def classical_rank_condition(sys: LinSystem, part: InputPartition,

@@ -113,34 +113,14 @@ class SensorNode:
         self.Abar_L = Abar_L          # class-1 induced map on X/W_i*
 
     @property
-    def V(self) -> np.ndarray:
-        return self.decomp.V
-
-    @property
-    def Wg_basis(self) -> np.ndarray:
-        return self.decomp.W_g_star.basis
-
-    @property
-    def P_Wstar(self) -> np.ndarray:
-        return self.decomp.P_Wstar
-
-    @property
-    def P_Wg(self) -> np.ndarray:
-        return self.decomp.P_Wg
-
-    @property
     def z_dim(self) -> int:
         n = self.decomp.n
         return n - self.decomp.W_star.dim if self.node_class == N1 else n
 
     def consensus_block(self) -> np.ndarray:
         """V_i for class 1, the W_g,i* insertion for class 2."""
-        return self.V if self.node_class == N1 else self.Wg_basis
-
-    def coupling_restriction(self) -> np.ndarray:
-        """Restriction of A + L C to the consensus block directions."""
-        blk = self.consensus_block()
-        return blk.T @ self.A_cl @ blk
+        return (self.decomp.V if self.node_class == N1
+                else self.decomp.W_g_star.basis)
 
 
 class DistributedObserverNetwork:
@@ -174,31 +154,26 @@ class DistributedObserverNetwork:
     def n2_ids(self):
         return [nd.node_id for nd in self.nodes if nd.node_class == N2]
 
-    def node_by_id(self, node_id) -> SensorNode:
-        for nd in self.nodes:
-            if nd.node_id == node_id:
-                return nd
-        raise KeyError(node_id)
-
 
 # ---------------------------------------------------------------------------
-# Synthesis steps.
+# Synthesis steps, in the order synthesize_distributed runs them.
 
 
-def classify_nodes(sys: LinSystem, node_specs,
-                   tol: TolerancePolicy = DEFAULT_POLICY):
-    """Split node ids by the local rank condition rank(C_i Bbar_i) = rank(Bbar_i)."""
-    n1, n2 = [], []
-    for spec in node_specs:
-        ok = _rank_condition(spec.C, sys.B[:, list(spec.unknown_cols)], tol)
-        (n1 if ok else n2).append(spec.node_id)
-    return n1, n2
+def _require_graph(graph: SensorGraph, n_nodes: int):
+    """Raise unless ``graph`` has ``n_nodes`` nodes and is connected."""
+    if graph.n_nodes != n_nodes:
+        raise DimensionMismatch("graph size must match the number of nodes")
+    if not graph.is_connected:
+        raise AssumptionViolated(
+            1, "communication graph is not connected",
+            diagnostics={"algebraic_connectivity": graph.algebraic_connectivity})
 
 
 def per_node_decomposition(sys: LinSystem, spec: NodeSpec,
                            spectral: SpectralPartition = SpectralPartition(),
                            tol: TolerancePolicy = DEFAULT_POLICY) -> SensorNode:
-    """Run the geometric pipeline for one node and populate its observer data."""
+    """Run the geometric pipeline for one node and populate its observer data;
+    the local rank test rank(C_i Bbar_i) = rank(Bbar_i) decides its class."""
     cols = sorted(spec.known_cols + spec.unknown_cols)
     if cols != list(range(sys.m)):
         raise DimensionMismatch(
@@ -223,10 +198,12 @@ def per_node_decomposition(sys: LinSystem, spec: NodeSpec,
 
 def build_consensus_blocks(nodes):
     """Block-diagonal W_V and A_L in class order (class-1 nodes first, then
-    class-2, each by ascending id); returns (W_V, A_L, ordered nodes)."""
+    class-2, each by ascending id); returns (W_V, A_L, ordered nodes).
+    A_L's blocks restrict A + L C to each node's consensus block."""
     ordered = sorted(nodes, key=lambda nd: (nd.node_class != N1, nd.node_id))
-    W_V = _block_diag(*(nd.consensus_block() for nd in ordered))
-    A_L = _block_diag(*(nd.coupling_restriction() for nd in ordered))
+    blocks = [nd.consensus_block() for nd in ordered]
+    W_V = _block_diag(*blocks)
+    A_L = _block_diag(*(b.T @ nd.A_cl @ b for nd, b in zip(ordered, blocks)))
     return W_V, A_L, ordered
 
 
@@ -235,7 +212,7 @@ def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) ->
     n = nodes[0].decomp.n
     inter = None
     for nd in nodes:
-        sub = (Subspace(n, nd.V) if nd.node_class == N1
+        sub = (Subspace(n, nd.decomp.V) if nd.node_class == N1
                else nd.decomp.W_g_star)
         inter = sub if inter is None else intersect(inter, sub, tol)
         if inter.is_zero:
@@ -243,42 +220,49 @@ def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) ->
     return inter
 
 
-def _consensus(nodes, graph: SensorGraph):
-    """(W_V, A_L, ordered nodes, sigma_min) of Q = W_V^T (L (x) I) W_V, with
-    L permuted into the block order (sigma_min is inf if W_V is empty).
+def joint_detectability_check(nodes, graph: SensorGraph, ordered,
+                              tol: TolerancePolicy = DEFAULT_POLICY) -> float:
+    """sigma_min of the consensus Gram matrix Q = W_V^T (L (x) I) W_V, in the
+    block order of ``ordered`` as ``build_consensus_blocks`` returns it (inf
+    if W_V is empty).  ``nodes`` come in graph order: vertex k is nodes[k].
 
-    Block (i, j) of Q is L_ij B_i^T B_j for the consensus blocks B_i, so Q
-    is (S^T S) * L[owner, owner], with S the blocks side by side and
-    ``owner`` the node of each column: no (N n)^2 Kronecker factor.
-    """
-    W_V, A_L, ordered = build_consensus_blocks(nodes)
-    if W_V.shape[1] == 0:
-        return W_V, A_L, ordered, np.inf
+    Raises DimensionMismatch for a node count other than the graph's,
+    AssumptionViolated(1) for a disconnected graph, and (3), naming the
+    route that failed, unless Q is nonsingular and the recoverability
+    intersection is zero.  Block (i, j) of Q is L_ij B_i^T B_j for the
+    consensus blocks B_i, so Q is (S^T S) * L[owner, owner], with S the
+    blocks side by side and ``owner`` the node of each column."""
+    _require_graph(graph, len(nodes))
     blocks = [nd.consensus_block() for nd in ordered]
-    S = np.hstack(blocks)
-    owner = np.repeat([nodes.index(nd) for nd in ordered],
-                      [b.shape[1] for b in blocks])
-    Q = (S.T @ S) * graph.laplacian[np.ix_(owner, owner)]
-    return W_V, A_L, ordered, float(_svd(Q, uv=False).min())
-
-
-def _undetectable(sigma_min: float, inter: Subspace):
-    """(failed route, cause) if joint detectability fails, else None.
-
-    The Gram-matrix route is cross-checked by the recoverability
-    intersection; the two disagree only in numerically marginal situations.
-    """
+    widths = [b.shape[1] for b in blocks]
+    sigma_min = np.inf
+    if sum(widths):
+        S = np.hstack(blocks)
+        owner = np.repeat([nodes.index(nd) for nd in ordered], widths)
+        Q = (S.T @ S) * graph.laplacian[np.ix_(owner, owner)]
+        sigma_min = float(_svd(Q, uv=False).min())
+    inter = recoverability_intersection(nodes, tol)
     gram_ok = sigma_min > GRAM_FLOOR
-    if gram_ok != inter.is_zero:
-        return (("intersection", "the recoverability intersection is nonzero "
-                 "but the consensus Gram matrix is not singular") if gram_ok else
-                ("gram", "the consensus Gram matrix is singular but the "
-                 "recoverability intersection is zero"))
-    return None if gram_ok else ("both", "jointly unrecoverable directions remain")
+    if gram_ok and inter.is_zero:
+        return sigma_min
+    route, cause = (
+        ("intersection", "the recoverability intersection is nonzero "
+         "but the consensus Gram matrix is not singular") if gram_ok else
+        ("gram", "the consensus Gram matrix is singular but the "
+         "recoverability intersection is zero") if inter.is_zero else
+        ("both", "jointly unrecoverable directions remain"))
+    raise AssumptionViolated(
+        3, f"{cause} (sigma_min_Q = {sigma_min:.2e}, "
+           f"intersection dimension {inter.dim})",
+        diagnostics={"failed_route": route,
+                     "intersection_basis": inter.basis,
+                     "intersection_dim": inter.dim,
+                     "sigma_min_Q": sigma_min})
 
 
-def _gain_bounds(A_L: np.ndarray, sigma_min: float, nodes, u_bar_max: float):
-    """(chi_min, gamma_min, sigma_min) from the consensus data."""
+def gain_bounds(A_L: np.ndarray, sigma_min: float, nodes, u_bar_max: float):
+    """(chi_min, gamma_min): lower bounds for the consensus gains from A_L
+    and sigma_min(Q), the results of the two steps above."""
     if u_bar_max < 0:
         raise ValueError("u_bar_max must be nonnegative")
     if sigma_min <= GRAM_FLOOR:
@@ -286,27 +270,13 @@ def _gain_bounds(A_L: np.ndarray, sigma_min: float, nodes, u_bar_max: float):
             f"consensus Gram matrix is singular (sigma_min = {sigma_min:.2e})")
     chi_min = two_norm(A_L) / sigma_min
     n2 = [nd for nd in nodes if nd.node_class == N2]
+    gamma_min = 0.0
     if n2 and u_bar_max > 0:
         gamma_min = (u_bar_max
                      * max(np.linalg.norm(nd.B_unknown, 1) for nd in n2)
-                     * max(np.linalg.norm(nd.Wg_basis, np.inf) for nd in n2))
-    else:
-        gamma_min = 0.0
-    return chi_min, gamma_min, sigma_min
-
-
-def joint_detectability_check(nodes, graph: SensorGraph,
-                              tol: TolerancePolicy = DEFAULT_POLICY):
-    """(ok, sigma_min_Q): Gram-matrix route, cross-checked by direct intersection."""
-    sigma_min = _consensus(nodes, graph)[3]
-    inter = recoverability_intersection(nodes, tol)
-    return graph.is_connected and _undetectable(sigma_min, inter) is None, sigma_min
-
-
-def gain_bounds(nodes, graph: SensorGraph, u_bar_max: float):
-    """(chi_min, gamma_min, sigma_min_Q): lower bounds for the consensus gains."""
-    _, A_L, _, sigma_min = _consensus(nodes, graph)
-    return _gain_bounds(A_L, sigma_min, nodes, u_bar_max)
+                     * max(np.linalg.norm(nd.consensus_block(), np.inf)
+                           for nd in n2))
+    return chi_min, gamma_min
 
 
 def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
@@ -314,31 +284,17 @@ def synthesize_distributed(sys: LinSystem, node_specs, graph: SensorGraph,
                            u_bar_max: float = 0.0,
                            tol: TolerancePolicy = DEFAULT_POLICY,
                            ) -> DistributedObserverNetwork:
-    """Full networked synthesis with assumption checks and gain selection."""
-    if graph.n_nodes != len(node_specs):
-        raise DimensionMismatch("graph size must match the number of nodes")
-    if not graph.is_connected:
-        raise AssumptionViolated(
-            1, "communication graph is not connected",
-            diagnostics={"algebraic_connectivity": graph.algebraic_connectivity})
+    """Full networked synthesis: the steps above, each once, then the gains.
+    ``node_specs`` come in graph order."""
+    _require_graph(graph, len(node_specs))
     if u_bar_max < 0:
         raise AssumptionViolated(2, "unknown-input bound must be nonnegative",
                                  diagnostics={"u_bar_max": u_bar_max})
     nodes = tuple(per_node_decomposition(sys, spec, spectral, tol)
                   for spec in node_specs)
-    W_V, A_L, _, sigma_min = _consensus(nodes, graph)
-    inter = recoverability_intersection(nodes, tol)
-    failure = _undetectable(sigma_min, inter)
-    if failure:
-        route, cause = failure
-        raise AssumptionViolated(
-            3, f"{cause} (sigma_min_Q = {sigma_min:.2e}, "
-               f"intersection dimension {inter.dim})",
-            diagnostics={"failed_route": route,
-                         "intersection_basis": inter.basis,
-                         "intersection_dim": inter.dim,
-                         "sigma_min_Q": sigma_min})
-    chi_min, gamma_min, _ = _gain_bounds(A_L, sigma_min, nodes, u_bar_max)
+    W_V, A_L, ordered = build_consensus_blocks(nodes)
+    sigma_min = joint_detectability_check(nodes, graph, ordered, tol)
+    chi_min, gamma_min = gain_bounds(A_L, sigma_min, nodes, u_bar_max)
     safety = spectral.safety
     chi = safety * chi_min if chi_min > 0 else CHI_FALLBACK
     gamma = safety * gamma_min

@@ -561,13 +561,13 @@ def _network_kernel(sys: LinSystem, net: DistributedObserverNetwork,
             for i in range(len(nodes))]
     M = _block_diag(sys.A, np.zeros((dim - n, dim - n)))
     G = np.vstack([sys.B, np.zeros((dim - n, m))])
-    n_sign = sum(nd.Wg_basis.shape[1] for nd in nodes if nd.node_class == N2)
+    n_sign = sum(nd.decomp.W_g_star.dim for nd in nodes if nd.node_class == N2)
     K, lift = np.zeros((n_sign, dim)), np.zeros((dim, n_sign))
     Q, r = [], 0
     for i, (nd, off) in enumerate(zip(nodes, offs)):
         rows = slice(off, off + nd.z_dim)
         is_n1 = nd.node_class == N1
-        R = nd.P_Wstar if is_n1 else np.eye(n)  # a node's state tracks R x
+        R = nd.decomp.P_Wstar if is_n1 else np.eye(n)  # a node's state tracks R x
         blk = nd.consensus_block()
         M[rows, :n] -= R @ (nd.L @ nd.C)
         M[rows, rows] += nd.Abar_L if is_n1 else nd.A_cl
@@ -575,14 +575,14 @@ def _network_kernel(sys: LinSystem, net: DistributedObserverNetwork,
         G[rows, :] = R @ nd.B_known @ np.eye(m)[list(nd.known_cols)]
         if is_n1:
             # leading block of (P_Wstar x - z): the chart stacks [P_Wg; V^T]
-            q = nd.P_Wg.shape[0]
-            Q.append(nd.P_Wg @ np.eye(n, dim) - np.eye(q, dim, off))
+            q = nd.decomp.P_Wg.shape[0]
+            Q.append(nd.decomp.P_Wg @ np.eye(n, dim) - np.eye(q, dim, off))
         else:
             k = blk.shape[1]
             K[r:r + k] = blk.T @ cons[i]
             lift[rows, r:r + k] = net.gamma * blk
             r += k
-            Q.append(nd.P_Wg @ D[i])
+            Q.append(nd.decomp.P_Wg @ D[i])
     return _Kernel(n=n, M=M, G=G, K=K, lift=lift,
                    s0=np.concatenate([cfg.x0, *z0]), labels=labels, D=tuple(D),
                    Q=tuple(Q), quotient_maps=tuple(nd.Abarbar for nd in nodes))

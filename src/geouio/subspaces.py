@@ -190,7 +190,7 @@ def _null_space(M: np.ndarray) -> np.ndarray:
     return vh[np.sum(s > cut, dtype=int):].T
 
 
-def _rank_cut(s: np.ndarray, shape, rel_tol: float, scale_floor: float = 0.0):
+def _rank_cut(s: np.ndarray, shape, rel_tol: float, scale_floor: float = 0.0) -> int:
     """Number of singular values kept, recording the flip margin.
 
     The cutoff is ``max(sigma_max, scale_floor) * max(shape) * rel_tol``.
@@ -199,7 +199,7 @@ def _rank_cut(s: np.ndarray, shape, rel_tol: float, scale_floor: float = 0.0):
     """
     scale = max(float(s[0]) if s.size else 0.0, scale_floor)
     if scale == 0.0:  # an all-zero matrix: a cut that cannot flip
-        return 0, 0.0
+        return 0
     threshold = scale * max(shape) * rel_tol
     rank = int(np.count_nonzero(s > threshold))
     # Flip margin of the decision: the spectral gap across the cut.  Exactly
@@ -207,7 +207,7 @@ def _rank_cut(s: np.ndarray, shape, rel_tol: float, scale_floor: float = 0.0):
     kept_min = float(s[rank - 1]) if rank > 0 else np.inf
     dropped_max = float(s[rank]) if rank < s.size else 0.0
     note_margin(kept_min - dropped_max)
-    return rank, threshold
+    return rank
 
 
 def monitored_rank(M, tol: TolerancePolicy = DEFAULT_POLICY,
@@ -216,8 +216,7 @@ def monitored_rank(M, tol: TolerancePolicy = DEFAULT_POLICY,
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return 0
-    rank, _ = _rank_cut(_svd(M, uv=False), M.shape, tol.rel_rank_tol, scale_floor)
-    return rank
+    return _rank_cut(_svd(M, uv=False), M.shape, tol.rel_rank_tol, scale_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +326,7 @@ def image(M, tol: TolerancePolicy = DEFAULT_POLICY, scale_floor: float = 0.0) ->
     if M.size == 0:
         return Subspace.zero(n)
     U, s, _ = _svd(M, full=False)
-    rank, _ = _rank_cut(s, M.shape, tol.rel_rank_tol, scale_floor)
+    rank = _rank_cut(s, M.shape, tol.rel_rank_tol, scale_floor)
     return Subspace(n, U[:, :rank])
 
 
@@ -338,7 +337,7 @@ def kernel(M, tol: TolerancePolicy = DEFAULT_POLICY, scale_floor: float = 0.0) -
     if M.size == 0:
         return Subspace.full(n)
     _, s, Vt = _svd(M)
-    rank, _ = _rank_cut(s, M.shape, tol.rel_rank_tol, scale_floor)
+    rank = _rank_cut(s, M.shape, tol.rel_rank_tol, scale_floor)
     return Subspace(n, Vt[rank:].T)
 
 

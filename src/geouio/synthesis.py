@@ -356,7 +356,7 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
         # The Riccati gain works on an orthonormal input matrix: factor
         # C1^T through its column-space isometry.
         Ub, sb, Vbt = _svd(C1.T, full=False)
-        r, _ = _rank_cut(sb, C1.shape, tol.rel_rank_tol)
+        r = _rank_cut(sb, C1.shape, tol.rel_rank_tol)
         if r == 0:
             raise SpectrumUnassignable(
                 "observable quotient modes exist but the factored measurement vanishes")

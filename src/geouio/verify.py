@@ -242,7 +242,7 @@ def invariant_checks(design, alpha: float, sys: LinSystem | None = None,
         is_n1 = nd.node_class == N1
         checks |= _judge({NODE, N1_NODE} if is_n1 else {NODE}, _Quotient(
             nd.decomp, nd.C, nd.B_unknown, nd.A_cl, nd.Abarbar, nd.E, nd.F,
-            nd.P_Wstar, is_n1, tol), alpha, f"node{nd.node_id}_")
+            nd.decomp.P_Wstar, is_n1, tol), alpha, f"node{nd.node_id}_")
     return checks
 
 

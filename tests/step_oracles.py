@@ -41,7 +41,7 @@ def node_rhs_n1(node, z_i, y_i, u_i, neighbor_estimates, chi) -> np.ndarray:
     y_i = np.asarray(y_i, float)
     u_i = np.asarray(u_i, float)
     s = _disagreement(node, node_estimate_n1(node, z_i, y_i), neighbor_estimates)
-    P, V = node.P_Wstar, node.V
+    P, V = node.decomp.P_Wstar, node.decomp.V
     return (node.Abar_L @ z_i - P @ (node.L @ y_i) + P @ (node.B_known @ u_i)
             + chi * (P @ V) @ (V.T @ s))
 
@@ -54,7 +54,7 @@ def node_rhs_n2(node, xhat_i, y_i, u_i, neighbor_estimates, chi, gamma,
     y_i = np.asarray(y_i, float)
     u_i = np.asarray(u_i, float)
     s = _disagreement(node, xhat_i, neighbor_estimates)
-    Wg = node.Wg_basis
+    Wg = node.decomp.W_g_star.basis
     return (node.A_cl @ xhat_i - node.L @ y_i + node.B_known @ u_i
             + chi * Wg @ (Wg.T @ s) + gamma * Wg @ sign_fn(Wg.T @ s))
 

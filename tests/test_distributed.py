@@ -12,8 +12,8 @@ from geouio.cases import builtin_config
 from geouio.central import InputPartition, LinSystem, synthesize_centralized_uio
 from geouio.config import parse_config
 from geouio.distributed import (N1, N2, NodeSpec, SensorGraph,
-                                build_consensus_blocks, classify_nodes,
-                                gain_bounds, joint_detectability_check,
+                                build_consensus_blocks, gain_bounds,
+                                joint_detectability_check,
                                 per_node_decomposition,
                                 recoverability_intersection,
                                 synthesize_distributed)
@@ -77,8 +77,16 @@ def test_ring_is_connected_and_two_components_are_not():
 # classification
 
 
+def classes(sys, specs):
+    """Ids of the class-1 and the class-2 nodes that per-node synthesis
+    builds from ``specs``, each in the order given."""
+    nodes = [per_node_decomposition(sys, sp, ALPHA0) for sp in specs]
+    return ([nd.node_id for nd in nodes if nd.node_class == N1],
+            [nd.node_id for nd in nodes if nd.node_class == N2])
+
+
 def test_demo_classification():
-    n1, n2 = classify_nodes(demo_sys(), demo_specs())
+    n1, n2 = classes(demo_sys(), demo_specs())
     assert n1 == [1, 3]
     assert n2 == [2, 4]
     # direct multiplies behind the classification
@@ -89,7 +97,7 @@ def test_demo_classification():
 
 def test_all_known_inputs_gives_all_class1():
     specs = [NodeSpec(i, C_ROWS[i], (0, 1, 2), ()) for i in range(1, 5)]
-    n1, n2 = classify_nodes(demo_sys(), specs)
+    n1, n2 = classes(demo_sys(), specs)
     assert n1 == [1, 2, 3, 4] and n2 == []
 
 
@@ -97,7 +105,7 @@ def test_blind_unknown_channels_give_all_class2():
     # every node sees nothing of its unknown channel
     specs = [NodeSpec(1, C_ROWS[2], (0, 2), (1,)),
              NodeSpec(2, C_ROWS[4], (0,), (1, 2))]
-    n1, n2 = classify_nodes(demo_sys(), specs)
+    n1, n2 = classes(demo_sys(), specs)
     assert n1 == [] and n2 == [1, 2]
 
 
@@ -105,9 +113,9 @@ def test_classification_is_permutation_equivariant():
     sys = demo_sys()
     specs = demo_specs()
     perm = [2, 0, 3, 1]
-    n1p, n2p = classify_nodes(sys, [specs[k] for k in perm])
+    n1p, n2p = classes(sys, [specs[k] for k in perm])
     assert sorted(n1p) == [1, 3] and sorted(n2p) == [2, 4]
-    assert classify_nodes(sys, specs) == classify_nodes(sys, specs)
+    assert classes(sys, specs) == classes(sys, specs)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +131,7 @@ def demo_nodes(request):
 def test_node1_is_class1_with_reconstruction(demo_nodes):
     nd = demo_nodes[0]
     assert nd.node_class == N1
-    resid = np.linalg.norm(nd.E @ nd.P_Wstar + nd.F @ nd.C - np.eye(6))
+    resid = np.linalg.norm(nd.E @ nd.decomp.P_Wstar + nd.F @ nd.C - np.eye(6))
     assert resid <= 1e-9
 
 
@@ -140,7 +148,7 @@ def test_node_with_full_measurement_is_trivial():
     nd = per_node_decomposition(sys, spec, ALPHA0)
     assert nd.node_class == N1
     assert subspaces_equal(nd.decomp.W_star, image(B6[:, [2]]))
-    assert np.linalg.norm(nd.E @ nd.P_Wstar + nd.F @ nd.C - np.eye(6)) <= 1e-9
+    assert np.linalg.norm(nd.E @ nd.decomp.P_Wstar + nd.F @ nd.C - np.eye(6)) <= 1e-9
 
 
 def test_block_relations_per_class1_node(demo_nodes):
@@ -174,17 +182,33 @@ def test_quotient_spectra_are_stable(demo_nodes):
 # joint detectability and gains
 
 
+def network_gains(nodes, graph, u_bar_max):
+    """(chi_min, gamma_min, sigma_min_Q) from the network steps, in order."""
+    _, A_L, ordered = build_consensus_blocks(nodes)
+    smin = joint_detectability_check(nodes, graph, ordered)
+    return (*gain_bounds(A_L, smin, nodes, u_bar_max), smin)
+
+
 def test_demo_joint_detectability(demo_nodes):
-    ok, smin = joint_detectability_check(demo_nodes, RING)
-    assert ok and smin > 1e-9
+    ordered = build_consensus_blocks(demo_nodes)[2]
+    assert joint_detectability_check(demo_nodes, RING, ordered) > 1e-9
     assert recoverability_intersection(demo_nodes).is_zero
 
 
 def test_disconnected_graph_fails_assumption(demo_nodes):
     two = SensorGraph(np.array([[0, 1, 0, 0], [1, 0, 0, 0],
                                 [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float))
-    ok, _ = joint_detectability_check(demo_nodes, two)
-    assert not ok
+    ordered = build_consensus_blocks(demo_nodes)[2]
+    with pytest.raises(AssumptionViolated) as exc:
+        joint_detectability_check(demo_nodes, two, ordered)
+    assert exc.value.assumption == 1
+
+
+def test_joint_detectability_needs_one_node_per_vertex(demo_nodes):
+    # three of the four ring nodes gave a sigma_min_Q ten times the network's
+    nodes = demo_nodes[:3]
+    with pytest.raises(DimensionMismatch, match="graph size"):
+        joint_detectability_check(nodes, RING, build_consensus_blocks(nodes)[2])
 
 
 def test_gram_matrix_routes_agree_on_random_networks():
@@ -225,8 +249,12 @@ def test_gram_matrix_routes_agree_on_random_networks():
 
 
 def test_gain_bounds_zero_cases(demo_nodes):
-    chi_min, gamma_min, smin = gain_bounds(demo_nodes, RING, u_bar_max=0.0)
+    chi_min, gamma_min, smin = network_gains(demo_nodes, RING, u_bar_max=0.0)
     assert gamma_min == 0.0 and chi_min > 0 and smin > 0
+
+
+def by_id(net):
+    return {nd.node_id: nd for nd in net.nodes}
 
 
 def _fresh_blocks(net):
@@ -234,8 +262,8 @@ def _fresh_blocks(net):
     order = sorted(net.n1_ids) + sorted(net.n2_ids)
     blocks, ablocks = [], []
     for nid in order:
-        nd = net.node_by_id(nid)
-        blk = nd.V if nd.node_class == N1 else nd.Wg_basis
+        nd = by_id(net)[nid]
+        blk = nd.decomp.V if nd.node_class == N1 else nd.decomp.W_g_star.basis
         blocks.append(blk)
         ablocks.append(blk.T @ nd.A_cl @ blk)
     return order, blocks, ablocks
@@ -253,10 +281,11 @@ def test_gain_bounds_cross_checked_against_fresh_assembly(dist_cfg, dist_net):
     Q = W_V.T @ np.kron(Lp, np.eye(6)) @ W_V
     smin = np.linalg.svd(Q, compute_uv=False).min()
     chi_min = np.linalg.norm(A_L, 2) / smin
-    n2 = [net.node_by_id(i) for i in net.n2_ids]
+    n2 = [by_id(net)[i] for i in net.n2_ids]
     gamma_min = (net.u_bar_max
                  * max(np.linalg.norm(nd.B_unknown, 1) for nd in n2)
-                 * max(np.linalg.norm(nd.Wg_basis, np.inf) for nd in n2))
+                 * max(np.linalg.norm(nd.decomp.W_g_star.basis, np.inf)
+                       for nd in n2))
     assert np.isclose(chi_min, net.chi_min, rtol=1e-9)
     assert np.isclose(gamma_min, net.gamma_min, rtol=1e-9)
     assert np.isclose(smin, net.sigma_min_Q, rtol=1e-9)
@@ -278,13 +307,13 @@ def test_block_helpers_match_scipy_on_the_demo(dist_net):
 def test_gamma_bound_is_monotone_in_unknown_channel_norm():
     sys = demo_sys()
     nodes = [per_node_decomposition(sys, sp, ALPHA0) for sp in demo_specs()]
-    _, gamma_min, _ = gain_bounds(nodes, RING, u_bar_max=0.2)
+    _, gamma_min, _ = network_gains(nodes, RING, u_bar_max=0.2)
     # doubling an unknown channel of a class-2 node (same span, bigger norm)
     B_scaled = B6.copy()
     B_scaled[:, 1] *= 2.0
     sys2 = LinSystem(A6, B_scaled, sys.C)
     nodes2 = [per_node_decomposition(sys2, sp, ALPHA0) for sp in demo_specs()]
-    _, gamma_min2, _ = gain_bounds(nodes2, RING, u_bar_max=0.2)
+    _, gamma_min2, _ = network_gains(nodes2, RING, u_bar_max=0.2)
     assert gamma_min2 >= gamma_min
 
 
@@ -318,24 +347,28 @@ def test_synthesize_demo_network(dist_cfg, dist_net):
 
 
 def test_synthesis_builds_consensus_blocks_once(dist_cfg, dist_net, monkeypatch):
+    """One synthesis runs each network step once, and each node's once."""
     net, _ = dist_net
-    calls = []
+    steps = ("per_node_decomposition", "build_consensus_blocks",
+             "joint_detectability_check", "gain_bounds")
+    calls = {name: 0 for name in steps}
 
-    def counted(nodes):
-        calls.append(1)
-        return build_consensus_blocks(nodes)
+    def counted(name, step):
+        def call(*args):
+            calls[name] += 1
+            return step(*args)
+        return call
 
-    monkeypatch.setattr(dist, "build_consensus_blocks", counted)
+    for name in steps:
+        monkeypatch.setattr(dist, name, counted(name, getattr(dist, name)))
     again = synthesize_distributed(dist_cfg.system, dist_cfg.node_specs,
                                    dist_cfg.graph, dist_cfg.spectral,
                                    u_bar_max=dist_cfg.u_bar_max)
-    assert len(calls) == 1
+    assert calls == {"per_node_decomposition": len(dist_cfg.node_specs),
+                     "build_consensus_blocks": 1,
+                     "joint_detectability_check": 1, "gain_bounds": 1}
     assert (again.chi, again.gamma, again.sigma_min_Q) == (
         net.chi, net.gamma, net.sigma_min_Q)
-    assert joint_detectability_check(net.nodes, net.graph) == (
-        True, net.sigma_min_Q)
-    assert gain_bounds(net.nodes, net.graph, net.u_bar_max) == (
-        net.chi_min, net.gamma_min, net.sigma_min_Q)
 
 
 def test_synthesize_rejects_disconnected_graph():
@@ -365,9 +398,8 @@ def test_synthesize_rejects_jointly_unrecoverable_network():
 
 
 def test_assumption_3_names_a_gram_only_failure(dist_cfg, monkeypatch):
-    consensus = dist._consensus
-    monkeypatch.setattr(dist, "_consensus", lambda nodes, graph: (
-        *consensus(nodes, graph)[:3], 1e-12))
+    # the one SVD of the module is the Gram matrix's
+    monkeypatch.setattr(dist, "_svd", lambda Q, uv: np.full(len(Q), 1e-12))
     with pytest.raises(AssumptionViolated) as exc:
         synthesize_distributed(dist_cfg.system, dist_cfg.node_specs,
                                dist_cfg.graph, dist_cfg.spectral,
@@ -391,7 +423,7 @@ def test_single_node_degenerates_to_centralized():
     net = synthesize_distributed(sys, [NodeSpec(1, C, (0,), (1,))], graph,
                                  ALPHA0, u_bar_max=1.0)
     nd = net.nodes[0]
-    assert nd.node_class == N1 and nd.V.shape[1] == 0
+    assert nd.node_class == N1 and nd.decomp.V.shape[1] == 0
     assert net.chi == 0.1  # floor when the coupling bound is vacuous
     # consensus term vanishes: no neighbors
     dz = node_rhs_n1(nd, np.zeros(nd.z_dim), np.zeros(2), np.zeros(1), [],
@@ -493,10 +525,10 @@ def test_one_node_network_has_the_centralized_dimensions_and_class():
 
 def test_class1_rhs_consensus_vanishes_at_agreement(dist_cfg, dist_net):
     net, _ = dist_net
-    nd = net.node_by_id(1)
+    nd = by_id(net)[1]
     rng = np.random.default_rng(3)
     x = rng.normal(size=6)
-    z = nd.P_Wstar @ x
+    z = nd.decomp.P_Wstar @ x
     y = nd.C @ x
     est = node_estimate_n1(nd, z, y)
     assert np.linalg.norm(est - x) <= 1e-9 * max(1, np.linalg.norm(x))
@@ -507,20 +539,21 @@ def test_class1_rhs_consensus_vanishes_at_agreement(dist_cfg, dist_net):
 
 def test_class1_rhs_chi_zero_is_decoupled(dist_cfg, dist_net):
     net, _ = dist_net
-    nd = net.node_by_id(3)
+    nd = by_id(net)[3]
     rng = np.random.default_rng(4)
     z = rng.normal(size=nd.z_dim)
     y = rng.normal(size=nd.C.shape[0])
     u = rng.normal(size=len(nd.known_cols))
     other = rng.normal(size=6)
-    base = nd.Abar_L @ z - nd.P_Wstar @ (nd.L @ y) + nd.P_Wstar @ (nd.B_known @ u)
+    P = nd.decomp.P_Wstar
+    base = nd.Abar_L @ z - P @ (nd.L @ y) + P @ (nd.B_known @ u)
     got = node_rhs_n1(nd, z, y, u, [other], 0.0)
     assert np.allclose(got, base, atol=1e-12)
 
 
 def test_class1_rhs_hand_evaluation(dist_cfg, dist_net):
     net, _ = dist_net
-    nd = net.node_by_id(1)
+    nd = by_id(net)[1]
     x0 = np.array([1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
     z = np.zeros(nd.z_dim)
     y = nd.C @ x0
@@ -529,16 +562,16 @@ def test_class1_rhs_hand_evaluation(dist_cfg, dist_net):
     got = node_rhs_n1(nd, z, y, u, others, net.chi)
     xhat = nd.E @ z + nd.F @ y
     s = (others[0] - xhat) + (others[1] - xhat)
-    expected = (nd.Abar_L @ z - nd.P_Wstar @ nd.L @ y
-                + nd.P_Wstar @ nd.B_known @ u
-                + net.chi * nd.P_Wstar @ nd.V @ (nd.V.T @ s))
+    P, V = nd.decomp.P_Wstar, nd.decomp.V
+    expected = (nd.Abar_L @ z - P @ nd.L @ y + P @ nd.B_known @ u
+                + net.chi * P @ V @ (V.T @ s))
     assert np.allclose(got, expected, atol=1e-12)
     assert np.all(np.isfinite(got))
 
 
 def test_class2_rhs_perfect_consensus_reduces_to_local(dist_cfg, dist_net):
     net, _ = dist_net
-    nd = net.node_by_id(2)
+    nd = by_id(net)[2]
     rng = np.random.default_rng(5)
     xhat = rng.normal(size=6)
     y = nd.C @ xhat
@@ -550,7 +583,7 @@ def test_class2_rhs_perfect_consensus_reduces_to_local(dist_cfg, dist_net):
 
 def test_class2_rhs_hand_evaluation(dist_cfg, dist_net):
     net, _ = dist_net
-    nd = net.node_by_id(2)
+    nd = by_id(net)[2]
     x0 = np.array([1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
     xhat = np.zeros(6)
     y = nd.C @ x0
@@ -558,7 +591,7 @@ def test_class2_rhs_hand_evaluation(dist_cfg, dist_net):
     others = [x0, 0.5 * x0]
     got = node_rhs_n2(nd, xhat, y, u, others, net.chi, net.gamma)
     s = (others[0] - xhat) + (others[1] - xhat)
-    Wg = nd.Wg_basis
+    Wg = nd.decomp.W_g_star.basis
     expected = (nd.A_cl @ xhat - nd.L @ y + nd.B_known @ u
                 + net.chi * Wg @ (Wg.T @ s)
                 + net.gamma * Wg @ np.sign(Wg.T @ s))
@@ -567,7 +600,7 @@ def test_class2_rhs_hand_evaluation(dist_cfg, dist_net):
 
 def test_class2_rhs_zero_gains_still_finite(dist_cfg, dist_net):
     net, _ = dist_net
-    nd = net.node_by_id(4)
+    nd = by_id(net)[4]
     rng = np.random.default_rng(6)
     got = node_rhs_n2(nd, rng.normal(size=6), rng.normal(size=1),
                       rng.normal(size=1), [rng.normal(size=6)], 0.0, 0.0)
@@ -592,10 +625,10 @@ def test_all_class1_network_has_zero_gamma_bound():
     specs = [NodeSpec(i, C_ROWS[i], (0, 1, 2), ()) for i in range(1, 5)]
     nodes = [per_node_decomposition(sys, sp, ALPHA0) for sp in specs]
     assert all(nd.node_class == N1 for nd in nodes)
-    _, gamma_min, _ = gain_bounds(nodes, RING, u_bar_max=5.0)
+    _, gamma_min, _ = network_gains(nodes, RING, u_bar_max=5.0)
     assert gamma_min == 0.0
     W_V, _, ordered = build_consensus_blocks(nodes)
-    assert W_V.shape[1] == sum(nd.V.shape[1] for nd in ordered)
+    assert W_V.shape[1] == sum(nd.decomp.V.shape[1] for nd in ordered)
 
 
 def test_a_blind_node_friend_does_not_depend_on_the_wg_basis():

@@ -162,7 +162,7 @@ def _route_through_numpy(monkeypatch):
                     if val is original:
                         monkeypatch.setattr(mod, attr, ref)
                         patched += 1
-    assert patched == 7  # in subspaces, synthesis, central and distributed
+    assert patched == 8  # in subspaces, synthesis, central and distributed
 
 
 def _pipeline(dist_cfg, central_cfg):

@@ -60,6 +60,24 @@ def test_residual_checks_carry_what_the_benchmark_reads(which):
         assert (c.limit is None) == (c.comparison is None)
 
 
+@pytest.mark.parametrize("which", ["centralized", "distributed"])
+def test_residual_checks_reach_every_traced_synthesis_step(which):
+    """design-sweep times `synthesis_residual_checks`: each traced step of a
+    design's synthesis must run under it, or its layer reads 0."""
+    own = ("central.synthesize_centralized_uio" if which == "centralized"
+           else "distributed.")
+    names = [f"{m}.{f}" for m, f, _ in _traced()
+             if m == "synthesis" or f"{m}.{f}".startswith(own)]
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        synthesis_residual_checks(parse_config(builtin_config(which)))
+    finally:
+        tracer.uninstall()
+    assert len(names) >= 3
+    assert not [name for name in names if not tracer.calls[name]]
+
+
 def test_every_hook_reads_what_a_real_call_gives(central_cfg, central_obs,
                                                  dist_cfg, dist_net, tmp_path):
     """Each boundary hook, given a short real call of its function, counts

@@ -239,7 +239,7 @@ def test_distributed_truth_initialized_zero_unknowns_stay_exact(dist_cfg, dist_n
     x0 = dist_cfg.sim.x0
     init = []
     for nd in net.nodes:
-        init.append(nd.P_Wstar @ x0 if nd.node_class == N1 else x0.copy())
+        init.append(nd.decomp.P_Wstar @ x0 if nd.node_class == N1 else x0.copy())
     zero_sigs = tuple(SignalSpec("const", 0.0) for _ in range(3))
     cfg = SimConfig(t_end=3.0, x0=x0, dt=1e-3, observer_init=tuple(init),
                     record_stride=10)
