@@ -9,12 +9,13 @@ E·P + F·C = I.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .errors import (DimensionMismatch, ExistenceFailed, InvarianceViolated,
                      NotConditionedInvariant, NotSolvable, SpectrumUnassignable)
-from .subspaces import (DEFAULT_POLICY, TolerancePolicy, _eigvals, _pinv,
-                        _rank_cut, _svd, as_matrix, intersect, monitored_rank,
-                        two_norm)
+from .subspaces import (DEFAULT_POLICY, TolerancePolicy, _eigvals, _fro,
+                        _lstsq, _pinv, _rank_cut, _svd, as_matrix, intersect,
+                        monitored_rank, two_norm)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
 
@@ -159,12 +160,12 @@ def solve_output_reconstruction(P_Wg, C, tol: TolerancePolicy = DEFAULT_POLICY):
         raise NotSolvable(
             "rows of the quotient chart and C do not span the state space")
     try:
-        Xt, *_ = np.linalg.lstsq(M.T, np.eye(n), rcond=None)
-    except np.linalg.LinAlgError as exc:
+        Xt = _lstsq(M.T, np.eye(n))
+    except LinAlgError as exc:
         raise NotSolvable(
             f"least-squares reconstruction solve failed ({exc})") from exc
     X = Xt.T
-    resid = float(np.linalg.norm(X @ M - np.eye(n)))
+    resid = _fro(X @ M - np.eye(n))
     if resid > tol.abs_residual_tol:
         raise NotSolvable(f"reconstruction solve residual too large ({resid:.2e})")
     q = P_Wg.shape[0]

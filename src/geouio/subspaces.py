@@ -8,14 +8,18 @@ so complements and quotient charts are exact.  Degenerate subspaces
 deterministic: identical inputs give bit-identical outputs.
 
 The module also holds every LAPACK call that geouio makes past numpy's
-wrappers: ``_svd``, ``_pinv``, ``_eigvals`` and ``_matrix_sign`` call numpy's
-own gufuncs, on every numpy build.
+wrappers: ``_svd``, ``_pinv``, ``_eigvals``, ``_lstsq`` (the ``dgelsd``
+gufunc behind ``numpy.linalg.lstsq``) and ``_matrix_sign`` call numpy's own
+gufuncs, on every numpy build, and ``_fro`` and ``_kron`` take the
+Frobenius norm and the Kronecker product by numpy's own formulas.  Each
+gives exactly what numpy's wrapper gives.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import threading
 from functools import cache
 
@@ -124,6 +128,14 @@ def _block_diag(*blocks) -> np.ndarray:
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``numpy.kron(a, b)`` of two 2-D arrays, bit for bit: every entry of
+    ``a`` times every entry of ``b`` in one broadcast product, as numpy forms
+    it, without numpy's per-call wrapping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 # numpy.linalg.svd's gufuncs: full factors, reduced factors, values only.
 _SVD_GUFUNCS = (_umath_linalg.svd_f, _umath_linalg.svd_s, _umath_linalg.svd)
 
@@ -173,6 +185,34 @@ def _pinv(M: np.ndarray) -> np.ndarray:
     return vt.T @ (s[:, None] * u.T)
 
 
+def _lstsq_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.lstsq(a, b, rcond=None)[0]`` of a real 2-D float64
+    ``a`` with at least one row and a 1-D or 2-D float64 ``b`` with at least
+    one column, bit for bit: the same LAPACK gufunc with numpy's ``rcond =
+    eps * max(m, n)`` and its floating-point error handling, without the
+    rest of numpy's per-call wrapping.  A failed solve raises numpy's
+    ``LinAlgError``."""
+    rcond = sys.float_info.epsilon * max(a.shape)
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        if b.ndim == 1:
+            return _umath_linalg.lstsq(a, b[:, None], rcond,
+                                       signature="ddd->ddid")[0][:, 0]
+        return _umath_linalg.lstsq(a, b, rcond, signature="ddd->ddid")[0]
+
+
+def _fro(M: np.ndarray) -> float:
+    """Frobenius norm of a float64 array, equal to ``numpy.linalg.norm(M)``:
+    numpy's own ``sqrt(x . x)`` of ``M.ravel(order="K")``; 0.0 if M is
+    empty."""
+    x = M.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def two_norm(M: np.ndarray) -> float:
     """||M||_2, equal to ``numpy.linalg.norm(M, 2)``; 0.0 if M is empty."""
     return float(_svd(M, uv=False)[0]) if M.size else 0.0
@@ -197,15 +237,16 @@ def _rank_cut(s: np.ndarray, shape, rel_tol: float, scale_floor: float = 0.0) ->
     ``scale_floor`` guards products of operators: a numerically-zero product
     must not resurface as a normalized garbage direction.
     """
-    scale = max(float(s[0]) if s.size else 0.0, scale_floor)
+    sv = s.tolist()
+    scale = max(sv[0] if sv else 0.0, scale_floor)
     if scale == 0.0:  # an all-zero matrix: a cut that cannot flip
         return 0
     threshold = scale * max(shape) * rel_tol
-    rank = int(np.count_nonzero(s > threshold))
+    rank = sum(1 for v in sv if v > threshold)
     # Flip margin of the decision: the spectral gap across the cut.  Exactly
     # (or numerically) zero singular values below the cut are stable drops.
-    kept_min = float(s[rank - 1]) if rank > 0 else np.inf
-    dropped_max = float(s[rank]) if rank < s.size else 0.0
+    kept_min = sv[rank - 1] if rank > 0 else math.inf
+    dropped_max = sv[rank] if rank < len(sv) else 0.0
     note_margin(kept_min - dropped_max)
     return rank
 
@@ -267,7 +308,8 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "_perp")
 
     def __init__(self, ambient_dim: int, basis: np.ndarray):
-        b = np.asarray(basis, dtype=float)
+        b = (basis if type(basis) is np.ndarray and basis.dtype == np.float64
+             else np.asarray(basis, dtype=float))
         if b.ndim != 2 or b.shape[0] != ambient_dim:
             raise DimensionMismatch(
                 f"basis shape {b.shape} inconsistent with ambient dim {ambient_dim}")
@@ -277,7 +319,7 @@ class Subspace:
         if k:
             gram = b.T @ b
             gram.reshape(-1)[::k + 1] -= 1.0
-            gram_err = np.abs(gram).max()
+            gram_err = np.abs(gram, out=gram).max()
             if not gram_err <= 1e-12:  # a NaN entry fails it too
                 raise DimensionMismatch(f"basis not orthonormal (error {gram_err:.2e})")
         b.setflags(write=False)
@@ -348,7 +390,7 @@ def subspace_sum(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY
         return W
     if W.is_zero:
         return V
-    return image(np.hstack([V.basis, W.basis]), tol)
+    return image(np.concatenate([V.basis, W.basis], axis=1), tol)
 
 
 def orth_complement(V: Subspace) -> Subspace:
@@ -433,7 +475,7 @@ def _require_invariant(P, M, W: Subspace, m_norm, tol: TolerancePolicy,
     ``abs_residual_tol * max(1, ||M||_2)``; P charts X/W and ``m_norm()``
     gives ||M||_2."""
     if W.dim:
-        resid = float(np.linalg.norm(P @ M @ W.basis))
+        resid = _fro(P @ M @ W.basis)
         if _exceeds(resid, tol.abs_residual_tol, m_norm):
             raise InvarianceViolated(f"{what} (residual {resid:.2e})")
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
-                        _eigvals, _exceeds, _fixed_point, _matrix_sign,
-                        _norm_once, _pinv, _preimage, _rank_cut,
-                        _require_invariant, _svd, as_matrix,
+                        _eigvals, _exceeds, _fixed_point, _fro, _kron,
+                        _lstsq, _matrix_sign, _norm_once, _pinv, _preimage,
+                        _rank_cut, _require_invariant, _svd, as_matrix,
                         canonical_projection, contains, image, intersect,
                         kernel, note_margin, orth_complement, subspace_sum,
                         two_norm, unobservable_subspace)
@@ -138,9 +139,9 @@ def _seen(C: np.ndarray, W: Subspace) -> np.ndarray:
     lim = max(C.shape) * np.finfo(float).eps
     # max|CW| <= ||CW||_2 <= ||CW||_F and ||C||_2 <= ||C||_F decide without
     # an SVD outside a 1e-12 band, which covers the SVDs' rounding.
-    if CW.size and abs(CW).max() > lim * max(1.0, np.linalg.norm(C)) * (1 + 1e-12):
+    if CW.size and abs(CW).max() > lim * max(1.0, _fro(C)) * (1 + 1e-12):
         return CW
-    if np.linalg.norm(CW) > lim * (1 - 1e-12) and _exceeds(
+    if _fro(CW) > lim * (1 - 1e-12) and _exceeds(
             two_norm(CW), lim, lambda: two_norm(C)):
         return CW
     return np.zeros_like(CW)
@@ -181,18 +182,18 @@ def common_friend(A, C, subspace_list,
         P = canonical_projection(W)
         # P L (C Wb) = -P A Wb, in column-major vec form; where C cannot see
         # W its rows are zero and the residual check asks P A Wb = 0.
-        rows.append(np.kron(_seen(C, W).T, P))
+        rows.append(_kron(_seen(C, W).T, P))
         rhs.append((-P @ A @ W.basis).flatten(order="F"))
     if not rows:
         return np.zeros((n, p))
-    G = np.vstack(rows)
+    G = np.concatenate(rows)
     h = np.concatenate(rhs)
     try:
-        vecL, *_ = np.linalg.lstsq(G, h, rcond=None)
-    except np.linalg.LinAlgError as exc:
+        vecL = _lstsq(G, h)
+    except LinAlgError as exc:
         raise NotConditionedInvariant(
             f"least-squares solve for a common friend failed ({exc})") from exc
-    resid = float(np.linalg.norm(G @ vecL - h))
+    resid = _fro(G @ vecL - h)
     if _exceeds(resid, tol.abs_residual_tol, _norm_once(A)):
         raise NotConditionedInvariant(
             f"no common friend for the given subspaces (residual {resid:.2e})")
@@ -232,7 +233,7 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
         z = Subspace.zero(q)
         return z, z
     Abar = P @ AL @ P.T
-    off = float(np.linalg.norm(Abar @ Sq - Sq @ (Sq.T @ Abar @ Sq)))
+    off = _fro(Abar @ Sq - Sq @ (Sq.T @ Abar @ Sq))
     if _exceeds(off, 1e3 * tol.abs_residual_tol, al_norm):
         raise InvarianceViolated(
             f"quotient image of S* is not invariant (residual {off:.2e})")
@@ -301,12 +302,13 @@ def _riccati_gain(F: np.ndarray, B: np.ndarray) -> np.ndarray:
     F on the imaginary axis that B cannot reach.
     """
     n = F.shape[0]
-    H = np.block([[F, -B @ B.T], [-_RICCATI_Q * np.eye(n), -F.T]])
+    H = np.concatenate([np.concatenate([F, -B @ B.T], axis=1),
+                        np.concatenate([-_RICCATI_Q * np.eye(n), -F.T], axis=1)])
     try:
         Z = _matrix_sign(H)
         Z.reshape(-1)[::2 * n + 1] += 1.0
-        X = np.linalg.lstsq(Z[:, n:], -Z[:, :n], rcond=None)[0]
-    except (InvarianceViolated, np.linalg.LinAlgError) as exc:
+        X = _lstsq(Z[:, n:], -Z[:, :n])
+    except (InvarianceViolated, LinAlgError) as exc:
         raise SpectrumUnassignable(f"Riccati solve failed ({exc})") from None
     return B.T @ (X + X.T) / 2
 

@@ -23,7 +23,8 @@ from .distributed import (CHI_FALLBACK, GRAM_FLOOR, N1,
                           DistributedObserverNetwork, build_consensus_blocks,
                           synthesize_distributed)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy, _eigvals,
-                        _null_space, contains, margin_monitor, subspaces_equal)
+                        _fro, _null_space, contains, margin_monitor,
+                        subspaces_equal)
 from .synthesis import SpectralPartition, decompose
 
 MARGINAL_GAP = 1e-6
@@ -168,23 +169,18 @@ Invariant = namedtuple("Invariant", "name scopes formula comparison limit",
 _Quotient = namedtuple("_Quotient", "decomp C B_unknown A_cl Abar E F chart is_n1 tol")
 
 
-def _norm(M) -> float:
-    """Frobenius norm; 0.0 for an empty matrix."""
-    return float(np.linalg.norm(M))
-
-
 def _reconstruction(o) -> float:
-    return _norm(o.E @ o.chart + o.F @ o.C - np.eye(o.decomp.n))
+    return _fro(o.E @ o.chart + o.F @ o.C - np.eye(o.decomp.n))
 
 
 def _block_matrices_match(net) -> bool:
     W_V, A_L, _ = build_consensus_blocks(net.nodes)
-    return bool(np.allclose(W_V, net.W_V_block) and np.allclose(A_L, net.A_L_block))
+    return np.array_equal(W_V, net.W_V_block) and np.array_equal(A_L, net.A_L_block)
 
 
 INVARIANTS = (
     Invariant("reconstruction_residual", (OBSERVER,), _reconstruction, "<=", 1e-9),
-    Invariant("commutation_residual", (OBSERVER,), lambda o: _norm(
+    Invariant("commutation_residual", (OBSERVER,), lambda o: _fro(
         o.Abar @ o.decomp.P_Wg - o.decomp.P_Wg @ o.A_cl), "<=", 1e-9),
     Invariant("graph_connected", (NETWORK,), lambda net: net.graph.is_connected),
     Invariant("sigma_min_Q", (NETWORK,), lambda net: net.sigma_min_Q, ">",
@@ -196,13 +192,13 @@ INVARIANTS = (
     Invariant("block_matrices_match", (NETWORK,), _block_matrices_match),
     Invariant("local_rank_condition_matches_class", (NODE,),
               lambda o: _rank_condition(o.C, o.B_unknown, o.tol) == o.is_n1),
-    Invariant("friend_invariance_residual", (OBSERVER, NODE), lambda o: _norm(
+    Invariant("friend_invariance_residual", (OBSERVER, NODE), lambda o: _fro(
         o.decomp.P_Wg @ o.A_cl @ o.decomp.W_g_star.basis), "<=", 1e-9),
     Invariant("max_re_quotient_spectrum", (OBSERVER, NODE), lambda o: float(
         _eigvals(o.Abar).real.max()) if o.Abar.size else -np.inf,
               "<", ALPHA),
     Invariant("quotient_kills_unknown_input", (OBSERVER, NODE),
-              lambda o: _norm(o.decomp.P_Wg @ o.B_unknown), "<=", 1e-10),
+              lambda o: _fro(o.decomp.P_Wg @ o.B_unknown), "<=", 1e-10),
     Invariant("split_dimension_identity", (OBSERVER, NODE), lambda o: (
         o.decomp.Xbar_g.dim + o.decomp.Xbar_b.dim
         == o.decomp.S_star.dim - o.decomp.W_star.dim)),
@@ -211,10 +207,10 @@ INVARIANTS = (
         Subspace(o.decomp.n, _null_space(o.decomp.W_star.basis.T)), o.tol)),
     Invariant("V_inside_Wg", (NODE,), lambda o: contains(
         o.decomp.W_g_star, Subspace(o.decomp.n, o.decomp.V), o.tol)),
-    Invariant("V_orthogonal_to_Wstar", (NODE,), lambda o: _norm(
+    Invariant("V_orthogonal_to_Wstar", (NODE,), lambda o: _fro(
         o.decomp.V.T @ o.decomp.W_star.basis), "<=", 1e-9),
     Invariant("reconstruction_residual", (N1_NODE,), _reconstruction, "<=", 1e-9),
-    Invariant("wstar_friend_invariance", (N1_NODE,), lambda o: _norm(
+    Invariant("wstar_friend_invariance", (N1_NODE,), lambda o: _fro(
         o.decomp.P_Wstar @ o.A_cl @ o.decomp.W_star.basis), "<=", 1e-9),
 )
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import geouio
+from geouio import central, synthesis
 from geouio.cases import builtin_config
 from geouio.cli import main
 from geouio.config import parse_config, tolerance_from_env
@@ -259,7 +260,8 @@ def test_a_failed_least_squares_solve_exits_as_a_synthesis_failure(
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
     cfgp = write_cfg(tmp_path, builtin_config(which))
-    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    for mod in (synthesis, central):
+        monkeypatch.setattr(mod, "_lstsq", failing)
     assert main(["synth", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("synthesis failed:")

@@ -1,5 +1,6 @@
 """Networked observer: classification, per-node synthesis, gains, node dynamics."""
 
+import copy
 import sys
 
 import numpy as np
@@ -618,6 +619,21 @@ def test_block_matrices_follow_class_order(dist_net):
     c = widths[0]
     blk = ordered[1].consensus_block()
     assert np.allclose(W_V[6:12, c:c + widths[1]], blk)
+
+
+def test_block_matrices_match_fails_on_a_tiny_perturbation(dist_cfg, dist_net):
+    """The stored blocks and the rebuilt ones come from the same
+    deterministic construction, so one entry moved by 1e-7 of itself, well
+    inside np.allclose's tolerance, fails the row."""
+    net, _ = dist_net
+    alpha = dist_cfg.spectral.alpha
+    assert invariant_checks(net, alpha)["block_matrices_match"].passed
+    moved = copy.copy(net)
+    moved.A_L_block = net.A_L_block.copy()
+    i, j = np.unravel_index(np.abs(moved.A_L_block).argmax(), moved.A_L_block.shape)
+    moved.A_L_block[i, j] *= 1 + 1e-7
+    assert np.allclose(moved.A_L_block, net.A_L_block)
+    assert not invariant_checks(moved, alpha)["block_matrices_match"].passed
 
 
 def test_all_class1_network_has_zero_gamma_bound():

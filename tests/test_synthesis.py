@@ -179,7 +179,7 @@ def test_a_failed_friend_solve_is_not_conditioned_invariant(monkeypatch):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    monkeypatch.setattr(synthesis, "_lstsq", failing)
     with pytest.raises(NotConditionedInvariant) as exc:
         common_friend(A3, C3, [W])
     assert "common friend" in str(exc.value)
