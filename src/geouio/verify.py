@@ -174,6 +174,8 @@ def _reconstruction(o) -> float:
 
 
 def _block_matrices_match(net) -> bool:
+    """The stored blocks equal, bit for bit, those the deterministic
+    ``build_consensus_blocks`` rebuilds from the network's nodes."""
     W_V, A_L, _ = build_consensus_blocks(net.nodes)
     return np.array_equal(W_V, net.W_V_block) and np.array_equal(A_L, net.A_L_block)
 
