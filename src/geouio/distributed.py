@@ -212,8 +212,10 @@ def recoverability_intersection(nodes, tol: TolerancePolicy = DEFAULT_POLICY) ->
     n = nodes[0].decomp.n
     inter = None
     for nd in nodes:
-        sub = (Subspace(n, nd.decomp.V) if nd.node_class == N1
-               else nd.decomp.W_g_star)
+        block = nd.consensus_block()
+        # W_g,j* itself where the block is its basis: its complement is taken
+        sub = (nd.decomp.W_g_star if block is nd.decomp.W_g_star.basis
+               else Subspace(n, block))
         inter = sub if inter is None else intersect(inter, sub, tol)
         if inter.is_zero:
             break

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _workers
 from .central import CentralizedObserver
-from .distributed import DistributedObserverNetwork
+from .distributed import N1, DistributedObserverNetwork
 from .simulate import _BLOCK_ROWS, Trajectory, _row_blocks
 
 
@@ -68,7 +68,7 @@ def distributed_report(cfg_dict: dict, net: DistributedObserverNetwork, residual
         d = nd.decomp
         entry = {
             "class": nd.node_class,
-            "local_rank_condition": nd.node_class == "N1",
+            "local_rank_condition": nd.node_class == N1,
             "dimensions": {"w_star": d.W_star.dim, "s_star": d.S_star.dim,
                            "w_g_star": d.W_g_star.dim, "v_cols": d.V.shape[1],
                            "z_dim": nd.z_dim},
@@ -76,7 +76,7 @@ def distributed_report(cfg_dict: dict, net: DistributedObserverNetwork, residual
                 "L": nd.L, "P_Wg": d.P_Wg, "P_Wstar": d.P_Wstar, "V": d.V,
                 "W_g_star_basis": d.W_g_star.basis, "Abarbar": nd.Abarbar,
                 **({"E": nd.E, "F": nd.F, "Abar_L": nd.Abar_L}
-                   if nd.node_class == "N1" else {}),
+                   if nd.node_class == N1 else {}),
             },
         }
         nodes[f"node{nd.node_id}"] = entry

@@ -7,6 +7,10 @@ so complements and quotient charts are exact.  Degenerate subspaces
 (dimension 0 or full) are ordinary values.  All operations are pure and
 deterministic: identical inputs give bit-identical outputs.
 
+Every scaled decision (a rank floor, a residual limit) takes the matrix
+itself and reads its 2-norm from it, only on the path where the decision
+needs that scale.
+
 The module also holds every LAPACK call that geouio makes past numpy's
 wrappers: ``_svd``, ``_pinv``, ``_eigvals``, ``_lstsq`` (the ``dgelsd``
 gufunc behind ``numpy.linalg.lstsq``) and ``_matrix_sign`` call numpy's own
@@ -21,7 +25,6 @@ import cmath
 import math
 import sys
 import threading
-from functools import cache
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -257,6 +260,8 @@ def monitored_rank(M, tol: TolerancePolicy = DEFAULT_POLICY,
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return 0
+    if not np.isfinite(M).all():
+        raise DimensionMismatch("matrix has non-finite entries")
     return _rank_cut(_svd(M, uv=False), M.shape, tol.rel_rank_tol, scale_floor)
 
 
@@ -422,19 +427,6 @@ def intersect(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -
 def preimage(M, S: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """{x : Mx ∈ S}, the inverse image of S under the map M."""
     M = as_matrix(M)
-    return _preimage(M, S, tol, _norm_once(M))
-
-
-def _norm_once(M: np.ndarray):
-    """A function returning ||M||_2 (0 if M is empty), computed on its first
-    call only."""
-    return cache(lambda: two_norm(M))
-
-
-def _preimage(M: np.ndarray, S: Subspace, tol: TolerancePolicy,
-              m_norm) -> Subspace:
-    """``preimage`` with ``m_norm()`` giving ||M||_2, called only when a kernel
-    is taken; a recursion over one map shares one ``_norm_once(M)``."""
     if M.shape[0] != S.ambient_dim:
         raise DimensionMismatch(
             f"map codomain {M.shape[0]} does not match subspace ambient {S.ambient_dim}")
@@ -442,7 +434,7 @@ def _preimage(M: np.ndarray, S: Subspace, tol: TolerancePolicy,
     if comp.is_zero:
         return Subspace.full(M.shape[1])
     # Scale floor ||M||: a product that vanishes relative to M maps into S.
-    return kernel(comp.basis.T @ M, tol, scale_floor=m_norm())
+    return kernel(comp.basis.T @ M, tol, scale_floor=two_norm(M))
 
 
 def canonical_projection(W: Subspace) -> np.ndarray:
@@ -458,25 +450,22 @@ def induced_map(A, W: Subspace, P, tol: TolerancePolicy = DEFAULT_POLICY) -> np.
     """
     A = as_matrix(A, "A")
     P = as_matrix(P, "P")
-    _require_invariant(P, A, W, _norm_once(A), tol,
-                       "subspace is not invariant under the map")
+    _require_invariant(P, A, W, tol, "subspace is not invariant under the map")
     return P @ A @ P.T
 
 
-def _exceeds(resid: float, limit: float, m_norm) -> bool:
-    """``resid > limit * max(1, m_norm())``.  Up to ``limit`` the test passes
-    for any scale, so ``m_norm`` (a ``_norm_once``) is called only past it."""
-    return resid > limit and resid > limit * max(1.0, m_norm())
+def _exceeds(resid: float, limit: float, M: np.ndarray) -> bool:
+    """``resid > limit * max(1, ||M||_2)``.  Up to ``limit`` the test passes
+    for any scale, so ||M||_2 is taken only past it."""
+    return resid > limit and resid > limit * max(1.0, two_norm(M))
 
 
-def _require_invariant(P, M, W: Subspace, m_norm, tol: TolerancePolicy,
-                       what: str):
+def _require_invariant(P, M, W: Subspace, tol: TolerancePolicy, what: str):
     """Raise InvarianceViolated naming ``what`` unless ||P M W|| is within
-    ``abs_residual_tol * max(1, ||M||_2)``; P charts X/W and ``m_norm()``
-    gives ||M||_2."""
+    ``abs_residual_tol * max(1, ||M||_2)``; P charts X/W."""
     if W.dim:
         resid = _fro(P @ M @ W.basis)
-        if _exceeds(resid, tol.abs_residual_tol, m_norm):
+        if _exceeds(resid, tol.abs_residual_tol, M):
             raise InvarianceViolated(f"{what} (residual {resid:.2e})")
 
 
@@ -503,8 +492,7 @@ def unobservable_subspace(C, A, tol: TolerancePolicy = DEFAULT_POLICY,
     C = as_matrix(C, "C")
     A = as_matrix(A, "A")
     K = kernel(C, tol, scale_floor=meas_scale)
-    a_norm = _norm_once(A)
-    return _fixed_point(lambda N: intersect(K, _preimage(A, N, tol, a_norm), tol),
+    return _fixed_point(lambda N: intersect(K, preimage(A, N, tol), tol),
                         K, A.shape[0])[-1]
 
 

@@ -24,11 +24,11 @@ from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
                         _eigvals, _exceeds, _fixed_point, _fro, _kron,
-                        _lstsq, _matrix_sign, _norm_once, _pinv, _preimage,
-                        _rank_cut, _require_invariant, _svd, as_matrix,
+                        _lstsq, _matrix_sign, _pinv, _rank_cut,
+                        _require_invariant, _svd, as_matrix,
                         canonical_projection, contains, image, intersect,
-                        kernel, note_margin, orth_complement, subspace_sum,
-                        two_norm, unobservable_subspace)
+                        kernel, note_margin, orth_complement, preimage,
+                        subspace_sum, two_norm, unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
 # ("bad"): a raw comparison would flip on rounding noise when zeros sit
@@ -119,10 +119,9 @@ def infimal_unobservability_subspace(A, ker_C: Subspace, W_star: Subspace,
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
-    a_norm = _norm_once(A)
     history = _fixed_point(
-        lambda S: subspace_sum(W_star, intersect(_preimage(A, S, tol, a_norm),
-                                                 ker_C, tol), tol),
+        lambda S: subspace_sum(W_star, intersect(preimage(A, S, tol), ker_C, tol),
+                               tol),
         Subspace.full(n), n + 1)
     return (history[-1], history) if return_history else history[-1]
 
@@ -141,8 +140,7 @@ def _seen(C: np.ndarray, W: Subspace) -> np.ndarray:
     # an SVD outside a 1e-12 band, which covers the SVDs' rounding.
     if CW.size and abs(CW).max() > lim * max(1.0, _fro(C)) * (1 + 1e-12):
         return CW
-    if _fro(CW) > lim * (1 - 1e-12) and _exceeds(
-            two_norm(CW), lim, lambda: two_norm(C)):
+    if _fro(CW) > lim * (1 - 1e-12) and _exceeds(two_norm(CW), lim, C):
         return CW
     return np.zeros_like(CW)
 
@@ -194,7 +192,7 @@ def common_friend(A, C, subspace_list,
         raise NotConditionedInvariant(
             f"least-squares solve for a common friend failed ({exc})") from exc
     resid = _fro(G @ vecL - h)
-    if _exceeds(resid, tol.abs_residual_tol, _norm_once(A)):
+    if _exceeds(resid, tol.abs_residual_tol, A):
         raise NotConditionedInvariant(
             f"no common friend for the given subspaces (residual {resid:.2e})")
     return vecL.reshape((n, p), order="F")
@@ -221,10 +219,9 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
     L0 = as_matrix(L0, "L0")
     P = canonical_projection(W_star)
     AL = A + L0 @ C
-    al_norm = _norm_once(AL)
-    _require_invariant(P, AL, W_star, al_norm, tol, "L0 is not a friend of W*")
-    _require_invariant(canonical_projection(S_star), AL, S_star, al_norm,
-                       tol, "L0 is not a friend of S*")
+    _require_invariant(P, AL, W_star, tol, "L0 is not a friend of W*")
+    _require_invariant(canonical_projection(S_star), AL, S_star, tol,
+                       "L0 is not a friend of S*")
     q = P.shape[0]
     # S* ∩ W*^perp maps isometrically onto the quotient image of S*.
     Sq = P @ intersect(S_star, orth_complement(W_star), tol).basis
@@ -234,7 +231,7 @@ def spectral_split(A, C, W_star: Subspace, S_star: Subspace, L0,
         return z, z
     Abar = P @ AL @ P.T
     off = _fro(Abar @ Sq - Sq @ (Sq.T @ Abar @ Sq))
-    if _exceeds(off, 1e3 * tol.abs_residual_tol, al_norm):
+    if _exceeds(off, 1e3 * tol.abs_residual_tol, AL):
         raise InvarianceViolated(
             f"quotient image of S* is not invariant (residual {off:.2e})")
     R = Sq.T @ Abar @ Sq
@@ -377,9 +374,8 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
         raise SpectrumUnassignable(
             f"quotient spectrum cannot be pushed below alpha={part.alpha} "
             f"(max Re = {worst:.3e})", eigenvalues=eigs)
-    al_norm = _norm_once(AL)
     for W in (W_g_star, W_star):
-        _require_invariant(canonical_projection(W), AL, W, al_norm, tol,
+        _require_invariant(canonical_projection(W), AL, W, tol,
                            "stabilizing friend broke an invariance")
     return L, Abar
 

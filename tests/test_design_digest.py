@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 from geouio import verify
+from geouio.errors import GeoUioError, NotConditionedInvariant
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "design_digest.py"
 _spec = importlib.util.spec_from_file_location("design_digest", _PATH)
@@ -17,7 +18,7 @@ def test_digests_repeat_and_follow_a_check_value(monkeypatch):
     seeds, rounds = range(1, 2), range(0, 1)
     first = design_digest.design_digest("design", seeds, rounds)
     assert first == design_digest.design_digest("design", seeds, rounds)
-    assert (first["plants"], first["failures"]) == (14, 0)
+    assert (first["plants"], first["failures"], first["classes"]) == (14, 0, {})
     battery = design_digest.battery_digest(seeds, rounds)
     assert battery == design_digest.battery_digest(seeds, rounds)
     assert (battery["trials"], battery["disagreements"]) == (200, 0)
@@ -29,3 +30,29 @@ def test_digests_repeat_and_follow_a_check_value(monkeypatch):
     moved = design_digest.design_digest("design", seeds, rounds)
     assert (moved["plants"], moved["failures"]) == (14, 0)
     assert moved["sha256"] != first["sha256"]
+
+
+def test_the_failure_probe_fails_only_by_the_packages_errors(tmp_path):
+    # seed 1, round 0 of the benchmark's failure probe: the only plants on
+    # which the residual tests' scaled branch (past the bare limit) runs
+    ops = design_digest._design_ops("probe", 1, 0, tmp_path)
+    assert len(ops) == 21
+    failures = []
+    for op in ops:
+        try:
+            op.call()
+        except Exception as exc:  # under the suite's error::RuntimeWarning
+            failures.append((op.label, exc))
+    assert failures and all(isinstance(exc, GeoUioError) for _, exc in failures)
+    assert [label.split()[0] for label, _ in failures] == ["network.n24.N16"] * 2
+    for _, exc in failures:
+        assert isinstance(exc, NotConditionedInvariant)
+        assert str(exc).startswith("no common friend for the given subspaces")
+
+
+def test_the_digest_counts_failures_by_class(capsys):
+    design_digest.main(["--seeds", "1", "--rounds", "0", "--part", "probe"])
+    line = capsys.readouterr().out
+    assert line.startswith("probe: 21 plants, 2 failures "
+                           "(NotConditionedInvariant 2), sha256 ")
+    assert len(line.split("sha256 ")[1].strip()) == 64

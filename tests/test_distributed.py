@@ -196,6 +196,18 @@ def test_demo_joint_detectability(demo_nodes):
     assert recoverability_intersection(demo_nodes).is_zero
 
 
+def test_recoverability_intersection_reads_each_nodes_consensus_block(
+        demo_nodes, monkeypatch):
+    # one place decides a node's consensus block: patched there, the
+    # intersection follows on every node, class 1 and class 2 alike
+    block = np.eye(6)[:, [1, 4]]
+    block.setflags(write=False)
+    assert {nd.node_class for nd in demo_nodes} == {N1, N2}
+    monkeypatch.setattr(dist.SensorNode, "consensus_block", lambda nd: block)
+    inter = recoverability_intersection(demo_nodes)
+    assert subspaces_equal(inter, Subspace(6, block))
+
+
 def test_disconnected_graph_fails_assumption(demo_nodes):
     two = SensorGraph(np.array([[0, 1, 0, 0], [1, 0, 0, 0],
                                 [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float))

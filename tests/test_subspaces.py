@@ -314,6 +314,21 @@ def test_subspace_rejects_a_nan_basis():
         Subspace(2, np.array([[np.nan], [0.0]]))
 
 
+@pytest.mark.parametrize("M", [np.array([[np.nan, 1.0]]),
+                               np.array([[1.0], [-np.inf]]),
+                               np.array([[1j, complex(np.nan, 0.0)]]),
+                               np.array([[complex(0.0, np.inf), 1.0]])],
+                         ids=["real-nan", "real-inf", "complex-nan", "complex-inf"])
+def test_monitored_rank_rejects_non_finite_input_as_image_does(M):
+    # raised before LAPACK sees the matrix: no RuntimeWarning under the
+    # suite's error::RuntimeWarning filter
+    with pytest.raises(DimensionMismatch, match="^matrix has non-finite entries$"):
+        subspaces.monitored_rank(M)
+    if M.dtype == float:
+        with pytest.raises(DimensionMismatch, match="^matrix has non-finite entries$"):
+            image(M)
+
+
 def _orthonormal_bases():
     """Seeded orthonormal bases of every dimension 0..n in R^n, n = 1..24,
     from Gaussian matrices and from matrices of condition about 1e8."""

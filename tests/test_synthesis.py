@@ -10,10 +10,10 @@ import pytest
 from geouio.config import parse_config
 from geouio.errors import (DimensionMismatch, InvarianceViolated,
                            NotConditionedInvariant, SpectrumUnassignable)
-from geouio.subspaces import (DEFAULT_POLICY, Subspace, _exceeds,
-                              _preimage, canonical_projection, contains,
-                              image, intersect, kernel, margin_monitor,
-                              orth_complement, subspace_sum, subspaces_equal)
+from geouio.subspaces import (Subspace, _exceeds, canonical_projection,
+                              contains, image, intersect, kernel,
+                              margin_monitor, orth_complement, preimage,
+                              subspace_sum, subspaces_equal)
 from geouio import subspaces, synthesis, verify
 from geouio.synthesis import (SpectralPartition, _riccati_gain,
                               common_friend, compute_wg_star,
@@ -187,35 +187,52 @@ def test_a_failed_friend_solve_is_not_conditioned_invariant(monkeypatch):
     assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
+def _count_two_norms(monkeypatch):
+    """Patch ``subspaces.two_norm``, through which ``preimage``, ``_exceeds``
+    and ``_require_invariant`` take every scale, to record the functions
+    that asked for it; returns that list."""
+    callers = []
+    two_norm = subspaces.two_norm
+
+    def counting(M):
+        callers.append((sys._getframe(1).f_code.co_name,
+                        sys._getframe(2).f_code.co_name))
+        return two_norm(M)
+
+    monkeypatch.setattr(subspaces, "two_norm", counting)
+    return callers
+
+
 def test_residual_tests_take_the_norm_only_past_the_bare_limit(monkeypatch):
     # resid > tol * max(1, ||M||_2) cannot hold when resid <= tol.
-    calls = []
-
-    def norm():
-        calls.append(1)
-        return 4.0
-
-    assert not _exceeds(1e-9, 1e-9, norm) and not _exceeds(np.nan, 1e-9, norm)
+    M = np.diag([4.0, 1.0])
+    assert subspaces.two_norm(M) == 4.0
+    calls = _count_two_norms(monkeypatch)
+    assert not _exceeds(1e-9, 1e-9, M) and not _exceeds(np.nan, 1e-9, M)
     assert not calls
-    assert not _exceeds(4e-9, 1e-9, norm) and _exceeds(5e-9, 1e-9, norm)
+    assert not _exceeds(4e-9, 1e-9, M) and _exceeds(5e-9, 1e-9, M)
     assert len(calls) == 2
-    assert _exceeds(2e-9, 1e-9, lambda: 0.5)  # the scale never drops below 1
-    callers = []
-    norm2 = np.linalg.norm
-
-    def counting(x, ord=None, *args, **kwargs):
-        if ord == 2:
-            callers.append(sys._getframe(1).f_code.co_name)
-        return norm2(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counting)
+    assert _exceeds(2e-9, 1e-9, 0.5 * np.eye(2))  # the scale never drops below 1
+    del calls[:]
     rng = np.random.default_rng(5)
     for _ in range(5):
         A, C, B = rand_system(rng)
         KC = kernel(C)
         W = infimal_conditioned_invariant(A, KC, image(B))
         common_friend(A, C, [W, infimal_unobservability_subspace(A, KC, W)])
-    assert "common_friend" not in callers
+    assert calls and ("_exceeds", "common_friend") not in calls
+
+
+def test_a_preimage_takes_the_norm_only_with_a_kernel(monkeypatch):
+    calls = _count_two_norms(monkeypatch)
+    A = np.array([[1.0, 2.0], [0.0, 3.0]])
+    # S = R^2: its complement is zero, so the preimage is R^2 and no scale
+    assert preimage(A, Subspace.full(2)).is_full
+    assert not calls
+    # S = span{e1}: the kernel of e2^T A, floored at ||A||_2, taken once
+    cut = preimage(A, Subspace(2, np.eye(2)[:, :1]))
+    assert cut.dim == 1 and abs(A @ cut.basis)[1, 0] <= 1e-15
+    assert calls == [("preimage", "test_a_preimage_takes_the_norm_only_with_a_kernel")]
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +461,7 @@ def test_the_zero_split_lifts_back_to_wg_star():
         d = decompose(A, C, B)
         Wg = compute_wg_star(d.W_star, d.Xbar_b)
         assert subspaces_equal(Wg, d.W_g_star)
-        cut = _preimage(canonical_projection(d.W_star), d.Xbar_b,
-                        DEFAULT_POLICY, lambda: 1.0)
+        cut = preimage(canonical_projection(d.W_star), d.Xbar_b)
         assert Wg.basis.shape == cut.basis.shape
         assert np.array_equal(Wg.basis, cut.basis)
         V = d.V
@@ -686,11 +702,11 @@ def test_design_sweep_n24_probe_plants_design(monkeypatch, seed):
 
 def _seen_by_svd(C, W):
     """``synthesis._seen`` by its definition: keep C W iff ||C W||_2 >
-    max(C.shape) * eps * max(1, ||C||_2), both norms by SVD."""
+    max(C.shape) * eps * max(1, ||C||_2), both norms by numpy's SVD."""
     CW = C @ W.basis
     lim = max(C.shape) * np.finfo(float).eps
-    keep = _exceeds(np.linalg.norm(CW, 2) if CW.size else 0.0, lim,
-                    lambda: np.linalg.norm(C, 2))
+    keep = (np.linalg.norm(CW, 2) if CW.size else 0.0) > lim * max(
+        1.0, np.linalg.norm(C, 2))
     return CW if keep else np.zeros_like(CW)
 
 

@@ -14,10 +14,12 @@ inclusive ranges it runs the operations of each part:
 - battery: the round of `battery`, its equivalence batteries.
 
 A design part prints its plant count, its failure count (a raised error or
-a check that does not pass) and the SHA-256 of every plant's check values
-(`repr`) or failure class and message, with every decision margin noted
-while it ran.  The battery prints its trial, marginal and disagreement
-counts and the SHA-256 of every trial's result and every noted margin.
+a check that does not pass) with the failures by class (the error's class
+name, or `residual_limit` for a failed check) and the SHA-256 of every
+plant's check values (`repr`) or failure class and message, with every
+decision margin noted while it ran.  The battery prints its trial,
+marginal and disagreement counts and the SHA-256 of every trial's result
+and every noted margin.
 Two trees that print equal digests made the same decisions to the bit on
 these inputs.  The default parts are design and battery.
 """
@@ -32,6 +34,7 @@ if __name__ == "__main__":
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import tempfile  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,9 +62,11 @@ def _design_ops(part: str, seed: int, r: int, work: Path) -> list:
 
 
 def design_digest(part: str, seeds, rounds) -> dict:
-    """Plant count, failure count and digest of a design part."""
+    """Plant count, failure count, failures by class and digest of a
+    design part."""
     h = hashlib.sha256()
-    plants = failures = 0
+    plants = 0
+    classes = Counter()
     with tempfile.TemporaryDirectory() as work:
         for seed in seeds:
             for r in rounds:
@@ -76,10 +81,14 @@ def design_digest(part: str, seeds, rounds) -> dict:
                     else:
                         outcome = (type(exc).__name__, str(exc))
                     plants += 1
-                    failures += op.check(checks, exc).failed
+                    verdict = op.check(checks, exc)
+                    if verdict.failed:
+                        classes[verdict.reason if exc is None
+                                else type(exc).__name__] += 1
                     h.update(repr((seed, r, op.label, outcome,
                                    rec.margins)).encode())
-    return {"plants": plants, "failures": failures, "sha256": h.hexdigest()}
+    return {"plants": plants, "failures": classes.total(),
+            "classes": dict(sorted(classes.items())), "sha256": h.hexdigest()}
 
 
 class _RecordedWorkers:
@@ -141,8 +150,10 @@ def main(argv=None):
                   f"{d['disagreements']} disagreements, sha256 {d['sha256']}")
         else:
             d = design_digest(part, args.seeds, args.rounds)
-            print(f"{part}: {d['plants']} plants, {d['failures']} failures, "
-                  f"sha256 {d['sha256']}")
+            by_class = ", ".join(f"{k} {v}" for k, v in d["classes"].items())
+            print(f"{part}: {d['plants']} plants, {d['failures']} failures"
+                  + (f" ({by_class})" if by_class else "")
+                  + f", sha256 {d['sha256']}")
 
 
 if __name__ == "__main__":
