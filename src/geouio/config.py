@@ -29,7 +29,7 @@ class ProjectConfig:
     def __init__(self, system: LinSystem, partition: InputPartition | None,
                  node_specs: tuple | None, graph: SensorGraph | None,
                  spectral: SpectralPartition, signals: tuple,
-                 sim: SimConfig | None, u_bar_max: float, raw: dict):
+                 sim: SimConfig | None, u_bar_max: float, raw: str):
         self.system = system
         self.partition = partition
         self.node_specs = node_specs
@@ -38,14 +38,15 @@ class ProjectConfig:
         self.signals = signals
         self.sim = sim
         self.u_bar_max = u_bar_max
-        self.raw = raw
+        self.raw = raw  # the source as compact JSON text
 
     @property
     def mode(self) -> str:
         return "centralized" if self.partition is not None else "distributed"
 
     def to_dict(self) -> dict:
-        return json.loads(json.dumps(self.raw))
+        """A fresh decoded copy of the source."""
+        return json.loads(self.raw)
 
 
 def _require(cond, msg):
@@ -116,18 +117,21 @@ def parse_config(source) -> ProjectConfig:
             raise ConfigError(f"config file not found: {source}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = json.dumps(data, separators=(",", ":"))
     elif isinstance(source, dict):
-        data = json.loads(json.dumps(source))
+        raw = json.dumps(source, separators=(",", ":"))
+        data = json.loads(raw)
     else:
         raise ConfigError("config source must be a path or a dict")
     try:
-        return _parse(_object(data, "config"))
+        return _parse(_object(data, "config"), raw)
     except DimensionMismatch as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse(data: dict) -> ProjectConfig:
-    """Validated objects of a loaded config; may raise DimensionMismatch."""
+def _parse(data: dict, raw: str) -> ProjectConfig:
+    """Validated objects of a loaded config, ``raw`` its JSON text; may
+    raise DimensionMismatch."""
     _require("system" in data, "missing 'system' block")
     sysblk = _object(data["system"], "'system' block")
     for key in ("A", "B", "C"):
@@ -201,7 +205,7 @@ def _parse(data: dict) -> ProjectConfig:
     return ProjectConfig(system=system, partition=partition,
                          node_specs=node_specs, graph=graph, spectral=spectral,
                          signals=tuple(signals), sim=sim, u_bar_max=u_bar_max,
-                         raw=data)
+                         raw=raw)
 
 
 def _spectral(blk: dict) -> SpectralPartition:

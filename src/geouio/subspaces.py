@@ -11,6 +11,10 @@ Every scaled decision (a rank floor, a residual limit) takes the matrix
 itself and reads its 2-norm from it, only on the path where the decision
 needs that scale.
 
+``unobservable_subspace`` is computed through its dual, as the complement
+of the observable subspace, which grows by one image per step:
+``(Ker C ∩ A^{-1} N)^perp = Im C^T + A^T N^perp``.
+
 The module also holds every LAPACK call that geouio makes past numpy's
 wrappers: ``_svd``, ``_pinv``, ``_eigvals``, ``_lstsq`` (the ``dgelsd``
 gufunc behind ``numpy.linalg.lstsq``) and ``_matrix_sign`` call numpy's own
@@ -484,16 +488,32 @@ def subspaces_equal(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POL
 
 def unobservable_subspace(C, A, tol: TolerancePolicy = DEFAULT_POLICY,
                           meas_scale: float = 0.0) -> Subspace:
-    """Largest A-invariant subspace inside Ker C (iterated-kernel construction).
+    """Largest A-invariant subspace inside Ker C, as the complement of the
+    observable subspace.
 
-    ``meas_scale`` floors the kernel rank decision when C is itself a product
-    that may be numerically zero.
+    The observable subspace is the fixed point of O <- O_0 + A^T O from
+    O_0 = Im C^T, the dual of N <- Ker C ∩ A^{-1} N, since (Ker C ∩ A^{-1}
+    N)^perp = Im C^T + A^T N^perp: one image per step where the primal step
+    takes a preimage and an intersection.  ``meas_scale`` floors the rank
+    decision of Im C^T when C is itself a product that may be numerically
+    zero; ||A||_2 floors that of each A^T O, and is taken only when O_0 is
+    neither zero nor the whole space.
     """
     C = as_matrix(C, "C")
     A = as_matrix(A, "A")
-    K = kernel(C, tol, scale_floor=meas_scale)
-    return _fixed_point(lambda N: intersect(K, preimage(A, N, tol), tol),
-                        K, A.shape[0])[-1]
+    n = A.shape[0]
+    if C.shape[1] != n:
+        raise DimensionMismatch(f"C has {C.shape[1]} columns, A is {n} x {n}")
+    O0 = image(C.T, tol, scale_floor=meas_scale)
+    if O0.is_zero:
+        return Subspace.full(n)
+    obs = O0
+    if not O0.is_full:
+        At, a_scale = A.T, two_norm(A)
+        # a full O is its own successor: the chain stops without a step
+        obs = _fixed_point(lambda O: O if O.is_full else subspace_sum(
+            O0, image(At @ O.basis, tol, scale_floor=a_scale), tol), O0, n)[-1]
+    return orth_complement(obs)
 
 
 def _fixed_point(step, start: Subspace, max_steps: int) -> list:

@@ -11,6 +11,12 @@ the quotient directions whose fixed dynamics (invariant zeros) fall on the
 wrong side of the spectral boundary.  The quotient X/W_g* then admits an
 output injection making its induced map stable, which is what the observer
 constructions consume.
+
+S* is computed through its dual: W* plus the lifted unobservable subspace
+of the pair that a friend of W* induces on X/W*, which
+``subspaces.unobservable_subspace`` takes as the complement of a growing
+observable subspace.  ``stabilizing_friend`` builds the same kind of pair
+on X/W_g* (``_quotient_pair``).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
                         _lstsq, _matrix_sign, _pinv, _rank_cut,
                         _require_invariant, _svd, as_matrix,
                         canonical_projection, contains, image, intersect,
-                        kernel, note_margin, orth_complement, preimage,
+                        kernel, note_margin, orth_complement,
                         subspace_sum, two_norm, unobservable_subspace)
 
 # Eigenvalues within this band of the boundary are classified conservatively
@@ -110,20 +116,30 @@ def infimal_conditioned_invariant(A, ker_C: Subspace, Bbar: Subspace,
 
 
 def infimal_unobservability_subspace(A, ker_C: Subspace, W_star: Subspace,
-                                     tol: TolerancePolicy = DEFAULT_POLICY,
-                                     return_history: bool = False):
+                                     tol: TolerancePolicy = DEFAULT_POLICY):
     """Infimal unobservability subspace containing W*; ``ker_C`` is Ker C.
 
-    Fixed point of S_{k+1} = W* + (A^{-1} S_k ∩ Ker C) from S_0 = R^n; the
-    chain is nonincreasing and stabilizes within n steps.
+    The fixed point of S_{k+1} = W* + (A^{-1} S_k ∩ Ker C) from S_0 = R^n,
+    computed through its dual.  Its first step is S_1 = W* + Ker C; when
+    that is R^n, it is S*.  Otherwise S* = W* ⊕ P^T N, with P the chart of
+    X/W*, Cp the rows of (Ker C)^perp, L a friend of W* with respect to Cp,
+    and N the unobservable subspace of the pair that A + L Cp induces on
+    X/W* with the measurements blind to W* (``_quotient_pair``).  With N = 0
+    it returns ``W_star`` itself.
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
-    history = _fixed_point(
-        lambda S: subspace_sum(W_star, intersect(preimage(A, S, tol), ker_C, tol),
-                               tol),
-        Subspace.full(n), n + 1)
-    return (history[-1], history) if return_history else history[-1]
+    S1 = subspace_sum(W_star, ker_C, tol)
+    if S1.is_full:
+        return S1
+    Cp = orth_complement(ker_C).basis.T
+    L = common_friend(A, Cp, [W_star], tol)
+    P, Abar, _, Cbar = _quotient_pair(A, Cp, W_star, L)
+    # Cp's rows are orthonormal: its 2-norm, 1, floors the measurement rank
+    N = unobservable_subspace(Cbar, Abar, tol, meas_scale=1.0)
+    if N.is_zero:
+        return W_star
+    return Subspace(n, np.concatenate([W_star.basis, P.T @ N.basis], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +212,20 @@ def common_friend(A, C, subspace_list,
         raise NotConditionedInvariant(
             f"no common friend for the given subspaces (residual {resid:.2e})")
     return vecL.reshape((n, p), order="F")
+
+
+def _quotient_pair(A, C, W: Subspace, L):
+    """The pair on X/W of a friend L of W: ``(P, Abar, H, Cbar)``.
+
+    P is ``canonical_projection(W)`` and Abar = P (A + L C) P^T the induced
+    map.  H discards the measurement components that see W, so injections
+    through H C preserve the invariance of W and of anything nested inside
+    it, and Cbar = H C P^T measures the quotient.
+    """
+    P = canonical_projection(W)
+    CW = _seen(C, W)
+    H = np.eye(C.shape[0]) - CW @ _pinv(CW)
+    return P, P @ (A + L @ C) @ P.T, H, H @ C @ P.T
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +364,10 @@ def stabilizing_friend(A, C, W_g_star: Subspace, part: SpectralPartition,
     C = as_matrix(C, "C")
     p = C.shape[0]
     L0 = common_friend(A, C, [W_g_star, W_star], tol)
-    P = canonical_projection(W_g_star)
-    q = P.shape[0]
-    if q == 0:
+    if W_g_star.is_full:
         return L0, np.zeros((0, 0))
-    Abar0 = P @ (A + L0 @ C) @ P.T
-    CW = _seen(C, W_g_star)
-    # H discards the measurement components that see W_g*; injections through
-    # H C preserve the invariance of W_g* and of anything nested inside it.
-    H = np.eye(p) - CW @ _pinv(CW)
-    Cbar = H @ C @ P.T
+    P, Abar0, H, Cbar = _quotient_pair(A, C, W_g_star, L0)
+    q = P.shape[0]
     c_scale = two_norm(C)
     unobs = unobservable_subspace(Cbar, Abar0, tol, meas_scale=c_scale)
     U1 = orth_complement(unobs).basis

@@ -47,6 +47,18 @@ def test_round_trip_preserves_matrices():
         assert a.known_cols == b.known_cols
 
 
+def test_to_dict_gives_the_source_afresh_on_each_call(tmp_path):
+    src = builtin_config("distributed")
+    for cfg in (parse_config(src), parse_config(write_cfg(tmp_path, src))):
+        # the source is kept as JSON text, not as a second decoded copy
+        assert isinstance(cfg.raw, str)
+        first = cfg.to_dict()
+        assert first == src
+        first["system"]["A"][0][0] = 99.0
+        second = cfg.to_dict()
+        assert second == src and second is not first
+
+
 def test_centralized_demo_parses():
     cfg = parse_config(builtin_config("centralized"))
     assert cfg.mode == "centralized"

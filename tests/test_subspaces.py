@@ -286,6 +286,43 @@ def test_unobservable_subspace_matches_observability_matrix():
             assert np.linalg.norm(obs_rows @ N.basis) < 1e-7
 
 
+def _primal_unobservable(C, A):
+    """Ker C ∩ A^-1 N iterated from N = Ker C to its first repeated
+    dimension, from the public operations."""
+    N = kernel(C)
+    while True:
+        M = intersect(kernel(C), preimage(A, N))
+        if M.dim == N.dim:
+            return M
+        N = M
+
+
+def test_unobservable_subspace_dual_matches_primal_at_every_dimension(monkeypatch):
+    # (C, A) in observability form, [[A11, 0], [A21, A22]] and [C1, 0], in
+    # random orthonormal coordinates: the unobservable subspace is the last
+    # d coordinates, for every d from 0 to n
+    rng = np.random.default_rng(11)
+    n, p = 5, 2
+    for d in range(n + 1):
+        for _ in range(4):
+            A = rng.normal(size=(n, n))
+            A[:n - d, n - d:] = 0.0
+            C = np.zeros((p, n))
+            C[:, :n - d] = rng.normal(size=(p, n - d))
+            T = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            A, C = T @ A @ T.T, C @ T.T
+            N = unobservable_subspace(C, A)
+            assert N.dim == d
+            assert subspaces_equal(N, _primal_unobservable(C, A))
+            assert subspaces_equal(N, Subspace(n, T[:, n - d:]))
+    # no measurement: everything unobservable, and no 2-norm of A taken
+    monkeypatch.setattr(subspaces, "two_norm", None)
+    for C in (np.zeros((0, 3)), np.zeros((2, 3))):
+        assert unobservable_subspace(C, np.eye(3)).is_full
+    with pytest.raises(DimensionMismatch):
+        unobservable_subspace(np.ones((1, 2)), np.eye(3))
+
+
 def test_margin_monitor_flags_near_threshold_decisions():
     with margin_monitor() as rec:
         image(np.array([[1.0, 0.0], [0.0, 5e-10]]))  # just above the rank cut

@@ -108,21 +108,102 @@ def test_sstar_with_zero_output_is_everything():
     assert S.is_full
 
 
+def _primal_sstar_chain(A, KC, W):
+    """The S* recursion in its primal form, S <- W* + (A^-1 S ∩ Ker C) from
+    R^n, up to its first repeated dimension, from the public operations."""
+    chain = [Subspace.full(A.shape[0])]
+    while len(chain) <= A.shape[0] + 1:
+        chain.append(subspace_sum(W, intersect(preimage(A, chain[-1]), KC)))
+        if chain[-1].dim == chain[-2].dim:
+            break
+    return chain
+
+
+def _hidden_block_system(rng, n, p, q, hidden):
+    """(A, C, B) with ``hidden`` extra states that neither the input nor the
+    measurement reaches, in random orthonormal coordinates: their modes
+    join S*, so S* lies strictly between W* and R^n when p > q."""
+    A, C, B = rng.normal(size=(n, n)), rng.normal(size=(p, n)), rng.normal(size=(n, q))
+    m = n + hidden
+    Af, Cf, Bf = np.zeros((m, m)), np.zeros((p, m)), np.zeros((m, q))
+    Af[:n, :n], Af[n:, :] = A, rng.normal(size=(hidden, m))
+    Cf[:, :n], Bf[:n] = C, B
+    T = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    return T @ Af @ T.T, Cf @ T.T, T @ Bf
+
+
 def test_sstar_chain_is_monotone_decreasing():
+    # the primal chain, built here, decreases to the S* that the dual gives
     rng = np.random.default_rng(4)
     for _ in range(25):
         A, C, B = rand_system(rng)
         KC = kernel(C)
         W = infimal_conditioned_invariant(A, KC, image(B))
-        S, hist = infimal_unobservability_subspace(A, KC, W, return_history=True)
+        S = infimal_unobservability_subspace(A, KC, W)
+        hist = _primal_sstar_chain(A, KC, W)
         dims = [h.dim for h in hist]
         assert dims == sorted(dims, reverse=True)
         assert len(hist) <= A.shape[0] + 2
         assert contains(S, W)
+        assert subspaces_equal(S, hist[-1])
         # fixed point: S = W* + (A^-1 S ∩ Ker C)
-        from geouio.subspaces import preimage, subspace_sum
         rhs = subspace_sum(W, intersect(preimage(A, S), KC))
         assert subspaces_equal(S, rhs)
+
+
+def test_sstar_equals_the_primal_fixed_point_in_all_three_cases():
+    rng = np.random.default_rng(40)
+    cases = {"W*": 0, "X": 0, "between": 0}
+    for k in range(60):
+        if k % 2:
+            A, C, B = rand_system(rng)
+        else:
+            n = int(rng.integers(2, 5))
+            A, C, B = _hidden_block_system(rng, n, int(rng.integers(2, n + 1)),
+                                           1, int(rng.integers(1, 3)))
+        KC = kernel(C)
+        W = infimal_conditioned_invariant(A, KC, image(B))
+        S = infimal_unobservability_subspace(A, KC, W)
+        assert subspaces_equal(S, _primal_sstar_chain(A, KC, W)[-1])
+        assert np.abs(S.basis.T @ S.basis - np.eye(S.dim)).max() <= 1e-12
+        if S.dim == W.dim:
+            assert S is W
+            cases["W*"] += 1
+        else:
+            cases["X" if S.is_full else "between"] += 1
+    assert min(cases.values()) >= 5, cases
+
+
+def test_sstar_of_the_distributed_demo_nodes(dist_cfg):
+    # nodes 1 and 3 have S* strictly between W* and R^6, nodes 2 and 4 S* = R^6
+    dims = {}
+    for spec in dist_cfg.node_specs:
+        A, C = dist_cfg.system.A, spec.C
+        KC = kernel(C)
+        W = infimal_conditioned_invariant(
+            A, KC, image(dist_cfg.system.B[:, list(spec.unknown_cols)]))
+        S = infimal_unobservability_subspace(A, KC, W)
+        assert subspaces_equal(S, _primal_sstar_chain(A, KC, W)[-1])
+        assert contains(S, W)
+        dims[spec.node_id] = (W.dim, S.dim)
+    assert dims == {1: (1, 4), 2: (2, 6), 3: (1, 4), 4: (5, 6)}
+
+
+def test_sstar_takes_no_preimage_and_no_intersection(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a primal step in the dual S* recursion")
+
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        A, C, B = _hidden_block_system(rng, 3, 2, 1, 2)
+        KC = kernel(C)
+        W = infimal_conditioned_invariant(A, KC, image(B))
+        with monkeypatch.context() as mp:
+            for module in (subspaces, synthesis):
+                mp.setattr(module, "intersect", refused, raising=False)
+                mp.setattr(module, "preimage", refused, raising=False)
+            S = infimal_unobservability_subspace(A, KC, W)
+        assert W.dim < S.dim < A.shape[0]
 
 
 # ---------------------------------------------------------------------------

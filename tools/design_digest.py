@@ -15,13 +15,17 @@ inclusive ranges it runs the operations of each part:
 
 A design part prints its plant count, its failure count (a raised error or
 a check that does not pass) with the failures by class (the error's class
-name, or `residual_limit` for a failed check) and the SHA-256 of every
-plant's check values (`repr`) or failure class and message, with every
-decision margin noted while it ran.  The battery prints its trial,
-marginal and disagreement counts and the SHA-256 of every trial's result
-and every noted margin.
-Two trees that print equal digests made the same decisions to the bit on
-these inputs.  The default parts are design and battery.
+name, or `residual_limit` for a failed check) and two SHA-256 digests: a
+checks-only one of every plant's check values (`repr`) or failure class
+and message, and a full one of the same with every decision margin noted
+while it ran.  The battery prints its trial, marginal and disagreement
+counts, a checks-only SHA-256 of every trial's verdicts and a full one of
+every trial's result and every noted margin.
+Two trees that print equal full digests made the same decisions to the bit
+on these inputs; equal checks-only digests say that they reached the same
+outcomes, to the bit, by decisions whose margins may differ, as when a
+subspace is computed by another recursion.  The default parts are design
+and battery.
 """
 
 import os
@@ -62,9 +66,9 @@ def _design_ops(part: str, seed: int, r: int, work: Path) -> list:
 
 
 def design_digest(part: str, seeds, rounds) -> dict:
-    """Plant count, failure count, failures by class and digest of a
-    design part."""
-    h = hashlib.sha256()
+    """Plant count, failure count, failures by class and the checks-only
+    and full digests of a design part."""
+    h, checks_h = hashlib.sha256(), hashlib.sha256()
     plants = 0
     classes = Counter()
     with tempfile.TemporaryDirectory() as work:
@@ -85,10 +89,12 @@ def design_digest(part: str, seeds, rounds) -> dict:
                     if verdict.failed:
                         classes[verdict.reason if exc is None
                                 else type(exc).__name__] += 1
-                    h.update(repr((seed, r, op.label, outcome,
-                                   rec.margins)).encode())
+                    key = (seed, r, op.label, outcome)
+                    checks_h.update(repr(key).encode())
+                    h.update(repr((*key, rec.margins)).encode())
     return {"plants": plants, "failures": classes.total(),
-            "classes": dict(sorted(classes.items())), "sha256": h.hexdigest()}
+            "classes": dict(sorted(classes.items())),
+            "checks_sha256": checks_h.hexdigest(), "sha256": h.hexdigest()}
 
 
 class _RecordedWorkers:
@@ -109,8 +115,9 @@ class _RecordedWorkers:
 
 
 def battery_digest(seeds, rounds) -> dict:
-    """Trial, marginal and disagreement counts and digest of the batteries."""
-    h = hashlib.sha256()
+    """Trial, marginal and disagreement counts and the checks-only and full
+    digests of the batteries."""
+    h, checks_h = hashlib.sha256(), hashlib.sha256()
     counts = {"trials": 0, "marginal": 0, "disagreements": 0}
     workers = verify._workers
     try:
@@ -124,12 +131,17 @@ def battery_digest(seeds, rounds) -> dict:
                         counts["trials"] += result.trials
                         counts["marginal"] += len(result.marginal)
                         counts["disagreements"] += len(result.disagreements)
-                        h.update(repr((seed, r, op.label,
-                                       verify._workers.results,
+                        results = verify._workers.results
+                        verdicts = [{k: v for k, v in info.items()
+                                     if k != "min_margin"} for info in results]
+                        checks_h.update(repr((seed, r, op.label,
+                                              verdicts)).encode())
+                        h.update(repr((seed, r, op.label, results,
                                        rec.margins)).encode())
     finally:
         verify._workers = workers
-    return {**counts, "sha256": h.hexdigest()}
+    return {**counts, "checks_sha256": checks_h.hexdigest(),
+            "sha256": h.hexdigest()}
 
 
 def _span(text: str) -> range:
@@ -147,13 +159,15 @@ def main(argv=None):
         if part == "battery":
             d = battery_digest(args.seeds, args.rounds)
             print(f"battery: {d['trials']} trials, {d['marginal']} marginal, "
-                  f"{d['disagreements']} disagreements, sha256 {d['sha256']}")
+                  f"{d['disagreements']} disagreements, "
+                  f"checks sha256 {d['checks_sha256']}, sha256 {d['sha256']}")
         else:
             d = design_digest(part, args.seeds, args.rounds)
             by_class = ", ".join(f"{k} {v}" for k, v in d["classes"].items())
             print(f"{part}: {d['plants']} plants, {d['failures']} failures"
                   + (f" ({by_class})" if by_class else "")
-                  + f", sha256 {d['sha256']}")
+                  + f", checks sha256 {d['checks_sha256']}"
+                  f", sha256 {d['sha256']}")
 
 
 if __name__ == "__main__":
