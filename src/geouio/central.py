@@ -14,7 +14,7 @@ from numpy.linalg import LinAlgError
 from .errors import (DimensionMismatch, ExistenceFailed, InvarianceViolated,
                      NotConditionedInvariant, NotSolvable, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, TolerancePolicy, _eigvals, _fro,
-                        _lstsq, _pinv, _rank_cut, _svd, as_matrix, intersect,
+                        _ker_meet, _lstsq, _pinv, _rank_cut, _svd, as_matrix,
                         monitored_rank, two_norm)
 from .synthesis import (GeometricDecomposition, SpectralPartition, decompose,
                         stabilizing_friend)
@@ -104,8 +104,9 @@ def check_uio_condition(decomp: GeometricDecomposition,
                         tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """Existence condition: the decoupled subspace meets Ker C only at 0.
 
-    Ker C is ``decomp.ker_C``, taken under ``decompose``'s tolerance."""
-    return intersect(decomp.W_g_star, decomp.ker_C, tol).is_zero
+    Ker C is ``decomp.ker_C``, taken under ``decompose``'s tolerance, and
+    the meet is decided from one SVD of ``(Ker C)^perp`` rows times W_g*."""
+    return _ker_meet(decomp.W_g_star, decomp.ker_C, tol)[0].is_zero
 
 
 def _rank_condition(C, Bbar, tol: TolerancePolicy) -> bool:
@@ -178,7 +179,7 @@ def synthesize_centralized_uio(sys: LinSystem, part: InputPartition,
                                ) -> CentralizedObserver:
     """Full pipeline: decomposition, existence check, gain, reconstruction."""
     decomp = decompose(sys.A, sys.C, part.B_unknown, spectral, tol)
-    blocked = intersect(decomp.W_g_star, decomp.ker_C, tol)
+    blocked = _ker_meet(decomp.W_g_star, decomp.ker_C, tol)[0]
     if not blocked.is_zero:
         raise ExistenceFailed(
             f"unrecoverable directions: the decoupled subspace intersects Ker C "

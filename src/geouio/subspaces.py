@@ -15,6 +15,10 @@ needs that scale.
 of the observable subspace, which grows by one image per step:
 ``(Ker C ∩ A^{-1} N)^perp = Im C^T + A^T N^perp``.
 
+A meet with Ker C (``_ker_meet``) takes one SVD of the p' x dim W matrix
+``Cp W``, Cp the rows of (Ker C)^perp, where ``intersect`` takes three
+n-wide ones; its rank is cut with the scale floored at ||Cp|| ||W|| = 1.
+
 The module also holds every LAPACK call that geouio makes past numpy's
 wrappers: ``_svd``, ``_pinv``, ``_eigvals``, ``_lstsq`` (the ``dgelsd``
 gufunc behind ``numpy.linalg.lstsq``) and ``_matrix_sign`` call numpy's own
@@ -426,6 +430,25 @@ def intersect(V: Subspace, W: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -
         return V
     return orth_complement(
         subspace_sum(orth_complement(V), orth_complement(W), tol))
+
+
+def _ker_meet(W: Subspace, ker_C: Subspace, tol: TolerancePolicy = DEFAULT_POLICY):
+    """W ∩ Ker C from one SVD ``U S Vt`` of the p' x dim W matrix ``Cp W``,
+    with ``Cp`` the rows of (Ker C)^perp: ``(meet, r, U)``.
+
+    r is the rank of ``Cp W``, cut with its scale floored at ||Cp|| ||W|| =
+    1, so that a W inside Ker C, whose ``Cp W`` is rounding noise, meets it
+    in W itself.  The meet is W when r = 0 and ``W.basis @ Vt[r:].T``
+    otherwise; W + Ker C is the whole space iff r = p'; and ``U[:, r:]``
+    spans the components of ``Cp``'s measurements that are blind to W.
+    """
+    Cp = orth_complement(ker_C).basis.T
+    p = Cp.shape[0]
+    if W.is_zero or not p:
+        return W, 0, np.eye(p)
+    U, s, Vt = _svd(Cp @ W.basis)
+    r = _rank_cut(s, (p, W.dim), tol.rel_rank_tol, scale_floor=1.0)
+    return (W if r == 0 else Subspace(W.ambient_dim, W.basis @ Vt[r:].T)), r, U
 
 
 def preimage(M, S: Subspace, tol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:

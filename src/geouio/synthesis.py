@@ -12,11 +12,19 @@ wrong side of the spectral boundary.  The quotient X/W_g* then admits an
 output injection making its induced map stable, which is what the observer
 constructions consume.
 
+Every meet with Ker C, in the W* step W <- Im(Bbar) + A(W ∩ Ker C) and in
+S*, is decided from one SVD of the small matrix Cp W, with Cp the rows of
+(Ker C)^perp, its rank cut with the scale floored at ||Cp|| ||W|| = 1
+(``subspaces._ker_meet``): a W inside Ker C whose Cp W is rounding noise
+meets it in W itself.  The W* step keeps its two cuts, the image of
+A(W ∩ Ker C) and its sum with Im(Bbar).
+
 S* is computed through its dual: W* plus the lifted unobservable subspace
-of the pair that a friend of W* induces on X/W*, which
-``subspaces.unobservable_subspace`` takes as the complement of a growing
-observable subspace.  ``stabilizing_friend`` builds the same kind of pair
-on X/W_g* (``_quotient_pair``).
+of the pair that a friend of W* induces on X/W*, measured by the outputs
+blind to W* that the same SVD of Cp W* gives; ``unobservable_subspace``
+takes it as the complement of a growing observable subspace.
+``stabilizing_friend`` builds the same kind of pair on X/W_g*
+(``_quotient_pair``).
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from numpy.linalg import LinAlgError
 from .errors import (DimensionMismatch, InvarianceViolated,
                      NotConditionedInvariant, SpectrumUnassignable)
 from .subspaces import (DEFAULT_POLICY, Subspace, TolerancePolicy,
-                        _eigvals, _exceeds, _fixed_point, _fro, _kron,
-                        _lstsq, _matrix_sign, _pinv, _rank_cut,
+                        _eigvals, _exceeds, _fixed_point, _fro, _ker_meet,
+                        _kron, _lstsq, _matrix_sign, _pinv, _rank_cut,
                         _require_invariant, _svd, as_matrix,
                         canonical_projection, contains, image, intersect,
                         kernel, note_margin, orth_complement,
@@ -108,9 +116,11 @@ def infimal_conditioned_invariant(A, ker_C: Subspace, Bbar: Subspace,
     if Bbar.ambient_dim != n:
         raise DimensionMismatch("Bbar ambient dimension must match A")
     a_scale = two_norm(A)
+    # a full W is its own successor: the chain stops without a step
     history = _fixed_point(
-        lambda W: subspace_sum(Bbar, image(A @ intersect(W, ker_C, tol).basis, tol,
-                                           scale_floor=a_scale), tol),
+        lambda W: W if W.is_full else subspace_sum(
+            Bbar, image(A @ _ker_meet(W, ker_C, tol)[0].basis, tol,
+                        scale_floor=a_scale), tol),
         Bbar, n + 1)
     return (history[-1], history) if return_history else history[-1]
 
@@ -124,19 +134,33 @@ def infimal_unobservability_subspace(A, ker_C: Subspace, W_star: Subspace,
     that is R^n, it is S*.  Otherwise S* = W* ⊕ P^T N, with P the chart of
     X/W*, Cp the rows of (Ker C)^perp, L a friend of W* with respect to Cp,
     and N the unobservable subspace of the pair that A + L Cp induces on
-    X/W* with the measurements blind to W* (``_quotient_pair``).  With N = 0
-    it returns ``W_star`` itself.
+    X/W* with the measurements H Cp blind to W*.  One SVD of Cp W*
+    (``_ker_meet``) decides all three: its rank r is p' iff S_1 = R^n, H
+    projects onto its trailing p' - r left singular vectors, and with r = 0
+    L = 0 is a friend iff W* is A-invariant.  A full W* is returned as
+    ``W_star`` itself, and so is W* when N = 0.
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
-    S1 = subspace_sum(W_star, ker_C, tol)
-    if S1.is_full:
-        return S1
+    if W_star.is_full:
+        return W_star
+    _, r, U = _ker_meet(W_star, ker_C, tol)
     Cp = orth_complement(ker_C).basis.T
-    L = common_friend(A, Cp, [W_star], tol)
-    P, Abar, _, Cbar = _quotient_pair(A, Cp, W_star, L)
+    if r == Cp.shape[0]:
+        return Subspace.full(n)
+    P = canonical_projection(W_star)
+    if r:
+        L = common_friend(A, Cp, [W_star], tol)
+    else:  # Cp sees none of W*, so no injection through it moves W*
+        resid = _fro(P @ A @ W_star.basis)
+        if _exceeds(resid, tol.abs_residual_tol, A):
+            raise NotConditionedInvariant(
+                f"no common friend for the given subspaces (residual {resid:.2e})")
+        L = np.zeros((n, Cp.shape[0]))
+    H = U[:, r:] @ U[:, r:].T
     # Cp's rows are orthonormal: its 2-norm, 1, floors the measurement rank
-    N = unobservable_subspace(Cbar, Abar, tol, meas_scale=1.0)
+    N = unobservable_subspace(H @ Cp @ P.T, P @ (A + L @ Cp) @ P.T, tol,
+                              meas_scale=1.0)
     if N.is_zero:
         return W_star
     return Subspace(n, np.concatenate([W_star.basis, P.T @ N.basis], axis=1))

@@ -1,5 +1,5 @@
-"""tools/design_digest.py: a digest of the benchmark's seeded outcomes that
-moves with any check value."""
+"""tools/design_digest.py: digests of the benchmark's seeded outcomes, one
+that moves with any check value and one that moves only with a verdict."""
 
 import importlib.util
 import math
@@ -33,6 +33,7 @@ def test_digests_repeat_and_follow_a_check_value(monkeypatch):
     assert (moved["plants"], moved["failures"]) == (14, 0)
     assert moved["sha256"] != first["sha256"]
     assert moved["checks_sha256"] != first["checks_sha256"]
+    assert moved["verdicts_sha256"] == first["verdicts_sha256"]
 
     # one more margin noted per plant: the same checks, another full digest
     checks = verify.invariant_checks
@@ -45,6 +46,24 @@ def test_digests_repeat_and_follow_a_check_value(monkeypatch):
     noted = design_digest.design_digest("design", seeds, rounds)
     assert noted["sha256"] != first["sha256"]
     assert noted["checks_sha256"] == first["checks_sha256"]
+    assert noted["verdicts_sha256"] == first["verdicts_sha256"]
+
+
+def test_the_verdicts_digest_follows_a_pass_flag_only(monkeypatch):
+    seeds, rounds = range(1, 2), range(0, 1)
+    first = design_digest.design_digest("design", seeds, rounds)
+    # every residual row twice as large: values move, verdicts not
+    fro = verify._fro
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_fro", lambda M: 2.0 * fro(M))
+        scaled = design_digest.design_digest("design", seeds, rounds)
+    assert scaled["checks_sha256"] != first["checks_sha256"]
+    assert scaled["verdicts_sha256"] == first["verdicts_sha256"]
+    # every residual row past its limit: the same plants, other verdicts
+    monkeypatch.setattr(verify, "_fro", lambda M: 1.0)
+    failed = design_digest.design_digest("design", seeds, rounds)
+    assert failed["failures"] == failed["plants"] == first["plants"]
+    assert failed["verdicts_sha256"] != first["verdicts_sha256"]
 
 
 def test_the_failure_probe_fails_only_by_the_packages_errors(tmp_path):
@@ -69,6 +88,7 @@ def test_the_digest_counts_failures_by_class(capsys):
     design_digest.main(["--seeds", "1", "--rounds", "0", "--part", "probe"])
     line = capsys.readouterr().out
     assert line.startswith("probe: 21 plants, 2 failures "
-                           "(NotConditionedInvariant 2), checks sha256 ")
-    checks, full = line.split("checks sha256 ")[1].split(", sha256 ")
-    assert len(checks) == len(full.strip()) == 64
+                           "(NotConditionedInvariant 2), verdicts sha256 ")
+    verdicts, checks, full = line.split("verdicts sha256 ")[1].split(", ", 2)
+    assert checks.startswith("checks sha256 ") and full.startswith("sha256 ")
+    assert len(verdicts) == len(checks.split()[-1]) == len(full.split()[-1]) == 64

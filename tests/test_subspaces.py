@@ -446,3 +446,70 @@ def test_null_space_matches_scipy(shape, rank):
     ref = sla.null_space(M)
     assert Z.shape == ref.shape == (shape[1], shape[1] - rank)
     assert np.array_equal(Z, ref)
+
+
+# ---------------------------------------------------------------------------
+# W ∩ Ker C from one SVD of C⊥ W
+
+
+def _meet_cases():
+    """(W, Ker C) pairs: random ones, and ones whose meet is prescribed by
+    building W from directions of Ker C and of its complement."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        KC = rand_subspace(rng, n, int(rng.integers(0, n + 1)))
+        if rng.random() < 0.5:
+            yield rand_subspace(rng, n, int(rng.integers(0, n + 1))), KC
+            continue
+        inside = KC.basis @ rng.normal(size=(KC.dim, int(rng.integers(0, KC.dim + 1))))
+        Cp = orth_complement(KC).basis
+        outside = Cp @ rng.normal(size=(Cp.shape[1], int(rng.integers(0, Cp.shape[1] + 1))))
+        W = image(np.hstack([inside, outside]))
+        yield W, KC
+
+
+def test_ker_meet_matches_intersect_and_the_sum():
+    for W, KC in _meet_cases():
+        meet, r, U = subspaces._ker_meet(W, KC)
+        assert subspaces_equal(meet, intersect(W, KC))
+        assert meet.dim == W.dim - r
+        assert (r == U.shape[0]) == subspace_sum(W, KC).is_full
+        # U[:, r:] spans the measurements of Ker C's complement blind to W
+        Cp = orth_complement(KC).basis.T
+        U2 = U[:, r:]
+        assert np.abs(U2.T @ Cp @ W.basis).max(initial=0.0) <= 1e-12
+        assert np.allclose(U.T @ U, np.eye(U.shape[0]))
+
+
+def test_ker_meet_of_rounding_noise_is_w_itself():
+    # W = span(e2, e4) inside Ker C = span(e1, e2, e4), with C⊥W about 1e-15
+    C = np.array([[0.0, 0.0, -1.0, 0.0]])
+    KC = kernel(C)
+    basis, _ = np.linalg.qr(np.array([[0.0, 0.0], [1.0, 1.0],
+                                      [1e-15, -2e-15], [1.0, -1.0]]))
+    W = Subspace(4, basis)
+    assert 0 < np.abs(C @ W.basis).max() < 1e-14
+    with margin_monitor() as rec:
+        meet, r, U = subspaces._ker_meet(W, KC)
+    assert meet is W and r == 0 and U.shape == (1, 1)
+    assert rec.min_margin > 0.5
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_ker_meet_of_degenerate_subspaces(n):
+    rng = np.random.default_rng(n)
+    W = rand_subspace(rng, n, n - 1)
+    # Ker C = 0: nothing of W is in it, and W + Ker C = X only for a full W
+    for V in (W, Subspace.full(n)):
+        meet, r, U = subspaces._ker_meet(V, kernel(np.eye(n)))
+        assert meet.is_zero and r == V.dim and (r == U.shape[0]) == V.is_full
+    # C = 0: Ker C = X holds W, and W + Ker C = X
+    meet, r, U = subspaces._ker_meet(W, kernel(np.zeros((2, n))))
+    assert meet is W and r == 0 == U.shape[0]
+    # a zero W meets any Ker C in itself
+    KC = kernel(rng.normal(size=(1, n)))
+    Z = Subspace.zero(n)
+    meet, r, U = subspaces._ker_meet(Z, KC)
+    assert meet is Z and r == 0
+    assert (r == U.shape[0]) == subspace_sum(Z, KC).is_full

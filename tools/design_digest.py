@@ -15,16 +15,19 @@ inclusive ranges it runs the operations of each part:
 
 A design part prints its plant count, its failure count (a raised error or
 a check that does not pass) with the failures by class (the error's class
-name, or `residual_limit` for a failed check) and two SHA-256 digests: a
-checks-only one of every plant's check values (`repr`) or failure class
-and message, and a full one of the same with every decision margin noted
-while it ran.  The battery prints its trial, marginal and disagreement
+name, or `residual_limit` for a failed check) and three SHA-256 digests: a
+verdicts-only one of every plant's failure class, or of each of its checks'
+name and pass flag, with no values; a checks-only one of every plant's check
+values (`repr`) or failure class and message; and a full one of the same
+with every decision margin noted while it ran.  The battery prints its trial, marginal and disagreement
 counts, a checks-only SHA-256 of every trial's verdicts and a full one of
 every trial's result and every noted margin.
 Two trees that print equal full digests made the same decisions to the bit
 on these inputs; equal checks-only digests say that they reached the same
 outcomes, to the bit, by decisions whose margins may differ, as when a
-subspace is computed by another recursion.  The default parts are design
+subspace is computed by another recursion; equal verdicts-only digests say
+that every plant failed or passed each check alike, whatever the rounding
+of the values, as when a numerical rewrite moves every value by an ulp.  The default parts are design
 and battery.
 """
 
@@ -66,9 +69,9 @@ def _design_ops(part: str, seed: int, r: int, work: Path) -> list:
 
 
 def design_digest(part: str, seeds, rounds) -> dict:
-    """Plant count, failure count, failures by class and the checks-only
-    and full digests of a design part."""
-    h, checks_h = hashlib.sha256(), hashlib.sha256()
+    """Plant count, failure count, failures by class and the verdicts-only,
+    checks-only and full digests of a design part."""
+    h, checks_h, verdicts_h = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     plants = 0
     classes = Counter()
     with tempfile.TemporaryDirectory() as work:
@@ -82,18 +85,22 @@ def design_digest(part: str, seeds, rounds) -> dict:
                             checks, exc = None, err
                     if exc is None:
                         outcome = [(c.name, c.value, c.passed) for c in checks]
+                        verdicts = [(c.name, c.passed) for c in checks]
                     else:
                         outcome = (type(exc).__name__, str(exc))
+                        verdicts = type(exc).__name__
                     plants += 1
                     verdict = op.check(checks, exc)
                     if verdict.failed:
                         classes[verdict.reason if exc is None
                                 else type(exc).__name__] += 1
+                    verdicts_h.update(repr((seed, r, op.label, verdicts)).encode())
                     key = (seed, r, op.label, outcome)
                     checks_h.update(repr(key).encode())
                     h.update(repr((*key, rec.margins)).encode())
     return {"plants": plants, "failures": classes.total(),
             "classes": dict(sorted(classes.items())),
+            "verdicts_sha256": verdicts_h.hexdigest(),
             "checks_sha256": checks_h.hexdigest(), "sha256": h.hexdigest()}
 
 
@@ -166,7 +173,8 @@ def main(argv=None):
             by_class = ", ".join(f"{k} {v}" for k, v in d["classes"].items())
             print(f"{part}: {d['plants']} plants, {d['failures']} failures"
                   + (f" ({by_class})" if by_class else "")
-                  + f", checks sha256 {d['checks_sha256']}"
+                  + f", verdicts sha256 {d['verdicts_sha256']}"
+                  f", checks sha256 {d['checks_sha256']}"
                   f", sha256 {d['sha256']}")
 
 
